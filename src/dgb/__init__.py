@@ -7,16 +7,15 @@ companion-matrix normal forms, and Groebner bases of ideals invariant
 under cyclic permutation groups.
 """
 
-from .errors import (DGBError, ExactDivisionError, ParseError,
-                     RankMismatchError, RingMismatchError, StaircaseError)
+from .errors import (DGBError, ExactDivisionError, InternalCheckError,
+                     ParseError, RankMismatchError, RingMismatchError,
+                     StaircaseError)
 from .field import ConstantField
 from .orderings import DEGLEX, DEGREVLEX, LEX, Ordering, OrderingSpec
 from .ring import (DifferenceRing, Monomial, NEG_INF, Polynomial, Signature,
-                   VarRef, format_monomial, format_polynomial, monomial_gcd,
-                   monomial_lcm, order_of, shift_monomial, shift_polynomial,
-                   spoly)
-from .reduction import (DivisorHit, ReducerBasis, find_divisor, reduce,
-                        reduce_full, replay_certificate, tail_reduce)
+                   VarRef, format_monomial, format_polynomial, spoly)
+from .reduction import (DivisorHit, ReducerBasis, reduce, reduce_full,
+                        replay_certificate, tail_reduce)
 from .completion import (CompletionOptions, CompletionStatus, CriticalPair,
                          PairStats, SigmaBasis, VerificationReport,
                          check_finite_membership, critical_pairs, interreduce,
@@ -25,8 +24,24 @@ from .completion import (CompletionOptions, CompletionStatus, CriticalPair,
                          verify_sigma_gbasis)
 from .quotient import (LinearRelation, PermutationAction, QuotientPresentation,
                        expand_classical_basis, groebner_gamma_basis,
-                       is_noetherian_quotient, normal_form_variable,
-                       normal_variables, relations_are_groebner,
-                       symmetric_setup)
+                       is_noetherian_quotient, normal_variables,
+                       relations_are_groebner, symmetric_setup)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "DGBError", "ExactDivisionError", "InternalCheckError", "ParseError",
+    "RankMismatchError", "RingMismatchError", "StaircaseError",
+    "ConstantField",
+    "DEGLEX", "DEGREVLEX", "LEX", "Ordering", "OrderingSpec",
+    "DifferenceRing", "Monomial", "NEG_INF", "Polynomial", "Signature",
+    "VarRef", "format_monomial", "format_polynomial", "spoly",
+    "DivisorHit", "ReducerBasis", "reduce", "reduce_full",
+    "replay_certificate", "tail_reduce",
+    "CompletionOptions", "CompletionStatus", "CriticalPair", "PairStats",
+    "SigmaBasis", "VerificationReport", "check_finite_membership",
+    "critical_pairs", "interreduce", "membership_degrees", "minimalize",
+    "sigma_gbasis", "sigma_gbasis_adaptive", "sigma_gbasis_truncated",
+    "verify_sigma_gbasis",
+    "LinearRelation", "PermutationAction", "QuotientPresentation",
+    "expand_classical_basis", "groebner_gamma_basis", "is_noetherian_quotient",
+    "normal_variables", "relations_are_groebner", "symmetric_setup",
+]

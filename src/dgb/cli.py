@@ -36,7 +36,7 @@ from .completion import (CompletionOptions, check_finite_membership,
                          sigma_gbasis_adaptive, sigma_gbasis_truncated,
                          verify_sigma_gbasis)
 from .errors import DGBError, ParseError
-from .orderings import DEGLEX, DEGREVLEX, LEX, OrderingSpec
+from .orderings import _ORDER_NAMES, OrderingSpec
 from .quotient import (LinearRelation, PermutationAction, QuotientPresentation,
                        expand_classical_basis, groebner_gamma_basis,
                        parse_cycles)
@@ -45,7 +45,6 @@ from .reduction import replay_certificate
 from .ring import (DifferenceRing, Signature, format_monomial,
                    format_polynomial)
 
-_ORDER_NAMES = (LEX, DEGLEX, DEGREVLEX)
 _PUNCT = set("{}()[]=,;:^*/+->")
 
 
@@ -452,9 +451,6 @@ def parse_shift(text, rank):
     return entries
 
 
-print_polynomial = format_polynomial
-
-
 # --- serialization --------------------------------------------------------
 
 
@@ -616,30 +612,21 @@ def _load_problem(path) -> ProblemFile:
 
 
 def _completion_options(args) -> CompletionOptions:
-    options = CompletionOptions()
+    """Options from the flags and DGB_PAIR_BUDGET, validated by the
+    CompletionOptions constructor."""
+    chosen = {"use_chain_criterion": not getattr(args, "no_chain", False)}
     budget = getattr(args, "pair_budget", None)
-    if budget is None:
-        env = os.environ.get("DGB_PAIR_BUDGET")
-        if env:
-            budget = int(env)
+    env = os.environ.get("DGB_PAIR_BUDGET")
+    if budget is None and env:
+        budget = int(env)
     if budget is not None:
-        options.max_pair_budget = budget
-    if getattr(args, "no_chain", False):
-        options.use_chain_criterion = False
+        chosen["max_pair_budget"] = budget
     if getattr(args, "order_cap", None) is not None:
-        options.max_order_cap = args.order_cap
-    return options
+        chosen["max_order_cap"] = args.order_cap
+    return CompletionOptions(**chosen)
 
 
-def _emit(report: RunReport, as_json: bool):
-    if as_json:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    else:
-        print(report.to_text())
-    return report.exit_code
-
-
-def _basis_report(command, args, basis, config, started) -> RunReport:
+def _basis_report(command, args, basis, config) -> RunReport:
     ring = basis.ring
     elements = [format_polynomial(g) for g in basis.elements]
     lms = [format_monomial(g.lm, ring) for g in basis.elements]
@@ -648,11 +635,10 @@ def _basis_report(command, args, basis, config, started) -> RunReport:
     exit_code = 2 if basis.status.kind == "budget_exhausted" else 0
     stats = basis.stats.as_dict() if getattr(args, "stats", False) else None
     return RunReport(command, status, exit_code, config, elements, lms, stats,
-                     membership, time.monotonic() - started)
+                     membership)
 
 
-def _cmd_compute(args):
-    started = time.monotonic()
+def _cmd_compute(args) -> RunReport:
     problem = _load_problem(args.input)
     options = _completion_options(args)
     config = {
@@ -677,11 +663,10 @@ def _cmd_compute(args):
         basis = interreduce(basis)
     elif args.minimal:
         basis = minimalize(basis)
-    return _emit(_basis_report("compute", args, basis, config, started), args.json)
+    return _basis_report("compute", args, basis, config)
 
 
-def _cmd_verify(args):
-    started = time.monotonic()
+def _cmd_verify(args) -> RunReport:
     problem = _load_problem(args.input)
     report = verify_sigma_gbasis(problem.polynomials)
     config = {"input": args.input, "order": format_ordering(problem.ring)}
@@ -698,14 +683,11 @@ def _cmd_verify(args):
             }
             for i, j, si, sj, rem in report.failures
         ]
-    out = RunReport("verify", "verified" if report.ok else "not_a_basis",
-                    0 if report.ok else 2, config,
-                    wall_clock_seconds=time.monotonic() - started, details=details)
-    return _emit(out, args.json)
+    return RunReport("verify", "verified" if report.ok else "not_a_basis",
+                     0 if report.ok else 2, config, details=details)
 
 
-def _cmd_reduce(args):
-    started = time.monotonic()
+def _cmd_reduce(args) -> RunReport:
     problem = _load_problem(args.input)
     poly = parse_polynomial(problem.ring, args.poly)
     basis = [g for g in problem.polynomials if g]
@@ -726,15 +708,12 @@ def _cmd_reduce(args):
         details["certificate_ok"] = replay == poly
     else:
         remainder = head_reduce(poly, basis)
+    details["remainder"] = format_polynomial(remainder)
     config = {"input": args.input, "poly": args.poly}
-    out = RunReport("reduce", "reduced", 0, config,
-                    wall_clock_seconds=time.monotonic() - started, details=details)
-    out.details["remainder"] = format_polynomial(remainder)
-    return _emit(out, args.json)
+    return RunReport("reduce", "reduced", 0, config, details=details)
 
 
-def _cmd_symmetric(args):
-    started = time.monotonic()
+def _cmd_symmetric(args) -> RunReport:
     problem = _load_problem(args.gens)
     if args.perm:
         cycles = parse_cycles(args.perm)
@@ -756,13 +735,12 @@ def _cmd_symmetric(args):
         "perm": "".join("(" + " ".join(map(str, c)) + ")" for c in action.cycles),
         "order": format_ordering(action.ring),
     }
-    report = _basis_report("symmetric", args, basis, config, started)
+    report = _basis_report("symmetric", args, basis, config)
     if args.classical:
         classical = expand_classical_basis(action, basis.elements)
         report.details["classical_basis"] = [format_polynomial(g) for g in classical]
         report.details["classical_count"] = len(classical)
-    report.wall_clock_seconds = time.monotonic() - started
-    return _emit(report, args.json)
+    return report
 
 
 def _transplant(poly, ring):
@@ -773,8 +751,7 @@ def _transplant(poly, ring):
     return ring.polynomial((c, m) for m, c in poly.terms)
 
 
-def _cmd_normal_form(args):
-    started = time.monotonic()
+def _cmd_normal_form(args) -> RunReport:
     problem = _load_problem(args.input)
     ring = problem.ring
     presentation = _presentation_from_polynomials(ring, problem.polynomials)
@@ -785,11 +762,9 @@ def _cmd_normal_form(args):
     var = target.lm.factors[0][0]
     nf = presentation.normal_form_variable(var)
     config = {"input": args.input, "var": args.var}
-    out = RunReport("normal-form", "ok", 0, config,
-                    wall_clock_seconds=time.monotonic() - started)
-    out.details["normal_form"] = format_polynomial(nf)
-    out.details["normal_variables"] = len(presentation.normal_variables())
-    return _emit(out, args.json)
+    details = {"normal_form": format_polynomial(nf),
+               "normal_variables": len(presentation.normal_variables())}
+    return RunReport("normal-form", "ok", 0, config, details=details)
 
 
 def _presentation_from_polynomials(ring, polynomials) -> QuotientPresentation:
@@ -859,17 +834,21 @@ def run(argv) -> int:
         "symmetric": _cmd_symmetric,
         "normal-form": _cmd_normal_form,
     }
+    started = time.monotonic()
     try:
-        return handlers[args.command](args)
+        report = handlers[args.command](args)
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, DGBError, ValueError) as exc:
         print(f"dgb: {exc}", file=sys.stderr)
         return 1
-    except (DGBError, ValueError) as exc:
-        print(f"dgb: {exc}", file=sys.stderr)
-        return 1
+    report.wall_clock_seconds = time.monotonic() - started
+    if args.json:
+        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+    else:
+        print(report.to_text())
+    return report.exit_code
 
 
 def main():

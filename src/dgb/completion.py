@@ -13,10 +13,10 @@ result, and a verifier implementing the finite completeness criterion.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import shifts as sh
-from .errors import RingMismatchError
+from .errors import InternalCheckError, RingMismatchError
 from .reduction import ReducerBasis, reduce, reduce_full, tail_reduce
 from .ring import Monomial, Polynomial, spoly
 
@@ -33,17 +33,11 @@ class CriticalPair:
 
 @dataclass
 class CompletionOptions:
-    mode: str = "plain"  # plain | truncated | adaptive
-    truncation_order: int = None
     use_chain_criterion: bool = True
-    selection: str = "normal"  # normal: (ord, lcm, age); lcm: (lcm, age)
-    tail_reduce_new: bool = True
     max_pair_budget: int = 200_000
     max_order_cap: int = 64
 
     def __post_init__(self):
-        if self.selection not in ("normal", "lcm"):
-            raise ValueError(f"unknown selection strategy {self.selection!r}")
         if self.max_pair_budget <= 0 or self.max_order_cap <= 0:
             raise ValueError("budget caps must be positive")
 
@@ -75,22 +69,15 @@ class PairStats:
     sweeps: int = 1
 
     def merge(self, other):
-        for name in ("generated", "killed_product", "killed_sigma", "killed_chain",
-                     "killed_truncation", "reduced_to_zero", "new_elements"):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        """Add another run's pair counts; sweeps are counted by
+        sigma_gbasis_adaptive, which runs them."""
+        for f in fields(self):
+            if f.name != "sweeps":
+                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         return self
 
     def as_dict(self):
-        return {
-            "generated": self.generated,
-            "killed_product": self.killed_product,
-            "killed_sigma": self.killed_sigma,
-            "killed_chain": self.killed_chain,
-            "killed_truncation": self.killed_truncation,
-            "reduced_to_zero": self.reduced_to_zero,
-            "new_elements": self.new_elements,
-            "sweeps": self.sweeps,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -211,10 +198,7 @@ class _Run:
                 self.stats.killed_truncation += 1
                 continue
             self.stats.generated += 1
-            if self.options.selection == "normal":
-                entry = (bound, key(overlap), self.seq, i, j, sigma, tau, overlap)
-            else:
-                entry = (key(overlap), self.seq, i, j, sigma, tau, overlap)
+            entry = (bound, key(overlap), self.seq, i, j, sigma, tau, overlap)
             self.seq += 1
             heapq.heappush(self.queue, entry)
 
@@ -268,8 +252,7 @@ class _Run:
             if not h:
                 self.stats.reduced_to_zero += 1
                 continue
-            if self.options.tail_reduce_new:
-                h = tail_reduce(h, self.reducer)
+            h = tail_reduce(h, self.reducer)
             h = h.monic()
             if h.lm.is_one:
                 self.G = [self.ring.one]
@@ -296,19 +279,28 @@ def _resolve(options, overrides):
     return options
 
 
+def _complete(generators, options, overrides, bound=None):
+    """One completion run, unbounded or truncated at the order bound."""
+    options = _resolve(options, overrides)
+    generators = list(generators)
+    kept = generators if bound is None else [g for g in generators if g.order <= bound]
+    run = _Run(kept, options, bound=bound)
+    kind = "complete" if bound is None else "complete_up_to_order"
+    if run.ring is None:
+        ring = generators[0].ring if generators else None
+        return SigmaBasis(ring, (), CompletionStatus(kind, bound), PairStats())
+    run.run()
+    if run.exhausted:
+        kind = "budget_exhausted"
+    return SigmaBasis(run.ring, _sorted_elements(run.ring, run.G),
+                      CompletionStatus(kind, bound), run.stats)
+
+
 def sigma_gbasis(generators, options=None, **overrides):
     """Complete a finite generating set into a Groebner basis closed under
     the shift action.  May not halt on its own; the pair budget converts
     divergence into an explicit budget_exhausted status."""
-    options = _resolve(options, overrides)
-    generators = list(generators)
-    run = _Run(generators, options)
-    if run.ring is None:
-        ring = generators[0].ring if generators else None
-        return SigmaBasis(ring, (), CompletionStatus("complete"), PairStats())
-    run.run()
-    status = CompletionStatus("budget_exhausted" if run.exhausted else "complete")
-    return SigmaBasis(run.ring, _sorted_elements(run.ring, run.G), status, run.stats)
+    return _complete(generators, options, overrides)
 
 
 def sigma_gbasis_truncated(generators, order_bound, options=None, **overrides):
@@ -316,20 +308,7 @@ def sigma_gbasis_truncated(generators, order_bound, options=None, **overrides):
     fits under the bound are processed.  Always terminates."""
     if order_bound < 0:
         raise ValueError("truncation order must be non-negative")
-    options = _resolve(options, overrides)
-    kept = [g for g in generators if g and g.order <= order_bound]
-    run = _Run(kept, options, bound=order_bound)
-    if run.ring is None:
-        ring = None
-        for g in generators:
-            ring = g.ring
-            break
-        return SigmaBasis(ring, (), CompletionStatus("complete_up_to_order", order_bound),
-                          PairStats())
-    run.run()
-    kind = "budget_exhausted" if run.exhausted else "complete_up_to_order"
-    return SigmaBasis(run.ring, _sorted_elements(run.ring, run.G),
-                      CompletionStatus(kind, order_bound), run.stats)
+    return _complete(generators, options, overrides, order_bound)
 
 
 def sigma_gbasis_adaptive(generators, options=None, **overrides):
@@ -371,7 +350,11 @@ def sigma_gbasis_adaptive(generators, options=None, **overrides):
     basis = SigmaBasis(ring, _sorted_elements(ring, G), CompletionStatus("complete"), stats)
     report = verify_sigma_gbasis(basis)
     if not report.ok:
-        raise RuntimeError("internal error: adaptive completion failed verification")
+        i, j, sigma, tau, h = report.failures[0]
+        raise InternalCheckError(
+            f"adaptive completion failed verification: the pair of elements "
+            f"{i} shifted by {sigma} and {j} shifted by {tau} leaves the "
+            f"remainder {h}")
     return basis
 
 
@@ -413,6 +396,30 @@ def verify_sigma_gbasis(basis_or_elements):
     return VerificationReport(not failures, failures, checked)
 
 
+def _pure_power_table(ring, monomials):
+    """The pure-power table of a set of leading monomials: entry [i][j] is
+    the least k such that symbol_i(op_j^k) is reachable from one of the
+    monomials under the shift action, None when no such k exists.
+
+    Only single variables with exponent one can reach a variable; one with
+    the identity shift reaches every pure power of its symbol.
+    """
+    r = ring.signature.shift_rank
+    table = [[None] * r for _ in ring.signature.symbols]
+    for m in monomials:
+        if len(m.factors) != 1 or m.factors[0][1] != 1:
+            continue
+        (sym, shift), _ = m.factors[0]
+        support = [j for j, a in enumerate(shift) if a]
+        if not support:
+            table[sym] = [0] * r
+        elif len(support) == 1:
+            j = support[0]
+            if table[sym][j] is None or shift[j] < table[sym][j]:
+                table[sym][j] = shift[j]
+    return table
+
+
 def membership_degrees(basis_or_elements):
     """Minimal degrees d such that the pure-power variable of each
     (symbol, shift operator) pair is reachable among shifted leading
@@ -420,25 +427,7 @@ def membership_degrees(basis_or_elements):
     elements = list(basis_or_elements)
     if not elements:
         return None
-    ring = elements[0].ring
-    n = len(ring.signature.symbols)
-    r = ring.signature.shift_rank
-    table = [[None] * r for _ in range(n)]
-    for g in elements:
-        m = g.lm
-        if len(m.factors) != 1 or m.factors[0][1] != 1:
-            continue
-        (sym, shift), _ = m.factors[0]
-        support = [j for j, a in enumerate(shift) if a]
-        if not support:
-            for j in range(r):
-                table[sym][j] = 0
-        elif len(support) == 1:
-            j = support[0]
-            k = shift[j]
-            if table[sym][j] is None or k < table[sym][j]:
-                table[sym][j] = k
-    return table
+    return _pure_power_table(elements[0].ring, [g.lm for g in elements])
 
 
 def check_finite_membership(basis_or_elements):

@@ -22,6 +22,10 @@ class StaircaseError(DGBError, ValueError):
     """A generator mentions a variable outside the quotient staircase."""
 
 
+class InternalCheckError(DGBError, RuntimeError):
+    """An internal self-check failed; the message carries the witness."""
+
+
 class ParseError(DGBError, ValueError):
     """Syntax or validation error in problem-file or polynomial text."""
 

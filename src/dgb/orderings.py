@@ -45,6 +45,16 @@ class OrderingSpec:
             raise ValueError(f"unknown symbol order {self.symbol_order!r}")
 
 
+def _graded_key(kind, exps):
+    """Monotone key of an exponent vector listed from the most to the least
+    significant entry under the named ordering."""
+    if kind == LEX:
+        return tuple(exps)
+    if kind == DEGLEX:
+        return (sum(exps),) + tuple(exps)
+    return (sum(exps),) + tuple(-e for e in reversed(exps))
+
+
 def _check_priority(priority, count, what):
     if priority is None:
         return tuple(range(count))
@@ -90,13 +100,7 @@ class Ordering:
         """Monotone key: shift_key(s) < shift_key(t) iff s < t."""
         if len(s) != self.rank:
             raise RankMismatchError(f"shift {s} has rank {len(s)}, expected {self.rank}")
-        kind = self.spec.shift_order
-        prio = self._shift_prio
-        if kind == LEX:
-            return tuple(s[i] for i in prio)
-        if kind == DEGLEX:
-            return (sum(s),) + tuple(s[i] for i in prio)
-        return (sum(s),) + tuple(-s[i] for i in reversed(prio))
+        return _graded_key(self.spec.shift_order, [s[i] for i in self._shift_prio])
 
     def compare_shifts(self, s, t):
         """-1, 0 or 1 as s <, ==, > t."""
@@ -118,16 +122,6 @@ class Ordering:
 
     # --- monomials ------------------------------------------------------
 
-    def _block_key(self, exps):
-        """Key for one block: a monomial of K[X] given as an exponent
-        vector listed along the symbol priority."""
-        kind = self.spec.symbol_order
-        if kind == LEX:
-            return tuple(exps)
-        if kind == DEGLEX:
-            return (sum(exps),) + tuple(exps)
-        return (sum(exps),) + tuple(-e for e in reversed(exps))
-
     def monomial_key(self, m):
         """Monotone key realizing the block ordering on whole monomials."""
         factors = m.factors
@@ -140,7 +134,8 @@ class Ordering:
             for shift in sorted(blocks, key=self.shift_key, reverse=True):
                 block = blocks[shift]
                 exps = [block.get(sym, 0) for sym in self._symbol_prio]
-                parts.append((self.shift_key(shift), self._block_key(exps)))
+                parts.append((self.shift_key(shift),
+                              _graded_key(self.spec.symbol_order, exps)))
             key = tuple(parts)
             self._key_cache[factors] = key
         return key
@@ -149,19 +144,3 @@ class Ordering:
         """-1, 0 or 1 as m <, ==, > n under the block ordering."""
         a, b = self.monomial_key(m), self.monomial_key(n)
         return (a > b) - (a < b)
-
-    def sort_terms(self, terms):
-        """Sort (monomial, coeff) pairs strictly descending."""
-        return sorted(terms, key=lambda t: self.monomial_key(t[0]), reverse=True)
-
-
-def compare_shift(s, t, ordering: Ordering):
-    return ordering.compare_shifts(s, t)
-
-
-def compare_monomials(m, n, ordering: Ordering):
-    return ordering.compare_monomials(m, n)
-
-
-def is_ord_compatible(ordering: Ordering) -> bool:
-    return ordering.is_order_compatible

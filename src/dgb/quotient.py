@@ -19,9 +19,9 @@ import re
 from dataclasses import dataclass
 from itertools import product
 
-from .completion import (SigmaBasis, minimalize, sigma_gbasis,
-                         verify_sigma_gbasis)
-from .errors import ParseError, StaircaseError
+from .completion import (SigmaBasis, _pure_power_table, minimalize,
+                         sigma_gbasis, verify_sigma_gbasis)
+from .errors import InternalCheckError, ParseError, StaircaseError
 from .orderings import DEGLEX, LEX, OrderingSpec
 from .reduction import tail_reduce
 from .ring import DifferenceRing, Polynomial, Signature, VarRef
@@ -56,34 +56,12 @@ class LinearRelation:
         return ring.polynomial(pairs)
 
 
-def _pure_power_direction(shift):
-    """Index j when the shift is a pure power of operator j, 0-length
-    support meaning the identity; None otherwise."""
-    support = [j for j, a in enumerate(shift) if a]
-    if not support:
-        return -1
-    if len(support) == 1:
-        return support[0]
-    return None
-
-
 def missing_pure_powers(ring, lm_generators):
     """(symbol, operator) pairs with no pure-power variable reachable from
     the given leading monomials under the shift action."""
-    n = len(ring.signature.symbols)
-    r = ring.signature.shift_rank
-    covered = [[False] * r for _ in range(n)]
-    for m in lm_generators:
-        if len(m.factors) != 1 or m.factors[0][1] != 1:
-            continue
-        (sym, shift), _ = m.factors[0]
-        j = _pure_power_direction(shift)
-        if j == -1:
-            for jj in range(r):
-                covered[sym][jj] = True
-        elif j is not None:
-            covered[sym][j] = True
-    return [(i, j) for i in range(n) for j in range(r) if not covered[i][j]]
+    table = _pure_power_table(ring, lm_generators)
+    return [(i, j) for i, row in enumerate(table)
+            for j, k in enumerate(row) if k is None]
 
 
 def normal_variables(ring, lm_generators):
@@ -95,26 +73,14 @@ def normal_variables(ring, lm_generators):
     exponent one and a componentwise smaller shift.
     """
     lm_generators = list(lm_generators)
-    if missing_pure_powers(ring, lm_generators):
+    table = _pure_power_table(ring, lm_generators)
+    if any(k is None for row in table for k in row):
         return None
-    n = len(ring.signature.symbols)
-    r = ring.signature.shift_rank
+    variables = [m.factors[0][0] for m in lm_generators
+                 if len(m.factors) == 1 and m.factors[0][1] == 1]
     out = []
-    for i in range(n):
-        betas = []
-        bounds = [None] * r
-        for m in lm_generators:
-            if len(m.factors) != 1 or m.factors[0][1] != 1:
-                continue
-            (sym, shift), _ = m.factors[0]
-            if sym != i:
-                continue
-            betas.append(shift)
-            j = _pure_power_direction(shift)
-            if j == -1:
-                bounds = [0] * r
-            elif j is not None and (bounds[j] is None or shift[j] < bounds[j]):
-                bounds[j] = shift[j]
+    for i, bounds in enumerate(table):
+        betas = [beta for sym, beta in variables if sym == i]
         for omega in product(*(range(b) for b in bounds)):
             if not any(all(a <= w for a, w in zip(beta, omega)) for beta in betas):
                 out.append(VarRef(i, omega))
@@ -126,7 +92,7 @@ def is_noetherian_quotient(arg, lm_generators=None):
     monomials (or of a full relation family) has finitely many variables."""
     if isinstance(arg, QuotientPresentation):
         return True
-    return normal_variables(arg, lm_generators) is not None
+    return not missing_pure_powers(arg, lm_generators)
 
 
 class QuotientPresentation:
@@ -222,14 +188,10 @@ class QuotientPresentation:
         by_reduction = self.normal_form_reduction(var)
         by_companion = self.normal_form_companion(var)
         if by_reduction != by_companion:
-            raise AssertionError(
+            raise InternalCheckError(
                 f"normal form mismatch for {var}: reduction gave "
                 f"{by_reduction}, companion action gave {by_companion}")
         return by_reduction
-
-
-def normal_form_variable(presentation: QuotientPresentation, var):
-    return presentation.normal_form_variable(var)
 
 
 def relations_are_groebner(presentation: QuotientPresentation) -> bool:

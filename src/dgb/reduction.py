@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import shifts as sh
-from .errors import RingMismatchError
+from .errors import InternalCheckError, RingMismatchError
 from .ring import Monomial, Polynomial
 
 HEAD_STEP_LIMIT = 10_000_000  # safety net; the well-ordering guarantees termination
@@ -39,20 +39,14 @@ class ReducerBasis:
         polys = list(polys)
         if not polys:
             raise ValueError("reducer basis needs at least one polynomial")
-        ring = polys[0].ring
-        for p in polys:
-            if not p:
-                raise ValueError("reducer basis elements must be nonzero")
-            if p.ring is not ring and p.ring != ring:
-                raise RingMismatchError("basis mixes different rings")
-        self.ring = ring
-        self.polys = polys
-        self._lms = [p.lm for p in polys]
-        key = ring.ordering.variable_key
-        self._anchors = [None if m.is_one else max(m.variables(), key=key)
-                         for m in self._lms]
+        self.ring = polys[0].ring
+        self.polys = []
+        self._lms = []
+        self._anchors = []
         self._shift_cache = {}
         self.max_shift_deg = max_shift_deg
+        for p in polys:
+            self.append(p)
 
     def __len__(self):
         return len(self.polys)
@@ -132,12 +126,6 @@ def _as_basis(G, max_shift_deg=None):
     return ReducerBasis(G, max_shift_deg=max_shift_deg)
 
 
-def find_divisor(target, G):
-    """Module-level convenience wrapper around ReducerBasis.find_divisor."""
-    basis = _as_basis(G)
-    return None if basis is None else basis.find_divisor(target)
-
-
 def reduce(f: Polynomial, G, certificate=False):
     """Head reduction of f against all shifts of G.
 
@@ -163,7 +151,9 @@ def reduce(f: Polynomial, G, certificate=False):
                 steps.append((coeff, hit.cofactor, hit.shift, hit.basis_index))
             guard += 1
             if guard > HEAD_STEP_LIMIT:
-                raise RuntimeError("reduction exceeded the step safety limit")
+                raise InternalCheckError(
+                    f"reduction of {f} exceeded the step safety limit "
+                    f"of {HEAD_STEP_LIMIT} steps")
     return (h, steps) if certificate else h
 
 

@@ -266,9 +266,6 @@ class DifferenceRing:
         terms.sort(key=lambda t: self.ordering.monomial_key(t[0]), reverse=True)
         return Polynomial(self, tuple(terms))
 
-    def key(self, monomial):
-        return self.ordering.monomial_key(monomial)
-
 
 def _same_ring(f, g):
     if f.ring is not g.ring and f.ring != g.ring:
@@ -417,27 +414,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{format_polynomial(self)}>"
-
-
-def shift_monomial(s, m: Monomial) -> Monomial:
-    return m.shift(s)
-
-
-def shift_polynomial(s, f: Polynomial) -> Polynomial:
-    return f.shift(s)
-
-
-def monomial_lcm(m: Monomial, n: Monomial) -> Monomial:
-    return m.lcm(n)
-
-
-def monomial_gcd(m: Monomial, n: Monomial) -> Monomial:
-    return m.gcd(n)
-
-
-def order_of(x):
-    """Order of a monomial or polynomial (-inf for 1 and for 0)."""
-    return x.order
 
 
 def spoly(f: Polynomial, g: Polynomial) -> Polynomial:

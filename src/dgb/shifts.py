@@ -55,10 +55,6 @@ def deg(s: Shift) -> int:
     return sum(s)
 
 
-def is_identity(s: Shift) -> bool:
-    return not any(s)
-
-
 def enumerate_up_to_degree(d, rank: int) -> list:
     """All shift elements of degree <= d, in a fixed deterministic order.
 

@@ -2,12 +2,15 @@ import json
 import random
 from pathlib import Path
 
+import jsonschema
 import pytest
 
-from dgb import ParseError
-from dgb.cli import (format_ordering, parse_polynomial, parse_problem,
-                     print_polynomial, run, serialize_basis)
-from dgb.completion import sigma_gbasis
+from dgb import (InternalCheckError, LinearRelation, ParseError,
+                 QuotientPresentation, VarRef, format_polynomial)
+from dgb import completion, reduction
+from dgb.cli import (format_ordering, parse_polynomial, parse_problem, run,
+                     serialize_basis)
+from dgb.completion import VerificationReport, sigma_gbasis
 
 from helpers import make_ring, random_polynomial
 
@@ -99,8 +102,8 @@ def test_roundtrip_parse_print():
     ring = make_ring(2, ("x", "y"))
     for _ in range(40):
         f = random_polynomial(rng, ring, max_terms=4, max_shift_deg=3, max_exp=3)
-        assert parse_polynomial(ring, print_polynomial(f)) == f
-    assert print_polynomial(ring.zero) == "0"
+        assert parse_polynomial(ring, format_polynomial(f)) == f
+    assert format_polynomial(ring.zero) == "0"
     assert parse_polynomial(ring, "0") == ring.zero
 
 
@@ -113,13 +116,13 @@ def test_roundtrip_with_parameters():
     ]
     for text in texts:
         f = parse_polynomial(ring, text)
-        assert parse_polynomial(ring, print_polynomial(f)) == f
+        assert parse_polynomial(ring, format_polynomial(f)) == f
 
 
 def test_monic_print_example():
     ring = make_ring(1, ("x",))
     f = parse_polynomial(ring, "2*x(0)-2").monic()
-    assert print_polynomial(f) == "x(0) - 1"
+    assert format_polynomial(f) == "x(0) - 1"
 
 
 def test_serialize_basis_roundtrip():
@@ -348,3 +351,120 @@ def test_json_report_matches_schema_shape(tmp_path, capsys):
     assert out["command"] in schema["properties"]["command"]["enum"]
     assert out["exit_code"] in (0, 2)
     assert set(out["stats"]) == set(schema["properties"]["stats"]["required"])
+    jsonschema.validate(out, schema)
+
+    bad = tmp_path / "bad.dgb"
+    bad.write_text("ring { shifts: 1; symbols: x; }\n"
+                   "ideal { x(1)^2 - x(0); x(1)*x(0) - x(0); }\n")
+    nf = tmp_path / "nf.dgb"
+    nf.write_text("ring { shifts: 1; symbols: x; }\nideal { x(2) + x(1) + x(0); }\n")
+    commands = [
+        ["verify", "--input", str(bad)],
+        ["reduce", "--input", str(prob), "--poly", "x(3)*x(2)", "--certificate"],
+        ["symmetric", "--perm", "(1 2 3 4)", "--gens", str(prob), "--classical",
+         "--stats"],
+        ["normal-form", "--input", str(nf), "--var", "x(2)"],
+    ]
+    for argv in commands:
+        run(argv + ["--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert out["command"] == argv[0]
+        jsonschema.validate(out, schema)
+
+
+def test_text_reports(tmp_path, capsys):
+    prob = tmp_path / "p.dgb"
+    prob.write_text("ring { shifts: 1; symbols: x; }\n"
+                    "ideal { x(1)^2 - x(0); x(1)*x(0) - x(0); }\n")
+
+    def report_lines(argv, exit_code):
+        assert run(argv) == exit_code
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("wall clock: ")
+        return lines[:-1]
+
+    assert report_lines(["compute", "--input", str(prob), "--stats"], 0) == [
+        "status: complete",
+        "basis (4 elements):",
+        "  x(0)^2 - x(0)",
+        "  x(1) - x(0)",
+        "  x(1)*x(0) - x(0)",
+        "  x(1)^2 - x(0)",
+        "leading monomials: x(0)^2, x(1), x(1)*x(0), x(1)^2",
+        "membership table: [[1]]",
+        "pairs: generated=10, killed_product=0, killed_sigma=6, killed_chain=5, "
+        "killed_truncation=0, reduced_to_zero=3, new_elements=2, sweeps=1",
+    ]
+    assert report_lines(["verify", "--input", str(prob)], 2) == [
+        "status: not_a_basis",
+        "checked_pairs: 3",
+        "failures:",
+        "  {'left_index': 0, 'right_index': 1, 'left_shift': [0], "
+        "'right_shift': [0], 'remainder': '-x(0)^2 + x(0)'}",
+        "  {'left_index': 0, 'right_index': 1, 'left_shift': [0], "
+        "'right_shift': [1], 'remainder': '-x(2)*x(0) + x(1)^2'}",
+        "  {'left_index': 1, 'right_index': 1, 'left_shift': [0], "
+        "'right_shift': [1], 'remainder': '-x(2)*x(0) + x(1)*x(0)'}",
+    ]
+
+
+@pytest.mark.parametrize("flags, env", [
+    (["--pair-budget", "-5"], None),
+    (["--order-cap", "-1"], None),
+    ([], "0"),
+])
+def test_cli_rejects_nonpositive_budgets(flags, env, capsys, monkeypatch):
+    if env is None:
+        monkeypatch.delenv("DGB_PAIR_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("DGB_PAIR_BUDGET", env)
+    code = run(["compute", "--input", str(DATA / "navier_stokes.dgb"), "--adaptive"]
+               + flags)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "dgb: budget caps must be positive\n"
+
+
+# --- failed internal self-checks: a typed error, exit code 1 ------------------
+
+
+def test_step_limit_is_a_typed_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(reduction, "HEAD_STEP_LIMIT", 0)
+    ring = make_ring(1, ("x",))
+    with pytest.raises(InternalCheckError, match="step safety limit"):
+        reduction.reduce(ring.var("x", (3,)), [ring.var("x", (1,)) - ring.var("x", (0,))])
+    prob = tmp_path / "red.dgb"
+    prob.write_text("ring { shifts: 1; symbols: x; }\nideal { x(1) - x(0); }\n")
+    assert run(["reduce", "--input", str(prob), "--poly", "x(3)"]) == 1
+    assert capsys.readouterr().err == (
+        "dgb: reduction of x(3) exceeded the step safety limit of 0 steps\n")
+
+
+def test_adaptive_verification_failure_is_a_typed_error(tmp_path, capsys, monkeypatch):
+    def failing(basis):
+        return VerificationReport(False, [(0, 1, (0,), (1,), basis.elements[0])], 1)
+
+    monkeypatch.setattr(completion, "verify_sigma_gbasis", failing)
+    prob = tmp_path / "p.dgb"
+    prob.write_text("ring { shifts: 1; symbols: x; }\n"
+                    "ideal { x(1)^2 - x(0); x(1)*x(0) - x(0); }\n")
+    problem = parse_problem(prob.read_text())
+    with pytest.raises(InternalCheckError, match=r"remainder x\(0\)\^2 - x\(0\)"):
+        completion.sigma_gbasis_adaptive(problem.polynomials)
+    assert run(["compute", "--input", str(prob), "--adaptive"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "dgb: adaptive completion failed verification: the pair of elements 0 shifted")
+
+
+def test_normal_form_route_mismatch_is_a_typed_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(QuotientPresentation, "normal_form_companion",
+                        lambda self, var: self.ring.zero)
+    ring = make_ring(1, ("x",))
+    presentation = QuotientPresentation(ring, [LinearRelation(0, 0, (1, 1, 1))])
+    with pytest.raises(InternalCheckError, match="normal form mismatch"):
+        presentation.normal_form_variable(VarRef(0, (2,)))
+    prob = tmp_path / "nf.dgb"
+    prob.write_text("ring { shifts: 1; symbols: x; }\nideal { x(2) + x(1) + x(0); }\n")
+    assert run(["normal-form", "--input", str(prob), "--var", "x(2)"]) == 1
+    assert capsys.readouterr().err.startswith("dgb: normal form mismatch for")

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dgb import Monomial
-from dgb.reduction import (ReducerBasis, find_divisor, reduce, reduce_full,
+from dgb.reduction import (ReducerBasis, reduce, reduce_full,
                            replay_certificate, tail_reduce)
 
 from helpers import make_ring, random_polynomial
@@ -25,18 +25,19 @@ def test_find_divisor_shifted_hit(R1):
     # smallest shift, and the divisor identity must hold exactly
     basis = ReducerBasis([g])
     assert basis.candidate_shifts(0, target) == [(1,), (2,)]
-    hit = find_divisor(target, [g])
+    hit = ReducerBasis([g]).find_divisor(target)
     assert hit.basis_index == 0
     assert hit.shift == (1,)
     assert hit.cofactor * g.lm.shift(hit.shift) == target
 
 
 def test_find_divisor_none_for_one(R1):
-    assert find_divisor(Monomial.ONE, [x(R1, 1) - x(R1, 0)]) is None
+    assert ReducerBasis([x(R1, 1) - x(R1, 0)]).find_divisor(Monomial.ONE) is None
 
 
 def test_find_divisor_constant_basis(R1):
-    hit = find_divisor(Monomial.ONE, [R1.one + x(R1, 0) - x(R1, 0)])  # the constant 1
+    one = R1.one + x(R1, 0) - x(R1, 0)  # the constant 1
+    hit = ReducerBasis([one]).find_divisor(Monomial.ONE)
     assert hit is not None and hit.cofactor == Monomial.ONE
 
 
@@ -44,16 +45,16 @@ def test_find_divisor_disjoint_symbols():
     ring = make_ring(2, ("x", "y"))
     g = ring.var("y", (0, 1))
     target = ring.monomial([("x", (2, 0), 3)])
-    assert find_divisor(target, [g]) is None
+    assert ReducerBasis([g]).find_divisor(target) is None
 
 
 def test_find_divisor_tie_break_lowest_index_then_smallest_shift(R1):
     g0 = x(R1, 2) - x(R1, 0)
     g1 = x(R1, 1) - x(R1, 0)
     target = (x(R1, 3) * x(R1, 2)).lm
-    hit = find_divisor(target, [g0, g1])
+    hit = ReducerBasis([g0, g1]).find_divisor(target)
     assert hit.basis_index == 0 and hit.shift == (0,)
-    hit = find_divisor(target, [g1, g0])
+    hit = ReducerBasis([g1, g0]).find_divisor(target)
     assert hit.basis_index == 0 and hit.shift == (1,)
 
 
@@ -99,7 +100,7 @@ def test_head_reduction_descends(R1):
         if f and h:
             assert key(h.lm) <= key(f.lm)
         if h:
-            assert find_divisor(h.lm, G) is None
+            assert ReducerBasis(G).find_divisor(h.lm) is None
 
 
 def test_membership_by_certificate(R1):
@@ -126,7 +127,7 @@ def test_multi_factor_anchor():
     # leading monomial with several factors; anchor is its largest variable
     g = ring.var("x", (1, 0)) * ring.var("y", (0, 1)) - ring.var("y", (0, 0))
     target = (ring.var("x", (2, 1)) * ring.var("y", (1, 2)) * ring.var("y", (0, 0))).lm
-    hit = find_divisor(target, [g])
+    hit = ReducerBasis([g]).find_divisor(target)
     assert hit is not None
     assert hit.shift == (1, 1)
     shifted = g.lm.shift(hit.shift)
