@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import asdict, dataclass, field, fields, replace
+from operator import add, sub
 
-from . import shifts as sh
 from .errors import InternalCheckError, RingMismatchError
 from .reduction import ReducerBasis, reduce, reduce_full, tail_reduce
 from .ring import Monomial, Polynomial, spoly
@@ -143,21 +143,18 @@ def critical_pairs(f: Polynomial, g: Polynomial, left_index=0, right_index=1):
 def _instance_id(i, si, j, sj):
     """Canonical identity of a pair of shifted basis elements, with the
     common shift divided out so that equivalent pairs coincide."""
-    delta = sh.gcd(si, sj)
-    a = (i, sh.div(si, delta))
-    b = (j, sh.div(sj, delta))
+    delta = tuple(map(min, si, sj))
+    a = (i, tuple(map(sub, si, delta)))
+    b = (j, tuple(map(sub, sj, delta)))
     return (a, b) if a <= b else (b, a)
 
 
 def _shifted_overlap(lm_a, sa, lm_b, sb):
     """Whether the two shifted leading monomials share a variable, without
     materializing the shifted monomials."""
-    for (sym_a, alpha), _ in lm_a.factors:
-        moved = tuple(x + y for x, y in zip(alpha, sa))
-        for (sym_b, beta), _ in lm_b.factors:
-            if sym_a == sym_b and moved == tuple(x + y for x, y in zip(beta, sb)):
-                return True
-    return False
+    moved = {(sym, tuple(map(add, alpha, sa))) for (sym, alpha), _ in lm_a.factors}
+    return any((sym, tuple(map(add, beta, sb))) in moved
+               for (sym, beta), _ in lm_b.factors)
 
 
 class _Run:
@@ -212,8 +209,7 @@ class _Run:
         return _instance_id(i, si, j, sj) in self.processed
 
     def _chain_skippable(self, i, si, j, sj, overlap):
-        for hit in self.reducer.iter_divisors(overlap):
-            k, nu = hit.basis_index, hit.shift
+        for k, nu in self.reducer._divisor_shifts(overlap):
             if (k, nu) == (i, si) or (k, nu) == (j, sj):
                 continue
             if self._certified(i, si, k, nu) and self._certified(k, nu, j, sj):
@@ -444,12 +440,13 @@ def check_finite_membership(basis_or_elements):
 
 def _minimalize_elements(ring, elements):
     key = ring.ordering.monomial_key
-    kept = []
+    reducer = None
     for g in sorted(elements, key=lambda g: key(g.lm)):
-        if kept and ReducerBasis(kept).find_divisor(g.lm) is not None:
-            continue
-        kept.append(g)
-    return kept
+        if reducer is None:
+            reducer = ReducerBasis([g])
+        elif reducer.find_divisor(g.lm) is None:
+            reducer.append(g)
+    return [] if reducer is None else list(reducer.polys)
 
 
 def minimalize(basis):

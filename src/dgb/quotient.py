@@ -23,7 +23,7 @@ from .completion import (SigmaBasis, _pure_power_table, minimalize,
                          sigma_gbasis, verify_sigma_gbasis)
 from .errors import InternalCheckError, ParseError, StaircaseError
 from .orderings import DEGLEX, LEX, OrderingSpec
-from .reduction import tail_reduce
+from .reduction import ReducerBasis, tail_reduce
 from .ring import DifferenceRing, Polynomial, Signature, VarRef
 
 
@@ -116,6 +116,7 @@ class QuotientPresentation:
         self.relations = matrix
         self.degree_table = [[matrix[(i, j)].degree for j in range(r)] for i in range(n)]
         self._polys = None
+        self._reducer = None
 
     @property
     def relation_polynomials(self):
@@ -180,7 +181,9 @@ class QuotientPresentation:
     def normal_form_reduction(self, var):
         """Normal form of a variable by reduction against the relations."""
         i, shift = var
-        return tail_reduce(self.ring.var(i, shift), self.relation_polynomials)
+        if self._reducer is None:
+            self._reducer = ReducerBasis(self.relation_polynomials)
+        return tail_reduce(self.ring.var(i, shift), self._reducer)
 
     def normal_form_variable(self, var):
         """Normal form of a variable, computed along both routes; the two
@@ -325,7 +328,7 @@ def expand_classical_basis(action: PermutationAction, gamma_elements):
     finite ring: apply all powers of the shift, wrap through the cycle
     relations, deduplicate, and minimalize with plain divisibility."""
     ring = action.ring
-    relations = action.relations()
+    relations = ReducerBasis(action.relations())
     copies = {}
     for g in gamma_elements:
         for k in range(action.order):

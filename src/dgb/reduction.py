@@ -1,8 +1,8 @@
 """Normal forms modulo the shift orbit of a finite basis.
 
 Reduction works against the infinite set of all shifted copies of the
-basis elements.  Divisor search stays finite by anchoring on the largest
-factor of each basis leading monomial: any shift that maps the whole
+basis elements.  Divisor search stays finite by anchoring on one factor
+of each basis leading monomial: any shift that maps the whole
 leading monomial into the target must in particular map its anchor onto
 some factor of the target, which leaves finitely many candidates to
 verify.
@@ -11,6 +11,7 @@ verify.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 from . import shifts as sh
 from .errors import InternalCheckError, RingMismatchError
@@ -30,9 +31,16 @@ class DivisorHit:
 
 
 class ReducerBasis:
-    """A grow-only list of nonzero polynomials prepared for divisor search."""
+    """A grow-only list of nonzero polynomials prepared for divisor search.
 
-    __slots__ = ("ring", "polys", "_lms", "_anchors", "_shift_cache",
+    Each element keeps the shape of its leading monomial: the anchor
+    variable, every factor as an offset from the anchor, the total degree
+    and the span (max minus min shift) per shift coordinate.  Shifting
+    changes neither degree nor span, so an element whose degree or span
+    exceeds the target's is skipped before any shift is tried.
+    """
+
+    __slots__ = ("ring", "polys", "_lms", "_shapes", "_shift_cache",
                  "max_shift_deg")
 
     def __init__(self, polys, max_shift_deg=None):
@@ -42,7 +50,7 @@ class ReducerBasis:
         self.ring = polys[0].ring
         self.polys = []
         self._lms = []
-        self._anchors = []
+        self._shapes = []
         self._shift_cache = {}
         self.max_shift_deg = max_shift_deg
         for p in polys:
@@ -57,11 +65,19 @@ class ReducerBasis:
             raise ValueError("reducer basis elements must be nonzero")
         if poly.ring is not self.ring and poly.ring != self.ring:
             raise RingMismatchError("basis mixes different rings")
-        self.polys.append(poly)
-        self._lms.append(poly.lm)
-        key = self.ring.ordering.variable_key
         m = poly.lm
-        self._anchors.append(None if m.is_one else max(m.variables(), key=key))
+        self.polys.append(poly)
+        self._lms.append(m)
+        if m.is_one:
+            self._shapes.append(None)
+            return
+        # any factor can anchor; the structurally last one has the
+        # lexicographically largest shift of its symbol, so few target
+        # factors lie above it
+        sym, beta = m.factors[-1][0]
+        offsets = tuple([(fsym, tuple(map(sub, shift, beta)), e)
+                         for (fsym, shift), e in m.factors])
+        self._shapes.append((sym, beta, offsets, m.total_degree, _span(m)))
 
     def shifted(self, index, shift):
         got = self._shift_cache.get((index, shift))
@@ -70,60 +86,81 @@ class ReducerBasis:
             self._shift_cache[(index, shift)] = got
         return got
 
-    def _shifted_divides(self, index, s, target_exps):
-        """Whether shifting the leading monomial of G[index] by s divides a
-        target given as a {VarRef: exp} dict, without building the monomial."""
-        for (sym, beta), e in self._lms[index].factors:
-            moved = tuple(a + b for a, b in zip(beta, s))
-            if target_exps.get((sym, moved), 0) < e:
-                return False
-        return True
+    def _shifts_into(self, index, target):
+        """Shifts s with s*lm(G[index]) dividing a target prepared by
+        _prepare, ascending in the shift ordering."""
+        shape = self._shapes[index]
+        if shape is None:  # constant basis element: everything reduces
+            return [sh.identity(self.ring.signature.shift_rank)]
+        exps, by_symbol, degree, span = target
+        sym, beta, offsets, e_degree, e_span = shape
+        if e_degree > degree or sym not in by_symbol:
+            return []
+        for a, b in zip(e_span, span):
+            if a > b:
+                return []
+        bound = self.max_shift_deg
+        out = []
+        for alpha in by_symbol[sym]:
+            s = tuple(map(sub, alpha, beta))
+            if min(s) < 0 or (bound is not None and sum(s) > bound):
+                continue
+            for fsym, off, e in offsets:
+                if exps.get((fsym, tuple(map(add, alpha, off))), 0) < e:
+                    break
+            else:
+                out.append(s)
+        if len(out) > 1:
+            out.sort(key=self.ring.ordering.shift_key)
+        return out
+
+    def _divisor_shifts(self, target: Monomial):
+        """(basis_index, shift) for every shifted leading monomial dividing
+        target: lowest index first, then ascending in the shift ordering."""
+        prepared = _prepare(target)
+        for index in range(len(self.polys)):
+            for s in self._shifts_into(index, prepared):
+                yield index, s
 
     def candidate_shifts(self, index, target: Monomial):
         """Shifts s with s*lm(G[index]) dividing target, ascending in the
         shift ordering."""
-        anchor = self._anchors[index]
-        if anchor is None:  # constant basis element: everything reduces
-            return [sh.identity(self.ring.signature.shift_rank)]
-        seen = set()
-        sym, beta = anchor
-        for (tsym, alpha), _ in target.factors:
-            if tsym != sym:
-                continue
-            if all(a >= b for a, b in zip(alpha, beta)):
-                seen.add(tuple(a - b for a, b in zip(alpha, beta)))
-        if self.max_shift_deg is not None:
-            seen = {s for s in seen if sh.deg(s) <= self.max_shift_deg}
-        if not seen:
-            return []
-        target_exps = dict(target.factors)
-        out = [s for s in seen if self._shifted_divides(index, s, target_exps)]
-        out.sort(key=self.ring.ordering.shift_key)
-        return out
+        return self._shifts_into(index, _prepare(target))
 
     def find_divisor(self, target: Monomial):
         """First hit under the deterministic tie-break: lowest basis index,
         then smallest shift.  None when no shifted leading monomial divides."""
-        for index in range(len(self.polys)):
-            for s in self.candidate_shifts(index, target):
-                shifted_lm = self._lms[index].shift(s)
-                return DivisorHit(index, s, target / shifted_lm)
+        for index, s in self._divisor_shifts(target):
+            return DivisorHit(index, s, target / self._lms[index].shift(s))
         return None
 
     def iter_divisors(self, target: Monomial):
-        """All hits, for callers that need the full set (chain criterion)."""
-        for index in range(len(self.polys)):
-            for s in self.candidate_shifts(index, target):
-                yield DivisorHit(index, s, target / self._lms[index].shift(s))
+        """All hits, in the order of find_divisor's tie-break."""
+        for index, s in self._divisor_shifts(target):
+            yield DivisorHit(index, s, target / self._lms[index].shift(s))
 
 
-def _as_basis(G, max_shift_deg=None):
+def _span(m: Monomial):
+    """Max minus min shift per coordinate over the factors of m."""
+    return tuple([max(c) - min(c) for c in zip(*[var.shift for var, _ in m.factors])])
+
+
+def _prepare(target: Monomial):
+    """What divisor search reads of a target, built once per target: its
+    exponent map, its factor shifts per symbol, its degree and its span."""
+    by_symbol = {}
+    for (sym, alpha), _ in target.factors:
+        by_symbol.setdefault(sym, []).append(alpha)
+    return dict(target.factors), by_symbol, target.total_degree, _span(target)
+
+
+def _as_basis(G):
     if isinstance(G, ReducerBasis):
         return G
     G = [g for g in G if g]
     if not G:
         return None
-    return ReducerBasis(G, max_shift_deg=max_shift_deg)
+    return ReducerBasis(G)
 
 
 def reduce(f: Polynomial, G, certificate=False):

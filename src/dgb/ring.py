@@ -11,9 +11,9 @@ variable's shift and fixing coefficients.
 from __future__ import annotations
 
 import re
+from operator import add
 from typing import NamedTuple
 
-from . import shifts as sh
 from .errors import ExactDivisionError, RankMismatchError, RingMismatchError
 from .field import ConstantField
 from .orderings import Ordering, OrderingSpec
@@ -131,7 +131,10 @@ class Monomial:
         """Image under the shift action: every factor's shift is translated."""
         if self.is_one:
             return self
-        return Monomial(tuple((VarRef(sym, sh.mul(shift, s)), e)
+        rank = len(self.factors[0][0].shift)
+        if len(s) != rank:
+            raise RankMismatchError(f"shift ranks differ: {rank} vs {len(s)}")
+        return Monomial(tuple((VarRef(sym, tuple(map(add, shift, s))), e)
                               for (sym, shift), e in self.factors))
 
     @property

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from dgb import (Monomial, NEG_INF, OrderingSpec, RingMismatchError,
-                 format_polynomial, spoly)
+from dgb import (Monomial, NEG_INF, OrderingSpec, RankMismatchError,
+                 RingMismatchError, format_polynomial, spoly)
 from dgb.orderings import DEGREVLEX, LEX
 
 from helpers import make_ring, random_monomial, random_polynomial
@@ -28,6 +28,13 @@ def test_shift_monomial(R3):
     m = R3.monomial([("x", (0, 0, 0), 1)])
     assert m.shift((1, 0, 0)) == R3.monomial([("x", (1, 0, 0), 1)])
     assert m.shift((0, 0, 0)) == m
+
+
+def test_shift_monomial_rank_mismatch(R3):
+    m = R3.monomial([("x", (1, 0, 0), 1), ("y", (0, 2, 0), 2)])
+    for wrong in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(RankMismatchError):
+            m.shift(wrong)
 
 
 def test_shift_monomial_relabels_exponents(R1):
