@@ -14,14 +14,13 @@ from .field import ConstantField
 from .orderings import DEGLEX, DEGREVLEX, LEX, Ordering, OrderingSpec
 from .ring import (DifferenceRing, Monomial, NEG_INF, Polynomial, Signature,
                    VarRef, format_monomial, format_polynomial, spoly)
-from .reduction import (DivisorHit, ReducerBasis, reduce, reduce_full,
-                        replay_certificate, tail_reduce)
-from .completion import (CompletionOptions, CompletionStatus, CriticalPair,
-                         PairStats, SigmaBasis, VerificationReport,
-                         check_finite_membership, critical_pairs, interreduce,
-                         membership_degrees, minimalize, sigma_gbasis,
-                         sigma_gbasis_adaptive, sigma_gbasis_truncated,
-                         verify_sigma_gbasis)
+from .reduction import (ReducerBasis, reduce, reduce_full, replay_certificate,
+                        tail_reduce)
+from .completion import (CompletionOptions, CompletionStatus, PairStats,
+                         SigmaBasis, VerificationReport, check_finite_membership,
+                         interreduce, membership_degrees, minimalize,
+                         sigma_gbasis, sigma_gbasis_adaptive,
+                         sigma_gbasis_truncated, verify_sigma_gbasis)
 from .quotient import (LinearRelation, PermutationAction, QuotientPresentation,
                        expand_classical_basis, groebner_gamma_basis,
                        is_noetherian_quotient, normal_variables,
@@ -34,11 +33,11 @@ __all__ = [
     "DEGLEX", "DEGREVLEX", "LEX", "Ordering", "OrderingSpec",
     "DifferenceRing", "Monomial", "NEG_INF", "Polynomial", "Signature",
     "VarRef", "format_monomial", "format_polynomial", "spoly",
-    "DivisorHit", "ReducerBasis", "reduce", "reduce_full",
-    "replay_certificate", "tail_reduce",
-    "CompletionOptions", "CompletionStatus", "CriticalPair", "PairStats",
-    "SigmaBasis", "VerificationReport", "check_finite_membership",
-    "critical_pairs", "interreduce", "membership_degrees", "minimalize",
+    "ReducerBasis", "reduce", "reduce_full", "replay_certificate",
+    "tail_reduce",
+    "CompletionOptions", "CompletionStatus", "PairStats", "SigmaBasis",
+    "VerificationReport", "check_finite_membership", "interreduce",
+    "membership_degrees", "minimalize",
     "sigma_gbasis", "sigma_gbasis_adaptive", "sigma_gbasis_truncated",
     "verify_sigma_gbasis",
     "LinearRelation", "PermutationAction", "QuotientPresentation",

@@ -409,48 +409,6 @@ def parse_polynomial(ring, text):
     return poly
 
 
-def parse_shift(text, rank):
-    """Parse a shift element, either as a tuple "(2,0,1)" (bare integer for
-    rank one) or as a product of named operators "s1^2*s3"."""
-    stripped = text.strip()
-    if not stripped:
-        raise ParseError("empty shift")
-    if stripped == "1":
-        return (0,) * rank
-    if stripped.startswith("("):
-        inner = stripped[1:-1] if stripped.endswith(")") else None
-        if inner is None:
-            raise ParseError("unclosed shift tuple")
-        parts = [p.strip() for p in inner.split(",")]
-    elif stripped[0].isdigit() or stripped[0] == "-":
-        parts = [stripped]
-    else:
-        out = [0] * rank
-        for factor in stripped.split("*"):
-            name, _, power = factor.strip().partition("^")
-            if not name.startswith("s") or not name[1:].isdigit():
-                raise ParseError(f"bad shift operator {factor.strip()!r}")
-            index = int(name[1:]) - 1
-            if not 0 <= index < rank:
-                raise ParseError(f"shift operator {name} out of range for rank {rank}")
-            exponent = 1
-            if power:
-                if not power.isdigit():
-                    raise ParseError(f"bad shift exponent {power!r}")
-                exponent = int(power)
-            out[index] += exponent
-        return tuple(out)
-    try:
-        entries = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"bad shift tuple {text!r}") from None
-    if len(entries) != rank:
-        raise ParseError(f"shift tuple of arity {len(entries)} in rank {rank}")
-    if any(e < 0 for e in entries):
-        raise ParseError(f"negative shift entry in {text!r}")
-    return entries
-
-
 # --- serialization --------------------------------------------------------
 
 

@@ -18,17 +18,7 @@ from operator import add, sub
 
 from .errors import InternalCheckError, RingMismatchError
 from .reduction import ReducerBasis, reduce, reduce_full, tail_reduce
-from .ring import Monomial, Polynomial, spoly
-
-
-@dataclass(frozen=True)
-class CriticalPair:
-    left_index: int
-    right_index: int
-    left_shift: tuple
-    right_shift: tuple
-    overlap_lcm: Monomial
-    ord_bound: object  # int, or -inf for degenerate constants
+from .ring import Monomial, spoly
 
 
 @dataclass
@@ -51,10 +41,6 @@ class CompletionStatus:
         if self.kind == "complete_up_to_order":
             return f"complete_up_to_order({self.order_bound})"
         return self.kind
-
-    @property
-    def is_complete(self):
-        return self.kind == "complete"
 
 
 @dataclass
@@ -124,22 +110,6 @@ def shift_pair_candidates(lm_f: Monomial, lm_g: Monomial, same: bool):
     return sorted(out), raw
 
 
-def critical_pairs(f: Polynomial, g: Polynomial, left_index=0, right_index=1):
-    """The finite set of critical pairs of two nonzero polynomials."""
-    if not f or not g:
-        raise ValueError("critical pairs of the zero polynomial are undefined")
-    same = f == g
-    if same:
-        right_index = left_index
-    pairs, _ = shift_pair_candidates(f.lm, g.lm, same)
-    out = []
-    for sigma, tau in pairs:
-        overlap = f.lm.shift(sigma).lcm(g.lm.shift(tau))
-        out.append(CriticalPair(left_index, right_index, sigma, tau,
-                                overlap, overlap.order))
-    return out
-
-
 def _instance_id(i, si, j, sj):
     """Canonical identity of a pair of shifted basis elements, with the
     common shift divided out so that equivalent pairs coincide."""
@@ -202,14 +172,12 @@ class _Run:
     def _certified(self, i, si, j, sj):
         """Whether the pair of shifted elements (i,si),(j,sj) is already
         known to have a Groebner representation."""
-        if (i, si) == (j, sj):
-            return True
         if not _shifted_overlap(self.G[i].lm, si, self.G[j].lm, sj):
             return True  # product criterion
         return _instance_id(i, si, j, sj) in self.processed
 
     def _chain_skippable(self, i, si, j, sj, overlap):
-        for k, nu in self.reducer._divisor_shifts(overlap):
+        for k, nu in self.reducer.iter_divisors(overlap):
             if (k, nu) == (i, si) or (k, nu) == (j, sj):
                 continue
             if self._certified(i, si, k, nu) and self._certified(k, nu, j, sj):
@@ -235,8 +203,6 @@ class _Run:
                 self.exhausted = True
                 return
             inst = _instance_id(i, sigma, j, tau)
-            if inst in self.processed:
-                continue
             if self.options.use_chain_criterion and self._chain_skippable(
                     i, sigma, j, tau, overlap):
                 self.processed.add(inst)
@@ -478,7 +444,7 @@ def interreduce(basis):
                 if not others:
                     new = elements[idx].monic()
                 else:
-                    new = reduce_full(elements[idx], others, monic=True)
+                    new = reduce_full(elements[idx], others)
                 if new != elements[idx]:
                     elements[idx] = new
                     changed = True

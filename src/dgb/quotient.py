@@ -243,6 +243,10 @@ class PermutationAction:
         n = len(self.cycles)
         if symbols is None:
             symbols = ("x",) if n == 1 else tuple(f"x{i + 1}" for i in range(n))
+        elif len(symbols) != n:
+            raise ValueError(
+                f"the permutation needs {n} symbols, one per cycle (fixed "
+                f"points included), but {len(symbols)} were given")
         self.ring = DifferenceRing(
             Signature(1, symbols, parameters),
             OrderingSpec(shift_order=DEGLEX, symbol_order=LEX))

@@ -10,24 +10,12 @@ verify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, sub
 
-from . import shifts as sh
 from .errors import InternalCheckError, RingMismatchError
 from .ring import Monomial, Polynomial
 
 HEAD_STEP_LIMIT = 10_000_000  # safety net; the well-ordering guarantees termination
-
-
-@dataclass(frozen=True)
-class DivisorHit:
-    """One way a shifted basis leading monomial divides a target monomial:
-    cofactor * shift(lead monomial of G[basis_index]) == target."""
-
-    basis_index: int
-    shift: tuple
-    cofactor: Monomial
 
 
 class ReducerBasis:
@@ -40,8 +28,7 @@ class ReducerBasis:
     exceeds the target's is skipped before any shift is tried.
     """
 
-    __slots__ = ("ring", "polys", "_lms", "_shapes", "_shift_cache",
-                 "max_shift_deg")
+    __slots__ = ("ring", "polys", "_shapes", "_shift_cache", "max_shift_deg")
 
     def __init__(self, polys, max_shift_deg=None):
         polys = list(polys)
@@ -49,7 +36,6 @@ class ReducerBasis:
             raise ValueError("reducer basis needs at least one polynomial")
         self.ring = polys[0].ring
         self.polys = []
-        self._lms = []
         self._shapes = []
         self._shift_cache = {}
         self.max_shift_deg = max_shift_deg
@@ -67,7 +53,6 @@ class ReducerBasis:
             raise RingMismatchError("basis mixes different rings")
         m = poly.lm
         self.polys.append(poly)
-        self._lms.append(m)
         if m.is_one:
             self._shapes.append(None)
             return
@@ -80,6 +65,7 @@ class ReducerBasis:
         self._shapes.append((sym, beta, offsets, m.total_degree, _span(m)))
 
     def shifted(self, index, shift):
+        """G[index] shifted by shift, cached per basis."""
         got = self._shift_cache.get((index, shift))
         if got is None:
             got = self.polys[index].shift(shift)
@@ -91,7 +77,7 @@ class ReducerBasis:
         _prepare, ascending in the shift ordering."""
         shape = self._shapes[index]
         if shape is None:  # constant basis element: everything reduces
-            return [sh.identity(self.ring.signature.shift_rank)]
+            return [(0,) * self.ring.signature.shift_rank]
         exps, by_symbol, degree, span = target
         sym, beta, offsets, e_degree, e_span = shape
         if e_degree > degree or sym not in by_symbol:
@@ -114,30 +100,23 @@ class ReducerBasis:
             out.sort(key=self.ring.ordering.shift_key)
         return out
 
-    def _divisor_shifts(self, target: Monomial):
-        """(basis_index, shift) for every shifted leading monomial dividing
+    def iter_divisors(self, target: Monomial):
+        """(index, shift) for every shift with shift*lm(G[index]) dividing
         target: lowest index first, then ascending in the shift ordering."""
         prepared = _prepare(target)
         for index in range(len(self.polys)):
             for s in self._shifts_into(index, prepared):
                 yield index, s
 
-    def candidate_shifts(self, index, target: Monomial):
-        """Shifts s with s*lm(G[index]) dividing target, ascending in the
-        shift ordering."""
-        return self._shifts_into(index, _prepare(target))
-
     def find_divisor(self, target: Monomial):
-        """First hit under the deterministic tie-break: lowest basis index,
-        then smallest shift.  None when no shifted leading monomial divides."""
-        for index, s in self._divisor_shifts(target):
-            return DivisorHit(index, s, target / self._lms[index].shift(s))
+        """The first item of iter_divisors, or None when no shifted leading
+        monomial divides target."""
+        prepared = _prepare(target)
+        for index in range(len(self.polys)):
+            shifts = self._shifts_into(index, prepared)
+            if shifts:
+                return index, shifts[0]
         return None
-
-    def iter_divisors(self, target: Monomial):
-        """All hits, in the order of find_divisor's tie-break."""
-        for index, s in self._divisor_shifts(target):
-            yield DivisorHit(index, s, target / self._lms[index].shift(s))
 
 
 def _span(m: Monomial):
@@ -181,11 +160,13 @@ def reduce(f: Polynomial, G, certificate=False):
             hit = basis.find_divisor(h.lm)
             if hit is None:
                 break
-            g = basis.shifted(hit.basis_index, hit.shift)
+            index, shift = hit
+            g = basis.shifted(index, shift)
             coeff = h.lc / g.lc
-            h = h - g.mul_term(coeff, hit.cofactor)
+            cofactor = h.lm / g.lm
+            h = h - g.mul_term(coeff, cofactor)
             if certificate:
-                steps.append((coeff, hit.cofactor, hit.shift, hit.basis_index))
+                steps.append((coeff, cofactor, shift, index))
             guard += 1
             if guard > HEAD_STEP_LIMIT:
                 raise InternalCheckError(
@@ -212,18 +193,17 @@ def tail_reduce(f: Polynomial, G):
     return done
 
 
-def reduce_full(f: Polynomial, G, monic=True):
+def reduce_full(f: Polynomial, G):
     """Tail reduction followed by monic normalization of a nonzero result."""
     h = tail_reduce(f, G)
-    if h and monic:
-        h = h.monic()
-    return h
+    return h.monic() if h else h
 
 
 def replay_certificate(h: Polynomial, steps, G):
-    """Reconstruct the input of a certified reduction: h + sum of steps."""
-    basis = _as_basis(G)
+    """Reconstruct the input of a certified reduction: h + sum of steps.
+    Step indices refer to the nonzero elements of G, in order."""
+    polys = G.polys if isinstance(G, ReducerBasis) else [g for g in G if g]
     total = h
     for coeff, cofactor, shift, index in steps:
-        total = total + basis.polys[index].shift(shift).mul_term(coeff, cofactor)
+        total = total + polys[index].shift(shift).mul_term(coeff, cofactor)
     return total

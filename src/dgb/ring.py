@@ -309,12 +309,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.terms[0][1]
 
-    @property
-    def lt(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return self.terms[0]
-
     # --- arithmetic -------------------------------------------------------
 
     def __neg__(self):

@@ -3,6 +3,8 @@ and converters into the oracle's plain-dict polynomial format."""
 
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import combinations_with_replacement
+from math import comb
 
 from dgb import DifferenceRing, Signature
 
@@ -17,6 +19,35 @@ def random_shift(rng, rank, max_deg, exact=None):
     for _ in range(total):
         shift[rng.randrange(rank)] += 1
     return tuple(shift)
+
+
+def enumerate_up_to_degree(d, rank: int) -> list:
+    """All shift elements of degree <= d, in a fixed deterministic order.
+
+    The order is graded by degree, ties broken by reverse-lexicographic
+    comparison of the exponent tuples, so repeated runs enumerate
+    identically.  There are C(d + rank, rank) elements.  A negative bound
+    (including -inf) yields the empty list.
+    """
+    if d != d or d < 0:  # also rejects NaN defensively
+        return []
+    d = int(d)
+    out = []
+    for total in range(d + 1):
+        layer = []
+        # weak compositions of `total` into `rank` parts
+        for cuts in combinations_with_replacement(range(total + 1), rank - 1):
+            parts = []
+            prev = 0
+            for c in cuts:
+                parts.append(c - prev)
+                prev = c
+            parts.append(total - prev)
+            layer.append(tuple(parts))
+        layer.sort(key=lambda s: tuple(reversed(s)))
+        out.extend(layer)
+    assert len(out) == comb(d + rank, rank)
+    return out
 
 
 def random_monomial(rng, ring, max_factors=3, max_shift_deg=2, max_exp=2,

@@ -143,22 +143,6 @@ def test_format_ordering_text():
         "block(shifts=degrevlex[s1>s2>s3], symbols=lex[u>v>p])"
 
 
-def test_parse_shift_forms():
-    from dgb.cli import parse_shift
-
-    assert parse_shift("s1^2*s3", 3) == (2, 0, 1)
-    assert parse_shift("(2,0,1)", 3) == (2, 0, 1)
-    assert parse_shift("s2", 3) == (0, 1, 0)
-    assert parse_shift("1", 3) == (0, 0, 0)
-    assert parse_shift("3", 1) == (3,)
-    with pytest.raises(ParseError):
-        parse_shift("s4", 3)
-    with pytest.raises(ParseError):
-        parse_shift("(1,2)", 3)
-    with pytest.raises(ParseError):
-        parse_shift("(-1,2,0)", 3)
-
-
 # --- command line ------------------------------------------------------------
 
 
@@ -294,6 +278,17 @@ def test_cli_symmetric_perm_from_file(tmp_path, capsys):
     code = run(["symmetric", "--gens", str(gens), "--json"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["basis"] == ["x(0)"]
+
+
+@pytest.mark.parametrize("perm,count", [("(1 2 3)", 1), ("(1 2)(4 5)", 3)])
+def test_cli_symmetric_symbol_count_mismatch(tmp_path, capsys, perm, count):
+    gens = tmp_path / "gens.dgb"
+    gens.write_text("ring { shifts: 1; symbols: x, y; }\n"
+                    "ideal { x(0)*y(0) - x(1)*y(1); }\n")
+    assert run(["symmetric", "--gens", str(gens), "--perm", perm]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dgb: ") and f"needs {count} symbols" in err
+    assert "but 2 were given" in err
 
 
 def test_cli_normal_form(tmp_path, capsys):

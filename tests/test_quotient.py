@@ -11,7 +11,7 @@ from dgb.quotient import (LinearRelation, PermutationAction,
                           missing_pure_powers, normal_variables, parse_cycles,
                           relations_are_groebner, symmetric_setup)
 
-from helpers import make_ring
+from helpers import enumerate_up_to_degree, make_ring
 
 
 def test_normal_variables_box():
@@ -161,9 +161,8 @@ def test_normal_form_cross_check_random(seed):
                            for _ in range(d)) + (Fraction(1),)
             rels.append(LinearRelation(i, j, coeffs))
     pres = QuotientPresentation(ring, rels)
-    from dgb import shifts as sh
     for i in range(n):
-        for shift in sh.enumerate_up_to_degree(2 * max_d, r):
+        for shift in enumerate_up_to_degree(2 * max_d, r):
             a = pres.normal_form_reduction(VarRef(i, shift))
             b = pres.normal_form_companion(VarRef(i, shift))
             assert a == b
@@ -209,6 +208,15 @@ def test_permutation_validation():
         PermutationAction([(1, 2), (2, 3)])
     with pytest.raises(ValueError):
         PermutationAction([(0, 1)])
+
+
+@pytest.mark.parametrize("cycles,count", [([(1, 2, 3)], 1), ([(1, 2), (4, 5)], 3)])
+def test_permutation_symbol_count_must_match_cycles(cycles, count):
+    # fixed points are cycles of length one and need a symbol each
+    with pytest.raises(ValueError, match=f"needs {count} symbols.* but 2 were given"):
+        PermutationAction(cycles, symbols=("x", "y"))
+    symbols = tuple(f"z{i}" for i in range(count))
+    assert len(PermutationAction(cycles, symbols=symbols).cycles) == count
 
 
 def test_symmetric_setup_staircase_error():
@@ -277,12 +285,12 @@ def test_gamma_invariance_of_expansion():
     g = ring.var("x", (0,)) * ring.var("x", (2,)) - ring.var("x", (1,), 2)
     basis = groebner_gamma_basis(action, [g])
     classical_basis = expand_classical_basis(action, basis.elements)
-    from dgb.reduction import reduce_full, tail_reduce
+    from dgb.reduction import tail_reduce
 
     for h in classical_basis:
         for k in range(action.order):
             image = tail_reduce(h.shift((k,)), action.relations())
-            assert reduce_full(image, classical_basis, monic=False) == ring.zero
+            assert tail_reduce(image, classical_basis) == ring.zero
 
 
 def test_expansion_cross_checked_against_oracle_small_cycle():

@@ -24,11 +24,10 @@ def test_find_divisor_shifted_hit(R1):
     # both s=(1,) and s=(2,) give shifted divisors; the tie-break picks the
     # smallest shift, and the divisor identity must hold exactly
     basis = ReducerBasis([g])
-    assert basis.candidate_shifts(0, target) == [(1,), (2,)]
-    hit = ReducerBasis([g]).find_divisor(target)
-    assert hit.basis_index == 0
-    assert hit.shift == (1,)
-    assert hit.cofactor * g.lm.shift(hit.shift) == target
+    assert list(basis.iter_divisors(target)) == [(0, (1,)), (0, (2,))]
+    index, shift = basis.find_divisor(target)
+    assert (index, shift) == (0, (1,))
+    assert (target / g.lm.shift(shift)) * g.lm.shift(shift) == target
 
 
 def test_find_divisor_none_for_one(R1):
@@ -37,8 +36,8 @@ def test_find_divisor_none_for_one(R1):
 
 def test_find_divisor_constant_basis(R1):
     one = R1.one + x(R1, 0) - x(R1, 0)  # the constant 1
-    hit = ReducerBasis([one]).find_divisor(Monomial.ONE)
-    assert hit is not None and hit.cofactor == Monomial.ONE
+    index, shift = ReducerBasis([one]).find_divisor(Monomial.ONE)
+    assert Monomial.ONE / one.lm.shift(shift) == Monomial.ONE
 
 
 def test_find_divisor_disjoint_symbols():
@@ -52,10 +51,8 @@ def test_find_divisor_tie_break_lowest_index_then_smallest_shift(R1):
     g0 = x(R1, 2) - x(R1, 0)
     g1 = x(R1, 1) - x(R1, 0)
     target = (x(R1, 3) * x(R1, 2)).lm
-    hit = ReducerBasis([g0, g1]).find_divisor(target)
-    assert hit.basis_index == 0 and hit.shift == (0,)
-    hit = ReducerBasis([g1, g0]).find_divisor(target)
-    assert hit.basis_index == 0 and hit.shift == (1,)
+    assert ReducerBasis([g0, g1]).find_divisor(target) == (0, (0,))
+    assert ReducerBasis([g1, g0]).find_divisor(target) == (0, (1,))
 
 
 def test_reduce_examples(R1):
@@ -68,10 +65,10 @@ def test_reduce_examples(R1):
 
 def test_reduce_full_examples(R1):
     g = x(R1, 1) - x(R1, 0)
-    out = reduce_full(x(R1, 2) + x(R1, 1) * x(R1, 0), [g], monic=False)
+    out = tail_reduce(x(R1, 2) + x(R1, 1) * x(R1, 0), [g])
     assert out == x(R1, 0, 2) + x(R1, 0)
     assert reduce_full(R1.zero, [g]) == R1.zero
-    assert reduce_full(out, [g], monic=False) == out  # fixed point
+    assert tail_reduce(out, [g]) == out  # fixed point
 
 
 def test_reduce_full_monic(R1):
@@ -88,6 +85,20 @@ def test_certificate_replay(R1):
         f = random_polynomial(rng, R1, max_terms=4, max_shift_deg=4, max_exp=3)
         h, steps = reduce(f, G, certificate=True)
         assert replay_certificate(h, steps, G) == f
+
+
+def test_certificate_replay_with_zero_elements(R1):
+    # step indices refer to the nonzero elements of G, in order
+    rng = random.Random(4)
+    G = [R1.zero, x(R1, 1) * x(R1, 1) - x(R1, 0), R1.zero,
+         x(R1, 2) * x(R1, 0) - x(R1, 1)]
+    used = set()
+    for _ in range(25):
+        f = random_polynomial(rng, R1, max_terms=4, max_shift_deg=4, max_exp=3)
+        h, steps = reduce(f, G, certificate=True)
+        used.update(index for *_, index in steps)
+        assert replay_certificate(h, steps, G) == f
+    assert used == {0, 1}
 
 
 def test_head_reduction_descends(R1):
@@ -127,12 +138,11 @@ def test_multi_factor_anchor():
     # leading monomial with several factors; anchor is its largest variable
     g = ring.var("x", (1, 0)) * ring.var("y", (0, 1)) - ring.var("y", (0, 0))
     target = (ring.var("x", (2, 1)) * ring.var("y", (1, 2)) * ring.var("y", (0, 0))).lm
-    hit = ReducerBasis([g]).find_divisor(target)
-    assert hit is not None
-    assert hit.shift == (1, 1)
-    shifted = g.lm.shift(hit.shift)
+    index, shift = ReducerBasis([g]).find_divisor(target)
+    assert (index, shift) == (0, (1, 1))
+    shifted = g.lm.shift(shift)
     assert shifted.divides(target)
-    assert hit.cofactor * shifted == target
+    assert (target / shifted) * shifted == target
 
 
 def test_reducer_basis_shift_bound(R1):
