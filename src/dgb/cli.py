@@ -42,7 +42,7 @@ from .quotient import (LinearRelation, PermutationAction, QuotientPresentation,
                        parse_cycles)
 from .reduction import reduce as head_reduce
 from .reduction import replay_certificate
-from .ring import (DifferenceRing, Signature, format_monomial,
+from .ring import (DifferenceRing, Monomial, Signature, format_monomial,
                    format_polynomial)
 
 _PUNCT = set("{}()[]=,;:^*/+->")
@@ -333,6 +333,8 @@ class _Parser:
             if op == "*":
                 acc = acc * rhs
             else:
+                if not rhs:
+                    self.fail("division by zero", tok)
                 if len(rhs.terms) != 1 or not rhs.terms[0][0].is_one:
                     self.fail("can only divide by a constant coefficient", tok)
                 acc = acc.scale(ring.field.one / rhs.terms[0][1])
@@ -346,6 +348,11 @@ class _Parser:
             if tok.kind != "int":
                 self.fail("expected an integer exponent", tok)
             e = int(tok.value)
+            if len(base.terms) == 1 and e:
+                # a single term c*m raises directly to c^e * m^e
+                mono, coeff = base.terms[0]
+                power = Monomial(tuple((var, k * e) for var, k in mono.factors))
+                return ring.polynomial([(coeff ** e, power)])
             out = ring.one
             for _ in range(e):
                 out = out * base

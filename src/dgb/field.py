@@ -2,11 +2,17 @@
 
 Coefficients live either in Q (no declared parameters, plain
 ``fractions.Fraction``) or in the rational function field Q(p1,...,pk)
-over the declared transcendental parameters (sympy fraction-field
-elements).  Both kinds support ``+ - * /``, equality and truthiness, so
-polynomial code treats them uniformly.  Values are kept in canonical
-form by the underlying arithmetic: fractions fully reduced, rational
-functions cancelled with a sign-normalized denominator.
+over the declared transcendental parameters.  The latter is built as
+sympy's fraction field over the integer polynomials ZZ[p1,...,pk]: the
+same field as fractions over Q[p1,...,pk], but cancelling a quotient is
+one integer gcd, with no denominator clearing or domain conversions.
+Both kinds support ``+ - * /``, equality and truthiness, so polynomial
+code treats them uniformly.  Values are kept in canonical form by the
+underlying arithmetic: fractions fully reduced; rational functions
+cancelled, with numerator and denominator integer polynomials without
+a common factor and the denominator's leading coefficient positive.
+Printing folds a constant denominator into rational coefficients of the
+numerator, so ``(H^2 - 1)/2`` prints as ``1/2*H^2 - 1/2``.
 """
 
 from __future__ import annotations
@@ -32,17 +38,23 @@ class CoeffText:
 
 
 class ConstantField:
-    """The field of constants for one ring signature."""
+    """The field of constants for one ring signature.
+
+    Without parameters the elements are ``Fraction``s.  With parameters
+    they are sympy fraction-field elements ``numer/denom`` over
+    ZZ[p1,...,pk], cancelled, with a positive leading coefficient in the
+    denominator; ``format`` renders them with rational coefficients.
+    """
 
     __slots__ = ("parameters", "zero", "one", "_field", "_gens")
 
     def __init__(self, parameters=()):
         self.parameters = tuple(parameters)
         if self.parameters:
-            from sympy import QQ
+            from sympy import ZZ
             from sympy.polys.fields import field as _field
 
-            built = _field(list(self.parameters), QQ)
+            built = _field(list(self.parameters), ZZ)
             self._field = built[0]
             self._gens = dict(zip(self.parameters, built[1:]))
             self.zero = self._field.zero
@@ -68,9 +80,9 @@ class ConstantField:
         value = Fraction(num, den)
         if self._field is None:
             return value
-        from sympy import QQ
-
-        return self._field.ground_new(QQ(value.numerator, value.denominator))
+        # A Fraction is reduced with a positive denominator: already canonical.
+        ground = self._field.ring.ground_new
+        return self._field.raw_new(ground(value.numerator), ground(value.denominator))
 
     def coerce(self, value):
         """Accept ints and Fractions alongside native field elements."""

@@ -97,6 +97,27 @@ def test_parse_division_by_constants_only():
         parse_polynomial(ring, "u(0,0,0)/v(0,0,0)")
 
 
+@pytest.mark.parametrize("parameters,bases", [
+    ((), ["x(1)", "3/2*x(1)^2*x(0)", "-2", "x(1) + 2*x(0)", "x(1)*x(0) - 1/3"]),
+    (("H",), ["-H*x(1)", "(H + 1)/2*x(0)^2", "H", "H*x(1) - x(0) + 1", "H + 1"]),
+])
+def test_parse_power_matches_repeated_product(parameters, bases):
+    ring = make_ring(1, ("x",), parameters)
+    for base_text in bases:
+        base = parse_polynomial(ring, base_text)
+        expected = ring.one
+        for e in range(6):
+            assert parse_polynomial(ring, f"({base_text})^{e}") == expected
+            expected = expected * base
+
+
+def test_parse_large_power_of_a_single_term():
+    ring = make_ring(1, ("x",))
+    f = parse_polynomial(ring, "x(0)^100000")
+    assert f == ring.var("x", (0,), 100000)
+    assert len(f.terms) == 1 and f.lm.factors[0][1] == 100000
+
+
 def test_roundtrip_parse_print():
     rng = random.Random(9)
     ring = make_ring(2, ("x", "y"))
@@ -300,6 +321,28 @@ def test_cli_normal_form(tmp_path, capsys):
     assert code == 0
     assert out["normal_form"] == "-x(1) - x(0)"
     assert out["normal_variables"] == 2
+
+
+def test_cli_normal_form_over_parameter_field(tmp_path, capsys):
+    prob = tmp_path / "nf.dgb"
+    prob.write_text("ring { shifts: 1; symbols: x; parameters: H; }\n"
+                    "ideal { H*x(2) - (H+1)*x(1) + 1/2*x(0); }\n")
+    code = run(["normal-form", "--input", str(prob), "--var", "x(4)", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["normal_form"] == ("((H^3 + 2*H^2 + 2*H + 1)/H^3)*x(1)"
+                                  " - ((2*H^2 + 3*H + 2)/(4*H^3))*x(0)")
+    assert out["normal_variables"] == 2
+
+
+@pytest.mark.parametrize("poly", ["x(1)/0", "x(1)/(H-H)"])
+def test_cli_division_by_zero(tmp_path, capsys, poly):
+    prob = tmp_path / "p.dgb"
+    prob.write_text("ring { shifts: 1; symbols: x; parameters: H; }\n"
+                    "ideal { x(1) - x(0); }\n")
+    assert run(["reduce", "--input", str(prob), "--poly", poly]) == 1
+    err = capsys.readouterr().err
+    assert "division by zero at line 1, column 6" in err
 
 
 def test_cli_normal_form_rejects_nonlinear(tmp_path, capsys):
