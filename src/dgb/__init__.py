@@ -17,14 +17,12 @@ from .ring import (DifferenceRing, Monomial, NEG_INF, Polynomial, Signature,
 from .reduction import (ReducerBasis, reduce, reduce_full, replay_certificate,
                         tail_reduce)
 from .completion import (CompletionOptions, CompletionStatus, PairStats,
-                         SigmaBasis, VerificationReport, check_finite_membership,
-                         interreduce, membership_degrees, minimalize,
-                         sigma_gbasis, sigma_gbasis_adaptive,
+                         SigmaBasis, VerificationReport, interreduce,
+                         minimalize, sigma_gbasis, sigma_gbasis_adaptive,
                          sigma_gbasis_truncated, verify_sigma_gbasis)
 from .quotient import (LinearRelation, PermutationAction, QuotientPresentation,
                        expand_classical_basis, groebner_gamma_basis,
-                       is_noetherian_quotient, normal_variables,
-                       relations_are_groebner, symmetric_setup)
+                       normal_variables, pure_power_table, symmetric_setup)
 
 __all__ = [
     "DGBError", "ExactDivisionError", "InternalCheckError", "ParseError",
@@ -36,11 +34,10 @@ __all__ = [
     "ReducerBasis", "reduce", "reduce_full", "replay_certificate",
     "tail_reduce",
     "CompletionOptions", "CompletionStatus", "PairStats", "SigmaBasis",
-    "VerificationReport", "check_finite_membership", "interreduce",
-    "membership_degrees", "minimalize",
+    "VerificationReport", "interreduce", "minimalize",
     "sigma_gbasis", "sigma_gbasis_adaptive", "sigma_gbasis_truncated",
     "verify_sigma_gbasis",
     "LinearRelation", "PermutationAction", "QuotientPresentation",
-    "expand_classical_basis", "groebner_gamma_basis", "is_noetherian_quotient",
-    "normal_variables", "relations_are_groebner", "symmetric_setup",
+    "expand_classical_basis", "groebner_gamma_basis", "normal_variables",
+    "pure_power_table", "symmetric_setup",
 ]

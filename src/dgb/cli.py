@@ -20,6 +20,9 @@ symmetric block::
 Polynomials use explicit `*`, `^` for exponents, rationals like 3/4, and
 parameter polynomials in parentheses.  Shift tuples are positional; rank-1
 rings accept a bare integer.  `#` starts a line comment.
+
+The symmetric block holds exactly `perm: CYCLES;`, with CYCLES in the cycle
+notation of `--perm`, e.g. `(1 2 3)(4 5)`; points not named are fixed.
 """
 
 from __future__ import annotations
@@ -31,15 +34,14 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .completion import (CompletionOptions, check_finite_membership,
-                         interreduce, minimalize, sigma_gbasis,
-                         sigma_gbasis_adaptive, sigma_gbasis_truncated,
-                         verify_sigma_gbasis)
+from .completion import (CompletionOptions, interreduce, minimalize,
+                         sigma_gbasis, sigma_gbasis_adaptive,
+                         sigma_gbasis_truncated, verify_sigma_gbasis)
 from .errors import DGBError, ParseError
 from .orderings import _ORDER_NAMES, OrderingSpec
 from .quotient import (LinearRelation, PermutationAction, QuotientPresentation,
                        expand_classical_basis, groebner_gamma_basis,
-                       parse_cycles)
+                       parse_cycles, pure_power_table)
 from .reduction import reduce as head_reduce
 from .reduction import replay_certificate
 from .ring import (DifferenceRing, Monomial, Signature, format_monomial,
@@ -114,7 +116,6 @@ class ProblemFile:
     ring: DifferenceRing
     polynomials: list
     permutation: tuple = None  # tuple of cycles, 1-based points
-    symmetric_generators: list = field(default_factory=list)
 
 
 class _Parser:
@@ -151,7 +152,6 @@ class _Parser:
         ring = None
         polynomials = []
         permutation = None
-        symmetric_generators = []
         while self.peek().kind != "eof":
             tok = self.next()
             if tok.value == "ring":
@@ -165,15 +165,14 @@ class _Parser:
             elif tok.value == "symmetric":
                 if ring is None:
                     self.fail("symmetric block before ring block", tok)
-                perm, gens = self.parse_symmetric_block(ring)
+                perm = self.parse_symmetric_block()
                 if perm is not None:
                     permutation = perm
-                symmetric_generators.extend(gens)
             else:
                 self.fail(f"unknown section {tok.value!r}", tok)
         if ring is None:
             raise ParseError("problem file has no ring block")
-        return ProblemFile(ring, polynomials, permutation, symmetric_generators)
+        return ProblemFile(ring, polynomials, permutation)
 
     def parse_ring_block(self):
         self.expect("{")
@@ -185,7 +184,10 @@ class _Parser:
             tok = self.next()
             if tok.value == "shifts":
                 self.expect(":")
-                shifts = int(self.next().value)
+                rank = self.next()
+                if rank.kind != "int":
+                    self.fail("expected an integer shift rank", rank)
+                shifts = int(rank.value)
             elif tok.value == "symbols":
                 self.expect(":")
                 symbols = self.parse_ident_list()
@@ -272,39 +274,24 @@ class _Parser:
         self.expect("}")
         return out
 
-    def parse_symmetric_block(self, ring):
+    def parse_symmetric_block(self):
         self.expect("{")
         permutation = None
-        gens = []
         while not self.at("}"):
             tok = self.next()
-            if tok.value == "perm":
-                self.expect(":")
-                cycles = []
-                while self.at("("):
-                    self.next()
-                    points = []
-                    while not self.at(")"):
-                        p = self.next()
-                        if p.kind == "punct" and p.value == ",":
-                            continue
-                        if p.kind != "int":
-                            self.fail("expected a cycle point", p)
-                        points.append(int(p.value))
-                    self.expect(")")
-                    if not points:
-                        self.fail("empty cycle", tok)
-                    cycles.append(tuple(points))
-                if not cycles:
-                    self.fail("perm needs at least one cycle", tok)
-                permutation = tuple(cycles)
-                self.expect(";")
-            elif tok.value == "generators":
-                gens.extend(self.parse_poly_block(ring))
-            else:
+            if tok.value != "perm":
                 self.fail(f"unknown symmetric item {tok.value!r}", tok)
+            self.expect(":")
+            text = []
+            while not self.at(";") and self.peek().kind != "eof":
+                text.append(self.next().value)
+            try:
+                permutation = tuple(parse_cycles(" ".join(text)))
+            except ParseError as exc:
+                raise ParseError(exc.message, tok.line, tok.column) from None
+            self.expect(";")
         self.expect("}")
-        return permutation, gens
+        return permutation
 
     # --- polynomial expressions ------------------------------------------
 
@@ -557,8 +544,6 @@ def _build_arg_parser():
     p.add_argument("--gens", required=True, help="problem file with the generators")
     p.add_argument("--classical", action="store_true",
                    help="also expand to the plain minimal basis of the finite ring")
-    p.add_argument("--minimal", action="store_true",
-                   help="accepted for symmetry with compute; the result is already minimal")
     p.add_argument("--pair-budget", type=int, default=None, metavar="N")
     p.add_argument("--stats", action="store_true", help="emit pair statistics")
     common(p)
@@ -595,7 +580,11 @@ def _basis_report(command, args, basis, config) -> RunReport:
     ring = basis.ring
     elements = [format_polynomial(g) for g in basis.elements]
     lms = [format_monomial(g.lm, ring) for g in basis.elements]
-    membership = check_finite_membership(basis.elements) if basis.elements else None
+    membership = None
+    if basis.elements:
+        table = pure_power_table(ring, [g.lm for g in basis.elements])
+        if all(k is not None for row in table for k in row):
+            membership = table
     status = str(basis.status)
     exit_code = 2 if basis.status.kind == "budget_exhausted" else 0
     stats = basis.stats.as_dict() if getattr(args, "stats", False) else None
@@ -680,7 +669,7 @@ def _cmd_reduce(args) -> RunReport:
 
 def _cmd_symmetric(args) -> RunReport:
     problem = _load_problem(args.gens)
-    if args.perm:
+    if args.perm is not None:
         cycles = parse_cycles(args.perm)
     elif problem.permutation:
         cycles = problem.permutation
@@ -691,8 +680,7 @@ def _cmd_symmetric(args) -> RunReport:
     action = PermutationAction(
         cycles, symbols=problem.ring.signature.symbols,
         parameters=problem.ring.signature.parameters)
-    generators = list(problem.polynomials) + list(problem.symmetric_generators)
-    lifted = [_transplant(g, action.ring) for g in generators]
+    lifted = [_transplant(g, action.ring) for g in problem.polynomials]
     options = _completion_options(args)
     basis = groebner_gamma_basis(action, lifted, options)
     config = {
@@ -728,14 +716,14 @@ def _cmd_normal_form(args) -> RunReport:
     nf = presentation.normal_form_variable(var)
     config = {"input": args.input, "var": args.var}
     details = {"normal_form": format_polynomial(nf),
-               "normal_variables": len(presentation.normal_variables())}
+               "normal_variables": presentation.dimension}
     return RunReport("normal-form", "ok", 0, config, details=details)
 
 
 def _presentation_from_polynomials(ring, polynomials) -> QuotientPresentation:
     relations = []
     for f in polynomials:
-        rel = _as_linear_relation(ring, f)
+        rel = LinearRelation.from_polynomial(f)
         if rel is None:
             raise UsageError(
                 f"dgb normal-form: {format_polynomial(f)} is not a monic linear "
@@ -745,39 +733,6 @@ def _presentation_from_polynomials(ring, polynomials) -> QuotientPresentation:
         return QuotientPresentation(ring, relations)
     except ValueError as exc:
         raise UsageError(f"dgb normal-form: {exc}") from None
-
-
-def _as_linear_relation(ring, f):
-    if not f:
-        return None
-    f = f.monic()
-    symbol = None
-    direction = None
-    degrees = {}
-    for m, c in f.terms:
-        if len(m.factors) != 1 or m.factors[0][1] != 1:
-            return None
-        (sym, shift), _ = m.factors[0]
-        if symbol is None:
-            symbol = sym
-        elif symbol != sym:
-            return None
-        support = [j for j, a in enumerate(shift) if a]
-        if len(support) > 1:
-            return None
-        if support:
-            if direction is None:
-                direction = support[0]
-            elif direction != support[0]:
-                return None
-            degrees[shift[direction]] = c
-        else:
-            degrees[0] = c
-    if direction is None:
-        direction = 0
-    top = max(degrees)
-    coeffs = [degrees.get(k, ring.field.zero) for k in range(top + 1)]
-    return LinearRelation(symbol, direction, tuple(coeffs))
 
 
 def run(argv) -> int:

@@ -358,52 +358,6 @@ def verify_sigma_gbasis(basis_or_elements):
     return VerificationReport(not failures, failures, checked)
 
 
-def _pure_power_table(ring, monomials):
-    """The pure-power table of a set of leading monomials: entry [i][j] is
-    the least k such that symbol_i(op_j^k) is reachable from one of the
-    monomials under the shift action, None when no such k exists.
-
-    Only single variables with exponent one can reach a variable; one with
-    the identity shift reaches every pure power of its symbol.
-    """
-    r = ring.signature.shift_rank
-    table = [[None] * r for _ in ring.signature.symbols]
-    for m in monomials:
-        if len(m.factors) != 1 or m.factors[0][1] != 1:
-            continue
-        (sym, shift), _ = m.factors[0]
-        support = [j for j, a in enumerate(shift) if a]
-        if not support:
-            table[sym] = [0] * r
-        elif len(support) == 1:
-            j = support[0]
-            if table[sym][j] is None or shift[j] < table[sym][j]:
-                table[sym][j] = shift[j]
-    return table
-
-
-def membership_degrees(basis_or_elements):
-    """Minimal degrees d such that the pure-power variable of each
-    (symbol, shift operator) pair is reachable among shifted leading
-    monomials; None entries are not yet covered."""
-    elements = list(basis_or_elements)
-    if not elements:
-        return None
-    return _pure_power_table(elements[0].ring, [g.lm for g in elements])
-
-
-def check_finite_membership(basis_or_elements):
-    """The full degree table when every (symbol, shift operator) pair has a
-    pure-power variable among reachable leading monomials, else None.
-    A full table guarantees the completion will terminate."""
-    table = membership_degrees(basis_or_elements)
-    if table is None:
-        return None
-    if any(entry is None for row in table for entry in row):
-        return None
-    return table
-
-
 def _minimalize_elements(ring, elements):
     key = ring.ordering.monomial_key
     reducer = None

@@ -19,9 +19,9 @@ import re
 from dataclasses import dataclass
 from itertools import product
 
-from .completion import (SigmaBasis, _pure_power_table, minimalize,
-                         sigma_gbasis, verify_sigma_gbasis)
-from .errors import InternalCheckError, ParseError, StaircaseError
+from .completion import SigmaBasis, minimalize, sigma_gbasis
+from .errors import (InternalCheckError, ParseError, RingMismatchError,
+                     StaircaseError)
 from .orderings import DEGLEX, LEX, OrderingSpec
 from .reduction import ReducerBasis, tail_reduce
 from .ring import DifferenceRing, Polynomial, Signature, VarRef
@@ -55,13 +55,57 @@ class LinearRelation:
             pairs.append((ring.field.coerce(c), ring.monomial([(self.symbol_index, shift, 1)])))
         return ring.polynomial(pairs)
 
+    @classmethod
+    def from_polynomial(cls, f):
+        """The relation whose polynomial is f made monic, or None when f is
+        not a combination of pure powers of one symbol along one operator."""
+        powers = [_pure_power(m) for m, _ in f.terms]
+        if not f or None in powers:
+            return None
+        symbols = {sym for sym, _, _ in powers}
+        operators = {j for _, j, _ in powers if j is not None}
+        if len(symbols) > 1 or len(operators) > 1:
+            return None
+        by_power = {k: c for (_, _, k), (_, c) in zip(powers, f.monic().terms)}
+        zero = f.ring.field.zero
+        coefficients = tuple(by_power.get(k, zero) for k in range(max(by_power) + 1))
+        return cls(symbols.pop(), min(operators, default=0), coefficients)
 
-def missing_pure_powers(ring, lm_generators):
-    """(symbol, operator) pairs with no pure-power variable reachable from
-    the given leading monomials under the shift action."""
-    table = _pure_power_table(ring, lm_generators)
-    return [(i, j) for i, row in enumerate(table)
-            for j, k in enumerate(row) if k is None]
+
+def _pure_power(m):
+    """(symbol, operator, k) when the monomial is the variable
+    symbol(op^k) with exponent one, else None.  The unshifted variable is
+    a pure power of every operator and gives (symbol, None, 0)."""
+    if len(m.factors) != 1 or m.factors[0][1] != 1:
+        return None
+    (sym, shift), _ = m.factors[0]
+    support = [j for j, a in enumerate(shift) if a]
+    if not support:
+        return sym, None, 0
+    if len(support) == 1:
+        return sym, support[0], shift[support[0]]
+    return None
+
+
+def pure_power_table(ring, monomials):
+    """The Noetherian criterion: entry [i][j] is the least k such that
+    symbol_i(op_j^k) is reachable from one of the monomials under the shift
+    action, None when no such k exists.  The quotient by the shift-closed
+    ideal of the monomials has finitely many variables exactly when no
+    entry is None.
+    """
+    r = ring.signature.shift_rank
+    table = [[None] * r for _ in ring.signature.symbols]
+    for m in monomials:
+        power = _pure_power(m)
+        if power is None:
+            continue
+        sym, j, k = power
+        if j is None:
+            table[sym] = [0] * r
+        elif table[sym][j] is None or k < table[sym][j]:
+            table[sym][j] = k
+    return table
 
 
 def normal_variables(ring, lm_generators):
@@ -73,7 +117,7 @@ def normal_variables(ring, lm_generators):
     exponent one and a componentwise smaller shift.
     """
     lm_generators = list(lm_generators)
-    table = _pure_power_table(ring, lm_generators)
+    table = pure_power_table(ring, lm_generators)
     if any(k is None for row in table for k in row):
         return None
     variables = [m.factors[0][0] for m in lm_generators
@@ -85,14 +129,6 @@ def normal_variables(ring, lm_generators):
             if not any(all(a <= w for a, w in zip(beta, omega)) for beta in betas):
                 out.append(VarRef(i, omega))
     return out
-
-
-def is_noetherian_quotient(arg, lm_generators=None):
-    """Whether the quotient by the shift-closure of the given leading
-    monomials (or of a full relation family) has finitely many variables."""
-    if isinstance(arg, QuotientPresentation):
-        return True
-    return not missing_pure_powers(arg, lm_generators)
 
 
 class QuotientPresentation:
@@ -128,13 +164,6 @@ class QuotientPresentation:
     @property
     def dimension(self):
         return sum(math.prod(row) for row in self.degree_table)
-
-    def normal_variables(self):
-        out = []
-        for i, row in enumerate(self.degree_table):
-            for omega in product(*(range(d) for d in row)):
-                out.append(VarRef(i, omega))
-        return out
 
     def _companion_apply(self, coefficients, vec):
         """One application of the companion matrix of a monic polynomial
@@ -197,12 +226,6 @@ class QuotientPresentation:
         return by_reduction
 
 
-def relations_are_groebner(presentation: QuotientPresentation) -> bool:
-    """The relation family is always a complete basis over a field of
-    constants; this runs the finite verification criterion on it."""
-    return verify_sigma_gbasis(presentation.relation_polynomials).ok
-
-
 _CYCLE_TEXT = re.compile(r"\(([^()]*)\)")
 
 
@@ -218,7 +241,7 @@ class PermutationAction:
     def __init__(self, cycles, degree=None, symbols=None, parameters=()):
         if isinstance(cycles, str):
             cycles = parse_cycles(cycles)
-        cycles = [tuple(int(p) for p in c) for c in cycles]
+        cycles = [tuple(int(p) for p in c) for c in cycles if c]
         seen = set()
         for c in cycles:
             for p in c:
@@ -232,9 +255,8 @@ class PermutationAction:
         if top > self.degree:
             raise ValueError("cycle point exceeds the declared degree")
         fixed = [(p,) for p in range(1, self.degree + 1) if p not in seen]
-        cycles = [c for c in cycles if len(c) > 1] + fixed
         # rotate each cycle to start at its smallest point, then sort
-        cycles = [c[c.index(min(c)):] + c[:c.index(min(c))] for c in cycles]
+        cycles = [c[c.index(min(c)):] + c[:c.index(min(c))] for c in cycles + fixed]
         cycles.sort(key=lambda c: c[0])
         self.cycles = tuple(cycles)
         self.cycle_lengths = tuple(len(c) for c in self.cycles)
@@ -274,22 +296,23 @@ class PermutationAction:
 
 
 def parse_cycles(text):
-    """Parse disjoint cycle notation like "(1 2 3)(4 5)"; commas allowed."""
-    stripped = text.strip()
-    if not stripped:
+    """Parse disjoint cycle notation like "(1 2 3)(4 5)"; commas allowed.
+    Messages quote the input respaced, so they do not depend on layout."""
+    text = " ".join(re.findall(r"[()]|[^\s(),]+", text))
+    if not text:
         raise ParseError("empty permutation")
-    leftovers = _CYCLE_TEXT.sub("", stripped).strip()
+    leftovers = _CYCLE_TEXT.sub("", text).strip()
     if leftovers:
         raise ParseError(f"bad permutation syntax near {leftovers!r}")
     cycles = []
-    for body in _CYCLE_TEXT.findall(stripped):
-        points = [p for p in re.split(r"[,\s]+", body.strip()) if p]
+    for body in _CYCLE_TEXT.findall(text):
+        points = body.split()
         if not points:
             raise ParseError("empty cycle in permutation")
         try:
             cycles.append(tuple(int(p) for p in points))
         except ValueError:
-            raise ParseError(f"non-integer point in cycle ({body})") from None
+            raise ParseError(f"non-integer point in cycle ({body.strip()})") from None
     return cycles
 
 
@@ -301,7 +324,7 @@ def symmetric_setup(action: PermutationAction, generators):
     gens = []
     for g in generators:
         if g.ring is not ring and g.ring != ring:
-            raise StaircaseError("generator built over a different ring")
+            raise RingMismatchError("generator built over a different ring")
         for m, _ in g.terms:
             for (sym, shift), _e in m.factors:
                 if shift[0] >= action.cycle_lengths[sym]:

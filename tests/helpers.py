@@ -7,10 +7,25 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from dgb import DifferenceRing, Signature
+from dgb.quotient import groebner_gamma_basis
 
 
 def make_ring(rank=1, symbols=("x",), parameters=(), spec=None):
     return DifferenceRing(Signature(rank, symbols, parameters), spec)
+
+
+_GAMMA_BASES = {}
+
+
+def gamma_basis(action, generators):
+    """`groebner_gamma_basis(action, generators)`, computed once per test
+    session for each (cycles, generators).  The acceptance suite and the
+    README test both need the cycle8 basis, which takes seconds; the
+    computation is deterministic, so sharing it hides no difference."""
+    key = (action.cycles, tuple(generators))
+    if key not in _GAMMA_BASES:
+        _GAMMA_BASES[key] = groebner_gamma_basis(action, generators)
+    return _GAMMA_BASES[key]
 
 
 def random_shift(rng, rank, max_deg, exact=None):

@@ -21,11 +21,11 @@ from dgb.completion import (PairStats, interreduce, minimalize, sigma_gbasis,
                             verify_sigma_gbasis)
 from dgb.orderings import DEGLEX, DEGREVLEX, LEX, OrderingSpec
 from dgb.quotient import (LinearRelation, PermutationAction,
-                          QuotientPresentation, expand_classical_basis,
-                          groebner_gamma_basis)
+                          QuotientPresentation, expand_classical_basis)
 
-from helpers import (enumerate_up_to_degree, make_ring, mono_to_oracle,
-                     oracle_key, random_monomial, random_polynomial, to_oracle)
+from helpers import (enumerate_up_to_degree, gamma_basis, make_ring,
+                     mono_to_oracle, oracle_key, random_monomial,
+                     random_polynomial, to_oracle)
 
 DATA = Path(__file__).parent / "data"
 
@@ -47,16 +47,11 @@ def _cycle8_setup():
     return action, gens
 
 
-_CYCLE8_CACHE = {}
-
-
 def _cycle8_gamma():
     """The invariant-basis computation, shared between criteria 2 and 6
-    (the algorithm is deterministic, so caching cannot mask differences)."""
-    if "gamma" not in _CYCLE8_CACHE:
-        action, gens = _cycle8_setup()
-        _CYCLE8_CACHE["gamma"] = (action, gens, groebner_gamma_basis(action, gens))
-    return _CYCLE8_CACHE["gamma"]
+    and the README test through `helpers.gamma_basis`."""
+    action, gens = _cycle8_setup()
+    return action, gens, gamma_basis(action, gens)
 
 
 def test_criterion_1_flow_discretization_golden(capsys):

@@ -301,6 +301,40 @@ def test_cli_symmetric_perm_from_file(tmp_path, capsys):
     assert code == 0 and out["basis"] == ["x(0)"]
 
 
+@pytest.mark.parametrize("perm", ["", "()", "(1 a)", "1 2 3"])
+def test_cli_malformed_perm_same_message_on_both_routes(tmp_path, capsys, perm):
+    header = "ring { shifts: 1; symbols: x; }\nideal { x(0); }\n"
+    gens = tmp_path / "gens.dgb"
+    gens.write_text(header)
+    assert run(["symmetric", "--gens", str(gens), "--perm", perm]) == 1
+    from_flag = capsys.readouterr().err.strip()
+    in_file = tmp_path / "perm.dgb"
+    in_file.write_text(header + f"symmetric {{\n  perm: {perm};\n}}\n")
+    assert run(["symmetric", "--gens", str(in_file)]) == 1
+    from_file = capsys.readouterr().err.strip()
+    assert from_flag.startswith("dgb: ") and "\n" not in from_flag
+    assert from_file == f"{from_flag} at line 4, column 3"
+
+
+def test_cli_symmetric_explicit_one_cycle(tmp_path, capsys):
+    header = "ring { shifts: 1; symbols: x, y; }\nideal { x(0)*y(0); }\n"
+    gens = tmp_path / "gens.dgb"
+    gens.write_text(header + "symmetric { perm: (1 2)(3); }\n")
+    for extra in ([], ["--perm", "(1 2)(3)"]):
+        assert run(["symmetric", "--gens", str(gens), "--json"] + extra) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["config"]["perm"] == "(1 2)(3)"
+        assert out["basis"] == ["x(0)*y(0)", "x(1)*y(0)"]
+
+
+def test_cli_non_integer_shift_rank(tmp_path, capsys):
+    prob = tmp_path / "p.dgb"
+    prob.write_text("ring {\n  shifts: x;\n  symbols: x;\n}\n")
+    assert run(["compute", "--input", str(prob)]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "dgb: expected an integer shift rank at line 2, column 11")
+
+
 @pytest.mark.parametrize("perm,count", [("(1 2 3)", 1), ("(1 2)(4 5)", 3)])
 def test_cli_symmetric_symbol_count_mismatch(tmp_path, capsys, perm, count):
     gens = tmp_path / "gens.dgb"

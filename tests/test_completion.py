@@ -5,12 +5,11 @@ import pytest
 
 import classical
 from dgb import OrderingSpec, spoly
-from dgb.completion import (check_finite_membership, interreduce,
-                            membership_degrees, minimalize,
-                            shift_pair_candidates, sigma_gbasis,
-                            sigma_gbasis_adaptive, sigma_gbasis_truncated,
-                            verify_sigma_gbasis)
+from dgb.completion import (interreduce, minimalize, shift_pair_candidates,
+                            sigma_gbasis, sigma_gbasis_adaptive,
+                            sigma_gbasis_truncated, verify_sigma_gbasis)
 from dgb.orderings import DEGLEX, DEGREVLEX, LEX
+from dgb.quotient import normal_variables, pure_power_table
 from dgb.reduction import reduce
 
 from helpers import (enumerate_up_to_degree, make_ring, mono_to_oracle,
@@ -349,14 +348,14 @@ def test_verify_matches_completion_status():
 def test_membership_table_direct():
     ring = make_ring(2, ("x",))
     gens = [ring.var("x", (2, 0)), ring.var("x", (0, 3))]
-    assert check_finite_membership(gens) == [[2, 3]]
+    assert pure_power_table(ring, [g.lm for g in gens]) == [[2, 3]]
 
 
 def test_membership_incomplete_is_none():
     ring = make_ring(2, ("x",))
     gens = [ring.var("x", (1, 0))]
-    assert check_finite_membership(gens) is None
-    assert membership_degrees(gens) == [[1, None]]
+    assert normal_variables(ring, [g.lm for g in gens]) is None
+    assert pure_power_table(ring, [g.lm for g in gens]) == [[1, None]]
 
 
 def test_membership_ignores_mixed_shifts_and_powers():
@@ -364,13 +363,13 @@ def test_membership_ignores_mixed_shifts_and_powers():
     mixed = ring.var("x", (1, 1))           # not a pure power
     cube = ring.var("x", (3, 0))            # pure power, d=3
     square = ring.var("x", (1, 0), 2)       # exponent 2: not a variable
-    assert membership_degrees([mixed, cube, square]) == [[3, None]]
+    assert pure_power_table(ring, [g.lm for g in (mixed, cube, square)]) == [[3, None]]
 
 
 def test_membership_identity_covers_all_directions():
     ring = make_ring(3, ("x", "y"))
     gens = [ring.var("x", (0, 0, 0))]
-    assert membership_degrees(gens) == [[0, 0, 0], [None, None, None]]
+    assert pure_power_table(ring, [g.lm for g in gens]) == [[0, 0, 0], [None, None, None]]
 
 
 def test_membership_predicts_adaptive_termination():
@@ -378,7 +377,7 @@ def test_membership_predicts_adaptive_termination():
     f = x(ring, 2) - x(ring, 0) * x(ring, 1)
     g = x(ring, 0, 3) - x(ring, 1)
     basis = sigma_gbasis([f, g], max_pair_budget=20000)
-    if check_finite_membership(basis.elements):
+    if normal_variables(ring, [g.lm for g in basis.elements]) is not None:
         adaptive = sigma_gbasis_adaptive([f, g], max_pair_budget=50000)
         assert adaptive.status.kind == "complete"
 

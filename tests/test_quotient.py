@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from dgb import ParseError, StaircaseError, VarRef
+from dgb import ParseError, RingMismatchError, StaircaseError, VarRef
 from dgb.completion import verify_sigma_gbasis
 from dgb.quotient import (LinearRelation, PermutationAction,
                           QuotientPresentation, expand_classical_basis,
-                          groebner_gamma_basis, is_noetherian_quotient,
-                          missing_pure_powers, normal_variables, parse_cycles,
-                          relations_are_groebner, symmetric_setup)
+                          groebner_gamma_basis, normal_variables, parse_cycles,
+                          pure_power_table, symmetric_setup)
 
 from helpers import enumerate_up_to_degree, make_ring
 
@@ -26,7 +25,7 @@ def test_normal_variables_infinite():
     ring = make_ring(2, ("x",))
     lms = [ring.monomial([("x", (1, 0), 1)])]
     assert normal_variables(ring, lms) is None
-    assert missing_pure_powers(ring, lms) == [(0, 1)]
+    assert pure_power_table(ring, lms) == [[1, None]]
 
 
 def test_normal_variables_cyclic_staircase():
@@ -46,19 +45,20 @@ def test_normal_variables_extra_generators_cut_the_box():
 
 def test_is_noetherian_quotient():
     ring = make_ring(2, ("x",))
-    assert not is_noetherian_quotient(ring, [])
+    assert normal_variables(ring, []) is None
     pres = QuotientPresentation(ring, [
         LinearRelation(0, 0, (Fraction(-1), Fraction(1))),
         LinearRelation(0, 1, (Fraction(2), Fraction(0), Fraction(1))),
     ])
-    assert is_noetherian_quotient(pres)
+    lms = [f.lm for f in pres.relation_polynomials]
+    assert normal_variables(ring, lms) is not None
     # the worked flow example: no pure power for v/p directions
     nav = make_ring(3, ("u", "v", "p"))
     lms = [nav.monomial([("u", (1, 0, 0), 1)]),
            nav.monomial([("v", (1, 1, 0), 1)]),
            nav.monomial([("v", (2, 0, 0), 1)]),
            nav.monomial([("p", (2, 0, 0), 1)])]
-    assert not is_noetherian_quotient(nav, lms)
+    assert normal_variables(nav, lms) is None
 
 
 def test_presentation_validation():
@@ -79,7 +79,8 @@ def test_presentation_dimension_and_staircase():
     ])
     assert pres.degree_table == [[1, 2], [2, 1]]
     assert pres.dimension == 1 * 2 + 2 * 1
-    assert len(pres.normal_variables()) == pres.dimension
+    lms = [f.lm for f in pres.relation_polynomials]
+    assert len(normal_variables(ring, lms)) == pres.dimension
 
 
 def test_relations_are_groebner_examples():
@@ -88,12 +89,12 @@ def test_relations_are_groebner_examples():
         LinearRelation(0, 0, (Fraction(-1), Fraction(0), Fraction(1))),  # x(s1^2) - x(1)
         LinearRelation(0, 1, (Fraction(1), Fraction(1))),               # x(s2) + x(1)
     ])
-    assert relations_are_groebner(pres)
+    assert verify_sigma_gbasis(pres.relation_polynomials).ok
 
 
 def test_relations_are_groebner_cycles():
     action = PermutationAction([(1, 2, 3), (4, 5, 6, 7, 8)])
-    assert relations_are_groebner(action.presentation())
+    assert verify_sigma_gbasis(action.presentation().relation_polynomials).ok
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -108,7 +109,6 @@ def test_relations_are_groebner_random(seed):
             coeffs = tuple(Fraction(rng.randint(-3, 3)) for _ in range(d)) + (Fraction(1),)
             rels.append(LinearRelation(i, j, coeffs))
     pres = QuotientPresentation(ring, rels)
-    assert relations_are_groebner(pres)
     assert verify_sigma_gbasis(pres.relation_polynomials).ok
 
 
@@ -142,7 +142,7 @@ def test_normal_form_identity_on_staircase():
     pres = QuotientPresentation(ring, [
         LinearRelation(0, 0, (Fraction(2), Fraction(-1), Fraction(1))),
     ])
-    for var in pres.normal_variables():
+    for var in normal_variables(ring, [f.lm for f in pres.relation_polynomials]):
         assert pres.normal_form_variable(var) == ring.var(var.symbol, var.shift)
 
 
@@ -322,3 +322,50 @@ def test_expansion_cross_checked_against_oracle_small_cycle():
         {oracle.p_lm(h, lex_key) for h in oracle_minimal}
     assert {frozenset(h.items()) for h in oracle.interreduce(oracle_minimal, lex_key)} == \
         {frozenset(h.items()) for h in oracle.interreduce(mine, lex_key)}
+
+
+def test_explicit_one_cycles_are_fixed_points():
+    explicit = PermutationAction("(1 2)(3)")
+    implied = PermutationAction("(1 2)", degree=3)
+    assert explicit.cycles == implied.cycles == ((1, 2), (3,))
+    assert explicit.degree == implied.degree == 3
+    assert explicit.ring == implied.ring
+
+
+def test_symmetric_setup_rejects_a_foreign_ring():
+    action = PermutationAction([(1, 2, 3)])
+    other = make_ring(1, ("y",))
+    with pytest.raises(RingMismatchError):
+        symmetric_setup(action, [other.var("y", (0,))])
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_linear_relation_from_polynomial_round_trip(rank):
+    rng = random.Random(rank)
+    ring = make_ring(rank, ("x", "y"))
+    for _ in range(20):
+        d = rng.randint(1, 3)
+        coeffs = tuple(Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+                       for _ in range(d)) + (Fraction(1),)
+        rel = LinearRelation(rng.randrange(2), rng.randrange(rank), coeffs)
+        f = rel.polynomial(ring)
+        assert LinearRelation.from_polynomial(f) == rel
+        assert LinearRelation.from_polynomial(f.scale(Fraction(-3, 2))) == rel
+
+
+def test_linear_relation_from_polynomial_rejects_non_relations():
+    ring = make_ring(2, ("x", "y"))
+
+    def x(*shift, e=1):
+        return ring.var("x", shift, e)
+
+    assert LinearRelation.from_polynomial(x(2, 0) - ring.var("y", (0, 0))) is None
+    assert LinearRelation.from_polynomial(x(2, 0) - x(0, 1)) is None
+    assert LinearRelation.from_polynomial(x(1, 1) - x(0, 0)) is None
+    assert LinearRelation.from_polynomial(x(2, 0) * x(0, 0) - x(0, 0)) is None
+    assert LinearRelation.from_polynomial(x(2, 0, e=2) - x(0, 0)) is None
+    assert LinearRelation.from_polynomial(x(1, 0) + ring.one) is None
+    assert LinearRelation.from_polynomial(ring.zero) is None
+    # the unshifted variable alone is the degree-0 relation along operator 0
+    assert LinearRelation.from_polynomial(x(0, 0).scale(Fraction(3))) == \
+        LinearRelation(0, 0, (Fraction(1),))
