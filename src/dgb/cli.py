@@ -152,11 +152,14 @@ class _Parser:
         ring = None
         polynomials = []
         permutation = None
+        seen = set()
         while self.peek().kind != "eof":
             tok = self.next()
+            if tok.value in ("ring", "symmetric"):
+                if tok.value in seen:
+                    self.fail(f"duplicate {tok.value} block", tok)
+                seen.add(tok.value)
             if tok.value == "ring":
-                if ring is not None:
-                    self.fail("duplicate ring block", tok)
                 ring = self.parse_ring_block()
             elif tok.value == "ideal":
                 if ring is None:
@@ -165,9 +168,7 @@ class _Parser:
             elif tok.value == "symmetric":
                 if ring is None:
                     self.fail("symmetric block before ring block", tok)
-                perm = self.parse_symmetric_block()
-                if perm is not None:
-                    permutation = perm
+                permutation = self.parse_symmetric_block()
             else:
                 self.fail(f"unknown section {tok.value!r}", tok)
         if ring is None:
@@ -281,6 +282,8 @@ class _Parser:
             tok = self.next()
             if tok.value != "perm":
                 self.fail(f"unknown symmetric item {tok.value!r}", tok)
+            if permutation is not None:
+                self.fail("duplicate perm item", tok)
             self.expect(":")
             text = []
             while not self.at(";") and self.peek().kind != "eof":
@@ -680,7 +683,8 @@ def _cmd_symmetric(args) -> RunReport:
     action = PermutationAction(
         cycles, symbols=problem.ring.signature.symbols,
         parameters=problem.ring.signature.parameters)
-    lifted = [_transplant(g, action.ring) for g in problem.polynomials]
+    lifted = [action.ring.polynomial((c, m) for m, c in g.terms)
+              for g in problem.polynomials]
     options = _completion_options(args)
     basis = groebner_gamma_basis(action, lifted, options)
     config = {
@@ -694,14 +698,6 @@ def _cmd_symmetric(args) -> RunReport:
         report.details["classical_basis"] = [format_polynomial(g) for g in classical]
         report.details["classical_count"] = len(classical)
     return report
-
-
-def _transplant(poly, ring):
-    """Rebuild a polynomial over an equal-signature ring (the symmetric
-    driver fixes its own ordering, so only signatures must agree)."""
-    if poly.ring.signature != ring.signature:
-        raise UsageError("dgb symmetric: generators ring does not match the permutation")
-    return ring.polynomial((c, m) for m, c in poly.terms)
 
 
 def _cmd_normal_form(args) -> RunReport:
@@ -760,7 +756,7 @@ def run(argv) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (FileNotFoundError, DGBError, ValueError) as exc:
+    except (OSError, DGBError, ValueError) as exc:
         print(f"dgb: {exc}", file=sys.stderr)
         return 1
     report.wall_clock_seconds = time.monotonic() - started

@@ -5,15 +5,21 @@ constructively: a pair of shifts (s, t) survives both the coprimality
 filter on shifts and the product criterion exactly when it comes from a
 pair of factors with the same symbol in the two leading monomials, with
 the shared gcd divided out.  Pairs are processed by a selection strategy
-keyed on the order bound of the overlap, with optional truncation to a
-maximum order, an adaptive driver that certifies completeness of the
-result, and a verifier implementing the finite completeness criterion.
+keyed on the order bound of the overlap.
+
+Every driver is one pipeline: the generators are normalised once (one
+ring, zeros dropped, monic, a unit collapsing to 1), one run of the pair
+loop is made per order bound (none for plain completion, the given bound
+for truncated completion, a doubling bound for the adaptive driver until
+it stabilises), and one builder sorts the elements into the result.  The
+adaptive result is certified by the verifier, which implements the finite
+completeness criterion.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from operator import add, sub
 
 from .errors import InternalCheckError, RingMismatchError
@@ -54,14 +60,6 @@ class PairStats:
     new_elements: int = 0
     sweeps: int = 1
 
-    def merge(self, other):
-        """Add another run's pair counts; sweeps are counted by
-        sigma_gbasis_adaptive, which runs them."""
-        for f in fields(self):
-            if f.name != "sweeps":
-                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return self
-
     def as_dict(self):
         return asdict(self)
 
@@ -80,9 +78,6 @@ class SigmaBasis:
 
     def __len__(self):
         return len(self.elements)
-
-    def leading_monomials(self):
-        return [g.lm for g in self.elements]
 
 
 def shift_pair_candidates(lm_f: Monomial, lm_g: Monomial, same: bool):
@@ -127,29 +122,37 @@ def _shifted_overlap(lm_a, sa, lm_b, sb):
                for (sym, beta), _ in lm_b.factors)
 
 
-class _Run:
-    """One completion run over a fixed ring."""
+def _monic_generators(generators):
+    """(ring, G): the ring every generator shares (None when none is
+    given) and the nonzero generators made monic, collapsed to [1] when
+    one of them is a unit."""
+    generators = list(generators)
+    ring = generators[0].ring if generators else None
+    G = []
+    for g in generators:
+        if g.ring is not ring and g.ring != ring:
+            raise RingMismatchError("generators mix different rings")
+        if g:
+            G.append(g.monic())
+    if any(g.lm.is_one for g in G):
+        return ring, [ring.one]
+    return ring, G
 
-    def __init__(self, generators, options: CompletionOptions, bound=None):
+
+class _Run:
+    """One pass of the pair loop over a nonempty, non-unit, monic G,
+    adding its pair counts to the given stats."""
+
+    def __init__(self, G, options: CompletionOptions, bound, stats):
         self.options = options
         self.bound = bound
-        self.stats = PairStats()
-        self.ring = None
-        gens = []
-        for g in generators:
-            if not g:
-                continue
-            if self.ring is None:
-                self.ring = g.ring
-            elif g.ring is not self.ring and g.ring != self.ring:
-                raise RingMismatchError("generators mix different rings")
-            gens.append(g.monic())
-        self.G = gens
-        self.reducer = ReducerBasis(gens) if gens else None
+        self.stats = stats
+        self.ring = G[0].ring
+        self.G = list(G)
+        self.reducer = ReducerBasis(G)
         self.queue = []
         self.seq = 0
         self.processed = set()
-        self.exhausted = False
 
     def _push_pairs(self, i, j):
         lm_i, lm_j = self.G[i].lm, self.G[j].lm
@@ -185,12 +188,8 @@ class _Run:
         return False
 
     def run(self):
-        if not self.G:
-            return
-        if any(g.lm.is_one for g in self.G):
-            self.G = [self.ring.one]
-            self.reducer = ReducerBasis(self.G)
-            return
+        """(G, exhausted): the grown basis, or [1] once a unit appears, and
+        whether the pair budget ran out first."""
         for j in range(len(self.G)):
             for i in range(j + 1):
                 self._push_pairs(i, j)
@@ -200,8 +199,7 @@ class _Run:
             i, j, sigma, tau, overlap = entry[-5:]
             pops += 1
             if pops > self.options.max_pair_budget:
-                self.exhausted = True
-                return
+                return self.G, True
             inst = _instance_id(i, sigma, j, tau)
             if self.options.use_chain_criterion and self._chain_skippable(
                     i, sigma, j, tau, overlap):
@@ -217,20 +215,24 @@ class _Run:
             h = tail_reduce(h, self.reducer)
             h = h.monic()
             if h.lm.is_one:
-                self.G = [self.ring.one]
-                self.reducer = ReducerBasis(self.G)
-                return
+                return [self.ring.one], False
             self.G.append(h)
             self.reducer.append(h)
             self.stats.new_elements += 1
             new = len(self.G) - 1
             for t in range(new + 1):
                 self._push_pairs(t, new)
+        return self.G, False
 
 
-def _sorted_elements(ring, elements):
-    key = ring.ordering.monomial_key
-    return tuple(sorted(elements, key=lambda g: key(g.lm)))
+def _sorted(elements):
+    """The elements in increasing order of leading monomial."""
+    return sorted(elements, key=lambda g: g.ring.ordering.monomial_key(g.lm))
+
+
+def _basis(ring, G, kind, stats, bound=None):
+    """The result of a driver: G sorted by leading monomial, its status."""
+    return SigmaBasis(ring, tuple(_sorted(G)), CompletionStatus(kind, bound), stats)
 
 
 def _resolve(options, overrides):
@@ -244,18 +246,16 @@ def _resolve(options, overrides):
 def _complete(generators, options, overrides, bound=None):
     """One completion run, unbounded or truncated at the order bound."""
     options = _resolve(options, overrides)
-    generators = list(generators)
-    kept = generators if bound is None else [g for g in generators if g.order <= bound]
-    run = _Run(kept, options, bound=bound)
+    ring, G = _monic_generators(generators)
+    if bound is not None:
+        G = [g for g in G if g.order <= bound]
     kind = "complete" if bound is None else "complete_up_to_order"
-    if run.ring is None:
-        ring = generators[0].ring if generators else None
-        return SigmaBasis(ring, (), CompletionStatus(kind, bound), PairStats())
-    run.run()
-    if run.exhausted:
-        kind = "budget_exhausted"
-    return SigmaBasis(run.ring, _sorted_elements(run.ring, run.G),
-                      CompletionStatus(kind, bound), run.stats)
+    stats = PairStats()
+    if G and not G[0].lm.is_one:
+        G, exhausted = _Run(G, options, bound, stats).run()
+        if exhausted:
+            kind = "budget_exhausted"
+    return _basis(ring, G, kind, stats, bound)
 
 
 def sigma_gbasis(generators, options=None, **overrides):
@@ -282,34 +282,23 @@ def sigma_gbasis_adaptive(generators, options=None, **overrides):
     into a budget_exhausted status.
     """
     options = _resolve(options, overrides)
-    generators = [g for g in generators if g]
-    if not generators:
-        return SigmaBasis(None, (), CompletionStatus("complete"), PairStats())
-    ring = generators[0].ring
-    if not ring.ordering.is_order_compatible:
+    ring, G = _monic_generators(generators)
+    if G and not ring.ordering.is_order_compatible:
         raise ValueError("adaptive completion requires an order-compatible ordering")
-    G = [g.monic() for g in generators]
     stats = PairStats(sweeps=0)
     bound = None
-    while True:
-        if any(g.lm.is_one for g in G):
-            return SigmaBasis(ring, (ring.one,), CompletionStatus("complete"), stats)
+    while G and not G[0].lm.is_one:
         d = max(g.lm.order for g in G)
         if bound is not None and bound >= 2 * d:
             break
         bound = 2 * d
         if bound > options.max_order_cap:
-            return SigmaBasis(ring, _sorted_elements(ring, G),
-                              CompletionStatus("budget_exhausted"), stats)
-        run = _Run(G, options, bound=bound)
-        run.run()
-        stats.merge(run.stats)
+            return _basis(ring, G, "budget_exhausted", stats)
+        G, exhausted = _Run(G, options, bound, stats).run()
         stats.sweeps += 1
-        if run.exhausted:
-            return SigmaBasis(ring, _sorted_elements(ring, run.G),
-                              CompletionStatus("budget_exhausted"), stats)
-        G = run.G
-    basis = SigmaBasis(ring, _sorted_elements(ring, G), CompletionStatus("complete"), stats)
+        if exhausted:
+            return _basis(ring, G, "budget_exhausted", stats)
+    basis = _basis(ring, G, "complete", stats)
     report = verify_sigma_gbasis(basis)
     if not report.ok:
         i, j, sigma, tau, h = report.failures[0]
@@ -334,14 +323,11 @@ def verify_sigma_gbasis(basis_or_elements):
     """Finite completeness check: every surviving critical pair must reduce
     to zero against shifts of degree at most twice the maximal leading
     order.  Requires an order-compatible ordering."""
-    elements = [g for g in basis_or_elements if g]
+    ring, elements = _monic_generators(basis_or_elements)
     if not elements:
         return VerificationReport(True, [])
-    ring = elements[0].ring
     if not ring.ordering.is_order_compatible:
         raise ValueError("verification requires an order-compatible ordering")
-    if any(g.lm.is_one for g in elements):
-        return VerificationReport(True, [])
     d = max(g.lm.order for g in elements)
     reducer = ReducerBasis(elements, max_shift_deg=2 * d)
     failures = []
@@ -358,10 +344,17 @@ def verify_sigma_gbasis(basis_or_elements):
     return VerificationReport(not failures, failures, checked)
 
 
-def _minimalize_elements(ring, elements):
-    key = ring.ordering.monomial_key
+def _same_kind(basis, elements):
+    """The elements as a SigmaBasis with the status and stats of basis
+    when basis is one, else as a list."""
+    if isinstance(basis, SigmaBasis):
+        return replace(basis, elements=tuple(elements))
+    return list(elements)
+
+
+def _minimalize_elements(elements):
     reducer = None
-    for g in sorted(elements, key=lambda g: key(g.lm)):
+    for g in _sorted(elements):
         if reducer is None:
             reducer = ReducerBasis([g])
         elif reducer.find_divisor(g.lm) is None:
@@ -372,37 +365,20 @@ def _minimalize_elements(ring, elements):
 def minimalize(basis):
     """Drop every element whose leading monomial is reachable from another
     element's leading monomial by shifting and multiplying."""
-    if isinstance(basis, SigmaBasis):
-        kept = _minimalize_elements(basis.ring, basis.elements)
-        return SigmaBasis(basis.ring, tuple(kept), basis.status, basis.stats)
-    elements = list(basis)
-    if not elements:
-        return []
-    return _minimalize_elements(elements[0].ring, elements)
+    return _same_kind(basis, _minimalize_elements(basis))
 
 
 def interreduce(basis):
     """Minimalize, then tail-reduce every survivor against the others until
     nothing changes; results are monic.  On a complete basis this yields
     the canonical reduced basis."""
-    is_sigma = isinstance(basis, SigmaBasis)
-    elements = list(basis.elements if is_sigma else basis)
-    if elements:
-        ring = elements[0].ring
-        elements = _minimalize_elements(ring, elements)
-        changed = True
-        while changed:
-            changed = False
-            for idx in range(len(elements)):
-                others = elements[:idx] + elements[idx + 1:]
-                if not others:
-                    new = elements[idx].monic()
-                else:
-                    new = reduce_full(elements[idx], others)
-                if new != elements[idx]:
-                    elements[idx] = new
-                    changed = True
-        elements = sorted(elements, key=lambda g: ring.ordering.monomial_key(g.lm))
-    if is_sigma:
-        return SigmaBasis(basis.ring, tuple(elements), basis.status, basis.stats)
-    return elements
+    elements = _minimalize_elements(basis)
+    changed = True
+    while changed:
+        changed = False
+        for idx in range(len(elements)):
+            new = reduce_full(elements[idx], elements[:idx] + elements[idx + 1:])
+            if new != elements[idx]:
+                elements[idx] = new
+                changed = True
+    return _same_kind(basis, _sorted(elements))

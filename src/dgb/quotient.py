@@ -241,9 +241,11 @@ class PermutationAction:
     def __init__(self, cycles, degree=None, symbols=None, parameters=()):
         if isinstance(cycles, str):
             cycles = parse_cycles(cycles)
-        cycles = [tuple(int(p) for p in c) for c in cycles if c]
+        cycles = [tuple(int(p) for p in c) for c in cycles]
         seen = set()
         for c in cycles:
+            if not c:
+                raise ValueError("empty cycle in permutation")
             for p in c:
                 if p < 1:
                     raise ValueError("cycle points are 1-based positive integers")
@@ -278,10 +280,7 @@ class PermutationAction:
         return math.lcm(*self.cycle_lengths)
 
     def relations(self):
-        out = []
-        for i, d in enumerate(self.cycle_lengths):
-            out.append(self.ring.var(i, (d,)) - self.ring.var(i, (0,)))
-        return out
+        return self.presentation().relation_polynomials
 
     def presentation(self) -> QuotientPresentation:
         rels = []

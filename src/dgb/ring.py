@@ -80,10 +80,6 @@ class Monomial:
 
     ONE: "Monomial"
 
-    @classmethod
-    def variable(cls, symbol, shift, exp=1):
-        return cls(((VarRef(symbol, tuple(shift)), exp),))
-
     @property
     def is_one(self):
         return not self.factors

@@ -72,6 +72,21 @@ def test_parse_error_duplicate_ring():
         parse_problem(text)
 
 
+@pytest.mark.parametrize("symmetric,message,line", [
+    ("symmetric { perm: (1 2); perm: (1 2 3); }", "duplicate perm item", 2),
+    ("symmetric { perm: (1 2); }\nsymmetric { perm: (1 2 3 4); }",
+     "duplicate symmetric block", 3),
+])
+def test_cli_repeated_permutation_is_an_error(tmp_path, capsys, symmetric, message, line):
+    gens = tmp_path / "gens.dgb"
+    gens.write_text("ring { shifts: 1; symbols: x; }\n" + symmetric + "\n")
+    with pytest.raises(ParseError) as err:
+        parse_problem(gens.read_text())
+    assert (err.value.message, err.value.line) == (message, line)
+    assert run(["symmetric", "--gens", str(gens)]) == 1
+    assert capsys.readouterr().err.startswith(f"dgb: {message} at line {line}")
+
+
 def test_parse_coefficient_forms():
     ring = parse_problem(RING_HEADER).ring
     H = ring.constant(ring.field.parameter("H"))
@@ -186,6 +201,12 @@ def test_cli_parse_error_exit_one(tmp_path, capsys):
 
 def test_cli_missing_file_exit_one(capsys):
     assert run(["compute", "--input", "/nonexistent/nope.dgb"]) == 1
+
+
+def test_cli_unreadable_input_exit_one(tmp_path, capsys):
+    assert run(["compute", "--input", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dgb:") and "Traceback" not in err
 
 
 def test_cli_negative_truncation_exit_one(tmp_path, capsys):

@@ -4,8 +4,9 @@ from operator import add
 import pytest
 
 import classical
-from dgb import OrderingSpec, spoly
-from dgb.completion import (interreduce, minimalize, shift_pair_candidates,
+from dgb import OrderingSpec, RingMismatchError, spoly
+from dgb.completion import (PairStats, interreduce, minimalize,
+                            shift_pair_candidates,
                             sigma_gbasis, sigma_gbasis_adaptive,
                             sigma_gbasis_truncated, verify_sigma_gbasis)
 from dgb.orderings import DEGLEX, DEGREVLEX, LEX
@@ -457,3 +458,68 @@ def test_adaptive_agrees_with_plain_when_both_complete():
         if adaptive.status.kind != "complete":
             continue
         assert set(interreduce(plain).elements) == set(interreduce(adaptive).elements)
+
+
+# --- one pipeline for plain, truncated and adaptive completion ------------------
+
+
+DRIVERS = [
+    pytest.param(sigma_gbasis, "complete", id="plain"),
+    pytest.param(lambda gens: sigma_gbasis_truncated(gens, 2), "complete_up_to_order",
+                 id="truncated"),
+    pytest.param(sigma_gbasis_adaptive, "complete", id="adaptive"),
+]
+
+
+@pytest.mark.parametrize("driver,kind", DRIVERS)
+def test_zero_input_keeps_its_ring(driver, kind):
+    ring = R1()
+    basis = driver([ring.zero])
+    assert basis.elements == ()
+    assert basis.ring is ring
+    assert basis.status.kind == kind
+
+
+@pytest.mark.parametrize("driver,kind", DRIVERS)
+def test_unit_generator_gives_one_without_pairs(driver, kind):
+    ring = R1()
+    basis = driver([x(ring, 0) * x(ring, 2) - x(ring, 1, 2), ring.constant(3)])
+    assert basis.elements == (ring.one,)
+    assert basis.status.kind == kind
+    counts = basis.stats.as_dict()
+    del counts["sweeps"]
+    assert set(counts.values()) == {0}
+
+
+@pytest.mark.parametrize("driver,kind", DRIVERS)
+def test_mixed_rings_are_rejected(driver, kind):
+    ring, other = R1(), make_ring(1, ("y",))
+    f = x(ring, 1) - x(ring, 0)
+    for gens in ([f, other.var("y", (0,))], [f, other.zero],
+                 [f, other.var("y", (5,))]):  # above the truncation bound
+        with pytest.raises(RingMismatchError):
+            driver(gens)
+        with pytest.raises(RingMismatchError):
+            verify_sigma_gbasis(gens)
+
+
+@pytest.mark.parametrize("seed,cap,kind,stats", [
+    (9, 8, "complete", PairStats(generated=390, killed_sigma=286, killed_chain=218,
+                                 killed_truncation=37, reduced_to_zero=164,
+                                 new_elements=8, sweeps=3)),
+    (25, 8, "complete", PairStats(generated=356, killed_sigma=120, killed_chain=250,
+                                  killed_truncation=76, reduced_to_zero=99,
+                                  new_elements=7, sweeps=3)),
+    (25, 2, "budget_exhausted", PairStats(generated=42, killed_sigma=34,
+                                          killed_chain=19, killed_truncation=70,
+                                          reduced_to_zero=17, new_elements=6,
+                                          sweeps=1)),
+])
+def test_adaptive_sweeps_share_one_stats(seed, cap, kind, stats):
+    rng = random.Random(seed)
+    ring = make_ring(rng.choice([1, 2]), ("x", "y")[:rng.choice([1, 2])])
+    gens = [random_polynomial(rng, ring, max_terms=2, max_shift_deg=1) for _ in range(2)]
+    gens = [g for g in gens if g]
+    basis = sigma_gbasis_adaptive(gens, max_pair_budget=300, max_order_cap=cap)
+    assert basis.status.kind == kind
+    assert basis.stats == stats

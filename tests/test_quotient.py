@@ -203,6 +203,22 @@ def test_permutation_normalization():
         "x1(3) - x1(0)", "x2(2) - x2(0)", "x3(1) - x3(0)"]
 
 
+def test_cycle_relations_by_hand():
+    action = PermutationAction("(1 2 3)(4 5)")
+    ring = action.ring
+    assert action.relations() == [ring.var("x1", (3,)) - ring.var("x1", (0,)),
+                                  ring.var("x2", (2,)) - ring.var("x2", (0,))]
+
+
+def test_empty_cycle_same_error_as_list_or_text():
+    messages = set()
+    for cycles in ([(), (1, 2)], "()(1 2)"):
+        with pytest.raises(ValueError) as err:
+            PermutationAction(cycles)
+        messages.add(str(err.value))
+    assert messages == {"empty cycle in permutation"}
+
+
 def test_permutation_validation():
     with pytest.raises(ValueError):
         PermutationAction([(1, 2), (2, 3)])
