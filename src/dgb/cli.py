@@ -30,9 +30,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .completion import (CompletionOptions, interreduce, minimalize,
                          sigma_gbasis, sigma_gbasis_adaptive,
@@ -47,14 +49,14 @@ from .reduction import replay_certificate
 from .ring import (DifferenceRing, Monomial, Signature, format_monomial,
                    format_polynomial)
 
-_PUNCT = set("{}()[]=,;:^*/+->")
+_TOKEN = re.compile(r"(?P<nl>\n)|[ \t\r]+|#[^\n]*|(?P<int>\d+)|(?P<ident>[^\W\d]\w*)"
+                    r"|(?P<punct>[{}()\[\]=,;:^*/+\->])")
 
 
 # --- tokenizer -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | int | punct | eof
     value: str
     line: int
@@ -63,48 +65,19 @@ class Token:
 
 def tokenize(text):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _PUNCT:
-            tokens.append(Token("punct", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start, end = 1, 0, 0
+    for match in _TOKEN.finditer(text):
+        if match.start() != end:
+            break
+        end = match.end()
+        kind = match.lastgroup
+        if kind == "nl":
+            line, line_start = line + 1, end
+        elif kind:
+            tokens.append(Token(kind, match.group(), line, match.start() - line_start + 1))
+    if end < len(text):
+        raise ParseError(f"unexpected character {text[end]!r}", line, end - line_start + 1)
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
@@ -160,7 +133,7 @@ class _Parser:
                     self.fail(f"duplicate {tok.value} block", tok)
                 seen.add(tok.value)
             if tok.value == "ring":
-                ring = self.parse_ring_block()
+                ring = self.parse_ring_block(tok)
             elif tok.value == "ideal":
                 if ring is None:
                     self.fail("ideal block before ring block", tok)
@@ -175,12 +148,12 @@ class _Parser:
             raise ParseError("problem file has no ring block")
         return ProblemFile(ring, polynomials, permutation)
 
-    def parse_ring_block(self):
+    def parse_ring_block(self, ring_tok):
         self.expect("{")
         shifts = None
         symbols = None
         parameters = ()
-        order_parts = None
+        order = None
         while not self.at("}"):
             tok = self.next()
             if tok.value == "shifts":
@@ -197,20 +170,20 @@ class _Parser:
                 parameters = self.parse_ident_list(allow_empty=True)
             elif tok.value == "order":
                 self.expect(":")
-                order_parts = self.parse_order_spec()
+                order = (tok, self.parse_order_spec())
             else:
                 self.fail(f"unknown ring item {tok.value!r}", tok)
             self.expect(";")
-        self.expect("}")
+        close = self.expect("}")
         if shifts is None:
-            raise ParseError("ring block is missing 'shifts'")
+            self.fail("ring block is missing 'shifts'", close)
         if symbols is None:
-            raise ParseError("ring block is missing 'symbols'")
+            self.fail("ring block is missing 'symbols'", close)
         try:
             signature = Signature(shifts, symbols, parameters)
         except ValueError as exc:
-            raise ParseError(str(exc)) from None
-        spec = self.resolve_order_spec(order_parts, signature)
+            self.fail(str(exc), ring_tok)
+        spec = self.resolve_order_spec(order, signature)
         return DifferenceRing(signature, spec)
 
     def parse_ident_list(self, allow_empty=False):
@@ -251,18 +224,17 @@ class _Parser:
         self.expect("]")
         return tok.value, names
 
-    def resolve_order_spec(self, parts, signature):
-        if parts is None:
+    def resolve_order_spec(self, order, signature):
+        if order is None:
             return OrderingSpec()
-        shift_name, shift_names, symbol_name, symbol_names = parts
+        tok, (shift_name, shift_names, symbol_name, symbol_names) = order
         expected = [f"s{i + 1}" for i in range(signature.shift_rank)]
         if sorted(shift_names) != sorted(expected):
-            raise ParseError(
-                f"shift priority must name {', '.join(expected)} exactly once each")
+            self.fail(
+                f"shift priority must name {', '.join(expected)} exactly once each", tok)
         shift_prio = tuple(int(name[1:]) - 1 for name in shift_names)
         if sorted(symbol_names) != sorted(signature.symbols):
-            raise ParseError(
-                "symbol priority must name every declared symbol exactly once")
+            self.fail("symbol priority must name every declared symbol exactly once", tok)
         symbol_prio = tuple(signature.symbols.index(name) for name in symbol_names)
         return OrderingSpec(shift_name, shift_prio, symbol_name, symbol_prio)
 
@@ -448,45 +420,34 @@ class RunReport:
     status: str
     exit_code: int
     config: dict
-    basis: list = None
-    leading_monomials: list = None
-    stats: dict = None
-    membership: list = None
+    fields: dict = field(default_factory=dict)
     wall_clock_seconds: float = 0.0
-    details: dict = field(default_factory=dict)
 
     def to_json(self):
-        out = {
+        return {
             "command": self.command,
             "status": self.status,
             "exit_code": self.exit_code,
             "config": self.config,
             "wall_clock_seconds": self.wall_clock_seconds,
+            "membership": None,
+            **self.fields,
         }
-        if self.basis is not None:
-            out["basis"] = self.basis
-        if self.leading_monomials is not None:
-            out["leading_monomials"] = self.leading_monomials
-        if self.stats is not None:
-            out["stats"] = self.stats
-        out["membership"] = self.membership
-        out.update(self.details)
-        return out
 
     def to_text(self):
         lines = [f"status: {self.status}"]
-        if self.basis is not None:
-            lines.append(f"basis ({len(self.basis)} elements):")
-            lines.extend(f"  {p}" for p in self.basis)
-        if self.leading_monomials is not None:
-            lines.append("leading monomials: " + ", ".join(self.leading_monomials))
-        if self.membership is not None:
-            lines.append(f"membership table: {self.membership}")
-        if self.stats is not None:
-            pairs = ", ".join(f"{k}={v}" for k, v in self.stats.items())
-            lines.append(f"pairs: {pairs}")
-        for key, value in self.details.items():
-            if isinstance(value, list):
+        for key, value in self.fields.items():
+            if key == "basis":
+                lines.append(f"basis ({len(value)} elements):")
+                lines.extend(f"  {p}" for p in value)
+            elif key == "leading_monomials":
+                lines.append("leading monomials: " + ", ".join(value))
+            elif key == "membership":
+                if value is not None:
+                    lines.append(f"membership table: {value}")
+            elif key == "stats":
+                lines.append("pairs: " + ", ".join(f"{k}={v}" for k, v in value.items()))
+            elif isinstance(value, list):
                 lines.append(f"{key}:")
                 lines.extend(f"  {v}" for v in value)
             else:
@@ -581,18 +542,20 @@ def _completion_options(args) -> CompletionOptions:
 
 def _basis_report(command, args, basis, config) -> RunReport:
     ring = basis.ring
-    elements = [format_polynomial(g) for g in basis.elements]
-    lms = [format_monomial(g.lm, ring) for g in basis.elements]
     membership = None
     if basis.elements:
         table = pure_power_table(ring, [g.lm for g in basis.elements])
         if all(k is not None for row in table for k in row):
             membership = table
-    status = str(basis.status)
+    fields = {
+        "basis": [format_polynomial(g) for g in basis.elements],
+        "leading_monomials": [format_monomial(g.lm, ring) for g in basis.elements],
+        "membership": membership,
+    }
+    if getattr(args, "stats", False):
+        fields["stats"] = basis.stats.as_dict()
     exit_code = 2 if basis.status.kind == "budget_exhausted" else 0
-    stats = basis.stats.as_dict() if getattr(args, "stats", False) else None
-    return RunReport(command, status, exit_code, config, elements, lms, stats,
-                     membership)
+    return RunReport(command, str(basis.status), exit_code, config, fields)
 
 
 def _cmd_compute(args) -> RunReport:
@@ -627,13 +590,14 @@ def _cmd_verify(args) -> RunReport:
     problem = _load_problem(args.input)
     report = verify_sigma_gbasis(problem.polynomials)
     config = {"input": args.input, "order": format_ordering(problem.ring)}
-    details = {"checked_pairs": report.checked_pairs}
+    fields = {"checked_pairs": report.checked_pairs}
     if not report.ok:
-        ring = problem.ring
-        details["failures"] = [
+        # the verifier numbers nonzero generators; report ideal-block positions
+        positions = [k for k, g in enumerate(problem.polynomials) if g]
+        fields["failures"] = [
             {
-                "left_index": i,
-                "right_index": j,
+                "left_index": positions[i],
+                "right_index": positions[j],
                 "left_shift": list(si),
                 "right_shift": list(sj),
                 "remainder": format_polynomial(rem),
@@ -641,20 +605,22 @@ def _cmd_verify(args) -> RunReport:
             for i, j, si, sj, rem in report.failures
         ]
     return RunReport("verify", "verified" if report.ok else "not_a_basis",
-                     0 if report.ok else 2, config, details=details)
+                     0 if report.ok else 2, config, fields)
 
 
 def _cmd_reduce(args) -> RunReport:
     problem = _load_problem(args.input)
     poly = parse_polynomial(problem.ring, args.poly)
-    basis = [g for g in problem.polynomials if g]
-    details = {}
+    # certificates number nonzero generators; report ideal-block positions
+    positions = [k for k, g in enumerate(problem.polynomials) if g]
+    basis = [problem.polynomials[k] for k in positions]
+    fields = {}
     if args.certificate:
         remainder, steps = head_reduce(poly, basis, certificate=True)
         replay = replay_certificate(remainder, steps, basis)
-        details["certificate"] = [
+        fields["certificate"] = [
             {
-                "basis_index": index,
+                "basis_index": positions[index],
                 "shift": list(shift),
                 "cofactor": format_monomial(cofactor, problem.ring),
                 "coefficient": problem.ring.field.format(coeff).body,
@@ -662,12 +628,12 @@ def _cmd_reduce(args) -> RunReport:
             }
             for coeff, cofactor, shift, index in steps
         ]
-        details["certificate_ok"] = replay == poly
+        fields["certificate_ok"] = replay == poly
     else:
         remainder = head_reduce(poly, basis)
-    details["remainder"] = format_polynomial(remainder)
+    fields["remainder"] = format_polynomial(remainder)
     config = {"input": args.input, "poly": args.poly}
-    return RunReport("reduce", "reduced", 0, config, details=details)
+    return RunReport("reduce", "reduced", 0, config, fields)
 
 
 def _cmd_symmetric(args) -> RunReport:
@@ -695,8 +661,8 @@ def _cmd_symmetric(args) -> RunReport:
     report = _basis_report("symmetric", args, basis, config)
     if args.classical:
         classical = expand_classical_basis(action, basis.elements)
-        report.details["classical_basis"] = [format_polynomial(g) for g in classical]
-        report.details["classical_count"] = len(classical)
+        report.fields["classical_basis"] = [format_polynomial(g) for g in classical]
+        report.fields["classical_count"] = len(classical)
     return report
 
 
@@ -711,9 +677,9 @@ def _cmd_normal_form(args) -> RunReport:
     var = target.lm.factors[0][0]
     nf = presentation.normal_form_variable(var)
     config = {"input": args.input, "var": args.var}
-    details = {"normal_form": format_polynomial(nf),
-               "normal_variables": presentation.dimension}
-    return RunReport("normal-form", "ok", 0, config, details=details)
+    fields = {"normal_form": format_polynomial(nf),
+              "normal_variables": presentation.dimension}
+    return RunReport("normal-form", "ok", 0, config, fields)
 
 
 def _presentation_from_polynomials(ring, polynomials) -> QuotientPresentation:

@@ -181,16 +181,16 @@ def tail_reduce(f: Polynomial, G):
     basis = _as_basis(G)
     if basis is None:
         return f
-    done = f.ring.zero
+    # each kept lead is below every earlier one, so the kept terms stay sorted
+    terms = []
     h = f
     while h:
         h = reduce(h, basis)
         if not h:
             break
-        lead = Polynomial(h.ring, h.terms[:1])
-        done = done + lead
-        h = h - lead
-    return done
+        terms.append(h.terms[0])
+        h = Polynomial(h.ring, h.terms[1:])
+    return Polynomial(f.ring, tuple(terms))
 
 
 def reduce_full(f: Polynomial, G):

@@ -191,11 +191,9 @@ class DifferenceRing:
 
     __slots__ = ("signature", "field", "ordering", "zero", "one")
 
-    def __init__(self, signature, ordering_spec=None, field=None):
+    def __init__(self, signature, ordering_spec=None):
         self.signature = signature
-        self.field = field or ConstantField(signature.parameters)
-        if self.field.parameters != signature.parameters:
-            raise ValueError("field parameters do not match the signature")
+        self.field = ConstantField(signature.parameters)
         spec = ordering_spec or OrderingSpec()
         self.ordering = Ordering(signature.shift_rank, len(signature.symbols), spec)
         self.zero = Polynomial(self, ())

@@ -9,7 +9,7 @@ from dgb import (InternalCheckError, LinearRelation, ParseError,
                  QuotientPresentation, VarRef, format_polynomial)
 from dgb import completion, reduction
 from dgb.cli import (format_ordering, parse_polynomial, parse_problem, run,
-                     serialize_basis)
+                     Token, serialize_basis, tokenize)
 from dgb.completion import VerificationReport, sigma_gbasis
 
 from helpers import make_ring, random_polynomial
@@ -70,6 +70,124 @@ def test_parse_error_duplicate_ring():
     text = RING_HEADER + RING_HEADER
     with pytest.raises(ParseError):
         parse_problem(text)
+
+
+def _reference_tokenize(text):
+    """The character loop that tokenize replaced, kept as the reference."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(Token("int", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(Token("ident", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c in "{}()[]=,;:^*/+->":
+            tokens.append(Token("punct", c, line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {c!r}", line, col)
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+def _tokens(tokenizer, text):
+    """(kind, value, line, column) of each token, or the ParseError's
+    (message, line, column)."""
+    try:
+        return [(tok.kind, tok.value, tok.line, tok.column) for tok in tokenizer(text)]
+    except ParseError as exc:
+        return (exc.message, exc.line, exc.column)
+
+
+_AS_LETTER = {"²": "Z", "½": "W"}
+
+
+def _expected_tokens(text):
+    """The reference result with the only two intended differences: an
+    alphanumeric character that is neither a letter nor a decimal digit,
+    such as ² or ½, lexes like a letter (a stand-in letter is lexed in its
+    place), and after a final comment with no newline the eof column is at
+    the end of the text rather than at the '#'."""
+    for char, letter in _AS_LETTER.items():
+        text = text.replace(char, letter)
+    out = _tokens(_reference_tokenize, text)
+    if isinstance(out, tuple):
+        return out
+    for char, letter in _AS_LETTER.items():
+        out = [(kind, value.replace(letter, char), line, col)
+               for kind, value, line, col in out]
+    last_line = text[text.rfind("\n") + 1:]
+    if "#" in last_line:
+        kind, value, line, _ = out[-1]
+        out[-1] = (kind, value, line, len(last_line) + 1)
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.dgb")) + sorted(
+    (Path(__file__).parent.parent / "perfbench" / "data").glob("*.dgb")),
+    ids=lambda path: path.name)
+def test_tokenize_matches_reference_on_data_files(path):
+    text = path.read_text()
+    assert _tokens(tokenize, text) == _tokens(_reference_tokenize, text)
+
+
+def test_tokenize_matches_reference_on_random_text():
+    rng = random.Random(8)
+    alphabet = "xyH_s09{}()[]=,;:^*/+->#$ \t\r\n²½"
+    changed = 0
+    for _ in range(3000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
+        got = _tokens(tokenize, text)
+        assert got == _expected_tokens(text), text
+        changed += got != _tokens(_reference_tokenize, text)
+    assert changed > 100
+
+
+def test_tokenize_intended_differences(tmp_path, capsys):
+    assert _tokens(_reference_tokenize, "x # c")[-1] == ("eof", "", 1, 3)
+    assert _tokens(tokenize, "x # c")[-1] == ("eof", "", 1, 6)
+    assert _tokens(_reference_tokenize, "1²")[0] == ("int", "1²", 1, 1)
+    assert _tokens(tokenize, "1²")[:2] == [("int", "1", 1, 1), ("ident", "²", 1, 2)]
+    assert _tokens(_reference_tokenize, "½") == ("unexpected character '½'", 1, 1)
+    assert _tokens(tokenize, "½")[0] == ("ident", "½", 1, 1)
+    prob = tmp_path / "p.dgb"
+    prob.write_text("ring { shifts: 1; symbols: x; }\nideal { x(1) - ²; }\n")
+    assert run(["compute", "--input", str(prob)]) == 1
+    assert capsys.readouterr().err == "dgb: unknown symbol '²' at line 2, column 16\n"
+    prob.write_text("ring { shifts: 1; symbols: x; }\nideal { x(1) # c")
+    assert run(["compute", "--input", str(prob)]) == 1
+    assert capsys.readouterr().err == (
+        "dgb: expected ';', found end of input at line 2, column 17\n")
 
 
 @pytest.mark.parametrize("symmetric,message,line", [
@@ -301,6 +419,27 @@ def test_cli_reduce_with_certificate(tmp_path, capsys):
     assert len(out["certificate"]) >= 2
 
 
+def test_cli_verify_indices_are_file_positions(tmp_path, capsys):
+    prob = tmp_path / "p.dgb"
+    prob.write_text("ring { shifts: 1; symbols: x; }\n"
+                    "ideal { 0; x(1)^2 - x(0); x(1)*x(0) - x(0); }\n")
+    assert run(["verify", "--input", str(prob), "--json"]) == 2
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert [(f["left_index"], f["right_index"]) for f in failures] == [
+        (1, 2), (1, 2), (2, 2)]
+
+
+def test_cli_reduce_certificate_indices_are_file_positions(tmp_path, capsys):
+    prob = tmp_path / "p.dgb"
+    prob.write_text("ring { shifts: 1; symbols: x; }\n"
+                    "ideal { 0; x(2)*x(0) - x(1); 0; x(1)^2 - x(0); }\n")
+    assert run(["reduce", "--input", str(prob), "--poly", "x(3)^2 + x(2)*x(0)",
+                "--certificate", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["certificate_ok"] is True
+    assert sorted({step["basis_index"] for step in out["certificate"]}) == [1, 3]
+
+
 def test_cli_symmetric_trivial(tmp_path, capsys):
     gens = tmp_path / "gens.dgb"
     gens.write_text("ring { shifts: 1; symbols: x; }\nideal { x(0); }\n")
@@ -354,6 +493,24 @@ def test_cli_non_integer_shift_rank(tmp_path, capsys):
     assert run(["compute", "--input", str(prob)]) == 1
     assert capsys.readouterr().err.strip() == (
         "dgb: expected an integer shift rank at line 2, column 11")
+
+
+@pytest.mark.parametrize("ring_block, message, position", [
+    ("ring {\n  shifts: 0;\n  symbols: x;\n}", "shift rank must be at least 1", (1, 1)),
+    ("\nring { shifts: 1; symbols: x, x; }",
+     "symbol and parameter names must be distinct", (2, 1)),
+    ("ring {\n  symbols: x;\n}", "ring block is missing 'shifts'", (3, 1)),
+    ("ring { shifts: 1; }", "ring block is missing 'symbols'", (1, 19)),
+    ("ring { shifts: 1; symbols: x;\n  order: block(shifts=lex[s1], symbols=lex[y]); }",
+     "symbol priority must name every declared symbol exactly once", (2, 3)),
+    ("ring { shifts: 2; symbols: x;\n  order: block(shifts=lex[s1], symbols=lex[x]); }",
+     "shift priority must name s1, s2 exactly once each", (2, 3)),
+])
+def test_ring_block_errors_carry_positions(ring_block, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_problem(ring_block + "\n")
+    assert err.value.message == message
+    assert (err.value.line, err.value.column) == position
 
 
 @pytest.mark.parametrize("perm,count", [("(1 2 3)", 1), ("(1 2)(4 5)", 3)])
@@ -498,6 +655,47 @@ def test_text_reports(tmp_path, capsys):
         "'right_shift': [1], 'remainder': '-x(2)*x(0) + x(1)^2'}",
         "  {'left_index': 1, 'right_index': 1, 'left_shift': [0], "
         "'right_shift': [1], 'remainder': '-x(2)*x(0) + x(1)*x(0)'}",
+    ]
+
+    small = tmp_path / "small.dgb"
+    small.write_text("ring { shifts: 1; symbols: x; }\nideal { x(1) - x(0); }\n")
+    step = ("  {{'basis_index': 0, 'shift': [{}], 'cofactor': '{}', "
+            "'coefficient': '1', 'coefficient_negative': False}}")
+    assert report_lines(["reduce", "--input", str(small), "--poly", "x(3)*x(2)",
+                         "--certificate"], 0) == [
+        "status: reduced",
+        "certificate:",
+        step.format(1, "x(3)"),
+        step.format(0, "x(3)"),
+        step.format(2, "x(0)"),
+        step.format(1, "x(0)"),
+        step.format(0, "x(0)"),
+        "certificate_ok: True",
+        "remainder: x(0)^2",
+    ]
+    assert report_lines(["symmetric", "--perm", "(1 2 3 4)", "--gens", str(small),
+                         "--classical", "--stats"], 0) == [
+        "status: complete",
+        "basis (1 elements):",
+        "  x(1) - x(0)",
+        "leading monomials: x(1)",
+        "membership table: [[1]]",
+        "pairs: generated=1, killed_product=0, killed_sigma=2, killed_chain=0, "
+        "killed_truncation=0, reduced_to_zero=1, new_elements=0, sweeps=1",
+        "classical_basis:",
+        "  x(1) - x(0)",
+        "  x(2) - x(1)",
+        "  x(3) - x(2)",
+        "classical_count: 3",
+    ]
+    nf = tmp_path / "nf.dgb"
+    nf.write_text("ring { shifts: 1; symbols: x; parameters: H; }\n"
+                  "ideal { H*x(2) - (H+1)*x(1) + 1/2*x(0); }\n")
+    assert report_lines(["normal-form", "--input", str(nf), "--var", "x(4)"], 0) == [
+        "status: ok",
+        "normal_form: ((H^3 + 2*H^2 + 2*H + 1)/H^3)*x(1)"
+        " - ((2*H^2 + 3*H + 2)/(4*H^3))*x(0)",
+        "normal_variables: 2",
     ]
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dgb import Monomial
+from dgb import Monomial, Polynomial
 from dgb.reduction import (ReducerBasis, reduce, reduce_full,
                            replay_certificate, tail_reduce)
 
@@ -131,6 +131,40 @@ def test_tail_reduce_keeps_scale(R1):
     g = x(R1, 1) - x(R1, 0)
     f = (x(R1, 2)).scale(R1.field.rational(-5))
     assert tail_reduce(f, [g]) == x(R1, 0).scale(R1.field.rational(-5))
+
+
+def _reference_tail_reduce(f, G):
+    """The term-by-term loop that tail_reduce replaced: each irreducible
+    leading term is merged into the result and subtracted from the rest."""
+    done = f.ring.zero
+    h = f
+    while h:
+        h = reduce(h, G)
+        if not h:
+            break
+        lead = Polynomial(h.ring, h.terms[:1])
+        done = done + lead
+        h = h - lead
+    return done
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("parameters", [(), ("H",)])
+def test_tail_reduce_matches_reference(rank, parameters):
+    ring = make_ring(rank, ("x", "y"), parameters)
+    rng = random.Random(20 + rank + len(parameters))
+    scale = ring.constant(ring.field.parameter("H")) if parameters else ring.constant(2)
+    zeros = 0
+    for _ in range(15):
+        G = [random_polynomial(rng, ring, max_terms=3) + scale * random_polynomial(
+            rng, ring, max_terms=2) for _ in range(rng.randint(1, 3))]
+        G = [g for g in G if g]
+        for f in (scale * G[0], random_polynomial(rng, ring, max_terms=4, max_shift_deg=3)
+                  - scale * random_polynomial(rng, ring, max_terms=3, max_shift_deg=3)):
+            expected = _reference_tail_reduce(f, G)
+            assert tail_reduce(f, G).terms == expected.terms
+            zeros += not expected
+    assert zeros >= 15
 
 
 def test_multi_factor_anchor():
