@@ -116,6 +116,12 @@ class _Parser:
             self.fail(f"expected {value!r}, found {found}", tok)
         return tok
 
+    def ident(self):
+        tok = self.next()
+        if tok.kind != "ident":
+            self.fail("expected an identifier", tok)
+        return tok.value
+
     def at(self, value):
         return self.peek().value == value
 
@@ -145,7 +151,7 @@ class _Parser:
             else:
                 self.fail(f"unknown section {tok.value!r}", tok)
         if ring is None:
-            raise ParseError("problem file has no ring block")
+            self.fail("problem file has no ring block")
         return ProblemFile(ring, polynomials, permutation)
 
     def parse_ring_block(self, ring_tok):
@@ -191,10 +197,7 @@ class _Parser:
         if allow_empty and self.at(";"):
             return names
         while True:
-            tok = self.next()
-            if tok.kind != "ident":
-                self.fail("expected an identifier", tok)
-            names.append(tok.value)
+            names.append(self.ident())
             if not self.at(","):
                 return names
             self.next()
@@ -217,10 +220,10 @@ class _Parser:
         if tok.value not in _ORDER_NAMES:
             self.fail(f"unknown ordering {tok.value!r}", tok)
         self.expect("[")
-        names = [self.next().value]
+        names = [self.ident()]
         while self.at(">"):
             self.next()
-            names.append(self.next().value)
+            names.append(self.ident())
         self.expect("]")
         return tok.value, names
 
@@ -532,7 +535,10 @@ def _completion_options(args) -> CompletionOptions:
     budget = getattr(args, "pair_budget", None)
     env = os.environ.get("DGB_PAIR_BUDGET")
     if budget is None and env:
-        budget = int(env)
+        try:
+            budget = int(env)
+        except ValueError:
+            raise ValueError(f"DGB_PAIR_BUDGET must be an integer, got {env!r}") from None
     if budget is not None:
         chosen["max_pair_budget"] = budget
     if getattr(args, "order_cap", None) is not None:

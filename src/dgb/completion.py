@@ -5,7 +5,9 @@ constructively: a pair of shifts (s, t) survives both the coprimality
 filter on shifts and the product criterion exactly when it comes from a
 pair of factors with the same symbol in the two leading monomials, with
 the shared gcd divided out.  Pairs are processed by a selection strategy
-keyed on the order bound of the overlap.
+keyed on the order bound of the overlap.  The product criterion lives only
+in this enumeration: the chain test counts a pair of shifted elements as
+certified exactly when it is not waiting in the queue (see _Run).
 
 Every driver is one pipeline: the generators are normalised once (one
 ring, zeros dropped, monic, a unit collapsing to 1), one run of the pair
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import asdict, dataclass, field, replace
-from operator import add, sub
+from operator import sub
 
 from .errors import InternalCheckError, RingMismatchError
 from .reduction import ReducerBasis, reduce, reduce_full, tail_reduce
@@ -114,14 +116,6 @@ def _instance_id(i, si, j, sj):
     return (a, b) if a <= b else (b, a)
 
 
-def _shifted_overlap(lm_a, sa, lm_b, sb):
-    """Whether the two shifted leading monomials share a variable, without
-    materializing the shifted monomials."""
-    moved = {(sym, tuple(map(add, alpha, sa))) for (sym, alpha), _ in lm_a.factors}
-    return any((sym, tuple(map(add, beta, sb))) in moved
-               for (sym, beta), _ in lm_b.factors)
-
-
 def _monic_generators(generators):
     """(ring, G): the ring every generator shares (None when none is
     given) and the nonzero generators made monic, collapsed to [1] when
@@ -141,7 +135,13 @@ def _monic_generators(generators):
 
 class _Run:
     """One pass of the pair loop over a nonempty, non-unit, monic G,
-    adding its pair counts to the given stats."""
+    adding its pair counts to the given stats.
+
+    open holds the ids of the queued pairs not yet treated.  A shifted pair
+    shares a variable iff its id is a candidate, queued once both elements
+    are present; the chain test asks only about pairs whose overlap divides
+    the one in hand, which truncation kept.  So such a pair is certified
+    (product criterion or treated) iff its id is not in open."""
 
     def __init__(self, G, options: CompletionOptions, bound, stats):
         self.options = options
@@ -152,7 +152,7 @@ class _Run:
         self.reducer = ReducerBasis(G)
         self.queue = []
         self.seq = 0
-        self.processed = set()
+        self.open = set()
 
     def _push_pairs(self, i, j):
         lm_i, lm_j = self.G[i].lm, self.G[j].lm
@@ -168,16 +168,15 @@ class _Run:
                 self.stats.killed_truncation += 1
                 continue
             self.stats.generated += 1
-            entry = (bound, key(overlap), self.seq, i, j, sigma, tau, overlap)
+            pair_id = ((i, sigma), (j, tau))  # canonical: min(sigma, tau) == 0
+            self.open.add(pair_id)
+            heapq.heappush(self.queue, (bound, key(overlap), self.seq, pair_id, overlap))
             self.seq += 1
-            heapq.heappush(self.queue, entry)
 
     def _certified(self, i, si, j, sj):
         """Whether the pair of shifted elements (i,si),(j,sj) is already
         known to have a Groebner representation."""
-        if not _shifted_overlap(self.G[i].lm, si, self.G[j].lm, sj):
-            return True  # product criterion
-        return _instance_id(i, si, j, sj) in self.processed
+        return _instance_id(i, si, j, sj) not in self.open
 
     def _chain_skippable(self, i, si, j, sj, overlap):
         for k, nu in self.reducer.iter_divisors(overlap):
@@ -195,20 +194,19 @@ class _Run:
                 self._push_pairs(i, j)
         pops = 0
         while self.queue:
-            entry = heapq.heappop(self.queue)
-            i, j, sigma, tau, overlap = entry[-5:]
+            *_, pair_id, overlap = heapq.heappop(self.queue)
+            (i, sigma), (j, tau) = pair_id
             pops += 1
             if pops > self.options.max_pair_budget:
                 return self.G, True
-            inst = _instance_id(i, sigma, j, tau)
             if self.options.use_chain_criterion and self._chain_skippable(
                     i, sigma, j, tau, overlap):
-                self.processed.add(inst)
+                self.open.remove(pair_id)
                 self.stats.killed_chain += 1
                 continue
             s = spoly(self.G[i].shift(sigma), self.G[j].shift(tau))
             h = reduce(s, self.reducer)
-            self.processed.add(inst)
+            self.open.remove(pair_id)
             if not h:
                 self.stats.reduced_to_zero += 1
                 continue
@@ -369,16 +367,11 @@ def minimalize(basis):
 
 
 def interreduce(basis):
-    """Minimalize, then tail-reduce every survivor against the others until
-    nothing changes; results are monic.  On a complete basis this yields
-    the canonical reduced basis."""
-    elements = _minimalize_elements(basis)
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(elements)):
-            new = reduce_full(elements[idx], elements[:idx] + elements[idx + 1:])
-            if new != elements[idx]:
-                elements[idx] = new
-                changed = True
-    return _same_kind(basis, _sorted(elements))
+    """Minimalize, then tail-reduce each survivor against the smaller
+    reduced ones, in increasing order of leading monomial (a larger one
+    never reaches a lower term); results are monic.  On a complete basis
+    this yields the canonical reduced basis."""
+    reduced = []
+    for g in _minimalize_elements(basis):
+        reduced.append(reduce_full(g, reduced))
+    return _same_kind(basis, reduced)

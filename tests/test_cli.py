@@ -505,6 +505,11 @@ def test_cli_non_integer_shift_rank(tmp_path, capsys):
      "symbol priority must name every declared symbol exactly once", (2, 3)),
     ("ring { shifts: 2; symbols: x;\n  order: block(shifts=lex[s1], symbols=lex[x]); }",
      "shift priority must name s1, s2 exactly once each", (2, 3)),
+    ("", "problem file has no ring block", (2, 1)),
+    ("ring { shifts: 1; symbols: x;\n  order: block(shifts=lex[s1], symbols=lex[x>]); }",
+     "expected an identifier", (2, 46)),
+    ("ring { shifts: 1; symbols: x;\n  order: block(shifts=lex[;], symbols=lex[x]); }",
+     "expected an identifier", (2, 27)),
 ])
 def test_ring_block_errors_carry_positions(ring_block, message, position):
     with pytest.raises(ParseError) as err:
@@ -703,6 +708,7 @@ def test_text_reports(tmp_path, capsys):
     (["--pair-budget", "-5"], None),
     (["--order-cap", "-1"], None),
     ([], "0"),
+    ([], "abc"),
 ])
 def test_cli_rejects_nonpositive_budgets(flags, env, capsys, monkeypatch):
     if env is None:
@@ -714,7 +720,9 @@ def test_cli_rejects_nonpositive_budgets(flags, env, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == "dgb: budget caps must be positive\n"
+    expected = ("DGB_PAIR_BUDGET must be an integer, got 'abc'" if env == "abc"
+                else "budget caps must be positive")
+    assert captured.err == f"dgb: {expected}\n"
 
 
 # --- failed internal self-checks: a typed error, exit code 1 ------------------

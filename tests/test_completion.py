@@ -1,17 +1,18 @@
 import random
 from operator import add
+from pathlib import Path
 
 import pytest
 
 import classical
 from dgb import OrderingSpec, RingMismatchError, spoly
-from dgb.completion import (PairStats, interreduce, minimalize,
-                            shift_pair_candidates,
+from dgb.completion import (PairStats, _instance_id, _minimalize_elements, _Run,
+                            interreduce, minimalize, shift_pair_candidates,
                             sigma_gbasis, sigma_gbasis_adaptive,
                             sigma_gbasis_truncated, verify_sigma_gbasis)
 from dgb.orderings import DEGLEX, DEGREVLEX, LEX
 from dgb.quotient import normal_variables, pure_power_table
-from dgb.reduction import reduce
+from dgb.reduction import reduce, reduce_full
 
 from helpers import (enumerate_up_to_degree, make_ring, mono_to_oracle,
                      oracle_key, random_monomial, random_polynomial, to_oracle)
@@ -99,7 +100,6 @@ def test_linear_family_already_complete():
 
 
 def test_flow_system_plain_mode_and_minimalize():
-    from pathlib import Path
     from dgb.cli import parse_problem
 
     text = (Path(__file__).parent / "data" / "navier_stokes.dgb").read_text()
@@ -180,6 +180,91 @@ def test_discarded_shift_pairs_are_multiples():
                         g.shift(tuple(map(add, tau, delta))))
             small = spoly(f.shift(sigma), g.shift(tau))
             assert big == small.shift(delta)
+
+
+def _reference_shifted_overlap(lm_a, sa, lm_b, sb):
+    """Whether the two shifted leading monomials share a variable: the
+    product criterion as the chain test used to apply it per query."""
+    moved = {(sym, tuple(map(add, alpha, sa))) for (sym, alpha), _ in lm_a.factors}
+    return any((sym, tuple(map(add, beta, sb))) in moved
+               for (sym, beta), _ in lm_b.factors)
+
+
+def _seeded_run(seed, budget):
+    """One seeded completion over rank 1-2, cycling through the three
+    shift orderings and the plain, truncated and adaptive drivers."""
+    rng = random.Random(seed)
+    rank = rng.choice([1, 2])
+    shift_order = (LEX, DEGLEX, DEGREVLEX)[seed % 3]
+    symbols = ("x", "y")[: rng.choice([1, 2])]
+    spec = OrderingSpec(shift_order, None, rng.choice([LEX, DEGLEX, DEGREVLEX]), None)
+    ring = make_ring(rank, symbols, spec=spec)
+    gens = [random_polynomial(rng, ring, max_terms=2, max_shift_deg=1) for _ in range(2)]
+    gens = [g for g in gens if g]
+    mode = ("plain", "truncated", "adaptive")[seed // 3 % 3]
+    if mode == "plain":
+        basis = sigma_gbasis(gens, max_pair_budget=budget)
+    elif mode == "truncated" or shift_order == LEX:  # adaptive needs a graded order
+        mode = "truncated"
+        basis = sigma_gbasis_truncated(gens, rng.choice([1, 2, 3]), max_pair_budget=budget)
+    else:
+        basis = sigma_gbasis_adaptive(gens, max_pair_budget=budget, max_order_cap=8)
+    return gens, mode, basis
+
+
+def test_chain_test_open_set_matches_processed_set_reference(monkeypatch):
+    # The reference certifies a shifted pair when the product criterion
+    # holds or when its id was treated earlier in the run; every query the
+    # chain test could make is compared, and so is every chain decision.
+    push, skippable = _Run._push_pairs, _Run._chain_skippable
+    counts = {"pushed": 0, "queries": 0}
+
+    def checked_push(run, i, j):
+        before, seq = set(run.open), run.seq
+        push(run, i, j)
+        added = run.open - before
+        assert len(added) == run.seq - seq
+        for pair_id in added:
+            (a, sigma), (b, tau) = pair_id
+            assert (a, b) == (i, j) and _instance_id(a, sigma, b, tau) == pair_id
+        counts["pushed"] += len(added)
+
+    def checked_skippable(run, i, si, j, sj, overlap):
+        # every popped pair reaches the chain test and is treated before the
+        # next pop, so the ids seen before this one are the treated ones
+        ref = run.__dict__.setdefault("reference", {"treated": set(), "last": None})
+        if ref["last"] is not None:
+            ref["treated"].add(ref["last"])
+        ref["last"] = _instance_id(i, si, j, sj)
+
+        def certified(a, sa, b, sb):
+            if not _reference_shifted_overlap(run.G[a].lm, sa, run.G[b].lm, sb):
+                return True
+            return _instance_id(a, sa, b, sb) in ref["treated"]
+
+        expected = False
+        for k, nu in run.reducer.iter_divisors(overlap):
+            if (k, nu) == (i, si) or (k, nu) == (j, sj):
+                continue
+            left, right = certified(i, si, k, nu), certified(k, nu, j, sj)
+            assert run._certified(i, si, k, nu) == left
+            assert run._certified(k, nu, j, sj) == right
+            counts["queries"] += 2
+            expected = expected or (left and right)
+        got = skippable(run, i, si, j, sj, overlap)
+        assert got == expected
+        return got
+
+    monkeypatch.setattr(_Run, "_push_pairs", checked_push)
+    monkeypatch.setattr(_Run, "_chain_skippable", checked_skippable)
+    outcomes = set()
+    for seed in range(36):
+        _, mode, basis = _seeded_run(seed, budget=150)
+        outcomes.add((mode, basis.status.kind))
+    assert outcomes >= {("plain", "complete"), ("plain", "budget_exhausted"),
+                        ("truncated", "complete_up_to_order"),
+                        ("adaptive", "complete"), ("adaptive", "budget_exhausted")}
+    assert counts["pushed"] > 1000 and counts["queries"] > 1000
 
 
 # --- truncation ---------------------------------------------------------------
@@ -412,8 +497,6 @@ def test_interreduce_self_reduced():
     ring = R1()
     basis = sigma_gbasis([x(ring, 1, 2) - x(ring, 0), x(ring, 1) * x(ring, 0) - x(ring, 0)])
     reduced = interreduce(basis)
-    from dgb.reduction import reduce_full
-
     for i, g in enumerate(reduced.elements):
         others = [h for j, h in enumerate(reduced.elements) if j != i]
         assert reduce_full(g, others) == g
@@ -440,6 +523,37 @@ def test_interreduce_idempotent_and_canonical():
         assert set(a.elements) == set(b.elements)
         again = interreduce(a)
         assert set(again.elements) == set(a.elements)
+
+
+def _reference_interreduce(basis):
+    """Minimalize, then tail-reduce every survivor against all the others
+    until nothing changes: the fixpoint loop that interreduce replaces."""
+    elements = _minimalize_elements(basis)
+    changed = True
+    while changed:
+        changed = False
+        for idx in range(len(elements)):
+            new = reduce_full(elements[idx], elements[:idx] + elements[idx + 1:])
+            if new != elements[idx]:
+                elements[idx] = new
+                changed = True
+    return sorted(elements, key=lambda g: g.ring.ordering.monomial_key(g.lm))
+
+
+def test_interreduce_matches_fixpoint_reference():
+    from dgb.cli import parse_problem
+
+    kinds = set()
+    for seed in range(36):
+        gens, _, basis = _seeded_run(seed, budget=150)
+        kinds.add(basis.status.kind)
+        assert list(interreduce(basis).elements) == _reference_interreduce(basis)
+        if gens:
+            assert interreduce(gens) == _reference_interreduce(gens)
+    assert kinds == {"complete", "complete_up_to_order", "budget_exhausted"}
+    text = (Path(__file__).parent / "data" / "navier_stokes.dgb").read_text()
+    flow = sigma_gbasis_adaptive(parse_problem(text).polynomials)
+    assert list(interreduce(flow).elements) == _reference_interreduce(flow)
 
 
 def test_adaptive_agrees_with_plain_when_both_complete():
