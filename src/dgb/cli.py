@@ -661,7 +661,7 @@ def _cmd_symmetric(args) -> RunReport:
     basis = groebner_gamma_basis(action, lifted, options)
     config = {
         "gens": args.gens,
-        "perm": "".join("(" + " ".join(map(str, c)) + ")" for c in action.cycles),
+        "perm": str(action),
         "order": format_ordering(action.ring),
     }
     report = _basis_report("symmetric", args, basis, config)

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, replace
 from operator import sub
 
 from .errors import InternalCheckError, RingMismatchError
-from .reduction import ReducerBasis, reduce, reduce_full, tail_reduce
+from .reduction import ReducerBasis, reduce, reduce_full
 from .ring import Monomial, spoly
 
 
@@ -147,20 +147,19 @@ class _Run:
         self.options = options
         self.bound = bound
         self.stats = stats
-        self.ring = G[0].ring
-        self.G = list(G)
         self.reducer = ReducerBasis(G)
         self.queue = []
         self.seq = 0
         self.open = set()
 
     def _push_pairs(self, i, j):
-        lm_i, lm_j = self.G[i].lm, self.G[j].lm
+        G = self.reducer.polys
+        lm_i, lm_j = G[i].lm, G[j].lm
         pairs, raw = shift_pair_candidates(lm_i, lm_j, i == j)
         if raw == 0:
             self.stats.killed_product += 1
         self.stats.killed_sigma += raw - len(pairs)
-        key = self.ring.ordering.monomial_key
+        key = self.reducer.ring.ordering.monomial_key
         for sigma, tau in pairs:
             overlap = lm_i.shift(sigma).lcm(lm_j.shift(tau))
             bound = overlap.order
@@ -189,7 +188,8 @@ class _Run:
     def run(self):
         """(G, exhausted): the grown basis, or [1] once a unit appears, and
         whether the pair budget ran out first."""
-        for j in range(len(self.G)):
+        G = self.reducer.polys
+        for j in range(len(G)):
             for i in range(j + 1):
                 self._push_pairs(i, j)
         pops = 0
@@ -198,29 +198,24 @@ class _Run:
             (i, sigma), (j, tau) = pair_id
             pops += 1
             if pops > self.options.max_pair_budget:
-                return self.G, True
+                return G, True
+            self.open.remove(pair_id)
             if self.options.use_chain_criterion and self._chain_skippable(
                     i, sigma, j, tau, overlap):
-                self.open.remove(pair_id)
                 self.stats.killed_chain += 1
                 continue
-            s = spoly(self.G[i].shift(sigma), self.G[j].shift(tau))
-            h = reduce(s, self.reducer)
-            self.open.remove(pair_id)
+            h = reduce_full(spoly(G[i].shift(sigma), G[j].shift(tau)), self.reducer)
             if not h:
                 self.stats.reduced_to_zero += 1
                 continue
-            h = tail_reduce(h, self.reducer)
-            h = h.monic()
             if h.lm.is_one:
-                return [self.ring.one], False
-            self.G.append(h)
+                return [self.reducer.ring.one], False
             self.reducer.append(h)
             self.stats.new_elements += 1
-            new = len(self.G) - 1
+            new = len(G) - 1
             for t in range(new + 1):
                 self._push_pairs(t, new)
-        return self.G, False
+        return G, False
 
 
 def _sorted(elements):
@@ -351,18 +346,16 @@ def _same_kind(basis, elements):
 
 
 def _minimalize_elements(elements):
-    reducer = None
-    for g in _sorted(elements):
-        if reducer is None:
-            reducer = ReducerBasis([g])
-        elif reducer.find_divisor(g.lm) is None:
+    reducer = ReducerBasis([])
+    for g in _sorted(g for g in elements if g):
+        if reducer.find_divisor(g.lm) is None:
             reducer.append(g)
-    return [] if reducer is None else list(reducer.polys)
+    return reducer.polys
 
 
 def minimalize(basis):
-    """Drop every element whose leading monomial is reachable from another
-    element's leading monomial by shifting and multiplying."""
+    """Drop zeros and every element whose leading monomial is reachable
+    from another element's leading monomial by shifting and multiplying."""
     return _same_kind(basis, _minimalize_elements(basis))
 
 
@@ -371,7 +364,7 @@ def interreduce(basis):
     reduced ones, in increasing order of leading monomial (a larger one
     never reaches a lower term); results are monic.  On a complete basis
     this yields the canonical reduced basis."""
-    reduced = []
+    reduced = ReducerBasis([])
     for g in _minimalize_elements(basis):
         reduced.append(reduce_full(g, reduced))
-    return _same_kind(basis, reduced)
+    return _same_kind(basis, reduced.polys)

@@ -151,15 +151,8 @@ class QuotientPresentation:
         self.ring = ring
         self.relations = matrix
         self.degree_table = [[matrix[(i, j)].degree for j in range(r)] for i in range(n)]
-        self._polys = None
-        self._reducer = None
-
-    @property
-    def relation_polynomials(self):
-        if self._polys is None:
-            order = sorted(self.relations)
-            self._polys = [self.relations[key].polynomial(self.ring) for key in order]
-        return self._polys
+        self.relation_polynomials = [matrix[key].polynomial(ring) for key in sorted(matrix)]
+        self._reducer = ReducerBasis(self.relation_polynomials)
 
     @property
     def dimension(self):
@@ -210,8 +203,6 @@ class QuotientPresentation:
     def normal_form_reduction(self, var):
         """Normal form of a variable by reduction against the relations."""
         i, shift = var
-        if self._reducer is None:
-            self._reducer = ReducerBasis(self.relation_polynomials)
         return tail_reduce(self.ring.var(i, shift), self._reducer)
 
     def normal_form_variable(self, var):
@@ -289,9 +280,11 @@ class PermutationAction:
             rels.append(LinearRelation(i, 0, coeffs))
         return QuotientPresentation(self.ring, rels)
 
+    def __str__(self):
+        return "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles)
+
     def __repr__(self):
-        body = "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles)
-        return f"PermutationAction({body})"
+        return f"PermutationAction({self})"
 
 
 def parse_cycles(text):

@@ -20,6 +20,7 @@ HEAD_STEP_LIMIT = 10_000_000  # safety net; the well-ordering guarantees termina
 
 class ReducerBasis:
     """A grow-only list of nonzero polynomials prepared for divisor search.
+    It may start empty; its ring is then set by the first append.
 
     Each element keeps the shape of its leading monomial: the anchor
     variable, every factor as an offset from the anchor, the total degree
@@ -28,16 +29,12 @@ class ReducerBasis:
     exceeds the target's is skipped before any shift is tried.
     """
 
-    __slots__ = ("ring", "polys", "_shapes", "_shift_cache", "max_shift_deg")
+    __slots__ = ("ring", "polys", "_shapes", "max_shift_deg")
 
     def __init__(self, polys, max_shift_deg=None):
-        polys = list(polys)
-        if not polys:
-            raise ValueError("reducer basis needs at least one polynomial")
-        self.ring = polys[0].ring
+        self.ring = None
         self.polys = []
         self._shapes = []
-        self._shift_cache = {}
         self.max_shift_deg = max_shift_deg
         for p in polys:
             self.append(p)
@@ -49,6 +46,8 @@ class ReducerBasis:
         """Grow the basis in place (used by completion as elements arrive)."""
         if not poly:
             raise ValueError("reducer basis elements must be nonzero")
+        if self.ring is None:
+            self.ring = poly.ring
         if poly.ring is not self.ring and poly.ring != self.ring:
             raise RingMismatchError("basis mixes different rings")
         m = poly.lm
@@ -63,14 +62,6 @@ class ReducerBasis:
         offsets = tuple([(fsym, tuple(map(sub, shift, beta)), e)
                          for (fsym, shift), e in m.factors])
         self._shapes.append((sym, beta, offsets, m.total_degree, _span(m)))
-
-    def shifted(self, index, shift):
-        """G[index] shifted by shift, cached per basis."""
-        got = self._shift_cache.get((index, shift))
-        if got is None:
-            got = self.polys[index].shift(shift)
-            self._shift_cache[(index, shift)] = got
-        return got
 
     def _shifts_into(self, index, target):
         """Shifts s with s*lm(G[index]) dividing a target prepared by
@@ -111,12 +102,7 @@ class ReducerBasis:
     def find_divisor(self, target: Monomial):
         """The first item of iter_divisors, or None when no shifted leading
         monomial divides target."""
-        prepared = _prepare(target)
-        for index in range(len(self.polys)):
-            shifts = self._shifts_into(index, prepared)
-            if shifts:
-                return index, shifts[0]
-        return None
+        return next(self.iter_divisors(target), None)
 
 
 def _span(m: Monomial):
@@ -136,10 +122,7 @@ def _prepare(target: Monomial):
 def _as_basis(G):
     if isinstance(G, ReducerBasis):
         return G
-    G = [g for g in G if g]
-    if not G:
-        return None
-    return ReducerBasis(G)
+    return ReducerBasis([g for g in G if g])
 
 
 def reduce(f: Polynomial, G, certificate=False):
@@ -154,24 +137,23 @@ def reduce(f: Polynomial, G, certificate=False):
     basis = _as_basis(G)
     steps = []
     h = f
-    if basis is not None:
-        guard = 0
-        while h:
-            hit = basis.find_divisor(h.lm)
-            if hit is None:
-                break
-            index, shift = hit
-            g = basis.shifted(index, shift)
-            coeff = h.lc / g.lc
-            cofactor = h.lm / g.lm
-            h = h - g.mul_term(coeff, cofactor)
-            if certificate:
-                steps.append((coeff, cofactor, shift, index))
-            guard += 1
-            if guard > HEAD_STEP_LIMIT:
-                raise InternalCheckError(
-                    f"reduction of {f} exceeded the step safety limit "
-                    f"of {HEAD_STEP_LIMIT} steps")
+    guard = 0
+    while h:
+        hit = basis.find_divisor(h.lm)
+        if hit is None:
+            break
+        index, shift = hit
+        g = basis.polys[index].shift(shift)
+        coeff = h.lc / g.lc
+        cofactor = h.lm / g.lm
+        h = h - g.mul_term(coeff, cofactor)
+        if certificate:
+            steps.append((coeff, cofactor, shift, index))
+        guard += 1
+        if guard > HEAD_STEP_LIMIT:
+            raise InternalCheckError(
+                f"reduction of {f} exceeded the step safety limit "
+                f"of {HEAD_STEP_LIMIT} steps")
     return (h, steps) if certificate else h
 
 
@@ -179,8 +161,6 @@ def tail_reduce(f: Polynomial, G):
     """Full normal form: every monomial of the result is out of reach of
     the shifted leading monomials.  No normalization is applied."""
     basis = _as_basis(G)
-    if basis is None:
-        return f
     # each kept lead is below every earlier one, so the kept terms stay sorted
     terms = []
     h = f
@@ -202,7 +182,7 @@ def reduce_full(f: Polynomial, G):
 def replay_certificate(h: Polynomial, steps, G):
     """Reconstruct the input of a certified reduction: h + sum of steps.
     Step indices refer to the nonzero elements of G, in order."""
-    polys = G.polys if isinstance(G, ReducerBasis) else [g for g in G if g]
+    polys = _as_basis(G).polys
     total = h
     for coeff, cofactor, shift, index in steps:
         total = total + polys[index].shift(shift).mul_term(coeff, cofactor)

@@ -87,7 +87,7 @@ def _target(rng, ring, polys):
 
 def _hits(basis, target):
     """The engine's hits, each with the cofactor reduce uses."""
-    return [(index, s, target / basis.shifted(index, s).lm)
+    return [(index, s, target / basis.polys[index].shift(s).lm)
             for index, s in basis.iter_divisors(target)]
 
 

@@ -101,6 +101,20 @@ def test_certificate_replay_with_zero_elements(R1):
     assert used == {0, 1}
 
 
+def test_empty_basis(R1):
+    f = x(R1, 2) * x(R1, 0) - x(R1, 1)
+    basis = ReducerBasis([])
+    assert len(basis) == 0 and basis.ring is None
+    assert basis.find_divisor(f.lm) is None
+    assert list(basis.iter_divisors(f.lm)) == []
+    basis.append(x(R1, 1))
+    assert basis.ring is R1 and basis.find_divisor(f.lm) == (0, (1,))
+    assert reduce(f, []) == f
+    assert tail_reduce(f, [R1.zero]) == f
+    assert reduce(f, [], certificate=True) == (f, [])
+    assert replay_certificate(f, [], []) == f
+
+
 def test_head_reduction_descends(R1):
     rng = random.Random(5)
     G = [x(R1, 1) * x(R1, 0) - x(R1, 0)]
