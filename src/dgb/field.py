@@ -2,15 +2,23 @@
 
 Coefficients live either in Q (no declared parameters, plain
 ``fractions.Fraction``) or in the rational function field Q(p1,...,pk)
-over the declared transcendental parameters.  The latter is built as
-sympy's fraction field over the integer polynomials ZZ[p1,...,pk]: the
-same field as fractions over Q[p1,...,pk], but cancelling a quotient is
-one integer gcd, with no denominator clearing or domain conversions.
-Both kinds support ``+ - * /``, equality and truthiness, so polynomial
-code treats them uniformly.  Values are kept in canonical form by the
-underlying arithmetic: fractions fully reduced; rational functions
-cancelled, with numerator and denominator integer polynomials without
-a common factor and the denominator's leading coefficient positive.
+over the declared transcendental parameters (``RationalFunction``).  A
+``RationalFunction`` is a pair ``num/den`` of integer polynomials in
+ZZ[p1,...,pk], each a dict from exponent tuples (parameters in declared
+order) to nonzero ints, kept in one canonical form: ``num`` and ``den``
+have no common factor in ZZ[p1,...,pk], integer content included, the
+leading coefficient of ``den`` (lex on exponent tuples) is positive, and
+zero is ``0/1``.  Equal values therefore have equal dicts, which is what
+equality, hashing and printing read.
+
+When both denominators are constant (ground values included) arithmetic
+cancels with integer gcds only.  Otherwise products and sums cancel
+Henrici's way, through gcds of the smaller pieces.  A polynomial gcd comes
+from the heuristic GCDHEU (Char, Geddes & Gonnet, JSC 1989), whose
+candidate is accepted only when it divides both inputs exactly, with the
+primitive polynomial remainder sequence (Brown, JACM 1971) as the
+fallback when the heuristic gives up.  Both kinds support ``+ - * / **``,
+equality and truthiness, so polynomial code treats them uniformly.
 Printing folds a constant denominator into rational coefficients of the
 numerator, so ``(H^2 - 1)/2`` prints as ``1/2*H^2 - 1/2``.
 """
@@ -19,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
+from operator import add, sub
 
 from .errors import ParseError
 
@@ -41,29 +51,22 @@ class ConstantField:
     """The field of constants for one ring signature.
 
     Without parameters the elements are ``Fraction``s.  With parameters
-    they are sympy fraction-field elements ``numer/denom`` over
-    ZZ[p1,...,pk], cancelled, with a positive leading coefficient in the
-    denominator; ``format`` renders them with rational coefficients.
+    they are ``RationalFunction``s ``num/den`` over ZZ[p1,...,pk] in the
+    canonical form of the module docstring; ``format`` renders them with
+    rational coefficients.
     """
 
-    __slots__ = ("parameters", "zero", "one", "_field", "_gens")
+    __slots__ = ("parameters", "zero", "one", "_gens", "_const")
 
     def __init__(self, parameters=()):
         self.parameters = tuple(parameters)
-        if self.parameters:
-            from sympy import ZZ
-            from sympy.polys.fields import field as _field
-
-            built = _field(list(self.parameters), ZZ)
-            self._field = built[0]
-            self._gens = dict(zip(self.parameters, built[1:]))
-            self.zero = self._field.zero
-            self.one = self._field.one
-        else:
-            self._field = None
-            self._gens = {}
-            self.zero = Fraction(0)
-            self.one = Fraction(1)
+        k = len(self.parameters)
+        self._const = (0,) * k
+        self.zero = self.rational(0)
+        self.one = self.rational(1)
+        self._gens = {name: RationalFunction(
+            self, {tuple(int(i == j) for j in range(k)): 1}, {self._const: 1})
+            for i, name in enumerate(self.parameters)}
 
     def __eq__(self, other):
         return isinstance(other, ConstantField) and self.parameters == other.parameters
@@ -78,11 +81,11 @@ class ConstantField:
 
     def rational(self, num, den=1):
         value = Fraction(num, den)
-        if self._field is None:
+        if not self.parameters:
             return value
         # A Fraction is reduced with a positive denominator: already canonical.
-        ground = self._field.ring.ground_new
-        return self._field.raw_new(ground(value.numerator), ground(value.denominator))
+        n, z = value.numerator, self._const
+        return RationalFunction(self, {z: n} if n else {}, {z: value.denominator})
 
     def coerce(self, value):
         """Accept ints and Fractions alongside native field elements."""
@@ -99,21 +102,16 @@ class ConstantField:
     # --- printing ------------------------------------------------------
 
     def format(self, c) -> CoeffText:
-        if self._field is None:
+        if not self.parameters:
             return CoeffText(c < 0, _fraction_body(abs(c)), True)
-        return self._format_frac_element(c)
-
-    def _format_frac_element(self, c) -> CoeffText:
-        numer_terms = [(m, _as_fraction(q)) for m, q in self._sorted_terms(c.numer)]
-        denom_terms = [(m, _as_fraction(q)) for m, q in self._sorted_terms(c.denom)]
+        numer_terms = [(m, Fraction(q)) for m, q in sorted(c.num.items(), reverse=True)]
+        denom_terms = [(m, Fraction(q)) for m, q in sorted(c.den.items(), reverse=True)]
         negative = bool(numer_terms) and numer_terms[0][1] < 0
         if negative:
             numer_terms = [(m, -q) for m, q in numer_terms]
         if len(denom_terms) == 1 and not any(denom_terms[0][0]):
             # constant denominator: fold it into the rationals of the numerator
             q = denom_terms[0][1]
-            if q < 0:
-                q, negative = -q, not negative
             if q != 1:
                 numer_terms = [(m, c_ / q) for m, c_ in numer_terms]
             num_body, num_atomic = self._poly_body(numer_terms)
@@ -125,10 +123,6 @@ class ConstantField:
         if not den_atomic or "*" in den_body:
             den_body = f"({den_body})"
         return CoeffText(negative, f"{num_body}/{den_body}", False)
-
-    @staticmethod
-    def _sorted_terms(poly_element):
-        return sorted(poly_element.terms(), key=lambda t: t[0], reverse=True)
 
     def _poly_body(self, terms):
         """Render a parameter polynomial given (monomial, Fraction) terms."""
@@ -160,5 +154,310 @@ def _fraction_body(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _as_fraction(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
+class RationalFunction:
+    """An element ``num/den`` of Q(p1,...,pk), in canonical form.
+
+    Build values through a ``ConstantField`` (``rational``, ``parameter``)
+    and arithmetic; the constructor takes a pair already in canonical form.
+    """
+
+    __slots__ = ("field", "num", "den", "_hash")
+
+    def __init__(self, field, num, den):
+        self.field, self.num, self.den, self._hash = field, num, den, None
+
+    def _lift(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.field.rational(other)
+        return other if isinstance(other, RationalFunction) else None
+
+    def _canonical(self, num, den):
+        """num/den with num and den coprime; fixes the sign of den."""
+        if den[max(den)] < 0:
+            num, den = _scale(num, -1), _scale(den, -1)
+        return RationalFunction(self.field, num, den)
+
+    def __add__(self, other, sign=1):
+        if other.__class__ is not RationalFunction and (other := self._lift(other)) is None:
+            return NotImplemented
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not c:
+            return self
+        if not a:
+            return other if sign == 1 else -other
+        z = self.field._const
+        if len(b) == 1 and len(d) == 1 and z in b and z in d:
+            b, d = b[z], d[z]
+            g = gcd(b, d)
+            num = _combine(a, d // g, c, sign * (b // g))
+            den = b // g * d
+            if g != 1 and num:
+                g = gcd(_content(num), g)
+                if g != 1:
+                    num, den = _quo(num, g), den // g
+            return RationalFunction(self.field, num, {z: den}) if num else self.field.zero
+        g, b1, d1 = _gcd(b, d)
+        num = _combine(_mul(a, d1), 1, _mul(c, b1), sign)
+        if not num:
+            return self.field.zero
+        _, num, g = _gcd(num, g)
+        return self._canonical(num, _mul(_mul(g, b1), d1))
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    __radd__ = __add__
+
+    def _times(self, a, b, c, d):
+        """(a/b)*(c/d) for nonzero coprime pairs; d's sign may be either."""
+        z = self.field._const
+        if len(b) == 1 and len(d) == 1 and z in b and z in d:
+            b, d = b[z], d[z]
+            g, h = gcd(_content(a), d), gcd(_content(c), b)
+            num = _mul(_quo(a, g) if g != 1 else a, _quo(c, h) if h != 1 else c)
+            den = b // h * (d // g)
+            if den < 0:
+                num, den = _scale(num, -1), -den
+            return RationalFunction(self.field, num, {z: den})
+        _, a, d = _gcd(a, d)
+        _, c, b = _gcd(c, b)
+        return self._canonical(_mul(a, c), _mul(b, d))
+
+    def __mul__(self, other):
+        if other.__class__ is not RationalFunction and (other := self._lift(other)) is None:
+            return NotImplemented
+        if not self.num or not other.num:
+            return self.field.zero
+        return self._times(self.num, self.den, other.num, other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if other.__class__ is not RationalFunction and (other := self._lift(other)) is None:
+            return NotImplemented
+        if not other.num:
+            raise ZeroDivisionError("division by zero in the constant field")
+        if not self.num:
+            return self
+        return self._times(self.num, self.den, other.den, other.num)
+
+    def __pow__(self, n):
+        if n < 0:
+            return (self.field.one / self) ** -n
+        num, den = _power(self.num, n, self.field._const), _power(self.den, n, self.field._const)
+        return RationalFunction(self.field, num, den)
+
+    def __neg__(self):
+        return RationalFunction(self.field, _scale(self.num, -1), self.den)
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __eq__(self, other):
+        if other.__class__ is not RationalFunction and (other := self._lift(other)) is None:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        if self._hash is None:
+            z, num, den = self.field._const, self.num, self.den
+            if len(den) == 1 and z in den and len(num) <= 1 and (not num or z in num):
+                # a ground value hashes like the Fraction it equals
+                self._hash = hash(Fraction(num.get(z, 0), den[z]))
+            else:
+                self._hash = hash((frozenset(num.items()), frozenset(den.items())))
+        return self._hash
+
+    def __repr__(self):
+        text = self.field.format(self)
+        return f"RationalFunction({'-' if text.negative else ''}{text.body})"
+
+
+# --- sparse polynomials over ZZ: dicts from exponent tuples to nonzero ints ----
+
+
+def _content(f):
+    return gcd(*f.values())
+
+
+def _scale(f, c):
+    return {m: a * c for m, a in f.items()}
+
+
+def _quo(f, c):
+    """f divided by an integer that divides every coefficient."""
+    return {m: a // c for m, a in f.items()}
+
+
+def _combine(f, a, g, b):
+    """a*f + b*g for integers a and b."""
+    h = _scale(f, a) if a != 1 else dict(f)
+    for m, c in g.items():
+        c = h.get(m, 0) + b * c
+        if c:
+            h[m] = c
+        else:
+            del h[m]
+    return h
+
+
+def _mul(f, g):
+    if len(f) < len(g):
+        f, g = g, f
+    if len(g) == 1:
+        (b, y), = g.items()
+        if not any(b):
+            return _scale(f, y) if y != 1 else f
+    h = {}
+    for a, x in f.items():
+        for b, y in g.items():
+            m = tuple(map(add, a, b))
+            h[m] = h.get(m, 0) + x * y
+    return {m: c for m, c in h.items() if c}
+
+
+def _power(f, n, one):
+    out = {one: 1}
+    while n:
+        if n & 1:
+            out = _mul(out, f)
+        n >>= 1
+        if n:
+            f = _mul(f, f)
+    return out
+
+
+def _divide(f, g):
+    """f/g when g divides f in ZZ[params], else None."""
+    lm = max(g)
+    lc = g[lm]
+    q, r = {}, dict(f)
+    while r:
+        m = max(r)
+        e = tuple(map(sub, m, lm))
+        if r[m] % lc or any(x < 0 for x in e):
+            return None
+        t = q[e] = r[m] // lc
+        for b, y in g.items():
+            mb = tuple(map(add, e, b))
+            c = r.get(mb, 0) - t * y
+            if c:
+                r[mb] = c
+            else:
+                del r[mb]
+    return q
+
+
+def _gcd(f, g, v=0):
+    """(h, f/h, g/h) for h a gcd of the nonzero f and g, which do not involve
+    the parameters before v; an integer gcd when either is constant."""
+    if len(f) == 1 or len(g) == 1:
+        z = (0,) * len(next(iter(f)))
+        if z in f and len(f) == 1 or z in g and len(g) == 1:
+            h = gcd(_content(f), _content(g))
+            return {z: h}, (_quo(f, h) if h != 1 else f), (_quo(g, h) if h != 1 else g)
+    found = _heugcd(f, g, v)
+    if found is None:
+        h = _prs_gcd(f, g, v)
+        found = h, _divide(f, h), _divide(g, h)
+    return found
+
+
+def _evaluate(f, v, x):
+    """f with parameter v set to the integer x."""
+    powers = [1]
+    for _ in range(max(e[v] for e in f)):
+        powers.append(powers[-1] * x)
+    h = {}
+    for e, c in f.items():
+        m = e[:v] + (0,) + e[v + 1:]
+        h[m] = h.get(m, 0) + c * powers[e[v]]
+    return {m: c for m, c in h.items() if c}
+
+
+def _interpolate(h, v, x):
+    """The polynomial with coefficients in the symmetric range mod x whose
+    value at parameter v = x is h (the x-adic expansion of GCDHEU)."""
+    f, i, half = {}, 0, x // 2
+    while h:
+        rest = {}
+        for e, c in h.items():
+            r = c % x
+            if r > half:
+                r -= x
+            if r:
+                f[e[:v] + (i,) + e[v + 1:]] = r
+            if c != r:
+                rest[e] = (c - r) // x
+        h, i = rest, i + 1
+    return f
+
+
+def _heugcd(f, g, v):
+    """GCDHEU: (h, f/h, g/h) for h = gcd(f, g), where the nonzero f and g
+    do not involve the parameters before v; None if the heuristic gives up.
+
+    Each evaluation point x gives the gcd of the images recursively; a
+    candidate rebuilt from it (or from a cofactor image) counts only when
+    it divides both inputs exactly.
+    """
+    c = gcd(_content(f), _content(g))
+    f, g = _quo(f, c), _quo(g, c)
+    if v == len(next(iter(f))):
+        return {next(iter(f)): c}, f, g
+    nf, ng = max(map(abs, f.values())), max(map(abs, g.values()))
+    bound = 2 * min(nf, ng) + 29
+    x = max(min(bound, 99 * isqrt(bound)),
+            2 * min(nf // abs(f[max(f)]), ng // abs(g[max(g)])) + 4)
+    for _ in range(6):
+        ff, gg = _evaluate(f, v, x), _evaluate(g, v, x)
+        images = ff and gg and _heugcd(ff, gg, v + 1)
+        if images:
+            h = _interpolate(images[0], v, x)
+            h = _quo(h, _content(h))
+            cf, cg = _divide(f, h), _divide(g, h)
+            if cf is not None and cg is not None:
+                return _scale(h, c), cf, cg
+            for first, second, image in ((f, g, images[1]), (g, f, images[2])):
+                cofactor = _interpolate(image, v, x)
+                h = _divide(first, cofactor)
+                other = h and _divide(second, h)
+                if other:
+                    cf, cg = (cofactor, other) if first is f else (other, cofactor)
+                    return _scale(h, c), cf, cg
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    return None
+
+
+def _coefficient(f, v, k, s=0):
+    """The coefficient of parameter v's k-th power in f, times its s-th power."""
+    return {e[:v] + (s,) + e[v + 1:]: c for e, c in f.items() if e[v] == k}
+
+
+def _content_in(f, v):
+    """(content, primitive part) of f as a polynomial in parameter v."""
+    degrees = {e[v] for e in f}
+    content = _coefficient(f, v, degrees.pop())
+    for k in degrees:
+        content = _gcd(content, _coefficient(f, v, k), v + 1)[0]
+    return content, _divide(f, content)
+
+
+def _prs_gcd(f, g, v):
+    """A gcd of the nonzero f and g, which do not involve the parameters
+    before v, by the primitive remainder sequence in parameter v; the
+    contents in the later parameters go through ``_gcd``."""
+    z = next(iter(f))
+    if v == len(z):
+        return {z: gcd(f[z], g[z])}
+    cf, f = _content_in(f, v)
+    cg, g = _content_in(g, v)
+    content = _gcd(cf, cg, v + 1)[0]
+    if max(e[v] for e in f) < max(e[v] for e in g):
+        f, g = g, f
+    while g and (d := max(e[v] for e in g)):
+        lead, r = _coefficient(g, v, d), f
+        while r and (k := max(e[v] for e in r)) >= d:
+            r = _combine(_mul(lead, r), 1, _mul(_coefficient(r, v, k, k - d), g), -1)
+        f, g = g, (_content_in(r, v)[1] if r else r)
+    return _mul(content, f) if not g else content

@@ -7,6 +7,7 @@ import pytest
 
 import classical
 from dgb import OrderingSpec, RingMismatchError, spoly
+from dgb.cli import parse_polynomial
 from dgb.completion import (PairStats, _instance_id, _minimalize_elements, _Run,
                             interreduce, minimalize, shift_pair_candidates,
                             sigma_gbasis, sigma_gbasis_adaptive,
@@ -392,6 +393,24 @@ def test_seeded_completions_match_pinned_outcomes():
     modes = {(mode, status) for mode, status, *_ in PINNED_SEEDED_OUTCOMES.values()}
     assert {mode for mode, _ in modes} == set(_PINNED_MODES)
     assert ("plain", "budget_exhausted") in modes and ("adaptive", "complete") in modes
+
+
+def test_parameter_coefficient_swell_case_is_pinned():
+    # Q(H) coefficients with non-constant denominators: each further pair
+    # of budget multiplies the cost (the swell case of ROADMAP item 3).
+    # Recorded with the sympy-based field of earlier versions.
+    ring = make_ring(1, ("x",), ("H",), spec=OrderingSpec(DEGREVLEX, None, DEGREVLEX, None))
+    gens = [parse_polynomial(ring, "x(1)^2*x(0)^3 - x(1)^2 + H*x(0)^3"),
+            parse_polynomial(ring, "-x(2)*x(0)^4 + 3*x(1)^2")]
+    basis = sigma_gbasis_truncated(gens, 2, max_pair_budget=54)
+    assert str(basis.status) == "budget_exhausted"
+    assert basis.stats == PairStats(generated=310, killed_sigma=101, killed_chain=31,
+                                    killed_truncation=132, reduced_to_zero=6,
+                                    new_elements=17)
+    text = "\n".join(str(g) for g in basis)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7e7236b5ed1769049f90ce6afe95cd675c07e5187991ffdf157687377e169337")
+    assert any(len(c.den) > 1 for g in basis for _, c in g.terms)
 
 
 # --- truncation ---------------------------------------------------------------

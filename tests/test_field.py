@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
 
-from sympy import QQ
+import pytest
+from sympy import QQ, ZZ
 from sympy.polys.fields import field as sympy_field
+from sympy.polys.rings import ring as sympy_ring
 
 from dgb import ConstantField
+from dgb import field as field_module
 
 
 def test_plain_rationals():
@@ -67,22 +70,23 @@ def test_format_parameters():
     assert t.body == "1/2*H^2 - 1/2"
 
 
-# --- the ZZ[params] construction against the Q[params] one ----------------
+# --- RationalFunction against sympy's fraction fields ----------------------
 #
-# The field is built as fractions over integer parameter polynomials.  The
-# reference below is the same field built over QQ, with rationals entered
-# through ground_new; both must give the same cancelled numerator and
-# denominator, term for term.
+# Q(params) is implemented in dgb.field as fractions over the integer
+# parameter polynomials.  The references below are sympy's fraction field
+# of the same parameters, built over ZZ (the construction dgb used before)
+# and over QQ; all must give the same cancelled numerator and denominator,
+# term for term, and the same printed text.
 
 
-def _reference_field(parameters):
-    built = sympy_field(list(parameters), QQ)
+def _reference_field(parameters, domain=QQ):
+    built = sympy_field(list(parameters), domain)
     return built[0], dict(zip(parameters, built[1:]))
 
 
 def _reference_rational(ref, num, den=1):
     q = Fraction(num, den)
-    return ref.ground_new(QQ(q.numerator, q.denominator))
+    return ref(q.numerator) / ref(q.denominator)
 
 
 def _terms(poly):
@@ -90,18 +94,50 @@ def _terms(poly):
                   for m, c in poly.terms())
 
 
+def _own_terms(poly):
+    return sorted((m, Fraction(c)) for m, c in poly.items())
+
+
+def _reference_format(F, ref_value):
+    """The rendering of a sympy value as ConstantField.format gave it when
+    the field was sympy's: rational numerator terms, a constant denominator
+    folded into them, else ``(num)/(den)``."""
+    numer = sorted(_terms(ref_value.numer), reverse=True)
+    denom = sorted(_terms(ref_value.denom), reverse=True)
+    negative = bool(numer) and numer[0][1] < 0
+    if negative:
+        numer = [(m, -q) for m, q in numer]
+    if len(denom) == 1 and not any(denom[0][0]):
+        q = denom[0][1]
+        if q < 0:
+            q, negative = -q, not negative
+        body, atomic = F._poly_body([(m, c / q) for m, c in numer])
+        return negative, body, atomic
+    num_body, num_atomic = F._poly_body(numer)
+    den_body, den_atomic = F._poly_body(denom)
+    if not num_atomic:
+        num_body = f"({num_body})"
+    if not den_atomic or "*" in den_body:
+        den_body = f"({den_body})"
+    return negative, f"{num_body}/{den_body}", False
+
+
 def _assert_same_value(F, value, ref_value):
-    assert _terms(value.numer) == _terms(ref_value.numer)
-    assert _terms(value.denom) == _terms(ref_value.denom)
-    assert F.format(value) == F.format(ref_value)
+    assert _own_terms(value.num) == _terms(ref_value.numer)
+    assert _own_terms(value.den) == _terms(ref_value.denom)
+    text = F.format(value)
+    assert (text.negative, text.body, text.atomic) == _reference_format(F, ref_value)
     assert bool(value) == bool(ref_value)
 
 
-def _random_pair(rng, F, ref, ref_gens):
-    """A random parameter polynomial in both fields, often non-constant."""
+def _random_pair(rng, F, ref, ref_gens, big=False):
+    """A random parameter polynomial in both fields, often non-constant;
+    with ``big``, some numerators lie beyond 2^64."""
     value, ref_value = F.zero, ref.zero
     for _ in range(rng.randint(1, 3)):
         n, d = rng.randint(-4, 4), rng.choice((1, 1, 2, 3))
+        if big and rng.random() < 0.25:
+            n = rng.choice((-1, 1)) * rng.randint(2**64, 2**80)
         c, ref_c = F.rational(n, d), _reference_rational(ref, n, d)
         for name in F.parameters:
             e = rng.randint(0, 2)
@@ -110,15 +146,20 @@ def _random_pair(rng, F, ref, ref_gens):
     return value, ref_value
 
 
-def _random_chain_values(rng, F, ref, ref_gens, steps):
-    value, ref_value = _random_pair(rng, F, ref, ref_gens)
+def _random_chain_values(rng, F, ref, ref_gens, steps, ops="+-*/=", big=False):
+    value, ref_value = _random_pair(rng, F, ref, ref_gens, big)
     out = [(value, ref_value)]
     for _ in range(steps):
-        op = rng.choice("+-*/=")
+        op = rng.choice(ops)
         if op == "=":  # an operation whose result cancels to zero
             value, ref_value = value - value, ref_value - ref_value
+        elif op == "^":
+            e = rng.randint(0 if value else 1, 3)  # sympy rejects 0**0
+            value, ref_value = value ** e, ref_value ** e
+        elif op == "n":
+            value, ref_value = -value, -ref_value
         else:
-            other, ref_other = _random_pair(rng, F, ref, ref_gens)
+            other, ref_other = _random_pair(rng, F, ref, ref_gens, big)
             if op == "+":
                 value, ref_value = value + other, ref_value + ref_other
             elif op == "-":
@@ -131,6 +172,14 @@ def _random_chain_values(rng, F, ref, ref_gens, steps):
     return out
 
 
+def _assert_equality_and_hash_agree(values):
+    for a, ref_a in values:
+        for b, ref_b in values:
+            assert (a == b) == (ref_a == ref_b)
+            if a == b:
+                assert hash(a) == hash(b)
+
+
 def test_arithmetic_matches_rational_reference():
     rng = random.Random(20)
     for parameters in (("H",), ("H", "K")):
@@ -140,16 +189,11 @@ def test_arithmetic_matches_rational_reference():
         for _ in range(60):
             values.extend(_random_chain_values(rng, F, ref, ref_gens, steps=6))
         assert any(not v for v, _ in values), "no chain cancelled to zero"
-        assert any(len(v.denom.terms()) > 1 for v, _ in values), \
+        assert any(len(v.den) > 1 for v, _ in values), \
             "no non-constant denominator"
         for value, ref_value in values:
             _assert_same_value(F, value, ref_value)
-        sample = values[::7]
-        for a, ref_a in sample:
-            for b, ref_b in sample:
-                assert (a == b) == (ref_a == ref_b)
-                if a == b:
-                    assert hash(a) == hash(b)
+        _assert_equality_and_hash_agree(values[::7])
 
 
 def test_rational_matches_rational_reference():
@@ -162,6 +206,92 @@ def test_rational_matches_rational_reference():
             # the same value reached by arithmetic is equal, hash included
             reached = F.one * num / F.rational(den)
             assert value == reached and hash(value) == hash(reached)
-        assert F.rational(4, -6).numer.coeffs() == [-2]
-        assert F.rational(4, -6).denom.coeffs() == [3]
+        assert list(F.rational(4, -6).num.values()) == [-2]
+        assert list(F.rational(4, -6).den.values()) == [3]
         assert F.rational(0, -7) == F.zero and not F.rational(0, -7)
+
+
+@pytest.mark.parametrize("parameters", [("H",), ("H", "K"), ("H", "K", "L")])
+def test_arithmetic_matches_integer_polynomial_reference(parameters):
+    rng = random.Random(f"zz:{','.join(parameters)}")
+    F = ConstantField(parameters)
+    ref, ref_gens = _reference_field(parameters, ZZ)
+    values = []
+    for _ in range(40):
+        values.extend(_random_chain_values(rng, F, ref, ref_gens, steps=5,
+                                           ops="+-*/=^n", big=True))
+    assert any(not v for v, _ in values), "no chain cancelled to zero"
+    assert any(len(v.den) > 1 for v, _ in values), "no non-constant denominator"
+    assert any(abs(c) >= 2**64 for v, _ in values for c in v.num.values()), \
+        "no coefficient beyond 2^64"
+    for value, ref_value in values:
+        _assert_same_value(F, value, ref_value)
+    _assert_equality_and_hash_agree(values[::5])
+
+
+def test_arithmetic_without_the_heuristic_gcd(monkeypatch):
+    # every polynomial gcd falls back to the primitive remainder sequence
+    monkeypatch.setattr(field_module, "_heugcd", lambda f, g, v: None)
+    rng = random.Random(31)
+    for parameters in (("H",), ("H", "K")):
+        F = ConstantField(parameters)
+        ref, ref_gens = _reference_field(parameters, ZZ)
+        for _ in range(25):
+            chain = _random_chain_values(rng, F, ref, ref_gens, steps=4, ops="+-*/")
+            for value, ref_value in chain:
+                _assert_same_value(F, value, ref_value)
+
+
+def test_ground_values_equal_their_rationals():
+    F = ConstantField(("H",))
+    for value, plain in ((F.rational(3, -4), Fraction(-3, 4)), (F.one, 1), (F.zero, 0)):
+        assert value == plain and hash(value) == hash(plain)
+    assert F.parameter("H") != 1 and F.one != F.parameter("H") / F.parameter("H") * 2
+
+
+def test_division_by_zero_raises():
+    F = ConstantField(("H", "K"))
+    H = F.parameter("H")
+    value = (H + F.one) / (H - F.rational(2))
+    for divisor in (F.zero, value - value, F.rational(0, 5)):
+        with pytest.raises(ZeroDivisionError):
+            value / divisor
+        with pytest.raises(ZeroDivisionError):
+            F.zero / divisor
+    with pytest.raises(ZeroDivisionError):
+        value / 0
+    with pytest.raises(ZeroDivisionError):
+        F.zero ** -1
+
+
+def _random_integer_polynomial(rng, nvars):
+    out = {}
+    for _ in range(rng.randint(1, 4)):
+        e = tuple(rng.randint(0, 3) for _ in range(nvars))
+        c = rng.randint(-9, 9)
+        if rng.random() < 0.2:
+            c = rng.choice((-1, 1)) * rng.randint(2**64, 2**80)
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c} or {(0,) * nvars: 1}
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_gcd_finds_a_planted_common_factor(nvars):
+    rng = random.Random(nvars)
+    ring = sympy_ring(",".join("HKL"[:nvars]), ZZ)[0]
+    mul = field_module._mul
+    heuristic = 0
+    for _ in range(60):
+        p, q, r = (_random_integer_polynomial(rng, nvars) for _ in range(3))
+        f, g = mul(p, r), mul(q, r)
+        expected = ring(f).gcd(ring(g))
+        h, f_h, g_h = field_module._gcd(f, g)
+        assert ring(h) in (expected, -expected)
+        assert mul(h, f_h) == f and mul(h, g_h) == g
+        assert ring(field_module._prs_gcd(f, g, 0)) in (expected, -expected)
+        found = field_module._heugcd(f, g, 0)
+        if found is not None:
+            heuristic += 1
+            assert ring(found[0]) in (expected, -expected)
+            assert mul(found[0], found[1]) == f and mul(found[0], found[2]) == g
+    assert heuristic > 50
