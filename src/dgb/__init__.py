@@ -9,11 +9,12 @@ under cyclic permutation groups.
 
 from .errors import (DGBError, ExactDivisionError, InternalCheckError,
                      ParseError, RankMismatchError, RingMismatchError,
-                     StaircaseError)
+                     ShiftWidthError, StaircaseError)
 from .field import ConstantField
-from .orderings import DEGLEX, DEGREVLEX, LEX, Ordering, OrderingSpec
+from .orderings import (DEGLEX, DEGREVLEX, LEX, MAX_SHIFT_DEGREE, Ordering,
+                        OrderingSpec, VarRef)
 from .ring import (DifferenceRing, Monomial, NEG_INF, Polynomial, Signature,
-                   VarRef, format_monomial, format_polynomial, spoly)
+                   format_monomial, format_polynomial, spoly)
 from .reduction import (ReducerBasis, reduce, reduce_full, replay_certificate,
                         tail_reduce)
 from .completion import (CompletionOptions, CompletionStatus, PairStats,
@@ -26,9 +27,9 @@ from .quotient import (LinearRelation, PermutationAction, QuotientPresentation,
 
 __all__ = [
     "DGBError", "ExactDivisionError", "InternalCheckError", "ParseError",
-    "RankMismatchError", "RingMismatchError", "StaircaseError",
+    "RankMismatchError", "RingMismatchError", "ShiftWidthError", "StaircaseError",
     "ConstantField",
-    "DEGLEX", "DEGREVLEX", "LEX", "Ordering", "OrderingSpec",
+    "DEGLEX", "DEGREVLEX", "LEX", "MAX_SHIFT_DEGREE", "Ordering", "OrderingSpec",
     "DifferenceRing", "Monomial", "NEG_INF", "Polynomial", "Signature",
     "VarRef", "format_monomial", "format_polynomial", "spoly",
     "ReducerBasis", "reduce", "reduce_full", "replay_certificate",

@@ -39,7 +39,7 @@ from typing import NamedTuple
 from .completion import (CompletionOptions, interreduce, minimalize,
                          sigma_gbasis, sigma_gbasis_adaptive,
                          sigma_gbasis_truncated, verify_sigma_gbasis)
-from .errors import DGBError, ParseError
+from .errors import DGBError, ParseError, ShiftWidthError
 from .orderings import _ORDER_NAMES, OrderingSpec
 from .quotient import (LinearRelation, PermutationAction, QuotientPresentation,
                        expand_classical_basis, groebner_gamma_basis,
@@ -316,7 +316,7 @@ class _Parser:
             if len(base.terms) == 1 and e:
                 # a single term c*m raises directly to c^e * m^e
                 mono, coeff = base.terms[0]
-                power = Monomial(tuple((var, k * e) for var, k in mono.factors))
+                power = Monomial([(var, k * e) for var, k in mono.factors], mono.ordering)
                 return ring.polynomial([(coeff ** e, power)])
             out = ring.one
             for _ in range(e):
@@ -339,7 +339,10 @@ class _Parser:
                     self.fail(f"symbol {name!r} needs a shift tuple", tok)
                 self.next()
                 shift = self.parse_shift_tuple(ring, tok)
-                return ring.var(name, shift)
+                try:
+                    return ring.var(name, shift)
+                except ShiftWidthError as exc:
+                    self.fail(str(exc), tok)
             if name in ring.signature.parameters:
                 return ring.constant(ring.field.parameter(name))
             self.fail(f"unknown symbol {name!r}", tok)
@@ -680,7 +683,7 @@ def _cmd_normal_form(args) -> RunReport:
     if len(target.terms) != 1 or target.lc != ring.field.one \
             or len(target.lm.factors) != 1 or target.lm.factors[0][1] != 1:
         raise UsageError("dgb normal-form: --var must be a single variable")
-    var = target.lm.factors[0][0]
+    var = target.lm.decoded()[0][0]
     nf = presentation.normal_form_variable(var)
     config = {"input": args.input, "var": args.var}
     fields = {"normal_form": format_polynomial(nf),

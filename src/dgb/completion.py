@@ -91,8 +91,9 @@ def shift_pair_candidates(lm_f: Monomial, lm_g: Monomial, same: bool):
     """
     raw = 0
     out = set()
-    for (sym_a, alpha), _ in lm_f.factors:
-        for (sym_b, beta), _ in lm_g.factors:
+    right = lm_g.decoded()
+    for (sym_a, alpha), _ in lm_f.decoded():
+        for (sym_b, beta), _ in right:
             if sym_a != sym_b:
                 continue
             raw += 1
@@ -159,7 +160,6 @@ class _Run:
         if raw == 0:
             self.stats.killed_product += 1
         self.stats.killed_sigma += raw - len(pairs)
-        key = self.reducer.ring.ordering.monomial_key
         for sigma, tau in pairs:
             overlap = lm_i.shift(sigma).lcm(lm_j.shift(tau))
             bound = overlap.order
@@ -169,7 +169,7 @@ class _Run:
             self.stats.generated += 1
             pair_id = ((i, sigma), (j, tau))  # canonical: min(sigma, tau) == 0
             self.open.add(pair_id)
-            heapq.heappush(self.queue, (bound, key(overlap), self.seq, pair_id, overlap))
+            heapq.heappush(self.queue, (bound, overlap.key, self.seq, pair_id, overlap))
             self.seq += 1
 
     def _certified(self, i, si, j, sj):
@@ -220,7 +220,7 @@ class _Run:
 
 def _sorted(elements):
     """The elements in increasing order of leading monomial."""
-    return sorted(elements, key=lambda g: g.ring.ordering.monomial_key(g.lm))
+    return sorted(elements, key=lambda g: g.lm.key)
 
 
 def _basis(ring, G, kind, stats, bound=None):

@@ -10,6 +10,11 @@ class RankMismatchError(DGBError, ValueError):
     does not match the ring's declared rank."""
 
 
+class ShiftWidthError(DGBError, ValueError):
+    """A shift of total degree above ``MAX_SHIFT_DEGREE``, which a packed
+    variable cannot hold, was requested."""
+
+
 class ExactDivisionError(DGBError, ArithmeticError):
     """Exact division was requested but the divisor does not divide."""
 

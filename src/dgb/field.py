@@ -25,6 +25,7 @@ numerator, so ``(H^2 - 1)/2`` prints as ``1/2*H^2 - 1/2``.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -328,18 +329,28 @@ def _power(f, n, one):
 
 
 def _divide(f, g):
-    """f/g when g divides f in ZZ[params], else None."""
+    """f/g when g divides f in ZZ[params], else None.
+
+    The remainder's exponents are kept in one ascending list, so the
+    leading term comes off its end; an exponent whose term cancelled is
+    skipped when it comes up."""
     lm = max(g)
     lc = g[lm]
     q, r = {}, dict(f)
+    pending = sorted(r)
     while r:
-        m = max(r)
+        m = pending.pop()
+        c = r.get(m)
+        if c is None:
+            continue
         e = tuple(map(sub, m, lm))
-        if r[m] % lc or any(x < 0 for x in e):
+        if c % lc or any(x < 0 for x in e):
             return None
-        t = q[e] = r[m] // lc
+        t = q[e] = c // lc
         for b, y in g.items():
             mb = tuple(map(add, e, b))
+            if mb not in r:
+                insort(pending, mb)
             c = r.get(mb, 0) - t * y
             if c:
                 r[mb] = c

@@ -22,9 +22,9 @@ from itertools import product
 from .completion import SigmaBasis, minimalize, sigma_gbasis
 from .errors import (InternalCheckError, ParseError, RingMismatchError,
                      StaircaseError)
-from .orderings import DEGLEX, LEX, OrderingSpec
+from .orderings import DEGLEX, LEX, OrderingSpec, VarRef
 from .reduction import ReducerBasis, tail_reduce
-from .ring import DifferenceRing, Polynomial, Signature, VarRef
+from .ring import DifferenceRing, Polynomial, Signature
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def _pure_power(m):
     a pure power of every operator and gives (symbol, None, 0)."""
     if len(m.factors) != 1 or m.factors[0][1] != 1:
         return None
-    (sym, shift), _ = m.factors[0]
+    (sym, shift), _ = m.decoded()[0]
     support = [j for j, a in enumerate(shift) if a]
     if not support:
         return sym, None, 0
@@ -120,7 +120,7 @@ def normal_variables(ring, lm_generators):
     table = pure_power_table(ring, lm_generators)
     if any(k is None for row in table for k in row):
         return None
-    variables = [m.factors[0][0] for m in lm_generators
+    variables = [m.decoded()[0][0] for m in lm_generators
                  if len(m.factors) == 1 and m.factors[0][1] == 1]
     out = []
     for i, bounds in enumerate(table):
@@ -318,7 +318,7 @@ def symmetric_setup(action: PermutationAction, generators):
         if g.ring is not ring and g.ring != ring:
             raise RingMismatchError("generator built over a different ring")
         for m, _ in g.terms:
-            for (sym, shift), _e in m.factors:
+            for (sym, shift), _e in m.decoded():
                 if shift[0] >= action.cycle_lengths[sym]:
                     raise StaircaseError(
                         f"generator mentions {ring.signature.symbols[sym]}({shift[0]}), "
@@ -354,9 +354,8 @@ def expand_classical_basis(action: PermutationAction, gamma_elements):
             c = tail_reduce(g.shift((k,)), relations)
             if c:
                 copies.setdefault(c.monic(), None)
-    key = ring.ordering.monomial_key
     kept = []
-    for g in sorted(copies, key=lambda g: key(g.lm)):
+    for g in sorted(copies, key=lambda g: g.lm.key):
         if not any(h.lm.divides(g.lm) for h in kept):
             kept.append(g)
     return kept

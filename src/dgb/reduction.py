@@ -5,14 +5,17 @@ basis elements.  Divisor search stays finite by anchoring on one factor
 of each basis leading monomial: any shift that maps the whole
 leading monomial into the target must in particular map its anchor onto
 some factor of the target, which leaves finitely many candidates to
-verify.
+verify.  On packed variables a shift adds one constant to every variable,
+so mapping the anchor onto a target variable fixes that constant, and the
+other factors are probed at their offsets from the anchor.
 """
 
 from __future__ import annotations
 
-from operator import add, sub
+from operator import sub
 
 from .errors import InternalCheckError, RingMismatchError
+from .orderings import MAX_SHIFT_DEGREE
 from .ring import Monomial, Polynomial
 
 HEAD_STEP_LIMIT = 10_000_000  # safety net; the well-ordering guarantees termination
@@ -22,11 +25,12 @@ class ReducerBasis:
     """A grow-only list of nonzero polynomials prepared for divisor search.
     It may start empty; its ring is then set by the first append.
 
-    Each element keeps the shape of its leading monomial: the anchor
-    variable, every factor as an offset from the anchor, the total degree
-    and the span (max minus min shift) per shift coordinate.  Shifting
-    changes neither degree nor span, so an element whose degree or span
-    exceeds the target's is skipped before any shift is tried.
+    Each element keeps the shape of its leading monomial: the total
+    degree, the spread (largest minus smallest packed variable), the
+    anchor (the largest variable) and its shift, every factor as an offset
+    from the anchor, and the order.  Shifting changes neither degree nor
+    spread, so an element whose degree or spread exceeds the target's is
+    skipped before any shift is tried.
     """
 
     __slots__ = ("ring", "polys", "_shapes", "max_shift_deg")
@@ -55,68 +59,59 @@ class ReducerBasis:
         if m.is_one:
             self._shapes.append(None)
             return
-        # any factor can anchor; the structurally last one has the
-        # lexicographically largest shift of its symbol, so few target
-        # factors lie above it
-        sym, beta = m.factors[-1][0]
-        offsets = tuple([(fsym, tuple(map(sub, shift, beta)), e)
-                         for (fsym, shift), e in m.factors])
-        self._shapes.append((sym, beta, offsets, m.total_degree, _span(m)))
+        # the largest variable anchors: few target variables lie above it
+        factors = m.factors
+        anchor = factors[0][0]
+        offsets = tuple([(var - anchor, e) for var, e in factors])
+        self._shapes.append((m.total_degree, anchor - factors[-1][0], anchor,
+                             self.ring.ordering.decode(anchor).shift, offsets, m.order))
 
-    def _shifts_into(self, index, target):
-        """Shifts s with s*lm(G[index]) dividing a target prepared by
-        _prepare, ascending in the shift ordering."""
-        shape = self._shapes[index]
-        if shape is None:  # constant basis element: everything reduces
-            return [(0,) * self.ring.signature.shift_rank]
-        exps, by_symbol, degree, span = target
-        sym, beta, offsets, e_degree, e_span = shape
-        if e_degree > degree or sym not in by_symbol:
-            return []
-        for a, b in zip(e_span, span):
-            if a > b:
-                return []
+    def _shifts_into(self, shape, factors, exps):
+        """Shifts s with s*lm dividing the target with the given factors
+        and exponent map, lm the leading monomial of the given shape,
+        ascending in the shift ordering."""
+        _, _, anchor, beta, offsets, order = shape
+        n = self.ring.ordering.n_symbols
         bound = self.max_shift_deg
         out = []
-        for alpha in by_symbol[sym]:
-            s = tuple(map(sub, alpha, beta))
-            if min(s) < 0 or (bound is not None and sum(s) > bound):
+        # a shift s >= 0 maps the anchor onto a variable w >= anchor of its
+        # symbol, and descending w is descending shift_key(s)
+        for w, _ in factors:
+            if w < anchor:
+                break
+            if (w - anchor) % n:
                 continue
-            for fsym, off, e in offsets:
-                if exps.get((fsym, tuple(map(add, alpha, off))), 0) < e:
+            for off, e in offsets:
+                if exps.get(w + off, 0) < e:
                     break
             else:
-                out.append(s)
-        if len(out) > 1:
-            out.sort(key=self.ring.ordering.shift_key)
+                s = tuple(map(sub, self.ring.ordering.decode(w).shift, beta))
+                degree = sum(s)
+                if (min(s) >= 0 and order + degree <= MAX_SHIFT_DEGREE
+                        and (bound is None or degree <= bound)):
+                    out.append(s)
+        out.reverse()
         return out
 
     def iter_divisors(self, target: Monomial):
         """(index, shift) for every shift with shift*lm(G[index]) dividing
         target: lowest index first, then ascending in the shift ordering."""
-        prepared = _prepare(target)
-        for index in range(len(self.polys)):
-            for s in self._shifts_into(index, prepared):
-                yield index, s
+        factors = target.factors
+        exps = dict(factors)
+        degree = target.total_degree
+        # the largest variable and the spread; -1 lies below every variable
+        top, spread = (factors[0][0], factors[0][0] - factors[-1][0]) if factors else (-1, 0)
+        for index, shape in enumerate(self._shapes):
+            if shape is None:  # a constant element divides everything
+                yield index, (0,) * self.ring.signature.shift_rank
+            elif shape[0] <= degree and shape[1] <= spread and shape[2] <= top:
+                for s in self._shifts_into(shape, factors, exps):
+                    yield index, s
 
     def find_divisor(self, target: Monomial):
         """The first item of iter_divisors, or None when no shifted leading
         monomial divides target."""
         return next(self.iter_divisors(target), None)
-
-
-def _span(m: Monomial):
-    """Max minus min shift per coordinate over the factors of m."""
-    return tuple([max(c) - min(c) for c in zip(*[var.shift for var, _ in m.factors])])
-
-
-def _prepare(target: Monomial):
-    """What divisor search reads of a target, built once per target: its
-    exponent map, its factor shifts per symbol, its degree and its span."""
-    by_symbol = {}
-    for (sym, alpha), _ in target.factors:
-        by_symbol.setdefault(sym, []).append(alpha)
-    return dict(target.factors), by_symbol, target.total_degree, _span(target)
 
 
 def _as_basis(G):

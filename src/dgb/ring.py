@@ -1,31 +1,27 @@
 """The algebra of partial difference polynomials.
 
 Variables are pairs ``symbol(shift)``: a symbol from a finite set together
-with an element of the shift monoid.  Monomials are finite products of such
-variables with positive exponents; polynomials are sparse sums of terms
-over an exact constant field, kept strictly descending under the ring's
-block ordering.  The shift monoid acts on everything by translating every
-variable's shift and fixing coefficients.
+with an element of the shift monoid, packed into one int by the ring's
+ordering (see orderings.py; ``VarRef`` is the decoded view).  Monomials
+are finite products of such variables with positive exponents;
+polynomials are sparse sums of terms over an exact constant field, kept
+strictly descending under the ring's block ordering.  The shift monoid
+acts on everything by translating every variable's shift and fixing
+coefficients; on packed variables that is one addition each.
 """
 
 from __future__ import annotations
 
 import re
 from operator import add
-from typing import NamedTuple
 
-from .errors import ExactDivisionError, RankMismatchError, RingMismatchError
+from .errors import ExactDivisionError, RingMismatchError
 from .field import ConstantField
 from .orderings import Ordering, OrderingSpec
 
 NEG_INF = float("-inf")
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
-class VarRef(NamedTuple):
-    symbol: int
-    shift: tuple
 
 
 class Signature:
@@ -67,16 +63,19 @@ class Signature:
 class Monomial:
     """A product of shifted variables with positive integer exponents.
 
-    Factors are stored as a tuple of (VarRef, exponent) pairs sorted by the
-    structural key (symbol index, shift tuple); the empty tuple is the
-    monomial 1.  Equality and hashing are structural and independent of any
-    monomial ordering.
+    Factors are stored as a tuple of (packed variable, exponent) int pairs
+    in descending variable order, together with the ordering that packed
+    them and the block-order key, built once (under a lex symbol order the
+    key is the factor tuple itself); the empty tuple is the monomial 1,
+    whose ordering may be None.  Equality and hashing read the factors.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "ordering", "key")
 
-    def __init__(self, factors=()):
+    def __init__(self, factors=(), ordering=None):
         self.factors = tuple(factors)
+        self.ordering = ordering
+        self.key = ordering.monomial_key(self) if ordering else self.factors
 
     ONE: "Monomial"
 
@@ -91,19 +90,12 @@ class Monomial:
         return hash(self.factors)
 
     def __mul__(self, other):
-        return Monomial(_merge(self.factors, other.factors, lambda a, b: a + b))
+        return Monomial(_merge(self.factors, other.factors, add),
+                        self.ordering or other.ordering)
 
     def lcm(self, other):
-        return Monomial(_merge(self.factors, other.factors, max))
-
-    def gcd(self, other):
-        out = []
-        pos = {var: e for var, e in other.factors}
-        for var, e in self.factors:
-            oe = pos.get(var)
-            if oe:
-                out.append((var, min(e, oe)))
-        return Monomial(out)
+        return Monomial(_merge(self.factors, other.factors, max),
+                        self.ordering or other.ordering)
 
     def divides(self, other):
         pos = {var: e for var, e in other.factors}
@@ -121,37 +113,39 @@ class Monomial:
                 out.append((var, d))
         if need:
             raise ExactDivisionError(f"{other!r} does not divide {self!r}")
-        return Monomial(out)
+        return Monomial(out, self.ordering)
 
     def shift(self, s):
-        """Image under the shift action: every factor's shift is translated."""
-        if self.is_one:
+        """Image under the shift action: one constant is added to every
+        packed variable."""
+        factors = self.factors
+        if not factors:
             return self
-        rank = len(self.factors[0][0].shift)
-        if len(s) != rank:
-            raise RankMismatchError(f"shift ranks differ: {rank} vs {len(s)}")
-        return Monomial(tuple((VarRef(sym, tuple(map(add, shift, s))), e)
-                              for (sym, shift), e in self.factors))
+        ordering = self.ordering
+        s = ordering.check_shift(s, ordering.order(factors))
+        delta = ordering.shift_delta(s) * ordering.n_symbols
+        return Monomial([(var + delta, e) for var, e in factors], ordering)
 
     @property
     def order(self):
         """Max total shift degree among the factors; -inf for the monomial 1."""
         if not self.factors:
             return NEG_INF
-        return max(sum(var.shift) for var, _ in self.factors)
+        return self.ordering.order(self.factors)
 
     @property
     def total_degree(self):
         return sum(e for _, e in self.factors)
 
-    def variables(self):
-        return [var for var, _ in self.factors]
+    def decoded(self):
+        """The factors as (VarRef, exponent) pairs, in descending order."""
+        return [(self.ordering.decode(var), e) for var, e in self.factors]
 
     def __repr__(self):
         if not self.factors:
             return "Monomial(1)"
         body = "*".join(f"x{sym}{tuple(shift)}^{e}" if e > 1 else f"x{sym}{tuple(shift)}"
-                        for (sym, shift), e in self.factors)
+                        for (sym, shift), e in self.decoded())
         return f"Monomial({body})"
 
 
@@ -159,8 +153,8 @@ Monomial.ONE = Monomial()
 
 
 def _merge(fa, fb, combine):
-    """Merge two structurally sorted factor tuples with a combiner that
-    never produces zero (callers guarantee positive results)."""
+    """Merge two descending factor tuples with a combiner that never
+    produces zero (callers guarantee positive results)."""
     out = []
     i = j = 0
     la, lb = len(fa), len(fb)
@@ -171,7 +165,7 @@ def _merge(fa, fb, combine):
             out.append((va, combine(ea, eb)))
             i += 1
             j += 1
-        elif va < vb:
+        elif va > vb:
             out.append((va, ea))
             i += 1
         else:
@@ -218,16 +212,6 @@ class DifferenceRing:
         except ValueError:
             raise KeyError(f"unknown symbol {name!r}") from None
 
-    def check_shift(self, shift):
-        shift = tuple(shift)
-        if len(shift) != self.signature.shift_rank:
-            raise RankMismatchError(
-                f"shift {shift} has rank {len(shift)}, ring expects "
-                f"{self.signature.shift_rank}")
-        if any(a < 0 for a in shift):
-            raise ValueError(f"negative entry in shift {shift}")
-        return shift
-
     def monomial(self, factors):
         """Build a monomial from (symbol name or index, shift, exponent) triples."""
         acc = {}
@@ -239,9 +223,9 @@ class DifferenceRing:
             if exp < 0:
                 raise ValueError("negative exponent")
             if exp:
-                var = VarRef(symbol, self.check_shift(shift))
+                var = self.ordering.variable(symbol, shift)
                 acc[var] = acc.get(var, 0) + exp
-        return Monomial(tuple(sorted(acc.items())))
+        return Monomial(sorted(acc.items(), reverse=True), self.ordering)
 
     def var(self, symbol, shift, exp=1):
         """The variable symbol(shift)**exp as a polynomial."""
@@ -254,13 +238,18 @@ class DifferenceRing:
         return Polynomial(self, ((Monomial.ONE, c),))
 
     def polynomial(self, pairs):
-        """Canonicalize (coefficient, monomial) pairs into a polynomial."""
+        """Canonicalize (coefficient, monomial) pairs into a polynomial.
+        Monomials packed by another ordering of the same signature are
+        repacked by this ring's ordering."""
+        ordering = self.ordering
         acc = {}
         for coeff, mono in pairs:
+            if mono.ordering is not ordering and mono.factors and mono.ordering != ordering:
+                mono = self.monomial([(sym, shift, e) for (sym, shift), e in mono.decoded()])
             coeff = self.field.coerce(coeff)
             acc[mono] = acc.get(mono, self.field.zero) + coeff
         terms = [(m, c) for m, c in acc.items() if c]
-        terms.sort(key=lambda t: self.ordering.monomial_key(t[0]), reverse=True)
+        terms.sort(key=lambda t: t[0].key, reverse=True)
         return Polynomial(self, tuple(terms))
 
 
@@ -310,7 +299,6 @@ class Polynomial:
 
     def __add__(self, other):
         _same_ring(self, other)
-        key = self.ring.ordering.monomial_key
         out = []
         i = j = 0
         ta, tb = self.terms, other.terms
@@ -318,13 +306,14 @@ class Polynomial:
         while i < la and j < lb:
             ma, ca = ta[i]
             mb, cb = tb[j]
-            if ma == mb:
+            ka, kb = ma.key, mb.key
+            if ka == kb:
                 c = ca + cb
                 if c:
                     out.append((ma, c))
                 i += 1
                 j += 1
-            elif key(ma) > key(mb):
+            elif ka > kb:
                 out.append(ta[i])
                 i += 1
             else:
@@ -377,10 +366,10 @@ class Polynomial:
     def shift(self, s):
         """Termwise shift; descending term order survives because the
         ordering respects the shift action."""
-        s = self.ring.check_shift(s)
+        s = self.ring.ordering.check_shift(s)
         if not any(s):
             return self
-        return Polynomial(self.ring, tuple((m.shift(s), c) for m, c in self.terms))
+        return Polynomial(self.ring, tuple([(m.shift(s), c) for m, c in self.terms]))
 
     # --- grading by the order function --------------------------------------
 
@@ -390,13 +379,6 @@ class Polynomial:
         if not self.terms:
             return NEG_INF
         return max(m.order for m, _ in self.terms)
-
-    @property
-    def is_order_homogeneous(self):
-        if not self.terms:
-            return True
-        first = self.terms[0][0].order
-        return all(m.order == first for m, _ in self.terms[1:])
 
     # --- printing ------------------------------------------------------------
 
@@ -424,12 +406,9 @@ def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
 def format_monomial(m: Monomial, ring: DifferenceRing) -> str:
     if m.is_one:
         return "1"
-    ordering = ring.ordering
     names = ring.signature.symbols
-    factors = sorted(m.factors, key=lambda fe: ordering.variable_key(fe[0]),
-                     reverse=True)
     parts = []
-    for (sym, shift), e in factors:
+    for (sym, shift), e in m.decoded():
         inner = ",".join(str(a) for a in shift)
         body = f"{names[sym]}({inner})"
         parts.append(f"{body}^{e}" if e > 1 else body)

@@ -6,7 +6,8 @@ from functools import cmp_to_key
 from itertools import combinations_with_replacement
 from math import comb
 
-from dgb import DifferenceRing, Signature
+from dgb import DifferenceRing, Monomial, Signature
+from dgb.orderings import DEGLEX, LEX
 from dgb.quotient import groebner_gamma_basis
 
 
@@ -103,12 +104,69 @@ def to_oracle(poly):
     out = {}
     for m, c in poly.terms:
         assert isinstance(c, Fraction), "oracle conversion needs a parameter-free ring"
-        out[tuple(sorted(m.factors))] = c
+        out[mono_to_oracle(m)] = c
     return out
 
 
 def mono_to_oracle(m):
-    return tuple(sorted(m.factors))
+    return tuple(sorted(m.decoded()))
+
+
+def compare_shifts(ordering, s, t):
+    """-1, 0 or 1 as s <, ==, > t, read off the ordering's shift keys."""
+    a, b = ordering.shift_key(s), ordering.shift_key(t)
+    return (a > b) - (a < b)
+
+
+def compare_monomials(ordering, m, n):
+    """-1, 0 or 1 as m <, ==, > n, read off the ordering's monomial keys."""
+    a, b = ordering.monomial_key(m), ordering.monomial_key(n)
+    return (a > b) - (a < b)
+
+
+def is_order_homogeneous(f):
+    """Whether every monomial of f has the same order."""
+    return len({m.order for m, _ in f.terms}) <= 1
+
+
+def monomial_gcd(m, n):
+    """The greatest common divisor of two monomials of one ring."""
+    exps = dict(n.factors)
+    return Monomial([(var, min(e, exps[var])) for var, e in m.factors if var in exps],
+                    m.ordering or n.ordering)
+
+
+def _graded_key(kind, exps):
+    """Monotone key of an exponent vector listed from the most to the least
+    significant entry under the named ordering."""
+    if kind == LEX:
+        return tuple(exps)
+    if kind == DEGLEX:
+        return (sum(exps),) + tuple(exps)
+    return (sum(exps),) + tuple(-e for e in reversed(exps))
+
+
+def reference_shift_key(ordering, s):
+    """The shift-order key as the engine computed it before packing: a
+    tuple of the entries in priority order, under the degree if graded."""
+    prio = ordering.spec.shift_priority or tuple(range(ordering.rank))
+    return _graded_key(ordering.spec.shift_order, [s[i] for i in prio])
+
+
+def reference_monomial_key(ordering, m):
+    """The block-order key as the engine computed it on unpacked variables:
+    blocks of equal shift by descending tuple shift key, each compared by
+    the symbol order on its exponents in symbol priority order."""
+    symbol_prio = ordering.spec.symbol_priority or tuple(range(ordering.n_symbols))
+    blocks = {}
+    for (sym, shift), e in m.decoded():
+        blocks.setdefault(shift, {})[sym] = e
+    parts = []
+    for shift in sorted(blocks, key=lambda s: reference_shift_key(ordering, s), reverse=True):
+        exps = [blocks[shift].get(sym, 0) for sym in symbol_prio]
+        parts.append((reference_shift_key(ordering, shift),
+                      _graded_key(ordering.spec.symbol_order, exps)))
+    return tuple(parts)
 
 
 def oracle_key(ring):

@@ -334,6 +334,20 @@ def test_cli_negative_truncation_exit_one(tmp_path, capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
+def test_cli_shift_past_packed_width_exits_one(tmp_path, capsys):
+    # a variable beyond the packed width is refused where it is written,
+    # and a shift the completion would make past it ends the run
+    prob = tmp_path / "p.dgb"
+    prob.write_text("ring { shifts: 1; symbols: x; }\nideal { x(0) - x(65536); }\n")
+    assert run(["compute", "--input", str(prob)]) == 1
+    err = capsys.readouterr().err
+    assert "exceeds the limit 65535" in err and "line 2, column 16" in err
+    prob.write_text("ring { shifts: 1; symbols: x; }\nideal { x(65535)*x(0) - x(1); }\n")
+    assert run(["compute", "--input", str(prob)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dgb:") and "exceeds the limit 65535" in err
+
+
 def test_cli_symmetric_staircase_error_exit_one(tmp_path, capsys):
     gens = tmp_path / "gens.dgb"
     gens.write_text("ring { shifts: 1; symbols: x; }\nideal { x(5); }\n")

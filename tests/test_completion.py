@@ -16,8 +16,9 @@ from dgb.orderings import DEGLEX, DEGREVLEX, LEX
 from dgb.quotient import normal_variables, pure_power_table
 from dgb.reduction import reduce, reduce_full
 
-from helpers import (enumerate_up_to_degree, make_ring, mono_to_oracle,
-                     oracle_key, random_monomial, random_polynomial, to_oracle)
+from helpers import (enumerate_up_to_degree, is_order_homogeneous, make_ring,
+                     monomial_gcd, mono_to_oracle, oracle_key, random_monomial,
+                     random_polynomial, to_oracle)
 
 
 def R1():
@@ -60,7 +61,7 @@ def test_critical_pairs_self_pair():
     (sigma, tau), = pairs
     # invariants: coprime shifts, overlapping shifted leading monomials
     assert not any(map(min, sigma, tau))
-    assert not f.lm.shift(sigma).gcd(f.lm.shift(tau)).is_one
+    assert not monomial_gcd(f.lm.shift(sigma), f.lm.shift(tau)).is_one
 
 
 def test_shift_pair_candidates_complete():
@@ -76,7 +77,7 @@ def test_shift_pair_candidates_complete():
             for t in enumerate_up_to_degree(3, 2):
                 if any(map(min, s, t)):
                     continue
-                if a.shift(s).gcd(b.shift(t)).is_one:
+                if monomial_gcd(a.shift(s), b.shift(t)).is_one:
                     continue
                 assert (s, t) in listed
 
@@ -187,9 +188,9 @@ def test_discarded_shift_pairs_are_multiples():
 def _reference_shifted_overlap(lm_a, sa, lm_b, sb):
     """Whether the two shifted leading monomials share a variable: the
     product criterion as the chain test used to apply it per query."""
-    moved = {(sym, tuple(map(add, alpha, sa))) for (sym, alpha), _ in lm_a.factors}
+    moved = {(sym, tuple(map(add, alpha, sa))) for (sym, alpha), _ in lm_a.decoded()}
     return any((sym, tuple(map(add, beta, sb))) in moved
-               for (sym, beta), _ in lm_b.factors)
+               for (sym, beta), _ in lm_b.decoded())
 
 
 def _seeded_run(seed, budget, modes=("plain", "truncated", "adaptive")):
@@ -395,6 +396,20 @@ def test_seeded_completions_match_pinned_outcomes():
     assert ("plain", "budget_exhausted") in modes and ("adaptive", "complete") in modes
 
 
+def test_ordering_holds_no_growing_state():
+    # keys are computed from the packed factors each time: nothing in a
+    # ring's ordering is a container a completion run could fill
+    ring = make_ring(2, ("x", "y"), spec=OrderingSpec(DEGLEX, None, DEGREVLEX, None))
+    ordering = ring.ordering
+    slots = {name: getattr(ordering, name) for name in type(ordering).__slots__}
+    assert not any(isinstance(v, (dict, list, set, bytearray)) for v in slots.values())
+    gens = [parse_polynomial(ring, "x(1,0)*y(0,1) - x(0,0)^2"),
+            parse_polynomial(ring, "y(1,1) - x(0,1)*y(0,0)")]
+    basis = sigma_gbasis(gens, max_pair_budget=300)
+    assert basis.stats.generated > 10
+    assert {name: getattr(ordering, name) for name in slots} == slots
+
+
 def test_parameter_coefficient_swell_case_is_pinned():
     # Q(H) coefficients with non-constant denominators: each further pair
     # of budget multiplies the cost (the swell case of ROADMAP item 3).
@@ -489,7 +504,7 @@ def _random_homogeneous_setup(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_truncation_matches_classical_oracle(seed):
     ring, gens, d = _random_homogeneous_setup(seed)
-    assert all(g.is_order_homogeneous for g in gens)
+    assert all(is_order_homogeneous(g) for g in gens)
     basis = sigma_gbasis_truncated(gens, d)
     left = _sigma_side_minimal_lms(basis, d)
     right = _oracle_side_minimal_lms(ring, [g for g in gens if g.order <= d], d)

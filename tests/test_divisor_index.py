@@ -11,6 +11,7 @@ the reference cofactor.
 """
 
 import random
+from functools import partial
 from itertools import permutations
 
 import pytest
@@ -19,26 +20,28 @@ from dgb import OrderingSpec
 from dgb.orderings import DEGLEX, DEGREVLEX, LEX
 from dgb.reduction import ReducerBasis
 
-from helpers import make_ring, random_monomial, random_polynomial, random_shift
+from helpers import (make_ring, random_monomial, random_polynomial, random_shift,
+                     reference_shift_key)
 
 
 def _shifted(ring, lm, s):
     return ring.monomial([(sym, tuple(a + b for a, b in zip(beta, s)), e)
-                          for (sym, beta), e in lm.factors])
+                          for (sym, beta), e in lm.decoded()])
 
 
 def reference_candidate_shifts(ring, lm, target, max_shift_deg=None):
     if lm.is_one:
         return [(0,) * ring.signature.shift_rank]
-    sym, beta = max(lm.variables(), key=ring.ordering.variable_key)
+    key = partial(reference_shift_key, ring.ordering)
+    (sym, beta), _ = max(lm.decoded(), key=lambda fe: key(fe[0].shift))
     seen = set()
-    for (tsym, alpha), _ in target.factors:
+    for (tsym, alpha), _ in target.decoded():
         if tsym == sym and all(a >= b for a, b in zip(alpha, beta)):
             seen.add(tuple(a - b for a, b in zip(alpha, beta)))
     if max_shift_deg is not None:
         seen = {s for s in seen if sum(s) <= max_shift_deg}
     out = [s for s in seen if _shifted(ring, lm, s).divides(target)]
-    out.sort(key=ring.ordering.shift_key)
+    out.sort(key=key)
     return out
 
 

@@ -295,3 +295,31 @@ def test_gcd_finds_a_planted_common_factor(nvars):
             assert ring(found[0]) in (expected, -expected)
             assert mul(found[0], found[1]) == f and mul(found[0], found[2]) == g
     assert heuristic > 50
+
+
+def _dense_integer_polynomial(rng, terms, degree):
+    out = {}
+    while len(out) < terms:
+        out[(rng.randint(0, degree), rng.randint(0, degree))] = rng.choice((-1, 1)) * rng.randint(1, 99)
+    return out
+
+
+def test_exact_division_of_long_products():
+    # _divide walks the remainder by its leading exponent; products of two
+    # 30-plus-term polynomials in ZZ[H, K] give remainders of hundreds of terms
+    rng = random.Random(30)
+    divide, mul = field_module._divide, field_module._mul
+    for terms in (30, 45):
+        f = _dense_integer_polynomial(rng, terms, 12)
+        g = _dense_integer_polynomial(rng, terms, 12)
+        product = mul(f, g)
+        assert len(product) > 200
+        assert divide(product, f) == g and divide(product, g) == f
+        assert divide(product, {(0, 0): 1}) == product
+        # not a divisor: a term too many, a coefficient off by one, a
+        # leading exponent out of reach
+        assert divide(field_module._combine(product, 1, {(0, 0): 1}, 1), f) is None
+        off = dict(g)
+        off[max(off)] += 100
+        assert divide(product, off) is None
+        assert divide(f, {(13, 13): 1}) is None

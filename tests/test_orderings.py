@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from dgb import Monomial, Ordering, OrderingSpec
+from dgb import MAX_SHIFT_DEGREE, Monomial, Ordering, OrderingSpec, ShiftWidthError
 from dgb.orderings import DEGLEX, DEGREVLEX, LEX
 
-from helpers import make_ring, random_monomial
+from helpers import (compare_monomials, compare_shifts, make_ring, random_monomial,
+                     reference_monomial_key)
 
 
 def grid_ring():
@@ -23,13 +24,13 @@ def test_degrevlex_shift_chain():
     chain = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2),
              (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
     for a, b in zip(chain, chain[1:]):
-        assert ring.ordering.compare_shifts(a, b) == 1
-    assert ring.ordering.compare_shifts((0, 0, 0), (0, 0, 0)) == 0
+        assert compare_shifts(ring.ordering, a, b) == 1
+    assert compare_shifts(ring.ordering, (0, 0, 0), (0, 0, 0)) == 0
 
 
 def test_deg_compatible_shift_orders():
     ring = grid_ring()
-    assert ring.ordering.compare_shifts((1, 0, 0), (0, 2, 0)) == -1  # degree dominates
+    assert compare_shifts(ring.ordering, (1, 0, 0), (0, 2, 0)) == -1  # degree dominates
 
 
 def test_variable_chain_matches_block_construction():
@@ -41,7 +42,7 @@ def test_variable_chain_matches_block_construction():
              ("x", (0, 0, 1)), ("y", (0, 0, 1)), ("x", (0, 0, 0)), ("y", (0, 0, 0))]
     monos = [var(ring, n, s) for n, s in names]
     for a, b in zip(monos, monos[1:]):
-        assert ring.ordering.compare_monomials(a, b) == 1
+        assert compare_monomials(ring.ordering, a, b) == 1
 
 
 def test_one_is_minimal():
@@ -49,7 +50,7 @@ def test_one_is_minimal():
     rng = random.Random(1)
     for _ in range(100):
         m = random_monomial(rng, ring)
-        assert ring.ordering.compare_monomials(Monomial.ONE, m) == -1
+        assert compare_monomials(ring.ordering, Monomial.ONE, m) == -1
 
 
 def test_ordinary_lex_like_chain():
@@ -57,8 +58,8 @@ def test_ordinary_lex_like_chain():
     ring = make_ring(1, ("x",), spec=OrderingSpec(DEGLEX, None, LEX, None))
     x = lambda k, e=1: ring.monomial([("x", (k,), e)])
     ordering = ring.ordering
-    assert ordering.compare_monomials(x(7, 2), x(6) * x(7)) == 1
-    assert ordering.compare_monomials(x(6) * x(7), x(0) * x(2)) == 1
+    assert compare_monomials(ordering, x(7, 2), x(6) * x(7)) == 1
+    assert compare_monomials(ordering, x(6) * x(7), x(0) * x(2)) == 1
 
 
 def test_is_ord_compatible():
@@ -84,22 +85,22 @@ def test_ordering_laws_random_specs(seed):
     monos = [random_monomial(rng, ring) for _ in range(40)]
     for _ in range(300):
         m, n, t = rng.choice(monos), rng.choice(monos), rng.choice(monos)
-        c = ordering.compare_monomials(m, n)
+        c = compare_monomials(ordering, m, n)
         # totality and antisymmetry
         assert c in (-1, 0, 1)
-        assert ordering.compare_monomials(n, m) == -c
+        assert compare_monomials(ordering, n, m) == -c
         assert (c == 0) == (m == n)
         # transitivity on a sorted triple
         trio = sorted([m, n, t], key=ordering.monomial_key)
-        assert ordering.compare_monomials(trio[0], trio[2]) <= 0
+        assert compare_monomials(ordering, trio[0], trio[2]) <= 0
         # multiplicativity
         if c == -1:
-            assert ordering.compare_monomials(m * t, n * t) == -1
+            assert compare_monomials(ordering, m * t, n * t) == -1
         # shift compatibility
         s = tuple(rng.randint(0, 2) for _ in range(2))
         if c == -1:
-            assert ordering.compare_monomials(m.shift(s), n.shift(s)) == -1
-        assert ordering.compare_monomials(m.shift(s), m) >= 0
+            assert compare_monomials(ordering, m.shift(s), n.shift(s)) == -1
+        assert compare_monomials(ordering, m.shift(s), m) >= 0
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -113,4 +114,80 @@ def test_ord_compatibility_law(seed):
         m = random_monomial(rng, ring, max_shift_deg=3)
         n = random_monomial(rng, ring, max_shift_deg=3)
         if m.order < n.order:
-            assert ring.ordering.compare_monomials(m, n) == -1
+            assert compare_monomials(ring.ordering, m, n) == -1
+
+
+# --- packed keys against the block-order reference -----------------------------
+
+
+def _specs(rank, n):
+    """All nine shift x symbol order pairs, with natural priorities and
+    with non-default ones."""
+    for shift_order in (LEX, DEGLEX, DEGREVLEX):
+        for symbol_order in (LEX, DEGLEX, DEGREVLEX):
+            yield OrderingSpec(shift_order, None, symbol_order, None)
+            shift_prio = tuple(range(rank))[1:] + (0,)
+            symbol_prio = tuple(reversed(range(n)))
+            yield OrderingSpec(shift_order, shift_prio, symbol_order, symbol_prio)
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_packed_keys_match_the_block_order_reference(rank):
+    symbols = ("x", "y", "z")
+    checked = 0
+    for index, spec in enumerate(_specs(rank, len(symbols))):
+        rng = random.Random(1000 * rank + index)
+        ring = make_ring(rank, symbols, spec=spec)
+        ordering = ring.ordering
+        monos = [Monomial.ONE] + [random_monomial(rng, ring, max_factors=4, max_shift_deg=3,
+                                                  max_exp=3) for _ in range(50)]
+        packed = [ordering.monomial_key(m) for m in monos]
+        reference = [reference_monomial_key(ordering, m) for m in monos]
+        for i in range(len(monos)):
+            for j in range(len(monos)):
+                assert _sign(packed[i], packed[j]) == _sign(reference[i], reference[j]), \
+                    (spec, monos[i], monos[j])
+                checked += 1
+        # compatibility with the shift action, read off the packed keys
+        for _ in range(300):
+            m, n = rng.choice(monos), rng.choice(monos)
+            s = tuple(rng.randint(0, 3) for _ in range(rank))
+            if ordering.monomial_key(m) < ordering.monomial_key(n):
+                assert ordering.monomial_key(m.shift(s)) < ordering.monomial_key(n.shift(s))
+        # the decoded view gives back the variables the monomial was built from
+        for m in monos:
+            assert ring.monomial([(sym, shift, e) for (sym, shift), e in m.decoded()]) == m
+    assert checked == 18 * 51 * 51
+
+
+@pytest.mark.parametrize("shift_order", [LEX, DEGLEX, DEGREVLEX])
+def test_shift_past_the_packed_width_raises(shift_order):
+    ring = make_ring(2, ("x", "y"), spec=OrderingSpec(shift_order, (1, 0), LEX, None))
+    top = MAX_SHIFT_DEGREE
+    m = ring.monomial([("x", (top - 3, 2), 1), ("y", (0, 1), 2)])
+    assert m.order == top - 1
+    edge = m.shift((0, 1))
+    assert edge.order == top
+    assert sorted(edge.decoded()) == [((0, (top - 3, 3)), 1), ((1, (0, 2)), 2)]
+    with pytest.raises(ShiftWidthError):
+        m.shift((1, 1))
+    with pytest.raises(ShiftWidthError):
+        edge.shift((1, 0))
+    # one coordinate past the field width would carry into its neighbour
+    corner = ring.monomial([("x", (top, 0), 1)])
+    with pytest.raises(ShiftWidthError):
+        corner.shift((1, 0))
+    assert corner.shift((0, 0)).decoded() == [((0, (top, 0)), 1)]
+    f = ring.polynomial([(1, m), (2, ring.monomial([("y", (0, 0), 1)]))])
+    assert f.shift((0, 1)).lm == edge
+    with pytest.raises(ShiftWidthError):
+        f.shift((0, 2))
+    with pytest.raises(ShiftWidthError):
+        ring.var("x", (top, 1))
+    with pytest.raises(ShiftWidthError):
+        ring.ordering.check_shift((top - 1, 2))
+    assert ring.ordering.check_shift([top, 0]) == (top, 0)

@@ -4,19 +4,25 @@ same examples)."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgb import format_polynomial
+from dgb import OrderingSpec, format_polynomial
 from dgb.cli import parse_polynomial
+from dgb.orderings import DEGLEX, DEGREVLEX, LEX
 
 from helpers import make_ring
+
+_ORDERS = st.sampled_from([LEX, DEGLEX, DEGREVLEX])
 
 
 @st.composite
 def _polynomials(draw, parameters):
-    """A rank 1-2 polynomial whose coefficients are quotients of random
+    """A rank 1-2 polynomial under any shift and symbol order, natural or
+    permuted priorities, whose coefficients are quotients of random
     parameter polynomials (plain rationals without parameters)."""
     rank = draw(st.integers(1, 2))
     symbols = draw(st.sampled_from([("x",), ("x", "y")]))
-    ring = make_ring(rank, symbols, parameters)
+    spec = OrderingSpec(draw(_ORDERS), tuple(draw(st.permutations(range(rank)))),
+                        draw(_ORDERS), tuple(draw(st.permutations(range(len(symbols))))))
+    ring = make_ring(rank, symbols, parameters, spec)
     field = ring.field
 
     def parameter_polynomial():
@@ -41,14 +47,22 @@ def _polynomials(draw, parameters):
 
 def _check_roundtrip(parameters):
     denominators = []
+    specs = set()
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(_polynomials(parameters))
     def roundtrip(f):
         assert parse_polynomial(f.ring, format_polynomial(f)) == f
         denominators.extend(c.den if parameters else c.denominator for _, c in f.terms)
+        spec = f.ring.ordering.spec
+        specs.add((spec.shift_order, spec.symbol_order,
+                   spec.shift_priority != tuple(range(f.ring.signature.shift_rank)),
+                   spec.symbol_priority != tuple(range(len(f.ring.signature.symbols)))))
 
     roundtrip()
+    # every shift x symbol order pair came up, and so did permuted priorities
+    assert len({(a, b) for a, b, _, _ in specs}) == 9
+    assert any(c for *_, c, _ in specs) and any(d for *_, d in specs)
     return denominators
 
 
