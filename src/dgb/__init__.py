@@ -13,8 +13,8 @@ from .errors import (DGBError, ExactDivisionError, InternalCheckError,
 from .field import ConstantField
 from .orderings import (DEGLEX, DEGREVLEX, LEX, MAX_SHIFT_DEGREE, Ordering,
                         OrderingSpec, VarRef)
-from .ring import (DifferenceRing, Monomial, NEG_INF, Polynomial, Signature,
-                   format_monomial, format_polynomial, spoly)
+from .ring import (MAX_SHIFT_RANK, DifferenceRing, Monomial, NEG_INF, Polynomial,
+                   Signature, format_monomial, format_polynomial, spoly)
 from .reduction import (ReducerBasis, reduce, reduce_full, replay_certificate,
                         tail_reduce)
 from .completion import (CompletionOptions, CompletionStatus, PairStats,
@@ -30,7 +30,7 @@ __all__ = [
     "RankMismatchError", "RingMismatchError", "ShiftWidthError", "StaircaseError",
     "ConstantField",
     "DEGLEX", "DEGREVLEX", "LEX", "MAX_SHIFT_DEGREE", "Ordering", "OrderingSpec",
-    "DifferenceRing", "Monomial", "NEG_INF", "Polynomial", "Signature",
+    "MAX_SHIFT_RANK", "DifferenceRing", "Monomial", "NEG_INF", "Polynomial", "Signature",
     "VarRef", "format_monomial", "format_polynomial", "spoly",
     "ReducerBasis", "reduce", "reduce_full", "replay_certificate",
     "tail_reduce",

@@ -23,6 +23,7 @@ rings accept a bare integer.  `#` starts a line comment.
 
 The symmetric block holds exactly `perm: CYCLES;`, with CYCLES in the cycle
 notation of `--perm`, e.g. `(1 2 3)(4 5)`; points not named are fixed.
+`dgb symmetric` computes in the file's ring, under its order.
 """
 
 from __future__ import annotations
@@ -238,7 +239,8 @@ class _Parser:
         shift_prio = tuple(int(name[1:]) - 1 for name in shift_names)
         if sorted(symbol_names) != sorted(signature.symbols):
             self.fail("symbol priority must name every declared symbol exactly once", tok)
-        symbol_prio = tuple(signature.symbols.index(name) for name in symbol_names)
+        index = {name: i for i, name in enumerate(signature.symbols)}
+        symbol_prio = tuple(index[name] for name in symbol_names)
         return OrderingSpec(shift_name, shift_prio, symbol_name, symbol_prio)
 
     def parse_poly_block(self, ring):
@@ -655,17 +657,12 @@ def _cmd_symmetric(args) -> RunReport:
         raise UsageError("dgb symmetric: no permutation given (use --perm or a symmetric block)")
     if problem.ring.signature.shift_rank != 1:
         raise UsageError("dgb symmetric: the generators ring must have shift rank 1")
-    action = PermutationAction(
-        cycles, symbols=problem.ring.signature.symbols,
-        parameters=problem.ring.signature.parameters)
-    lifted = [action.ring.polynomial((c, m) for m, c in g.terms)
-              for g in problem.polynomials]
-    options = _completion_options(args)
-    basis = groebner_gamma_basis(action, lifted, options)
+    action = PermutationAction(cycles, problem.ring)
+    basis = groebner_gamma_basis(action, problem.polynomials, _completion_options(args))
     config = {
         "gens": args.gens,
         "perm": str(action),
-        "order": format_ordering(action.ring),
+        "order": format_ordering(problem.ring),
     }
     report = _basis_report("symmetric", args, basis, config)
     if args.classical:

@@ -313,16 +313,23 @@ class VerificationReport:
 
 
 def verify_sigma_gbasis(basis_or_elements):
-    """Finite completeness check: every surviving critical pair must reduce
-    to zero against shifts of degree at most twice the maximal leading
-    order.  Requires an order-compatible ordering."""
+    """Finite completeness check: every surviving critical pair must
+    head-reduce to zero.  Requires an order-compatible ordering.
+
+    The divisor search needs no shift bound: no shift of degree above 2d
+    is tried, d the largest leading order.  A surviving pair (sigma, tau)
+    has sigma <= beta and tau <= alpha entrywise, for factor shifts alpha
+    of lm(f) and beta of lm(g), so the overlap has order at most 2d.  Under
+    an order-compatible ordering no monomial of a polynomial has a larger
+    order than its leading one, and a head step only lowers the leading
+    monomial, so every monomial reduced has order at most 2d.  And s*lm(g)
+    dividing m puts a factor of lm(g), shifted by s, in m: |s| <= order(m)."""
     ring, elements = _monic_generators(basis_or_elements)
     if not elements:
         return VerificationReport(True, [])
     if not ring.ordering.is_order_compatible:
         raise ValueError("verification requires an order-compatible ordering")
-    d = max(g.lm.order for g in elements)
-    reducer = ReducerBasis(elements, max_shift_deg=2 * d)
+    reducer = ReducerBasis(elements)
     failures = []
     checked = 0
     for j in range(len(elements)):

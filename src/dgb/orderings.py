@@ -94,6 +94,11 @@ def _check_priority(priority, count, what):
     return priority
 
 
+def _inverse(permutation):
+    """The inverse of a permutation of 0..n-1."""
+    return tuple(sorted(range(len(permutation)), key=permutation.__getitem__))
+
+
 class Ordering:
     """An OrderingSpec bound to a concrete signature (rank and symbol
     count): the packing of variables and the keys of the block order."""
@@ -109,15 +114,13 @@ class Ordering:
         self._shift_prio = _check_priority(spec.shift_priority, shift_rank, "shift")
         self._symbol_prio = _check_priority(spec.symbol_priority, n_symbols, "symbol")
         # the low digit v of a variable, and back from v to the symbol
-        self._symbol_value = tuple(n_symbols - 1 - self._symbol_prio.index(sym)
-                                   for sym in range(n_symbols))
         self._symbol_of = self._symbol_prio[::-1]
+        self._symbol_value = _inverse(self._symbol_of)
         width = SHIFT_BITS * shift_rank
         revlex = spec.shift_order == DEGREVLEX
-        columns = self._shift_prio[::-1] if revlex else self._shift_prio
+        columns = self._shift_prio if revlex else self._shift_prio[::-1]
         # the bit offset of each shift coordinate's field
-        self._offsets = tuple(SHIFT_BITS * (shift_rank - 1 - columns.index(j))
-                              for j in range(shift_rank))
+        self._offsets = tuple(SHIFT_BITS * k for k in _inverse(columns))
         self._degree_bits = None if spec.shift_order == LEX else width
         # key(0): all fields M under degrevlex, where XOR with it turns a
         # field M - s_j back into s_j

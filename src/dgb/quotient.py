@@ -22,8 +22,8 @@ from itertools import product
 from .completion import SigmaBasis, minimalize, sigma_gbasis
 from .errors import (InternalCheckError, ParseError, RingMismatchError,
                      StaircaseError)
-from .orderings import DEGLEX, LEX, OrderingSpec, VarRef
-from .reduction import ReducerBasis, tail_reduce
+from .orderings import DEGLEX, OrderingSpec, VarRef
+from .reduction import ReducerBasis, reduce_full, tail_reduce
 from .ring import DifferenceRing, Polynomial, Signature
 
 
@@ -135,39 +135,29 @@ class QuotientPresentation:
     """A full matrix of monic linear relations, one per (symbol, operator)."""
 
     def __init__(self, ring: DifferenceRing, relations):
-        n = len(ring.signature.symbols)
-        r = ring.signature.shift_rank
+        symbols = ring.signature.symbols
+        n, r = len(symbols), ring.signature.shift_rank
         matrix = {}
         for rel in relations:
             key = (rel.symbol_index, rel.shift_index)
             if not (0 <= rel.symbol_index < n and 0 <= rel.shift_index < r):
                 raise ValueError(f"relation indices {key} out of range")
             if key in matrix:
-                raise ValueError(f"duplicate relation for {key}")
+                raise ValueError(f"duplicate relation for {symbols[key[0]]} along s{key[1] + 1}")
             matrix[key] = rel
-        missing = [(i, j) for i in range(n) for j in range(r) if (i, j) not in matrix]
+        missing = [f"{symbols[i]} along s{j + 1}"
+                   for i in range(n) for j in range(r) if (i, j) not in matrix]
         if missing:
-            raise ValueError(f"missing relations for {missing}")
+            raise ValueError(f"missing relations for {', '.join(missing)}")
         self.ring = ring
         self.relations = matrix
         self.degree_table = [[matrix[(i, j)].degree for j in range(r)] for i in range(n)]
         self.relation_polynomials = [matrix[key].polynomial(ring) for key in sorted(matrix)]
-        self._reducer = ReducerBasis(self.relation_polynomials)
+        self.reducer = ReducerBasis(self.relation_polynomials)
 
     @property
     def dimension(self):
         return sum(math.prod(row) for row in self.degree_table)
-
-    def _companion_apply(self, coefficients, vec):
-        """One application of the companion matrix of a monic polynomial
-        with the given coefficients to a column vector."""
-        field = self.ring.field
-        d = len(vec)
-        top = vec[-1]
-        out = [field.zero - coefficients[0] * top]
-        for row in range(1, d):
-            out.append(vec[row - 1] - coefficients[row] * top)
-        return out
 
     def _companion_power_basis(self, i, j, k):
         """The vector of the k-th companion power applied to the first
@@ -179,17 +169,17 @@ class QuotientPresentation:
             return []
         coeffs = [field.coerce(c) for c in rel.coefficients]
         vec = [field.one] + [field.zero] * (d - 1)
-        for _ in range(k):
-            vec = self._companion_apply(coeffs, vec)
+        for _ in range(k):  # one application of the companion matrix
+            top = vec[-1]
+            vec = [a - c * top for a, c in zip([field.zero] + vec[:-1], coeffs)]
         return vec
 
     def normal_form_companion(self, var):
         """Normal form of a variable through the Kronecker product of
-        companion-matrix powers."""
+        companion-matrix powers; a relation of degree 0 leaves no basis
+        vector, so the product, and the normal form, is empty."""
         i, shift = var
         ring = self.ring
-        if any(d == 0 for d in self.degree_table[i]):
-            return ring.zero
         vectors = [self._companion_power_basis(i, j, k) for j, k in enumerate(shift)]
         pairs = []
         for combo in product(*(range(len(v)) for v in vectors)):
@@ -203,7 +193,7 @@ class QuotientPresentation:
     def normal_form_reduction(self, var):
         """Normal form of a variable by reduction against the relations."""
         i, shift = var
-        return tail_reduce(self.ring.var(i, shift), self._reducer)
+        return tail_reduce(self.ring.var(i, shift), self.reducer)
 
     def normal_form_variable(self, var):
         """Normal form of a variable, computed along both routes; the two
@@ -223,13 +213,16 @@ _CYCLE_TEXT = re.compile(r"\(([^()]*)\)")
 class PermutationAction:
     """A permutation of 1..degree acting on a finite polynomial ring.
 
-    Cycles are listed by increasing smallest point; points not mentioned
-    are fixed points and become cycles of length one.  Cycle i is carried
-    by symbol i of the induced rank-one difference ring, with the cycle
-    relation symbol_i(s^d_i) - symbol_i(1) closing it.
+    Cycles are listed by increasing smallest point; points below the
+    largest named one are fixed when not named, and later fixed points are
+    written as one-cycles, as in "(1 2)(3)".  Cycle i is carried by symbol
+    i of the rank-one ring given (by default x, or x1..xn, under a deglex
+    shift and lex symbol order), with the cycle relation
+    symbol_i(s^d_i) - symbol_i(0) closing it; the relations and their
+    reducer are built once, with the action.
     """
 
-    def __init__(self, cycles, degree=None, symbols=None, parameters=()):
+    def __init__(self, cycles, ring=None):
         if isinstance(cycles, str):
             cycles = parse_cycles(cycles)
         cycles = [tuple(int(p) for p in c) for c in cycles]
@@ -243,42 +236,37 @@ class PermutationAction:
                 if p in seen:
                     raise ValueError(f"point {p} appears in two cycles")
                 seen.add(p)
-        top = max(seen) if seen else 0
-        self.degree = degree if degree is not None else top
-        if top > self.degree:
-            raise ValueError("cycle point exceeds the declared degree")
+        self.degree = max(seen, default=0)
         fixed = [(p,) for p in range(1, self.degree + 1) if p not in seen]
         # rotate each cycle to start at its smallest point, then sort
         cycles = [c[c.index(min(c)):] + c[:c.index(min(c))] for c in cycles + fixed]
         cycles.sort(key=lambda c: c[0])
         self.cycles = tuple(cycles)
         self.cycle_lengths = tuple(len(c) for c in self.cycles)
-        if sum(self.cycle_lengths) != self.degree:
-            raise ValueError("cycles do not cover 1..degree")
         n = len(self.cycles)
-        if symbols is None:
+        if ring is None:
             symbols = ("x",) if n == 1 else tuple(f"x{i + 1}" for i in range(n))
-        elif len(symbols) != n:
+            ring = DifferenceRing(Signature(1, symbols), OrderingSpec(DEGLEX))
+        elif ring.signature.shift_rank != 1:
+            raise ValueError("a permutation acts on a ring of shift rank 1")
+        elif len(ring.signature.symbols) != n:
             raise ValueError(
                 f"the permutation needs {n} symbols, one per cycle (fixed "
-                f"points included), but {len(symbols)} were given")
-        self.ring = DifferenceRing(
-            Signature(1, symbols, parameters),
-            OrderingSpec(shift_order=DEGLEX, symbol_order=LEX))
+                f"points included), but {len(ring.signature.symbols)} were given")
+        self.ring = ring
+        self._presentation = QuotientPresentation(ring, [
+            LinearRelation(i, 0, (-1,) + (0,) * (d - 1) + (1,))
+            for i, d in enumerate(self.cycle_lengths)])
 
     @property
     def order(self):
         return math.lcm(*self.cycle_lengths)
 
     def relations(self):
-        return self.presentation().relation_polynomials
+        return self._presentation.relation_polynomials
 
     def presentation(self) -> QuotientPresentation:
-        rels = []
-        for i, d in enumerate(self.cycle_lengths):
-            coeffs = (-1,) + (0,) * (d - 1) + (1,)
-            rels.append(LinearRelation(i, 0, coeffs))
-        return QuotientPresentation(self.ring, rels)
+        return self._presentation
 
     def __str__(self):
         return "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles)
@@ -346,14 +334,13 @@ def expand_classical_basis(action: PermutationAction, gamma_elements):
     """Unfold a group-invariant basis into the plain minimal basis of the
     finite ring: apply all powers of the shift, wrap through the cycle
     relations, deduplicate, and minimalize with plain divisibility."""
-    ring = action.ring
-    relations = ReducerBasis(action.relations())
+    relations = action.presentation().reducer
     copies = {}
     for g in gamma_elements:
         for k in range(action.order):
-            c = tail_reduce(g.shift((k,)), relations)
+            c = reduce_full(g.shift((k,)), relations)
             if c:
-                copies.setdefault(c.monic(), None)
+                copies.setdefault(c, None)
     kept = []
     for g in sorted(copies, key=lambda g: g.lm.key):
         if not any(h.lm.divides(g.lm) for h in kept):

@@ -33,13 +33,12 @@ class ReducerBasis:
     skipped before any shift is tried.
     """
 
-    __slots__ = ("ring", "polys", "_shapes", "max_shift_deg")
+    __slots__ = ("ring", "polys", "_shapes")
 
-    def __init__(self, polys, max_shift_deg=None):
+    def __init__(self, polys):
         self.ring = None
         self.polys = []
         self._shapes = []
-        self.max_shift_deg = max_shift_deg
         for p in polys:
             self.append(p)
 
@@ -72,7 +71,6 @@ class ReducerBasis:
         ascending in the shift ordering."""
         _, _, anchor, beta, offsets, order = shape
         n = self.ring.ordering.n_symbols
-        bound = self.max_shift_deg
         out = []
         # a shift s >= 0 maps the anchor onto a variable w >= anchor of its
         # symbol, and descending w is descending shift_key(s)
@@ -86,9 +84,7 @@ class ReducerBasis:
                     break
             else:
                 s = tuple(map(sub, self.ring.ordering.decode(w).shift, beta))
-                degree = sum(s)
-                if (min(s) >= 0 and order + degree <= MAX_SHIFT_DEGREE
-                        and (bound is None or degree <= bound)):
+                if min(s) >= 0 and order + sum(s) <= MAX_SHIFT_DEGREE:
                     out.append(s)
         out.reverse()
         return out

@@ -21,11 +21,14 @@ from .orderings import Ordering, OrderingSpec
 
 NEG_INF = float("-inf")
 
+MAX_SHIFT_RANK = 64
+
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 class Signature:
-    """Shape of a ring: shift rank, symbol names, parameter names."""
+    """Shape of a ring: shift rank (1 to MAX_SHIFT_RANK), symbol names,
+    parameter names."""
 
     __slots__ = ("shift_rank", "symbols", "parameters")
 
@@ -34,6 +37,8 @@ class Signature:
         parameters = tuple(parameters)
         if shift_rank < 1:
             raise ValueError("shift rank must be at least 1")
+        if shift_rank > MAX_SHIFT_RANK:
+            raise ValueError(f"shift rank {shift_rank} exceeds the limit {MAX_SHIFT_RANK}")
         if not symbols:
             raise ValueError("at least one symbol is required")
         names = symbols + parameters
@@ -183,10 +188,11 @@ class DifferenceRing:
     polynomials remember their ring and refuse to mix with another one.
     """
 
-    __slots__ = ("signature", "field", "ordering", "zero", "one")
+    __slots__ = ("signature", "field", "ordering", "zero", "one", "_symbol_index")
 
     def __init__(self, signature, ordering_spec=None):
         self.signature = signature
+        self._symbol_index = {name: i for i, name in enumerate(signature.symbols)}
         self.field = ConstantField(signature.parameters)
         spec = ordering_spec or OrderingSpec()
         self.ordering = Ordering(signature.shift_rank, len(signature.symbols), spec)
@@ -208,8 +214,8 @@ class DifferenceRing:
 
     def symbol_index(self, name):
         try:
-            return self.signature.symbols.index(name)
-        except ValueError:
+            return self._symbol_index[name]
+        except KeyError:
             raise KeyError(f"unknown symbol {name!r}") from None
 
     def monomial(self, factors):
@@ -239,13 +245,12 @@ class DifferenceRing:
 
     def polynomial(self, pairs):
         """Canonicalize (coefficient, monomial) pairs into a polynomial.
-        Monomials packed by another ordering of the same signature are
-        repacked by this ring's ordering."""
+        The monomials must be packed by this ring's ordering."""
         ordering = self.ordering
         acc = {}
         for coeff, mono in pairs:
             if mono.ordering is not ordering and mono.factors and mono.ordering != ordering:
-                mono = self.monomial([(sym, shift, e) for (sym, shift), e in mono.decoded()])
+                raise RingMismatchError("monomial packed by another ordering")
             coeff = self.field.coerce(coeff)
             acc[mono] = acc.get(mono, self.field.zero) + coeff
         terms = [(m, c) for m, c in acc.items() if c]

@@ -39,11 +39,11 @@ def _load_flow_problem():
 
 
 def _cycle8_setup():
+    # the generators are parsed into the action's own ring, the ring of
+    # the README example, so both share one computation
     problem = parse_problem((DATA / "twisted_cubic_cycle8.dgb").read_text())
-    action = PermutationAction(problem.permutation,
-                               symbols=problem.ring.signature.symbols)
-    gens = [action.ring.polynomial((c, m) for m, c in f.terms)
-            for f in problem.polynomials]
+    action = PermutationAction(problem.permutation)
+    gens = [parse_polynomial(action.ring, str(f)) for f in problem.polynomials]
     return action, gens
 
 

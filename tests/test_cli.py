@@ -16,6 +16,8 @@ from helpers import make_ring, random_polynomial
 
 DATA = Path(__file__).parent / "data"
 
+RING_X = "ring { shifts: 1; symbols: x; }\n"
+
 RING_HEADER = """
 ring {
   shifts: 3;
@@ -524,12 +526,59 @@ def test_cli_non_integer_shift_rank(tmp_path, capsys):
      "expected an identifier", (2, 46)),
     ("ring { shifts: 1; symbols: x;\n  order: block(shifts=lex[;], symbols=lex[x]); }",
      "expected an identifier", (2, 27)),
+    ("ring {\n  shifts: 65;\n  symbols: x;\n}", "shift rank 65 exceeds the limit 64", (1, 1)),
+    ("ideal { x(0); }\n" + RING_X, "ideal block before ring block", (1, 1)),
+    ("symmetric { perm: (1 2); }\n" + RING_X, "symmetric block before ring block", (1, 1)),
+    (RING_X + "graph { }", "unknown section 'graph'", (2, 1)),
+    ("ring { shifts: 1; symbols: x;\n  weights: 1; }", "unknown ring item 'weights'", (2, 3)),
+    ("ring { shifts: 1; symbols: x;\n  order: block(shifts=revlex[s1], symbols=lex[x]); }",
+     "unknown ordering 'revlex'", (2, 23)),
+    (RING_X + "symmetric { group: (1 2); }", "unknown symmetric item 'group'", (2, 13)),
+    (RING_X + "ideal { x(1)^y(0); }", "expected an integer exponent", (2, 14)),
+    (RING_X + "ideal { x(1) * x; }", "symbol 'x' needs a shift tuple", (2, 16)),
+    (RING_X + "ideal { x(a); }", "expected a shift exponent", (2, 11)),
 ])
-def test_ring_block_errors_carry_positions(ring_block, message, position):
+def test_ring_block_errors_carry_positions(ring_block, message, position, tmp_path, capsys):
     with pytest.raises(ParseError) as err:
         parse_problem(ring_block + "\n")
     assert err.value.message == message
     assert (err.value.line, err.value.column) == position
+    prob = tmp_path / "p.dgb"
+    prob.write_text(ring_block + "\n")
+    assert run(["compute", "--input", str(prob)]) == 1
+    line, column = position
+    assert capsys.readouterr().err == f"dgb: {message} at line {line}, column {column}\n"
+
+
+RING_UV = "ring { shifts: 2; symbols: u, v; }\nideal { u(2,0) - u(0,0); v(0,1) - v(0,0); }\n"
+
+
+@pytest.mark.parametrize("problem, argv, message", [
+    (RING_X + "ideal { x(1) - x(0); }", ["reduce", "--poly", "x(1) x(2)"],
+     "dgb: trailing input 'x' at line 1, column 6"),
+    (RING_X + "ideal { x(1) - x(0); }", ["compute", "--adaptive", "--truncate", "2"],
+     "dgb compute: --adaptive and --truncate are exclusive"),
+    (RING_X + "ideal { x(1) - x(0); }", ["symmetric"],
+     "dgb symmetric: no permutation given (use --perm or a symmetric block)"),
+    # the command's own rank check fires before the action's
+    (RING_UV, ["symmetric", "--perm", "(1 2)"],
+     "dgb symmetric: the generators ring must have shift rank 1"),
+    (RING_X + "ideal { x(1) - x(0); }", ["normal-form", "--var", "2*x(1)"],
+     "dgb normal-form: --var must be a single variable"),
+    (RING_X + "ideal { x(2)*x(1) + x(0); }", ["normal-form", "--var", "x(2)"],
+     "dgb normal-form: x(2)*x(1) + x(0) is not a monic linear relation in the pure "
+     "powers of one shift operator"),
+    (RING_X + "ideal { x(2) - x(0); x(1) + x(0); }", ["normal-form", "--var", "x(2)"],
+     "dgb normal-form: duplicate relation for x along s1"),
+    (RING_UV, ["normal-form", "--var", "u(1,0)"],
+     "dgb normal-form: missing relations for u along s2, v along s1"),
+])
+def test_cli_errors_name_their_cause(tmp_path, capsys, problem, argv, message):
+    prob = tmp_path / "p.dgb"
+    prob.write_text(problem + "\n")
+    flag = "--gens" if argv[0] == "symmetric" else "--input"
+    assert run(argv[:1] + [flag, str(prob)] + argv[1:]) == 1
+    assert capsys.readouterr().err == message + "\n"
 
 
 @pytest.mark.parametrize("perm,count", [("(1 2 3)", 1), ("(1 2)(4 5)", 3)])

@@ -8,6 +8,10 @@ target, sorted in the shift ordering.  The indexed search must give the
 same hits in the same order, including the find_divisor tie-break, and
 the cofactor that reduction reads off the cached shifted element must be
 the reference cofactor.
+
+The reference also keeps the shift bound the verifier once passed to the
+search: twice the largest leading order.  The verifier, which no longer
+bounds its search, must give what the bounded reference gives.
 """
 
 import random
@@ -17,8 +21,11 @@ from itertools import permutations
 import pytest
 
 from dgb import OrderingSpec
+from dgb.completion import (shift_pair_candidates, sigma_gbasis_truncated,
+                            verify_sigma_gbasis)
 from dgb.orderings import DEGLEX, DEGREVLEX, LEX
 from dgb.reduction import ReducerBasis
+from dgb.ring import spoly
 
 from helpers import (make_ring, random_monomial, random_polynomial, random_shift,
                      reference_shift_key)
@@ -101,13 +108,12 @@ def test_indexed_search_matches_linear_scan(ring_index):
     hits = 0
     for trial in range(40):
         polys = _basis(rng, ring)
-        bound = rng.choice([None, 0, 1, 2, 4])
-        basis = ReducerBasis(polys, max_shift_deg=bound)
+        basis = ReducerBasis(polys)
         for _ in range(5):
             target = _target(rng, ring, polys)
-            expected = list(reference_iter_divisors(polys, target, bound))
+            expected = list(reference_iter_divisors(polys, target))
             got = _hits(basis, target)
-            assert got == expected, (trial, polys, target, bound)
+            assert got == expected, (trial, polys, target)
             first = expected[0][:2] if expected else None
             assert basis.find_divisor(target) == first
             hits += len(expected)
@@ -124,3 +130,51 @@ def test_appended_elements_are_indexed():
     for _ in range(50):
         target = _target(rng, ring, polys)
         assert _hits(basis, target) == list(reference_iter_divisors(polys, target))
+
+
+def reference_verify(generators):
+    """(checked_pairs, failures) of the verifier as it ran with its search
+    bounded by twice the largest leading order, on the reference scan."""
+    elements = [g.monic() for g in generators if g]
+    if any(g.lm.is_one for g in elements):
+        elements = [elements[0].ring.one]
+    if not elements:
+        return 0, []
+    bound = 2 * max(g.lm.order for g in elements)
+    checked, failures = 0, []
+    for j in range(len(elements)):
+        for i in range(j + 1):
+            pairs, _ = shift_pair_candidates(elements[i].lm, elements[j].lm, i == j)
+            for sigma, tau in pairs:
+                checked += 1
+                h = spoly(elements[i].shift(sigma), elements[j].shift(tau))
+                while h:
+                    hit = next(reference_iter_divisors(elements, h.lm, bound), None)
+                    if hit is None:
+                        break
+                    index, s, cofactor = hit
+                    g = elements[index].shift(s)
+                    h = h - g.mul_term(h.lc / g.lc, cofactor)
+                if h:
+                    failures.append((i, j, sigma, tau, h))
+    return checked, failures
+
+
+GRADED_RINGS = [ring for ring in RINGS if ring.ordering.is_order_compatible]
+
+
+@pytest.mark.parametrize("ring_index", range(len(GRADED_RINGS)))
+def test_verifier_matches_shift_bounded_reference(ring_index):
+    ring = GRADED_RINGS[ring_index]
+    rng = random.Random(7100 + ring_index)
+    outcomes = set()
+    for _ in range(5):
+        gens = [random_polynomial(rng, ring, max_terms=2, max_factors=2,
+                                  max_shift_deg=1, max_exp=2) for _ in range(2)]
+        truncated = sigma_gbasis_truncated(gens, 2, max_pair_budget=20).elements
+        for candidate in (gens, truncated):
+            report = verify_sigma_gbasis(candidate)
+            checked, failures = reference_verify(candidate)
+            assert (report.checked_pairs, report.failures) == (checked, failures)
+            outcomes.add(report.ok)
+    assert outcomes == {True, False}  # both bases and non-bases were checked

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from dgb import ParseError, RingMismatchError, StaircaseError, VarRef
+from dgb import ParseError, RingMismatchError, StaircaseError, VarRef, quotient
+from dgb.reduction import reduce_full
 from dgb.completion import verify_sigma_gbasis
 from dgb.quotient import (LinearRelation, PermutationAction,
                           QuotientPresentation, expand_classical_basis,
@@ -194,7 +196,7 @@ def test_parse_cycles():
 
 
 def test_permutation_normalization():
-    act = PermutationAction([(4, 5), (2, 3, 1)], degree=6)
+    act = PermutationAction([(4, 5), (2, 3, 1), (6,)])
     # cycles sorted by smallest point; fixed point 6 becomes a 1-cycle
     assert act.cycles == ((1, 2, 3), (4, 5), (6,))
     assert act.cycle_lengths == (3, 2, 1)
@@ -230,9 +232,9 @@ def test_permutation_validation():
 def test_permutation_symbol_count_must_match_cycles(cycles, count):
     # fixed points are cycles of length one and need a symbol each
     with pytest.raises(ValueError, match=f"needs {count} symbols.* but 2 were given"):
-        PermutationAction(cycles, symbols=("x", "y"))
+        PermutationAction(cycles, make_ring(1, ("x", "y")))
     symbols = tuple(f"z{i}" for i in range(count))
-    assert len(PermutationAction(cycles, symbols=symbols).cycles) == count
+    assert len(PermutationAction(cycles, make_ring(1, symbols)).cycles) == count
 
 
 def test_symmetric_setup_staircase_error():
@@ -267,7 +269,7 @@ def test_gamma_basis_empty_generators():
 
 
 def test_gamma_basis_coprime_heads_fixed():
-    action = PermutationAction([(1, 2, 3), (4, 5, 6)], degree=6)
+    action = PermutationAction([(1, 2, 3), (4, 5, 6)])
     ring = action.ring
     g = ring.var("x1", (0,)) - ring.var("x2", (0,))
     basis = groebner_gamma_basis(action, [g])
@@ -278,7 +280,7 @@ def test_gamma_basis_coprime_heads_fixed():
 
 
 def test_gamma_basis_returns_generators_unchanged_when_orbit_coprime():
-    action = PermutationAction([(1, 2, 3), (4, 5, 6)], degree=6)
+    action = PermutationAction([(1, 2, 3), (4, 5, 6)])
     ring = action.ring
     g = ring.var("x1", (0,)) * ring.var("x2", (0,))
     basis = groebner_gamma_basis(action, [g])
@@ -342,10 +344,9 @@ def test_expansion_cross_checked_against_oracle_small_cycle():
 
 def test_explicit_one_cycles_are_fixed_points():
     explicit = PermutationAction("(1 2)(3)")
-    implied = PermutationAction("(1 2)", degree=3)
-    assert explicit.cycles == implied.cycles == ((1, 2), (3,))
-    assert explicit.degree == implied.degree == 3
-    assert explicit.ring == implied.ring
+    assert explicit.cycles == ((1, 2), (3,))
+    assert explicit.degree == 3
+    assert explicit.ring.signature.symbols == ("x1", "x2")
 
 
 def test_symmetric_setup_rejects_a_foreign_ring():
@@ -385,3 +386,67 @@ def test_linear_relation_from_polynomial_rejects_non_relations():
     # the unshifted variable alone is the degree-0 relation along operator 0
     assert LinearRelation.from_polynomial(x(0, 0).scale(Fraction(3))) == \
         LinearRelation(0, 0, (Fraction(1),))
+
+
+@pytest.mark.parametrize("symbol_order", ["lex", "deglex"])
+def test_symmetric_command_honours_the_file_order(tmp_path, capsys, symbol_order):
+    # two cycles, two symbols, and a symbol priority against the declared
+    # order: the command and the library compute in the file's own ring
+    import classical as oracle
+    from dgb.cli import parse_problem, run
+
+    from helpers import oracle_key, to_oracle
+
+    order = f"block(shifts=deglex[s1], symbols={symbol_order}[b>a])"
+    text = (f"ring {{ shifts: 1; symbols: a, b; order: {order}; }}\n"
+            "ideal { a(0)*b(1) - a(1)^2; b(2) - a(0); }\n"
+            "symmetric { perm: (1 2 3)(4 5 6); }\n")
+    gens = tmp_path / "gens.dgb"
+    gens.write_text(text)
+    problem = parse_problem(text)
+    action = PermutationAction(problem.permutation, problem.ring)
+    gamma = groebner_gamma_basis(action, problem.polynomials)
+    assert gamma.status.kind == "complete"
+    assert run(["symmetric", "--gens", str(gens), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["config"]["order"] == order
+    assert out["basis"] == [str(g) for g in gamma.elements]
+
+    key = oracle_key(problem.ring)
+    orbit = [to_oracle(reduce_full(g.shift((k,)), action.relations()))
+             for g in problem.polynomials for k in range(action.order)]
+    oracle_minimal = oracle.minimalize(oracle.buchberger(orbit, key), key)
+    expanded = expand_classical_basis(action, gamma.elements)
+    assert {oracle.p_lm(to_oracle(h), key) for h in expanded} == \
+        {oracle.p_lm(h, key) for h in oracle_minimal}
+
+
+def test_one_presentation_and_one_relation_reducer_per_action(monkeypatch):
+    counts = {"presentations": 0, "relation_reducers": 0}
+
+    class CountingPresentation(quotient.QuotientPresentation):
+        def __init__(self, *args):
+            counts["presentations"] += 1
+            super().__init__(*args)
+
+    class CountingReducer(quotient.ReducerBasis):
+        def __init__(self, *args):
+            counts["relation_reducers"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(quotient, "QuotientPresentation", CountingPresentation)
+    monkeypatch.setattr(quotient, "ReducerBasis", CountingReducer)
+    action = PermutationAction("(1 2 3 4)")
+    ring = action.ring
+    g = ring.var("x", (0,)) * ring.var("x", (2,)) - ring.var("x", (1,), 2)
+    gamma = groebner_gamma_basis(action, [g])
+    assert len(expand_classical_basis(action, gamma.elements)) > len(gamma.elements)
+    assert counts == {"presentations": 1, "relation_reducers": 1}
+
+
+def test_degree_zero_relation_empties_its_symbol():
+    ring = make_ring(1, ("u",))
+    presentation = QuotientPresentation(ring, [LinearRelation(0, 0, (Fraction(1),))])
+    assert presentation.dimension == 0
+    assert presentation.normal_form_reduction(VarRef(0, (3,))) == ring.zero
+    assert presentation.normal_form_companion(VarRef(0, (3,))) == ring.zero

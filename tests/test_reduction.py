@@ -191,10 +191,3 @@ def test_multi_factor_anchor():
     shifted = g.lm.shift(shift)
     assert shifted.divides(target)
     assert (target / shifted) * shifted == target
-
-
-def test_reducer_basis_shift_bound(R1):
-    g = x(R1, 1) - x(R1, 0)
-    basis = ReducerBasis([g], max_shift_deg=1)
-    assert basis.find_divisor(x(R1, 5).lm) is None
-    assert basis.find_divisor(x(R1, 2).lm) is not None

@@ -5,7 +5,7 @@ import pytest
 
 from dgb import (Monomial, NEG_INF, OrderingSpec, RankMismatchError,
                  RingMismatchError, format_polynomial, spoly)
-from dgb.orderings import DEGREVLEX, LEX
+from dgb.orderings import DEGLEX, DEGREVLEX, LEX
 
 from helpers import (is_order_homogeneous, make_ring, monomial_gcd, random_monomial,
                      random_polynomial)
@@ -103,6 +103,15 @@ def test_arithmetic_basics(R1):
 def test_ring_mixing_is_an_error(R1, R3):
     with pytest.raises(RingMismatchError):
         R1.var("x", (0,)) + R3.var("x", (0, 0, 0))
+
+
+def test_monomial_packed_by_another_ordering_is_refused():
+    deglex = make_ring(1, ("x",), spec=OrderingSpec(DEGLEX))
+    degrevlex = make_ring(1, ("x",), spec=OrderingSpec(DEGREVLEX))
+    m = deglex.monomial([("x", (2,), 1)])
+    assert deglex.polynomial([(1, m)]).lm is m
+    with pytest.raises(RingMismatchError, match="packed by another ordering"):
+        degrevlex.polynomial([(1, m)])
 
 
 def test_equal_rings_may_mix():
