@@ -336,18 +336,21 @@ class _Parser:
             return inner
         if tok.kind == "ident":
             name = tok.value
-            if name in ring.signature.symbols:
-                if not self.at("("):
-                    self.fail(f"symbol {name!r} needs a shift tuple", tok)
-                self.next()
-                shift = self.parse_shift_tuple(ring, tok)
+            try:
+                symbol = ring.symbol_index(name)
+            except KeyError:
                 try:
-                    return ring.var(name, shift)
-                except ShiftWidthError as exc:
-                    self.fail(str(exc), tok)
-            if name in ring.signature.parameters:
-                return ring.constant(ring.field.parameter(name))
-            self.fail(f"unknown symbol {name!r}", tok)
+                    return ring.constant(ring.field.parameter(name))
+                except ParseError:
+                    self.fail(f"unknown symbol {name!r}", tok)
+            if not self.at("("):
+                self.fail(f"symbol {name!r} needs a shift tuple", tok)
+            self.next()
+            shift = self.parse_shift_tuple(ring, tok)
+            try:
+                return ring.var(symbol, shift)
+            except ShiftWidthError as exc:
+                self.fail(str(exc), tok)
         self.fail(f"unexpected {tok.value!r}", tok)
 
     def parse_shift_tuple(self, ring, head):

@@ -26,7 +26,7 @@ from operator import sub
 
 from .errors import InternalCheckError, RingMismatchError
 from .reduction import ReducerBasis, reduce, reduce_full
-from .ring import Monomial, spoly
+from .ring import spoly
 
 
 @dataclass
@@ -82,8 +82,8 @@ class SigmaBasis:
         return len(self.elements)
 
 
-def shift_pair_candidates(lm_f: Monomial, lm_g: Monomial, same: bool):
-    """Surviving (s, t) shift pairs for one pair of leading monomials.
+def shift_pair_candidates(left, right, same: bool):
+    """Surviving (s, t) shift pairs for two decoded leading monomials.
 
     Returns (pairs, raw_count): the deduplicated list, sorted for
     determinism, plus the number of raw factor matches before collapsing
@@ -91,8 +91,7 @@ def shift_pair_candidates(lm_f: Monomial, lm_g: Monomial, same: bool):
     """
     raw = 0
     out = set()
-    right = lm_g.decoded()
-    for (sym_a, alpha), _ in lm_f.decoded():
+    for (sym_a, alpha), _ in left:
         for (sym_b, beta), _ in right:
             if sym_a != sym_b:
                 continue
@@ -154,9 +153,8 @@ class _Run:
         self.open = set()
 
     def _push_pairs(self, i, j):
-        G = self.reducer.polys
-        lm_i, lm_j = G[i].lm, G[j].lm
-        pairs, raw = shift_pair_candidates(lm_i, lm_j, i == j)
+        lm_i, lm_j = self.reducer.polys[i].lm, self.reducer.polys[j].lm
+        pairs, raw = shift_pair_candidates(self.reducer.leads[i], self.reducer.leads[j], i == j)
         if raw == 0:
             self.stats.killed_product += 1
         self.stats.killed_sigma += raw - len(pairs)
@@ -334,7 +332,7 @@ def verify_sigma_gbasis(basis_or_elements):
     checked = 0
     for j in range(len(elements)):
         for i in range(j + 1):
-            pairs, _ = shift_pair_candidates(elements[i].lm, elements[j].lm, i == j)
+            pairs, _ = shift_pair_candidates(reducer.leads[i], reducer.leads[j], i == j)
             for sigma, tau in pairs:
                 checked += 1
                 s = spoly(elements[i].shift(sigma), elements[j].shift(tau))

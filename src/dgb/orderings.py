@@ -163,14 +163,14 @@ class Ordering:
                                   f"limit {MAX_SHIFT_DEGREE} of a packed variable")
         return s
 
-    def shift_delta(self, s):
-        """What shifting by a checked s adds to a shift key; times
-        n_symbols, to every packed variable."""
-        return sum(map(mul, s, self._weights))
+    def offset(self, s, order=0):
+        """What shifting by s, after check_shift(s, order), adds to every
+        packed variable; 0 exactly for the zero shift."""
+        return sum(map(mul, self.check_shift(s, order), self._weights)) * self.n_symbols
 
     def shift_key(self, s):
         """Monotone key: shift_key(s) < shift_key(t) iff s < t."""
-        return self._origin + self.shift_delta(self.check_shift(s))
+        return self._origin + self.offset(s) // self.n_symbols
 
     def variable(self, symbol, shift):
         """The packed variable symbol(shift)."""

@@ -151,13 +151,13 @@ class QuotientPresentation:
             raise ValueError(f"missing relations for {', '.join(missing)}")
         self.ring = ring
         self.relations = matrix
-        self.degree_table = [[matrix[(i, j)].degree for j in range(r)] for i in range(n)]
         self.relation_polynomials = [matrix[key].polynomial(ring) for key in sorted(matrix)]
         self.reducer = ReducerBasis(self.relation_polynomials)
 
     @property
     def dimension(self):
-        return sum(math.prod(row) for row in self.degree_table)
+        lms = [p.lm for p in self.relation_polynomials]
+        return sum(map(math.prod, pure_power_table(self.ring, lms)))
 
     def _companion_power_basis(self, i, j, k):
         """The vector of the k-th companion power applied to the first

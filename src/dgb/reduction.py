@@ -25,20 +25,19 @@ class ReducerBasis:
     """A grow-only list of nonzero polynomials prepared for divisor search.
     It may start empty; its ring is then set by the first append.
 
-    Each element keeps the shape of its leading monomial: the total
-    degree, the spread (largest minus smallest packed variable), the
-    anchor (the largest variable) and its shift, every factor as an offset
-    from the anchor, and the order.  Shifting changes neither degree nor
-    spread, so an element whose degree or spread exceeds the target's is
-    skipped before any shift is tried.
+    Each element keeps its decoded leading monomial (leads) and its shape:
+    the total degree, the spread (largest minus smallest packed variable),
+    the anchor (the largest variable) and its shift, every factor as an
+    offset from the anchor, and the order.  Shifting changes neither degree
+    nor spread, so an element whose degree or spread exceeds the target's
+    is skipped before any shift is tried.
     """
 
-    __slots__ = ("ring", "polys", "_shapes")
+    __slots__ = ("ring", "polys", "leads", "_shapes")
 
     def __init__(self, polys):
         self.ring = None
-        self.polys = []
-        self._shapes = []
+        self.polys, self.leads, self._shapes = [], [], []
         for p in polys:
             self.append(p)
 
@@ -55,6 +54,7 @@ class ReducerBasis:
             raise RingMismatchError("basis mixes different rings")
         m = poly.lm
         self.polys.append(poly)
+        self.leads.append(m.decoded())
         if m.is_one:
             self._shapes.append(None)
             return
@@ -63,7 +63,7 @@ class ReducerBasis:
         anchor = factors[0][0]
         offsets = tuple([(var - anchor, e) for var, e in factors])
         self._shapes.append((m.total_degree, anchor - factors[-1][0], anchor,
-                             self.ring.ordering.decode(anchor).shift, offsets, m.order))
+                             self.leads[-1][0][0].shift, offsets, m.order))
 
     def _shifts_into(self, shape, factors, exps):
         """Shifts s with s*lm dividing the target with the given factors
@@ -137,7 +137,7 @@ def reduce(f: Polynomial, G, certificate=False):
         g = basis.polys[index].shift(shift)
         coeff = h.lc / g.lc
         cofactor = h.lm / g.lm
-        h = h - g.mul_term(coeff, cofactor)
+        h = h + g.mul_term(-coeff, cofactor)
         if certificate:
             steps.append((coeff, cofactor, shift, index))
         guard += 1

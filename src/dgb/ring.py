@@ -121,15 +121,13 @@ class Monomial:
         return Monomial(out, self.ordering)
 
     def shift(self, s):
-        """Image under the shift action: one constant is added to every
-        packed variable."""
-        factors = self.factors
+        """Image under the shift action, self for the zero shift: one
+        checked offset is added to every packed variable."""
+        factors, ordering = self.factors, self.ordering
         if not factors:
             return self
-        ordering = self.ordering
-        s = ordering.check_shift(s, ordering.order(factors))
-        delta = ordering.shift_delta(s) * ordering.n_symbols
-        return Monomial([(var + delta, e) for var, e in factors], ordering)
+        offset = ordering.offset(s, ordering.order(factors))
+        return Monomial([(var + offset, e) for var, e in factors], ordering) if offset else self
 
     @property
     def order(self):
@@ -369,12 +367,13 @@ class Polynomial:
     # --- shift action ------------------------------------------------------
 
     def shift(self, s):
-        """Termwise shift; descending term order survives because the
-        ordering respects the shift action."""
-        s = self.ring.ordering.check_shift(s)
-        if not any(s):
+        """Termwise shift checked once, against the largest order, and self
+        for the zero shift; the ordering respects shifts, so terms stay sorted."""
+        offset = self.ring.ordering.offset(s, max(self.order, 0))
+        if not offset:
             return self
-        return Polynomial(self.ring, tuple([(m.shift(s), c) for m, c in self.terms]))
+        return Polynomial(self.ring, tuple([(Monomial([(v + offset, e) for v, e in m.factors],
+                                                      m.ordering), c) for m, c in self.terms]))
 
     # --- grading by the order function --------------------------------------
 
@@ -402,7 +401,7 @@ def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     one = f.ring.field.one
     l = f.lm.lcm(g.lm)
     return (f.mul_term(one / f.lc, l / f.lm)
-            - g.mul_term(one / g.lc, l / g.lm))
+            + g.mul_term(-one / g.lc, l / g.lm))
 
 
 # --- canonical text form ------------------------------------------------------

@@ -222,6 +222,30 @@ def test_parse_bare_integer_shift_rank_one():
     ring = make_ring(1, ("x",))
     f = parse_polynomial(ring, "x(3)^2*x(0) - 5")
     assert f == ring.var("x", (3,), 2) * ring.var("x", (0,)) - ring.constant(5)
+    problem = parse_problem("ring { shifts: 1; symbols: x; parameters: ; }\n"
+                            "ideal { +x(3)^2*x(0) - 5; }")
+    assert problem.ring.signature.parameters == ()
+    assert problem.polynomials == [f]
+
+
+class _Unscannable(tuple):
+    def __contains__(self, item):
+        raise AssertionError(f"scanned a name tuple for {item!r}")
+
+
+def test_parse_looks_names_up_without_scanning():
+    ring = parse_problem(RING_HEADER).ring
+    H = ring.constant(ring.field.parameter("H"))
+    expected = H * ring.var("u", (1, 0, 0)) - ring.var("p", (0, 0, 0))
+    signature = ring.signature
+    signature.symbols = _Unscannable(signature.symbols)
+    signature.parameters = _Unscannable(signature.parameters)
+    assert parse_polynomial(ring, "H*u(1,0,0) - p(0,0,0)") == expected
+    for text, message, column in [("u(0,0,0) + w(1,0,0)", "unknown symbol 'w'", 12),
+                                  ("2*u", "symbol 'u' needs a shift tuple", 3)]:
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(ring, text)
+        assert (err.value.message, err.value.line, err.value.column) == (message, 1, column)
 
 
 def test_parse_division_by_constants_only():

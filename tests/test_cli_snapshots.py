@@ -26,6 +26,8 @@ CASES = {
                       "--minimal", "--interreduce", "--stats"],
     "flow_adaptive_json": ["compute", "--input", "navier_stokes.dgb", "--adaptive",
                            "--minimal", "--interreduce", "--stats", "--json"],
+    "minimal": ["compute", "--input", "cli/perturbed.dgb", "--adaptive", "--minimal",
+                "--stats"],
     "truncate": ["compute", "--input", "cli/grow.dgb", "--truncate", "4"],
     "pair_budget": ["compute", "--input", "cli/grow.dgb", "--pair-budget", "3"],
     "no_chain_json": ["compute", "--input", "cli/perturbed.dgb", "--no-chain",

@@ -36,7 +36,7 @@ def test_critical_pairs_distinct_operators():
     ring = make_ring(2, ("x",))
     f = ring.var("x", (1, 0))
     g = ring.var("x", (0, 1))
-    pairs, raw = shift_pair_candidates(f.lm, g.lm, False)
+    pairs, raw = shift_pair_candidates(f.lm.decoded(), g.lm.decoded(), False)
     assert (pairs, raw) == ([((0, 1), (1, 0))], 1)
     (sigma, tau), = pairs
     overlap = f.lm.shift(sigma).lcm(g.lm.shift(tau))
@@ -48,13 +48,13 @@ def test_critical_pairs_disjoint_symbols_empty():
     ring = make_ring(1, ("x", "y"))
     f = ring.var("x", (2,))
     g = ring.var("y", (1,))
-    assert shift_pair_candidates(f.lm, g.lm, False) == ([], 0)
+    assert shift_pair_candidates(f.lm.decoded(), g.lm.decoded(), False) == ([], 0)
 
 
 def test_critical_pairs_self_pair():
     ring = R1()
     f = x(ring, 1) * x(ring, 0) - x(ring, 0)
-    pairs, raw = shift_pair_candidates(f.lm, f.lm, True)
+    pairs, raw = shift_pair_candidates(f.lm.decoded(), f.lm.decoded(), True)
     # x(1)*x(0) against itself: four factor matches, of which the two
     # identity overlaps and one mirror image collapse
     assert (pairs, raw) == ([((0,), (1,))], 4)
@@ -71,7 +71,7 @@ def test_shift_pair_candidates_complete():
     for _ in range(60):
         a = random_monomial(rng, ring, max_factors=2)
         b = random_monomial(rng, ring, max_factors=2)
-        pairs, _ = shift_pair_candidates(a, b, False)
+        pairs, _ = shift_pair_candidates(a.decoded(), b.decoded(), False)
         listed = set(pairs)
         for s in enumerate_up_to_degree(3, 2):
             for t in enumerate_up_to_degree(3, 2):
@@ -176,7 +176,7 @@ def test_discarded_shift_pairs_are_multiples():
         g = random_polynomial(rng, ring, max_terms=2)
         if not f or not g:
             continue
-        pairs, _ = shift_pair_candidates(f.lm, g.lm, False)
+        pairs, _ = shift_pair_candidates(f.lm.decoded(), g.lm.decoded(), False)
         for sigma, tau in pairs:
             delta = tuple(rng.randint(0, 2) for _ in range(2))
             big = spoly(f.shift(tuple(map(add, sigma, delta))),

@@ -144,7 +144,8 @@ def reference_verify(generators):
     checked, failures = 0, []
     for j in range(len(elements)):
         for i in range(j + 1):
-            pairs, _ = shift_pair_candidates(elements[i].lm, elements[j].lm, i == j)
+            pairs, _ = shift_pair_candidates(elements[i].lm.decoded(),
+                                             elements[j].lm.decoded(), i == j)
             for sigma, tau in pairs:
                 checked += 1
                 h = spoly(elements[i].shift(sigma), elements[j].shift(tau))

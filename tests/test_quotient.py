@@ -79,9 +79,9 @@ def test_presentation_dimension_and_staircase():
         LinearRelation(1, 0, (Fraction(-2), Fraction(1), Fraction(1))),
         LinearRelation(1, 1, (Fraction(1), Fraction(1))),
     ])
-    assert pres.degree_table == [[1, 2], [2, 1]]
-    assert pres.dimension == 1 * 2 + 2 * 1
     lms = [f.lm for f in pres.relation_polynomials]
+    assert pure_power_table(ring, lms) == [[1, 2], [2, 1]]
+    assert pres.dimension == 1 * 2 + 2 * 1
     assert len(normal_variables(ring, lms)) == pres.dimension
 
 

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from dgb import (Monomial, NEG_INF, OrderingSpec, RankMismatchError,
-                 RingMismatchError, format_polynomial, spoly)
+from dgb import (ExactDivisionError, LinearRelation, Monomial, NEG_INF, Ordering,
+                 OrderingSpec, PermutationAction, QuotientPresentation, RankMismatchError,
+                 ReducerBasis, RingMismatchError, Signature, format_polynomial, spoly)
 from dgb.orderings import DEGLEX, DEGREVLEX, LEX
 
 from helpers import (is_order_homogeneous, make_ring, monomial_gcd, random_monomial,
@@ -178,3 +179,39 @@ def test_parameter_coefficients_stay_fixed_under_shift():
     f = ring.var("x", (0,)) * H + ring.one
     g = f.shift((2,))
     assert g == ring.var("x", (2,)) * H + ring.one
+
+
+_RANK2 = make_ring(2, ("x",))
+_X0 = _RANK2.monomial([("x", (0, 0), 1)])
+_X0_SQUARED = _RANK2.monomial([("x", (0, 0), 2)])
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: OrderingSpec(shift_order="grlex"), ValueError, "unknown shift order 'grlex'"),
+    (lambda: OrderingSpec(symbol_order="grlex"), ValueError, "unknown symbol order 'grlex'"),
+    (lambda: Ordering(2, 1, OrderingSpec(shift_priority=(0, 0))), ValueError,
+     "shift priority (0, 0) is not a permutation of 0..1"),
+    (lambda: _RANK2.ordering.check_shift((1, -1)), ValueError, "negative entry in shift (1, -1)"),
+    (lambda: LinearRelation(0, 0, ()), ValueError,
+     "a relation needs at least the top coefficient"),
+    (lambda: QuotientPresentation(_RANK2, [LinearRelation(0, 2, (1,))]), ValueError,
+     "relation indices (0, 2) out of range"),
+    (lambda: PermutationAction("(1 2)", _RANK2), ValueError,
+     "a permutation acts on a ring of shift rank 1"),
+    (lambda: Signature(1, ()), ValueError, "at least one symbol is required"),
+    (lambda: Signature(1, ("x", "2y")), ValueError, "invalid identifier '2y'"),
+    (lambda: _RANK2.monomial([(1, (0, 0), 1)]), ValueError, "symbol index 1 out of range"),
+    (lambda: _RANK2.monomial([("x", (0, 0), -1)]), ValueError, "negative exponent"),
+    (lambda: _X0 / _X0_SQUARED, ExactDivisionError,
+     "Monomial(x0(0, 0)^2) does not divide Monomial(x0(0, 0))"),
+    (lambda: _RANK2.zero.lm, ValueError, "zero polynomial has no leading monomial"),
+    (lambda: _RANK2.zero.lc, ValueError, "zero polynomial has no leading coefficient"),
+    (lambda: _RANK2.zero.monic(), ZeroDivisionError, "cannot normalize the zero polynomial"),
+    (lambda: ReducerBasis([_RANK2.zero]), ValueError, "reducer basis elements must be nonzero"),
+    (lambda: ReducerBasis([_RANK2.one, make_ring(1, ("x",)).one]), RingMismatchError,
+     "basis mixes different rings"),
+])
+def test_invalid_input_raises(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message
