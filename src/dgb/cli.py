@@ -340,9 +340,10 @@ class _Parser:
                 symbol = ring.symbol_index(name)
             except KeyError:
                 try:
-                    return ring.constant(ring.field.parameter(name))
-                except ParseError:
+                    value = ring.field.parameter(name)
+                except KeyError:
                     self.fail(f"unknown symbol {name!r}", tok)
+                return ring.constant(value)
             if not self.at("("):
                 self.fail(f"symbol {name!r} needs a shift tuple", tok)
             self.next()

@@ -20,13 +20,14 @@ completeness criterion.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import asdict, dataclass, field, replace
+from heapq import heappop, heappush
+from itertools import chain
 from operator import sub
 
 from .errors import InternalCheckError, RingMismatchError
 from .reduction import ReducerBasis, reduce, reduce_full
-from .ring import spoly
+from .ring import Monomial, shifted_lcm, spoly
 
 
 @dataclass
@@ -96,8 +97,9 @@ def shift_pair_candidates(left, right, same: bool):
             if sym_a != sym_b:
                 continue
             raw += 1
-            sigma = tuple(b - min(a, b) for a, b in zip(alpha, beta))
-            tau = tuple(a - min(a, b) for a, b in zip(alpha, beta))
+            common = tuple(map(min, alpha, beta))
+            sigma = tuple(map(sub, beta, common))
+            tau = tuple(map(sub, alpha, common))
             if same:
                 if sigma == tau:
                     continue  # the trivial self-overlap
@@ -105,15 +107,6 @@ def shift_pair_candidates(left, right, same: bool):
                     sigma, tau = tau, sigma  # symmetric duplicate
             out.add((sigma, tau))
     return sorted(out), raw
-
-
-def _instance_id(i, si, j, sj):
-    """Canonical identity of a pair of shifted basis elements, with the
-    common shift divided out so that equivalent pairs coincide."""
-    delta = tuple(map(min, si, sj))
-    a = (i, tuple(map(sub, si, delta)))
-    b = (j, tuple(map(sub, sj, delta)))
-    return (a, b) if a <= b else (b, a)
 
 
 def _monic_generators(generators):
@@ -137,11 +130,34 @@ class _Run:
     """One pass of the pair loop over a nonempty, non-unit, monic G,
     adding its pair counts to the given stats.
 
-    open holds the ids of the queued pairs not yet treated.  A shifted pair
-    shares a variable iff its id is a candidate, queued once both elements
-    are present; the chain test asks only about pairs whose overlap divides
-    the one in hand, which truncation kept.  So such a pair is certified
-    (product criterion or treated) iff its id is not in open."""
+    queue holds (order, flat key, seq, id, overlap factors) per queued
+    pair; the overlap becomes a Monomial only when its pair is popped.  open
+    holds the ids (i, sigma, j, tau) of the queued pairs not yet treated:
+    (i, sigma) <= (j, tau), with no common shift (min(sigma, tau) = 0
+    entrywise).  A shifted pair shares a variable iff its id is a candidate,
+    queued once both elements are present; the chain test asks only about
+    pairs whose overlap divides the one in hand, which truncation kept.  So
+    such a pair is certified (product criterion or treated) iff its id is
+    not in open.
+
+    The lookup needs no canonical id: a pair is certified iff its two
+    shifted elements, sorted but with no shift divided out, are not in
+    open.  Let the pair with overlap m be popped and take (i, sigma),
+    (k, nu) with both shifted leading monomials dividing m, so their lcm L
+    divides m and order(L) <= order(m).  Every open id has a priority
+    (order, key) at least (order(m), key(m)), as the popped one was the
+    least.  Dividing out the common shift delta = min(sigma, nu) gives the
+    id with overlap L' and L = delta*L', so order(L') = order(L) - |delta|.
+    If that id is open, then order(L') >= order(m) forces delta = 0, so the
+    id is the sorted pair as given, and order(L) = order(m) with key(L) >=
+    key(m); L divides m, so L <= m and L = m.  Conversely every member of
+    open is an id, so a sorted pair found there is its own canonical form.
+    Nothing here depends on the shift order or on truncation.
+
+    The chain test asks whether some (k, nu) certifies both halves, which
+    does not depend on the order in which candidates are tried.  So killer
+    keeps, per element, the last element that chain-killed one of its
+    pairs, and those are tried before the index-ordered scan."""
 
     def __init__(self, G, options: CompletionOptions, bound, stats):
         self.options = options
@@ -151,35 +167,47 @@ class _Run:
         self.queue = []
         self.seq = 0
         self.open = set()
+        self.killer = {}
 
     def _push_pairs(self, i, j):
-        lm_i, lm_j = self.reducer.polys[i].lm, self.reducer.polys[j].lm
-        pairs, raw = shift_pair_candidates(self.reducer.leads[i], self.reducer.leads[j], i == j)
+        reducer, stats = self.reducer, self.stats
+        lm_i, lm_j = reducer.polys[i].lm, reducer.polys[j].lm
+        ordering = reducer.ring.ordering
+        pairs, raw = shift_pair_candidates(reducer.leads[i], reducer.leads[j], i == j)
         if raw == 0:
-            self.stats.killed_product += 1
-        self.stats.killed_sigma += raw - len(pairs)
+            stats.killed_product += 1
+        stats.killed_sigma += raw - len(pairs)
         for sigma, tau in pairs:
-            overlap = lm_i.shift(sigma).lcm(lm_j.shift(tau))
-            bound = overlap.order
+            overlap = shifted_lcm(lm_i, sigma, lm_j, tau)
+            bound = ordering.order(overlap)
             if self.bound is not None and bound > self.bound:
-                self.stats.killed_truncation += 1
+                stats.killed_truncation += 1
                 continue
-            self.stats.generated += 1
-            pair_id = ((i, sigma), (j, tau))  # canonical: min(sigma, tau) == 0
+            stats.generated += 1
+            pair_id = (i, sigma, j, tau)  # canonical: min(sigma, tau) == 0
             self.open.add(pair_id)
-            heapq.heappush(self.queue, (bound, overlap.key, self.seq, pair_id, overlap))
+            # the flat key compares as the key does, and faster (orderings.py)
+            key = tuple(chain.from_iterable(ordering.monomial_key(overlap)))
+            heappush(self.queue, (bound, key, self.seq, pair_id, overlap))
             self.seq += 1
 
-    def _certified(self, i, si, j, sj):
-        """Whether the pair of shifted elements (i,si),(j,sj) is already
-        known to have a Groebner representation."""
-        return _instance_id(i, si, j, sj) not in self.open
+    def _certified(self, a, b):
+        """Whether the pair of shifted elements a = (i, si), b = (k, nu),
+        both dividing the overlap in hand, is already known to have a
+        Groebner representation."""
+        return (a + b if a <= b else b + a) not in self.open
 
-    def _chain_skippable(self, i, si, j, sj, overlap):
-        for k, nu in self.reducer.iter_divisors(overlap):
-            if (k, nu) == (i, si) or (k, nu) == (j, sj):
+    def _chain_skippable(self, a, b, overlap):
+        """Whether a shifted element c other than a and b divides overlap
+        with both pairs a, c and c, b certified."""
+        killer = self.killer
+        i, j = a[0], b[0]
+        first = {killer[n]: None for n in (i, j) if n in killer}
+        for c in self.reducer.iter_divisors(overlap, first):
+            if c == a or c == b:
                 continue
-            if self._certified(i, si, k, nu) and self._certified(k, nu, j, sj):
+            if self._certified(a, c) and self._certified(c, b):
+                killer[i] = killer[j] = c[0]
                 return True
         return False
 
@@ -190,26 +218,28 @@ class _Run:
         for j in range(len(G)):
             for i in range(j + 1):
                 self._push_pairs(i, j)
+        queue, stats, options = self.queue, self.stats, self.options
+        ordering = self.reducer.ring.ordering
         pops = 0
-        while self.queue:
-            *_, pair_id, overlap = heapq.heappop(self.queue)
-            (i, sigma), (j, tau) = pair_id
+        while queue:
+            _, _, _, pair_id, overlap = heappop(queue)
             pops += 1
-            if pops > self.options.max_pair_budget:
+            if pops > options.max_pair_budget:
                 return G, True
             self.open.remove(pair_id)
-            if self.options.use_chain_criterion and self._chain_skippable(
-                    i, sigma, j, tau, overlap):
-                self.stats.killed_chain += 1
+            i, sigma, j, tau = pair_id
+            if options.use_chain_criterion and self._chain_skippable(
+                    (i, sigma), (j, tau), Monomial(overlap, ordering)):
+                stats.killed_chain += 1
                 continue
             h = reduce_full(spoly(G[i].shift(sigma), G[j].shift(tau)), self.reducer)
             if not h:
-                self.stats.reduced_to_zero += 1
+                stats.reduced_to_zero += 1
                 continue
             if h.lm.is_one:
                 return [self.reducer.ring.one], False
             self.reducer.append(h)
-            self.stats.new_elements += 1
+            stats.new_elements += 1
             new = len(G) - 1
             for t in range(new + 1):
                 self._push_pairs(t, new)

@@ -31,8 +31,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 from operator import add, sub
 
-from .errors import ParseError
-
 
 @dataclass(frozen=True)
 class CoeffText:
@@ -98,7 +96,7 @@ class ConstantField:
         try:
             return self._gens[name]
         except KeyError:
-            raise ParseError(f"unknown parameter {name!r}") from None
+            raise KeyError(f"unknown parameter {name!r}") from None
 
     # --- printing ------------------------------------------------------
 

@@ -35,6 +35,10 @@ built in one pass: deglex breaks degree ties by lex, which the run's
 descending pairs compare as above; degrevlex by the smaller exponent from
 the lowest-priority symbol up, which the ascending (variable, -exponent)
 pairs compare, as of two runs of equal degree neither is a proper prefix.
+Either way a key is a tuple of tuples of one length (pairs or triples), so
+its entries concatenated into one tuple compare as the key does: the first
+difference of the flat tuples lies in the first differing inner tuple, and
+a proper prefix stays a proper prefix.
 """
 
 from __future__ import annotations
@@ -190,10 +194,10 @@ class Ordering:
             return factors[0][0] // self.n_symbols >> self._degree_bits
         return max(sum(self.decode(v).shift) for v, _ in factors)
 
-    def monomial_key(self, m):
-        """Monotone key realizing the block ordering on whole monomials
-        (see the module docstring); a Monomial keeps it as ``key``."""
-        factors = m.factors
+    def monomial_key(self, factors):
+        """Monotone key realizing the block ordering on the descending factor
+        tuples of monomials (see the module docstring); a Monomial keeps it
+        as ``key``."""
         symbol_order = self.spec.symbol_order
         if symbol_order == LEX:
             return factors

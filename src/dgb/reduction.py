@@ -12,6 +12,7 @@ other factors are probed at their offsets from the anchor.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import sub
 
 from .errors import InternalCheckError, RingMismatchError
@@ -70,7 +71,8 @@ class ReducerBasis:
         and exponent map, lm the leading monomial of the given shape,
         ascending in the shift ordering."""
         _, _, anchor, beta, offsets, order = shape
-        n = self.ring.ordering.n_symbols
+        ordering = self.ring.ordering
+        n = ordering.n_symbols
         out = []
         # a shift s >= 0 maps the anchor onto a variable w >= anchor of its
         # symbol, and descending w is descending shift_key(s)
@@ -83,21 +85,27 @@ class ReducerBasis:
                 if exps.get(w + off, 0) < e:
                     break
             else:
-                s = tuple(map(sub, self.ring.ordering.decode(w).shift, beta))
+                s = tuple(map(sub, ordering.decode(w).shift, beta))
                 if min(s) >= 0 and order + sum(s) <= MAX_SHIFT_DEGREE:
                     out.append(s)
         out.reverse()
         return out
 
-    def iter_divisors(self, target: Monomial):
+    def iter_divisors(self, target: Monomial, first=()):
         """(index, shift) for every shift with shift*lm(G[index]) dividing
-        target: lowest index first, then ascending in the shift ordering."""
+        target: the distinct indices in first, then the others lowest index
+        first; the shifts of one index ascending in the shift ordering."""
         factors = target.factors
         exps = dict(factors)
         degree = target.total_degree
         # the largest variable and the spread; -1 lies below every variable
         top, spread = (factors[0][0], factors[0][0] - factors[-1][0]) if factors else (-1, 0)
-        for index, shape in enumerate(self._shapes):
+        shapes = self._shapes
+        indices = range(len(shapes))
+        if first:
+            indices = chain(first, (k for k in indices if k not in first))
+        for index in indices:
+            shape = shapes[index]
             if shape is None:  # a constant element divides everything
                 yield index, (0,) * self.ring.signature.shift_rank
             elif shape[0] <= degree and shape[1] <= spread and shape[2] <= top:

@@ -13,7 +13,7 @@ coefficients; on packed variables that is one addition each.
 from __future__ import annotations
 
 import re
-from operator import add
+from operator import add, itemgetter
 
 from .errors import ExactDivisionError, RingMismatchError
 from .field import ConstantField
@@ -80,7 +80,7 @@ class Monomial:
     def __init__(self, factors=(), ordering=None):
         self.factors = tuple(factors)
         self.ordering = ordering
-        self.key = ordering.monomial_key(self) if ordering else self.factors
+        self.key = ordering.monomial_key(self.factors) if ordering else self.factors
 
     ONE: "Monomial"
 
@@ -138,7 +138,7 @@ class Monomial:
 
     @property
     def total_degree(self):
-        return sum(e for _, e in self.factors)
+        return sum(map(itemgetter(1), self.factors))
 
     def decoded(self):
         """The factors as (VarRef, exponent) pairs, in descending order."""
@@ -177,6 +177,21 @@ def _merge(fa, fb, combine):
     out.extend(fa[i:])
     out.extend(fb[j:])
     return tuple(out)
+
+
+def shifted_lcm(m, s, n, t):
+    """The factor tuple of m.shift(s).lcm(n.shift(t)), merged in one pass
+    and with no Monomial built.  A zero shift moves nothing, so it is
+    neither applied nor checked."""
+    ordering = m.ordering or n.ordering
+    fa, fb = m.factors, n.factors
+    if fa and any(s):
+        offset = ordering.offset(s, ordering.order(fa))
+        fa = [(var + offset, e) for var, e in fa]
+    if fb and any(t):
+        offset = ordering.offset(t, ordering.order(fb))
+        fb = [(var + offset, e) for var, e in fb]
+    return _merge(fa, fb, max)
 
 
 class DifferenceRing:

@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations_with_replacement
 from math import comb
+from operator import sub
 
 from dgb import DifferenceRing, Monomial, Signature
 from dgb.orderings import DEGLEX, LEX
@@ -120,7 +121,7 @@ def compare_shifts(ordering, s, t):
 
 def compare_monomials(ordering, m, n):
     """-1, 0 or 1 as m <, ==, > n, read off the ordering's monomial keys."""
-    a, b = ordering.monomial_key(m), ordering.monomial_key(n)
+    a, b = ordering.monomial_key(m.factors), ordering.monomial_key(n.factors)
     return (a > b) - (a < b)
 
 
@@ -134,6 +135,17 @@ def monomial_gcd(m, n):
     exps = dict(n.factors)
     return Monomial([(var, min(e, exps[var])) for var, e in m.factors if var in exps],
                     m.ordering or n.ordering)
+
+
+def instance_id(i, si, j, sj):
+    """Canonical identity of a pair of shifted basis elements, with the
+    common shift divided out so that equivalent pairs coincide, as the
+    flat (i, si, j, sj) the completion queues: the reference for the id
+    lookup of the chain test."""
+    delta = tuple(map(min, si, sj))
+    a = (i, tuple(map(sub, si, delta)))
+    b = (j, tuple(map(sub, sj, delta)))
+    return a + b if a <= b else b + a
 
 
 def _graded_key(kind, exps):

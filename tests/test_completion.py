@@ -8,7 +8,7 @@ import pytest
 import classical
 from dgb import OrderingSpec, RingMismatchError, spoly
 from dgb.cli import parse_polynomial
-from dgb.completion import (PairStats, _instance_id, _minimalize_elements, _Run,
+from dgb.completion import (PairStats, _minimalize_elements, _Run,
                             interreduce, minimalize, shift_pair_candidates,
                             sigma_gbasis, sigma_gbasis_adaptive,
                             sigma_gbasis_truncated, verify_sigma_gbasis)
@@ -16,7 +16,7 @@ from dgb.orderings import DEGLEX, DEGREVLEX, LEX
 from dgb.quotient import normal_variables, pure_power_table
 from dgb.reduction import reduce, reduce_full
 
-from helpers import (enumerate_up_to_degree, is_order_homogeneous, make_ring,
+from helpers import (enumerate_up_to_degree, instance_id, is_order_homogeneous, make_ring,
                      monomial_gcd, mono_to_oracle, oracle_key, random_monomial,
                      random_polynomial, to_oracle)
 
@@ -233,34 +233,35 @@ def test_chain_test_open_set_matches_processed_set_reference(monkeypatch):
         added = run.open - before
         assert len(added) == run.seq - seq
         for pair_id in added:
-            (a, sigma), (b, tau) = pair_id
-            assert (a, b) == (i, j) and _instance_id(a, sigma, b, tau) == pair_id
+            a, sigma, b, tau = pair_id
+            assert (a, b) == (i, j) and instance_id(a, sigma, b, tau) == pair_id
         counts["pushed"] += len(added)
 
-    def checked_skippable(run, i, si, j, sj, overlap):
+    def checked_skippable(run, p, q, overlap):
+        (i, si), (j, sj) = p, q
         # every popped pair reaches the chain test and is treated before the
         # next pop, so the ids seen before this one are the treated ones
         ref = run.__dict__.setdefault("reference", {"treated": set(), "last": None})
         if ref["last"] is not None:
             ref["treated"].add(ref["last"])
-        ref["last"] = _instance_id(i, si, j, sj)
+        ref["last"] = instance_id(i, si, j, sj)
 
         def certified(a, sa, b, sb):
             if not _reference_shifted_overlap(run.reducer.polys[a].lm, sa,
                                               run.reducer.polys[b].lm, sb):
                 return True
-            return _instance_id(a, sa, b, sb) in ref["treated"]
+            return instance_id(a, sa, b, sb) in ref["treated"]
 
         expected = False
         for k, nu in run.reducer.iter_divisors(overlap):
             if (k, nu) == (i, si) or (k, nu) == (j, sj):
                 continue
             left, right = certified(i, si, k, nu), certified(k, nu, j, sj)
-            assert run._certified(i, si, k, nu) == left
-            assert run._certified(k, nu, j, sj) == right
+            assert run._certified((i, si), (k, nu)) == left
+            assert run._certified((k, nu), (j, sj)) == right
             counts["queries"] += 2
             expected = expected or (left and right)
-        got = skippable(run, i, si, j, sj, overlap)
+        got = skippable(run, p, q, overlap)
         assert got == expected
         return got
 
@@ -274,6 +275,48 @@ def test_chain_test_open_set_matches_processed_set_reference(monkeypatch):
                         ("truncated", "complete_up_to_order"),
                         ("adaptive", "complete"), ("adaptive", "budget_exhausted")}
     assert counts["pushed"] > 1000 and counts["queries"] > 1000
+
+
+def test_open_ids_dividing_the_popped_overlap_have_that_overlap(monkeypatch):
+    # The lemma behind the chain test's lookup without canonical ids (see
+    # _Run): when a pair is popped, an open id whose overlap divides the
+    # popped overlap m has overlap m itself.  Each queued overlap (a factor
+    # tuple) is checked against the lcm of the shifted leading monomials
+    # when it is pushed.
+    push, skippable = _Run._push_pairs, _Run._chain_skippable
+    counts = {"pops": 0, "dividing": 0}
+
+    def checked_push(run, i, j):
+        seq = run.seq
+        push(run, i, j)
+        for *_, entry_seq, (a, sa, b, sb), overlap in run.queue:
+            if entry_seq >= seq:
+                lm_a, lm_b = run.reducer.polys[a].lm, run.reducer.polys[b].lm
+                assert overlap == lm_a.shift(sa).lcm(lm_b.shift(sb)).factors
+
+    def checked_skippable(run, a, b, overlap):
+        assert {entry[3] for entry in run.queue} == run.open
+        exps = dict(overlap.factors)
+        for *_, other in run.queue:
+            if all(exps.get(var, 0) >= e for var, e in other):
+                assert other == overlap.factors
+                counts["dividing"] += 1
+        counts["pops"] += 1
+        return skippable(run, a, b, overlap)
+
+    monkeypatch.setattr(_Run, "_push_pairs", checked_push)
+    monkeypatch.setattr(_Run, "_chain_skippable", checked_skippable)
+    outcomes = set()
+    for seed in range(36):
+        _, mode, basis = _seeded_run(seed, budget=150,
+                                     modes=("plain", "truncated", "adaptive", "budget"))
+        outcomes.add((mode, basis.status.kind, basis.ring.ordering.spec.shift_order))
+    assert {(mode, kind) for mode, kind, _ in outcomes} >= {
+        ("plain", "complete"), ("plain", "budget_exhausted"),
+        ("truncated", "complete_up_to_order"), ("adaptive", "complete"),
+        ("budget", "budget_exhausted")}
+    assert {order for *_, order in outcomes} == {LEX, DEGLEX, DEGREVLEX}
+    assert counts["pops"] > 500 and counts["dividing"] > 50
 
 
 _PINNED_MODES = ("plain", "no-chain", "truncated", "adaptive", "budget")
@@ -706,7 +749,7 @@ def _reference_interreduce(basis):
             if new != elements[idx]:
                 elements[idx] = new
                 changed = True
-    return sorted(elements, key=lambda g: g.ring.ordering.monomial_key(g.lm))
+    return sorted(elements, key=lambda g: g.ring.ordering.monomial_key(g.lm.factors))
 
 
 def test_interreduce_matches_fixpoint_reference():

@@ -105,6 +105,7 @@ def _hits(basis, target):
 def test_indexed_search_matches_linear_scan(ring_index):
     ring = RINGS[ring_index]
     rng = random.Random(7000 + ring_index)
+    order_rng = random.Random(9000 + ring_index)  # leaves rng's draws as they were
     hits = 0
     for trial in range(40):
         polys = _basis(rng, ring)
@@ -116,6 +117,13 @@ def test_indexed_search_matches_linear_scan(ring_index):
             assert got == expected, (trial, polys, target)
             first = expected[0][:2] if expected else None
             assert basis.find_divisor(target) == first
+            # indices tried first (as the chain test does with its killers)
+            # move their hits ahead and keep every hit once
+            order = dict.fromkeys(order_rng.sample(range(len(polys)),
+                                                 order_rng.randint(1, len(polys))))
+            front = [h[:2] for k in order for h in expected if h[0] == k]
+            rest = [h[:2] for h in expected if h[0] not in order]
+            assert list(basis.iter_divisors(target, order)) == front + rest
             hits += len(expected)
     assert hits > 0  # the targets are built to be divisible
 

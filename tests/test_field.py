@@ -29,6 +29,15 @@ def test_parameter_field_inverses():
     assert not (a - a)
 
 
+def test_unknown_parameter_is_a_key_error():
+    # a missing name is a failed lookup, as in DifferenceRing.symbol_index,
+    # not a syntax error: the parser turns it into one at the token
+    for F in (ConstantField(("H",)), ConstantField()):
+        with pytest.raises(KeyError) as err:
+            F.parameter("K")
+        assert err.value.args == ("unknown parameter 'K'",)
+
+
 def test_random_inverse_roundtrip():
     rng = random.Random(7)
     F = ConstantField(("H", "K"))

@@ -18,6 +18,7 @@ from dgb import (MAX_SHIFT_DEGREE, ExactDivisionError, OrderingSpec, RankMismatc
                  ReducerBasis, ShiftWidthError)
 from dgb.completion import shift_pair_candidates
 from dgb.orderings import DEGLEX, DEGREVLEX, LEX
+from dgb.ring import shifted_lcm
 
 from helpers import enumerate_up_to_degree, make_ring
 
@@ -205,3 +206,18 @@ def test_shift_past_the_packed_width_raises(orders, data):
 def test_reducer_keeps_decoded_leads(orders, data):
     G, _, _ = data.draw(_polynomials(orders, count=3))
     assert ReducerBasis(G).leads == [g.lm.decoded() for g in G]
+
+
+@_each_order_pair
+@_property
+@given(data=st.data())
+def test_shifted_lcm_is_the_lcm_of_the_shifts(orders, data):
+    (f, g), s, t = data.draw(_polynomials(orders, count=2))
+    zero = (0,) * len(s)
+    for m, n in product([m for m, _ in f.terms], [n for n, _ in g.terms]):
+        for a, b in ((s, t), (zero, t), (s, zero), (zero, zero)):
+            assert shifted_lcm(m, a, n, b) == m.shift(a).lcm(n.shift(b)).factors
+        if not m.is_one:
+            past = (MAX_SHIFT_DEGREE - m.order + 1,) + zero[1:]
+            with pytest.raises(ShiftWidthError):
+                shifted_lcm(m, past, n, zero)
