@@ -21,9 +21,17 @@ Polynomials use explicit `*`, `^` for exponents, rationals like 3/4, and
 parameter polynomials in parentheses.  Shift tuples are positional; rank-1
 rings accept a bare integer.  `#` starts a line comment.
 
-The symmetric block holds exactly `perm: CYCLES;`, with CYCLES in the cycle
-notation of `--perm`, e.g. `(1 2 3)(4 5)`; points not named are fixed.
-`dgb symmetric` computes in the file's ring, under its order.
+The ring block needs `shifts` and `symbols`; `parameters` and `order` are
+optional.  The symmetric block holds `perm: CYCLES;`, with CYCLES in the
+cycle notation of `--perm`, e.g. `(1 2 3)(4 5)`; points not named are
+fixed.  An item may appear at most once in its block, and a block at most
+once in a file.  `dgb symmetric` computes in the file's ring, under its
+order.
+
+Each completion setting has one flag: `--no-chain`, `--pair-budget`
+(`DGB_PAIR_BUDGET` when not given) and, for `--adaptive` runs only,
+`--order-cap`.  The flags become the keywords of the library driver, which
+validates them.
 """
 
 from __future__ import annotations
@@ -155,48 +163,56 @@ class _Parser:
             self.fail("problem file has no ring block")
         return ProblemFile(ring, polynomials, permutation)
 
-    def parse_ring_block(self, ring_tok):
+    def parse_items(self, block, readers):
+        """The items `name: value;` of a block in braces, as ({name: (name
+        token, value)}, closing brace): readers[name] reads the value, and
+        an error it raises without a position is placed at the name.  An
+        item may appear once."""
         self.expect("{")
-        shifts = None
-        symbols = None
-        parameters = ()
-        order = None
+        items = {}
         while not self.at("}"):
             tok = self.next()
-            if tok.value == "shifts":
-                self.expect(":")
-                rank = self.next()
-                if rank.kind != "int":
-                    self.fail("expected an integer shift rank", rank)
-                shifts = int(rank.value)
-            elif tok.value == "symbols":
-                self.expect(":")
-                symbols = self.parse_ident_list()
-            elif tok.value == "parameters":
-                self.expect(":")
-                parameters = self.parse_ident_list(allow_empty=True)
-            elif tok.value == "order":
-                self.expect(":")
-                order = (tok, self.parse_order_spec())
-            else:
-                self.fail(f"unknown ring item {tok.value!r}", tok)
+            if tok.value not in readers:
+                self.fail(f"unknown {block} item {tok.value!r}", tok)
+            if tok.value in items:
+                self.fail(f"duplicate {tok.value} item", tok)
+            self.expect(":")
+            try:
+                items[tok.value] = (tok, readers[tok.value]())
+            except ParseError as exc:
+                if exc.line is not None:
+                    raise
+                raise ParseError(exc.message, tok.line, tok.column) from None
             self.expect(";")
-        close = self.expect("}")
-        if shifts is None:
-            self.fail("ring block is missing 'shifts'", close)
-        if symbols is None:
-            self.fail("ring block is missing 'symbols'", close)
+        return items, self.expect("}")
+
+    def parse_ring_block(self, ring_tok):
+        items, close = self.parse_items("ring", {
+            "shifts": self.parse_rank,
+            "symbols": self.parse_ident_list,
+            "parameters": lambda: [] if self.at(";") else self.parse_ident_list(),
+            "order": self.parse_order_spec,
+        })
+        for name in ("shifts", "symbols"):
+            if name not in items:
+                self.fail(f"ring block is missing {name!r}", close)
+        values = {name: value for name, (_, value) in items.items()}
         try:
-            signature = Signature(shifts, symbols, parameters)
+            signature = Signature(values["shifts"], values["symbols"],
+                                  values.get("parameters", ()))
         except ValueError as exc:
             self.fail(str(exc), ring_tok)
-        spec = self.resolve_order_spec(order, signature)
+        spec = self.resolve_order_spec(items.get("order"), signature)
         return DifferenceRing(signature, spec)
 
-    def parse_ident_list(self, allow_empty=False):
+    def parse_rank(self):
+        rank = self.next()
+        if rank.kind != "int":
+            self.fail("expected an integer shift rank", rank)
+        return int(rank.value)
+
+    def parse_ident_list(self):
         names = []
-        if allow_empty and self.at(";"):
-            return names
         while True:
             names.append(self.ident())
             if not self.at(","):
@@ -253,25 +269,14 @@ class _Parser:
         return out
 
     def parse_symmetric_block(self):
-        self.expect("{")
-        permutation = None
-        while not self.at("}"):
-            tok = self.next()
-            if tok.value != "perm":
-                self.fail(f"unknown symmetric item {tok.value!r}", tok)
-            if permutation is not None:
-                self.fail("duplicate perm item", tok)
-            self.expect(":")
-            text = []
-            while not self.at(";") and self.peek().kind != "eof":
-                text.append(self.next().value)
-            try:
-                permutation = tuple(parse_cycles(" ".join(text)))
-            except ParseError as exc:
-                raise ParseError(exc.message, tok.line, tok.column) from None
-            self.expect(";")
-        self.expect("}")
-        return permutation
+        items, _ = self.parse_items("symmetric", {"perm": self.parse_perm})
+        return items["perm"][1] if "perm" in items else None
+
+    def parse_perm(self):
+        text = []
+        while not self.at(";") and self.peek().kind != "eof":
+            text.append(self.next().value)
+        return tuple(parse_cycles(" ".join(text)))
 
     # --- polynomial expressions ------------------------------------------
 
@@ -395,10 +400,8 @@ def parse_polynomial(ring, text):
 
 def format_ordering(ring) -> str:
     spec = ring.ordering.spec
-    shift_prio = ring.ordering._shift_prio
-    symbol_prio = ring.ordering._symbol_prio
-    shift_names = ">".join(f"s{i + 1}" for i in shift_prio)
-    symbol_names = ">".join(ring.signature.symbols[i] for i in symbol_prio)
+    shift_names = ">".join(f"s{i + 1}" for i in spec.shift_priority)
+    symbol_names = ">".join(ring.signature.symbols[i] for i in spec.symbol_priority)
     return (f"block(shifts={spec.shift_order}[{shift_names}], "
             f"symbols={spec.symbol_order}[{symbol_names}])")
 
@@ -500,7 +503,8 @@ def _build_arg_parser():
     p.add_argument("--interreduce", action="store_true",
                    help="minimalize and tail-reduce the result")
     p.add_argument("--pair-budget", type=int, default=None, metavar="N")
-    p.add_argument("--order-cap", type=int, default=None, metavar="D")
+    p.add_argument("--order-cap", type=int, default=None, metavar="D",
+                   help="with --adaptive: stop once the order bound would exceed D")
     p.add_argument("--stats", action="store_true", help="emit pair statistics")
     common(p)
 
@@ -537,10 +541,9 @@ def _load_problem(path) -> ProblemFile:
         return parse_problem(handle.read())
 
 
-def _completion_options(args) -> CompletionOptions:
-    """Options from the flags and DGB_PAIR_BUDGET, validated by the
-    CompletionOptions constructor."""
-    chosen = {"use_chain_criterion": not getattr(args, "no_chain", False)}
+def _limits(args) -> dict:
+    """The completion keywords from the flags, with DGB_PAIR_BUDGET for a
+    missing --pair-budget; the driver they go to validates them."""
     budget = getattr(args, "pair_budget", None)
     env = os.environ.get("DGB_PAIR_BUDGET")
     if budget is None and env:
@@ -548,11 +551,13 @@ def _completion_options(args) -> CompletionOptions:
             budget = int(env)
         except ValueError:
             raise ValueError(f"DGB_PAIR_BUDGET must be an integer, got {env!r}") from None
+    limits = {"use_chain_criterion": not getattr(args, "no_chain", False),
+              "max_pair_budget": CompletionOptions.max_pair_budget}
     if budget is not None:
-        chosen["max_pair_budget"] = budget
+        limits["max_pair_budget"] = budget
     if getattr(args, "order_cap", None) is not None:
-        chosen["max_order_cap"] = args.order_cap
-    return CompletionOptions(**chosen)
+        limits["max_order_cap"] = args.order_cap
+    return limits
 
 
 def _basis_report(command, args, basis, config) -> RunReport:
@@ -575,25 +580,27 @@ def _basis_report(command, args, basis, config) -> RunReport:
 
 def _cmd_compute(args) -> RunReport:
     problem = _load_problem(args.input)
-    options = _completion_options(args)
+    limits = _limits(args)
     config = {
         "input": args.input,
         "order": format_ordering(problem.ring),
         "mode": "adaptive" if args.adaptive else (
             f"truncated({args.truncate})" if args.truncate is not None else "plain"),
-        "chain_criterion": options.use_chain_criterion,
-        "pair_budget": options.max_pair_budget,
+        "chain_criterion": limits["use_chain_criterion"],
+        "pair_budget": limits["max_pair_budget"],
         "minimal": args.minimal,
         "interreduce": args.interreduce,
     }
     if args.adaptive and args.truncate is not None:
         raise UsageError("dgb compute: --adaptive and --truncate are exclusive")
+    if args.order_cap is not None and not args.adaptive:
+        raise UsageError("dgb compute: --order-cap needs --adaptive")
     if args.adaptive:
-        basis = sigma_gbasis_adaptive(problem.polynomials, options)
+        basis = sigma_gbasis_adaptive(problem.polynomials, **limits)
     elif args.truncate is not None:
-        basis = sigma_gbasis_truncated(problem.polynomials, args.truncate, options)
+        basis = sigma_gbasis_truncated(problem.polynomials, args.truncate, **limits)
     else:
-        basis = sigma_gbasis(problem.polynomials, options)
+        basis = sigma_gbasis(problem.polynomials, **limits)
     if args.interreduce:
         basis = interreduce(basis)
     elif args.minimal:
@@ -662,7 +669,7 @@ def _cmd_symmetric(args) -> RunReport:
     if problem.ring.signature.shift_rank != 1:
         raise UsageError("dgb symmetric: the generators ring must have shift rank 1")
     action = PermutationAction(cycles, problem.ring)
-    basis = groebner_gamma_basis(action, problem.polynomials, _completion_options(args))
+    basis = groebner_gamma_basis(action, problem.polynomials, **_limits(args))
     config = {
         "gens": args.gens,
         "perm": str(action),

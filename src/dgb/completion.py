@@ -30,14 +30,16 @@ from .reduction import ReducerBasis, reduce, reduce_full
 from .ring import Monomial, shifted_lcm, spoly
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompletionOptions:
+    """The settings a run of the pair loop reads, from the keywords of a
+    driver; validated here and nowhere else."""
+
     use_chain_criterion: bool = True
     max_pair_budget: int = 200_000
-    max_order_cap: int = 64
 
     def __post_init__(self):
-        if self.max_pair_budget <= 0 or self.max_order_cap <= 0:
+        if self.max_pair_budget <= 0:
             raise ValueError("budget caps must be positive")
 
 
@@ -256,17 +258,9 @@ def _basis(ring, G, kind, stats, bound=None):
     return SigmaBasis(ring, tuple(_sorted(G)), CompletionStatus(kind, bound), stats)
 
 
-def _resolve(options, overrides):
-    if options is None:
-        options = CompletionOptions()
-    if overrides:
-        options = replace(options, **overrides)
-    return options
-
-
-def _complete(generators, options, overrides, bound=None):
+def _complete(generators, limits, bound=None):
     """One completion run, unbounded or truncated at the order bound."""
-    options = _resolve(options, overrides)
+    options = CompletionOptions(**limits)
     ring, G = _monic_generators(generators)
     if bound is not None:
         G = [g for g in G if g.order <= bound]
@@ -279,30 +273,33 @@ def _complete(generators, options, overrides, bound=None):
     return _basis(ring, G, kind, stats, bound)
 
 
-def sigma_gbasis(generators, options=None, **overrides):
+def sigma_gbasis(generators, **limits):
     """Complete a finite generating set into a Groebner basis closed under
     the shift action.  May not halt on its own; the pair budget converts
-    divergence into an explicit budget_exhausted status."""
-    return _complete(generators, options, overrides)
+    divergence into an explicit budget_exhausted status.  The keywords are
+    the fields of CompletionOptions."""
+    return _complete(generators, limits)
 
 
-def sigma_gbasis_truncated(generators, order_bound, options=None, **overrides):
+def sigma_gbasis_truncated(generators, order_bound, **limits):
     """Bounded completion: only generators and critical pairs whose order
     fits under the bound are processed.  Always terminates."""
     if order_bound < 0:
         raise ValueError("truncation order must be non-negative")
-    return _complete(generators, options, overrides, order_bound)
+    return _complete(generators, limits, order_bound)
 
 
-def sigma_gbasis_adaptive(generators, options=None, **overrides):
+def sigma_gbasis_adaptive(generators, *, max_order_cap=64, **limits):
     """Self-certifying completion: repeat bounded runs with the bound set
     to twice the maximal order of the current leading monomials until the
     bound stabilizes, then verify completeness with the finite criterion.
 
     Diverges only when no finite basis exists; the order cap turns that
-    into a budget_exhausted status.
+    into a budget_exhausted status once the bound would exceed it.
     """
-    options = _resolve(options, overrides)
+    if max_order_cap <= 0:
+        raise ValueError("budget caps must be positive")
+    options = CompletionOptions(**limits)
     ring, G = _monic_generators(generators)
     if G and not ring.ordering.is_order_compatible:
         raise ValueError("adaptive completion requires an order-compatible ordering")
@@ -313,7 +310,7 @@ def sigma_gbasis_adaptive(generators, options=None, **overrides):
         if bound is not None and bound >= 2 * d:
             break
         bound = 2 * d
-        if bound > options.max_order_cap:
+        if bound > max_order_cap:
             return _basis(ring, G, "budget_exhausted", stats)
         G, exhausted = _Run(G, options, bound, stats).run()
         stats.sweeps += 1

@@ -43,7 +43,7 @@ a proper prefix stays a proper prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from operator import mul
 from typing import NamedTuple
@@ -74,7 +74,8 @@ class OrderingSpec:
     """Declarative description of a block ordering.
 
     Priorities list indices from most to least significant; ``None`` means
-    natural order (s1 > s2 > ... and first declared symbol highest).
+    natural order (s1 > s2 > ... and first declared symbol highest).  The
+    spec an Ordering keeps has both priorities spelled out.
     """
 
     shift_order: str = DEGREVLEX
@@ -107,22 +108,23 @@ class Ordering:
     """An OrderingSpec bound to a concrete signature (rank and symbol
     count): the packing of variables and the keys of the block order."""
 
-    __slots__ = ("spec", "rank", "n_symbols", "_shift_prio", "_symbol_prio",
-                 "_symbol_value", "_symbol_of", "_origin", "_weights", "_offsets",
-                 "_degree_bits")
+    __slots__ = ("spec", "rank", "n_symbols", "_symbol_value", "_symbol_of", "_origin",
+                 "_weights", "_offsets", "_degree_bits")
 
     def __init__(self, shift_rank, n_symbols, spec=None):
-        self.spec = spec = spec or OrderingSpec()
+        spec = spec or OrderingSpec()
+        # resolved priorities, so a spelled-out natural priority equals the default
+        self.spec = spec = replace(
+            spec, shift_priority=_check_priority(spec.shift_priority, shift_rank, "shift"),
+            symbol_priority=_check_priority(spec.symbol_priority, n_symbols, "symbol"))
         self.rank = shift_rank
         self.n_symbols = n_symbols
-        self._shift_prio = _check_priority(spec.shift_priority, shift_rank, "shift")
-        self._symbol_prio = _check_priority(spec.symbol_priority, n_symbols, "symbol")
         # the low digit v of a variable, and back from v to the symbol
-        self._symbol_of = self._symbol_prio[::-1]
+        self._symbol_of = spec.symbol_priority[::-1]
         self._symbol_value = _inverse(self._symbol_of)
         width = SHIFT_BITS * shift_rank
         revlex = spec.shift_order == DEGREVLEX
-        columns = self._shift_prio if revlex else self._shift_prio[::-1]
+        columns = spec.shift_priority if revlex else spec.shift_priority[::-1]
         # the bit offset of each shift coordinate's field
         self._offsets = tuple(SHIFT_BITS * k for k in _inverse(columns))
         self._degree_bits = None if spec.shift_order == LEX else width
@@ -133,17 +135,13 @@ class Ordering:
         self._weights = tuple(degree + (-1 if revlex else 1) * (1 << offset)
                               for offset in self._offsets)
 
-    def _identity(self):
-        # resolved priorities, so a spelled-out natural priority equals the default
-        return (self.spec.shift_order, self._shift_prio,
-                self.spec.symbol_order, self._symbol_prio,
-                self.rank, self.n_symbols)
-
     def __eq__(self, other):
-        return isinstance(other, Ordering) and self._identity() == other._identity()
+        return (isinstance(other, Ordering)
+                and (self.spec, self.rank, self.n_symbols)
+                == (other.spec, other.rank, other.n_symbols))
 
     def __hash__(self):
-        return hash(self._identity())
+        return hash((self.spec, self.rank, self.n_symbols))
 
     @property
     def is_order_compatible(self):

@@ -218,8 +218,9 @@ class PermutationAction:
     written as one-cycles, as in "(1 2)(3)".  Cycle i is carried by symbol
     i of the rank-one ring given (by default x, or x1..xn, under a deglex
     shift and lex symbol order), with the cycle relation
-    symbol_i(s^d_i) - symbol_i(0) closing it; the relations and their
-    reducer are built once, with the action.
+    symbol_i(s^d_i) - symbol_i(0) closing it.  Its presentation, the
+    QuotientPresentation of those relations with their reducer, is built
+    once, with the action.
     """
 
     def __init__(self, cycles, ring=None):
@@ -254,19 +255,13 @@ class PermutationAction:
                 f"the permutation needs {n} symbols, one per cycle (fixed "
                 f"points included), but {len(ring.signature.symbols)} were given")
         self.ring = ring
-        self._presentation = QuotientPresentation(ring, [
+        self.presentation = QuotientPresentation(ring, [
             LinearRelation(i, 0, (-1,) + (0,) * (d - 1) + (1,))
             for i, d in enumerate(self.cycle_lengths)])
 
     @property
     def order(self):
         return math.lcm(*self.cycle_lengths)
-
-    def relations(self):
-        return self._presentation.relation_polynomials
-
-    def presentation(self) -> QuotientPresentation:
-        return self._presentation
 
     def __str__(self):
         return "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles)
@@ -314,18 +309,17 @@ def symmetric_setup(action: PermutationAction, generators):
                         f"{action.cycle_lengths[sym]}")
         if g:
             gens.append(g)
-    return gens + action.relations()
+    return gens + action.presentation.relation_polynomials
 
 
-def groebner_gamma_basis(action: PermutationAction, generators,
-                         options=None, **overrides) -> SigmaBasis:
+def groebner_gamma_basis(action: PermutationAction, generators, **limits) -> SigmaBasis:
     """Complete the invariant ideal inside the quotient: run completion on
     the lifted generators plus cycle relations (termination is guaranteed
     because every pure power is covered), minimalize, and drop the cycle
     relations from the returned elements."""
     lifted = symmetric_setup(action, generators)
-    basis = minimalize(sigma_gbasis(lifted, options, **overrides))
-    relation_lms = {rel.lm for rel in action.relations()}
+    basis = minimalize(sigma_gbasis(lifted, **limits))
+    relation_lms = {rel.lm for rel in action.presentation.relation_polynomials}
     kept = tuple(g for g in basis.elements if g.lm not in relation_lms)
     return SigmaBasis(basis.ring, kept, basis.status, basis.stats)
 
@@ -334,7 +328,7 @@ def expand_classical_basis(action: PermutationAction, gamma_elements):
     """Unfold a group-invariant basis into the plain minimal basis of the
     finite ring: apply all powers of the shift, wrap through the cycle
     relations, deduplicate, and minimalize with plain divisibility."""
-    relations = action.presentation().reducer
+    relations = action.presentation.reducer
     copies = {}
     for g in gamma_elements:
         for k in range(action.order):

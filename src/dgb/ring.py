@@ -17,7 +17,7 @@ from operator import add, itemgetter
 
 from .errors import ExactDivisionError, RingMismatchError
 from .field import ConstantField
-from .orderings import Ordering, OrderingSpec
+from .orderings import Ordering
 
 NEG_INF = float("-inf")
 
@@ -207,8 +207,7 @@ class DifferenceRing:
         self.signature = signature
         self._symbol_index = {name: i for i, name in enumerate(signature.symbols)}
         self.field = ConstantField(signature.parameters)
-        spec = ordering_spec or OrderingSpec()
-        self.ordering = Ordering(signature.shift_rank, len(signature.symbols), spec)
+        self.ordering = Ordering(signature.shift_rank, len(signature.symbols), ordering_spec)
         self.zero = Polynomial(self, ())
         self.one = Polynomial(self, ((Monomial.ONE, self.field.one),))
 

@@ -279,7 +279,7 @@ def test_criterion_6_verifier_soundness():
     assert verify_sigma_gbasis(flow.elements).ok
 
     action, gens, gamma = _cycle8_gamma()
-    full_cycle = list(gamma.elements) + action.relations()
+    full_cycle = list(gamma.elements) + action.presentation.relation_polynomials
     assert verify_sigma_gbasis(full_cycle).ok
 
     ring1 = make_ring(1, ("x",))

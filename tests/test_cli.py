@@ -561,6 +561,17 @@ def test_cli_non_integer_shift_rank(tmp_path, capsys):
     (RING_X + "ideal { x(1)^y(0); }", "expected an integer exponent", (2, 14)),
     (RING_X + "ideal { x(1) * x; }", "symbol 'x' needs a shift tuple", (2, 16)),
     (RING_X + "ideal { x(a); }", "expected a shift exponent", (2, 11)),
+    # an item may appear once; a repeat is refused at its name
+    ("ring { shifts: 1; symbols: x;\n  shifts: 2; symbols: y, z; }", "duplicate shifts item",
+     (2, 3)),
+    ("ring { shifts: 1; symbols: x; shifts: 2; }", "duplicate shifts item", (1, 31)),
+    ("ring { shifts: 1; symbols: x;\n  symbols: y; }", "duplicate symbols item", (2, 3)),
+    ("ring { shifts: 1; symbols: x; parameters: H;\n  parameters: K; }",
+     "duplicate parameters item", (2, 3)),
+    ("ring { shifts: 1; symbols: x; parameters: ;\n  parameters: ; }",
+     "duplicate parameters item", (2, 3)),
+    ("ring { shifts: 1; symbols: x; order: block(shifts=lex[s1], symbols=lex[x]);\n"
+     "  order: block(shifts=lex[s1], symbols=lex[x]); }", "duplicate order item", (2, 3)),
 ])
 def test_ring_block_errors_carry_positions(ring_block, message, position, tmp_path, capsys):
     with pytest.raises(ParseError) as err:
@@ -596,6 +607,11 @@ RING_UV = "ring { shifts: 2; symbols: u, v; }\nideal { u(2,0) - u(0,0); v(0,1) -
      "dgb normal-form: duplicate relation for x along s1"),
     (RING_UV, ["normal-form", "--var", "u(1,0)"],
      "dgb normal-form: missing relations for u along s2, v along s1"),
+    # the cap bounds only the adaptive driver's doubling order bound
+    (RING_X + "ideal { x(1) - x(0); }", ["compute", "--order-cap", "3"],
+     "dgb compute: --order-cap needs --adaptive"),
+    (RING_X + "ideal { x(1) - x(0); }", ["compute", "--truncate", "2", "--order-cap", "3"],
+     "dgb compute: --order-cap needs --adaptive"),
 ])
 def test_cli_errors_name_their_cause(tmp_path, capsys, problem, argv, message):
     prob = tmp_path / "p.dgb"

@@ -47,6 +47,7 @@ CASES = {
     "parse_error": ["compute", "--input", "cli/bad.dgb"],
     "usage_error": ["compute", "--input", "cli/grow.dgb", "--adaptive",
                     "--truncate", "2"],
+    "order_cap_usage_error": ["compute", "--input", "cli/grow.dgb", "--order-cap", "3"],
 }
 
 _WALL_CLOCK = re.compile(r'("wall_clock_seconds": )[0-9.e-]+|(wall clock: )[0-9.]+s')

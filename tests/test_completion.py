@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from operator import add
@@ -8,12 +9,13 @@ import pytest
 import classical
 from dgb import OrderingSpec, RingMismatchError, spoly
 from dgb.cli import parse_polynomial
-from dgb.completion import (PairStats, _minimalize_elements, _Run,
+from dgb.completion import (CompletionOptions, PairStats, _minimalize_elements, _Run,
                             interreduce, minimalize, shift_pair_candidates,
                             sigma_gbasis, sigma_gbasis_adaptive,
                             sigma_gbasis_truncated, verify_sigma_gbasis)
 from dgb.orderings import DEGLEX, DEGREVLEX, LEX
-from dgb.quotient import normal_variables, pure_power_table
+from dgb.quotient import (PermutationAction, groebner_gamma_basis, normal_variables,
+                          pure_power_table)
 from dgb.reduction import reduce, reduce_full
 
 from helpers import (enumerate_up_to_degree, instance_id, is_order_homogeneous, make_ring,
@@ -585,6 +587,37 @@ def test_adaptive_order_cap():
     f = x(ring, 0) * x(ring, 2) - x(ring, 1, 2)
     basis = sigma_gbasis_adaptive([f], max_order_cap=3)
     assert basis.status.kind == "budget_exhausted"
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="budget caps must be positive"):
+            sigma_gbasis_adaptive([f], max_order_cap=cap)
+
+
+def test_order_cap_is_a_keyword_of_the_adaptive_driver_only():
+    ring = R1()
+    f = x(ring, 1) - x(ring, 0)
+    with pytest.raises(TypeError, match="max_order_cap"):
+        sigma_gbasis([f], max_order_cap=3)
+    with pytest.raises(TypeError, match="max_order_cap"):
+        sigma_gbasis_truncated([f], 2, max_order_cap=3)
+    action = PermutationAction("(1 2 3)")
+    with pytest.raises(TypeError, match="max_order_cap"):
+        groebner_gamma_basis(action, [action.ring.var("x", (0,))], max_order_cap=3)
+
+
+def test_limits_are_passed_as_keywords_only():
+    ring = R1()
+    f = x(ring, 1) - x(ring, 0)
+    for run in (lambda o: sigma_gbasis([f], o),
+                lambda o: sigma_gbasis_truncated([f], 2, o),
+                lambda o: sigma_gbasis_adaptive([f], o)):
+        with pytest.raises(TypeError):
+            run(CompletionOptions())
+    assert sigma_gbasis([f], max_pair_budget=5, use_chain_criterion=False).status.kind \
+        == "complete"
+    with pytest.raises(ValueError, match="budget caps must be positive"):
+        sigma_gbasis([f], max_pair_budget=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CompletionOptions().max_pair_budget = 1
 
 
 # --- verification --------------------------------------------------------------

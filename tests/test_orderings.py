@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from dgb import MAX_SHIFT_DEGREE, Monomial, Ordering, OrderingSpec, ShiftWidthError
+from dgb import (MAX_SHIFT_DEGREE, DifferenceRing, Monomial, Ordering, OrderingSpec,
+                 ShiftWidthError, Signature)
 from dgb.orderings import DEGLEX, DEGREVLEX, LEX
 
 from helpers import (compare_monomials, compare_shifts, make_ring, random_monomial,
@@ -192,3 +193,21 @@ def test_shift_past_the_packed_width_raises(shift_order):
     with pytest.raises(ShiftWidthError):
         ring.ordering.check_shift((top - 1, 2))
     assert ring.ordering.check_shift([top, 0]) == (top, 0)
+
+
+@pytest.mark.parametrize("shift_order", [LEX, DEGLEX, DEGREVLEX])
+def test_spelled_out_natural_priority_equals_the_default(shift_order):
+    natural = OrderingSpec(shift_order, (0, 1, 2), DEGLEX, [0, 1])
+    default = OrderingSpec(shift_order, None, DEGLEX, None)
+    assert Ordering(3, 2, natural) == Ordering(3, 2, default)
+    assert hash(Ordering(3, 2, natural)) == hash(Ordering(3, 2, default))
+    assert Ordering(3, 2, default).spec == OrderingSpec(shift_order, (0, 1, 2), DEGLEX, (0, 1))
+    assert Ordering(3, 2, default) != Ordering(3, 2, OrderingSpec(shift_order, (1, 0, 2),
+                                                                 DEGLEX, None))
+    signature = Signature(3, ("u", "v"))
+    assert DifferenceRing(signature, natural) == DifferenceRing(signature, default)
+    assert DifferenceRing(signature, OrderingSpec(DEGREVLEX, (0, 1, 2), LEX, (0, 1))) \
+        == DifferenceRing(signature)
+    assert hash(DifferenceRing(signature, natural)) == hash(DifferenceRing(signature, default))
+    assert DifferenceRing(signature, default) != DifferenceRing(
+        signature, OrderingSpec(shift_order, None, DEGLEX, (1, 0)))

@@ -96,7 +96,7 @@ def test_relations_are_groebner_examples():
 
 def test_relations_are_groebner_cycles():
     action = PermutationAction([(1, 2, 3), (4, 5, 6, 7, 8)])
-    assert verify_sigma_gbasis(action.presentation().relation_polynomials).ok
+    assert verify_sigma_gbasis(action.presentation.relation_polynomials).ok
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -116,7 +116,7 @@ def test_relations_are_groebner_random(seed):
 
 def test_normal_form_cyclic_wraps():
     action = PermutationAction([(1, 2, 3, 4, 5, 6, 7, 8)])
-    pres = action.presentation()
+    pres = action.presentation
     nf = pres.normal_form_variable(VarRef(0, (9,)))
     assert nf == action.ring.var("x", (1,))
 
@@ -201,15 +201,16 @@ def test_permutation_normalization():
     assert act.cycles == ((1, 2, 3), (4, 5), (6,))
     assert act.cycle_lengths == (3, 2, 1)
     assert act.order == 6
-    assert [str(f) for f in act.relations()] == [
+    assert [str(f) for f in act.presentation.relation_polynomials] == [
         "x1(3) - x1(0)", "x2(2) - x2(0)", "x3(1) - x3(0)"]
 
 
 def test_cycle_relations_by_hand():
     action = PermutationAction("(1 2 3)(4 5)")
     ring = action.ring
-    assert action.relations() == [ring.var("x1", (3,)) - ring.var("x1", (0,)),
-                                  ring.var("x2", (2,)) - ring.var("x2", (0,))]
+    assert action.presentation.relation_polynomials == [
+        ring.var("x1", (3,)) - ring.var("x1", (0,)),
+        ring.var("x2", (2,)) - ring.var("x2", (0,))]
 
 
 def test_empty_cycle_same_error_as_list_or_text():
@@ -276,7 +277,8 @@ def test_gamma_basis_coprime_heads_fixed():
     assert basis.status.kind == "complete"
     # x1 is rewritten in terms of x2 everywhere; the basis stays small
     assert all(h.lm.order <= 3 for h in basis)
-    assert verify_sigma_gbasis(list(basis.elements) + action.relations()).ok
+    relations = action.presentation.relation_polynomials
+    assert verify_sigma_gbasis(list(basis.elements) + relations).ok
 
 
 def test_gamma_basis_returns_generators_unchanged_when_orbit_coprime():
@@ -307,7 +309,7 @@ def test_gamma_invariance_of_expansion():
 
     for h in classical_basis:
         for k in range(action.order):
-            image = tail_reduce(h.shift((k,)), action.relations())
+            image = tail_reduce(h.shift((k,)), action.presentation.relation_polynomials)
             assert tail_reduce(image, classical_basis) == ring.zero
 
 
@@ -333,7 +335,8 @@ def test_expansion_cross_checked_against_oracle_small_cycle():
     for g in (g1, g2):
         for k in range(action.order):
             from dgb.reduction import tail_reduce
-            orbit.append(to_oracle(tail_reduce(g.shift((k,)), action.relations())))
+            relations = action.presentation.relation_polynomials
+            orbit.append(to_oracle(tail_reduce(g.shift((k,)), relations)))
     oracle_minimal = oracle.minimalize(oracle.buchberger(orbit, lex_key), lex_key)
     mine = [to_oracle(h) for h in expanded]
     assert {oracle.p_lm(h, lex_key) for h in mine} == \
@@ -413,7 +416,7 @@ def test_symmetric_command_honours_the_file_order(tmp_path, capsys, symbol_order
     assert out["basis"] == [str(g) for g in gamma.elements]
 
     key = oracle_key(problem.ring)
-    orbit = [to_oracle(reduce_full(g.shift((k,)), action.relations()))
+    orbit = [to_oracle(reduce_full(g.shift((k,)), action.presentation.relation_polynomials))
              for g in problem.polynomials for k in range(action.order)]
     oracle_minimal = oracle.minimalize(oracle.buchberger(orbit, key), key)
     expanded = expand_classical_basis(action, gamma.elements)
