@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, tee
 from operator import sub
 
 from .errors import InternalCheckError, RingMismatchError
@@ -128,13 +128,68 @@ def _monic_generators(generators):
     return ring, G
 
 
+class _Overlap:
+    """The queued pairs that share one overlap, and the divisors of the
+    overlap that chain queries have found so far (see _Run).
+
+    ids lists the pair ids in push order, of which the first taken have
+    been popped.  found is a tee of one iter_divisors search over the first
+    size elements of the reducer: a copy of it yields the divisors found so
+    far, then resumes the search, whose further hits the tee keeps."""
+
+    __slots__ = ("factors", "ids", "taken", "monomial", "size", "found")
+
+    def __init__(self, factors):
+        self.factors = factors
+        self.ids = []
+        self.taken = 0
+        self.monomial = None
+        self.size = None
+        self.found = None
+
+
 class _Run:
     """One pass of the pair loop over a nonempty, non-unit, monic G,
     adding its pair counts to the given stats.
 
-    queue holds (order, flat key, seq, id, overlap factors) per queued
-    pair; the overlap becomes a Monomial only when its pair is popped.  open
-    holds the ids (i, sigma, j, tau) of the queued pairs not yet treated:
+    *Queue.*  Pairs are queued by overlap: queue holds one heap entry
+    (order, flat key, group) per distinct queued overlap, and waiting maps
+    the overlap's factor tuple to that group, an _Overlap whose ids are the
+    pair ids (i, sigma, j, tau) with that overlap in push order.  A pair
+    whose overlap is waiting is appended to its group and needs no key and
+    no heap push.  The loop takes the next id of the group on top of the
+    heap and pops the entry, dropping it from waiting, when it takes the
+    group's last id; the overlap becomes a Monomial once per group, and only
+    when the chain test runs.
+
+    *Pop order.*  Pairs pop exactly as from a heap of (order, flat key,
+    seq) per pair, seq counting pushes.  A group is in the heap iff it is
+    in waiting iff it has ids not given out, as the loop drops its entry
+    from both when it takes its last id.  The flat key compares as the
+    monomial key does (orderings.py), and the ordering is total, so
+    distinct overlaps have distinct keys: heap entries never tie, and the
+    heap never compares groups.  A group's ids are in seq order, since a
+    pushed id goes to the end of the waiting group of its overlap or starts
+    a new group when none waits.  So the least (order, key, seq) among the
+    queued pairs is the first id not given out of the group on top: the id
+    the loop takes.  That holds after every push, so a new pair with a
+    smaller key than the popped one is on top at the next step, as in the
+    per-pair heap.
+
+    *Divisor list.*  A chain query reads its group's divisors: those that
+    earlier queries found, then the suspended iter_divisors search, started
+    in the killer-first order of the first pair that needed it.  The
+    (k, nu) with nu*lm(G[k]) dividing the overlap depend only on the
+    overlap and the leading monomials of the elements present, and elements
+    are only appended, so while the reducer's length is unchanged the
+    search yields exactly that set, whichever pair reads it.  The test asks
+    whether some member certifies both halves, reading open at each query,
+    so neither the order nor the queries before change an answer.  An
+    element appended since may divide the overlap and certify both halves
+    (its pairs with smaller overlaps may have been treated in between), so
+    a grown reducer starts a new search.
+
+    *Open set.*  open holds the ids of the queued pairs not yet treated:
     (i, sigma) <= (j, tau), with no common shift (min(sigma, tau) = 0
     entrywise).  A shifted pair shares a variable iff its id is a candidate,
     queued once both elements are present; the chain test asks only about
@@ -167,12 +222,12 @@ class _Run:
         self.stats = stats
         self.reducer = ReducerBasis(G)
         self.queue = []
-        self.seq = 0
+        self.waiting = {}
         self.open = set()
         self.killer = {}
 
     def _push_pairs(self, i, j):
-        reducer, stats = self.reducer, self.stats
+        reducer, stats, waiting = self.reducer, self.stats, self.waiting
         lm_i, lm_j = reducer.polys[i].lm, reducer.polys[j].lm
         ordering = reducer.ring.ordering
         pairs, raw = shift_pair_candidates(reducer.leads[i], reducer.leads[j], i == j)
@@ -181,17 +236,20 @@ class _Run:
         stats.killed_sigma += raw - len(pairs)
         for sigma, tau in pairs:
             overlap = shifted_lcm(lm_i, sigma, lm_j, tau)
-            bound = ordering.order(overlap)
-            if self.bound is not None and bound > self.bound:
-                stats.killed_truncation += 1
-                continue
+            group = waiting.get(overlap)
+            if group is None:  # a waiting overlap fits under the bound
+                bound = ordering.order(overlap)
+                if self.bound is not None and bound > self.bound:
+                    stats.killed_truncation += 1
+                    continue
+                group = waiting[overlap] = _Overlap(overlap)
+                # the flat key compares as the key does, and faster (orderings.py)
+                key = tuple(chain.from_iterable(ordering.monomial_key(overlap)))
+                heappush(self.queue, (bound, key, group))
             stats.generated += 1
             pair_id = (i, sigma, j, tau)  # canonical: min(sigma, tau) == 0
             self.open.add(pair_id)
-            # the flat key compares as the key does, and faster (orderings.py)
-            key = tuple(chain.from_iterable(ordering.monomial_key(overlap)))
-            heappush(self.queue, (bound, key, self.seq, pair_id, overlap))
-            self.seq += 1
+            group.ids.append(pair_id)
 
     def _certified(self, a, b):
         """Whether the pair of shifted elements a = (i, si), b = (k, nu),
@@ -199,13 +257,18 @@ class _Run:
         Groebner representation."""
         return (a + b if a <= b else b + a) not in self.open
 
-    def _chain_skippable(self, a, b, overlap):
-        """Whether a shifted element c other than a and b divides overlap
-        with both pairs a, c and c, b certified."""
-        killer = self.killer
+    def _chain_skippable(self, a, b, group):
+        """Whether a shifted element c other than a and b divides the
+        group's overlap with both pairs a, c and c, b certified."""
+        killer, reducer = self.killer, self.reducer
         i, j = a[0], b[0]
-        first = {killer[n]: None for n in (i, j) if n in killer}
-        for c in self.reducer.iter_divisors(overlap, first):
+        if group.size != len(reducer):
+            if group.monomial is None:
+                group.monomial = Monomial(group.factors, reducer.ring.ordering)
+            first = {killer[n]: None for n in (i, j) if n in killer}
+            group.size = len(reducer)
+            group.found = tee(reducer.iter_divisors(group.monomial, first), 1)[0]
+        for c in group.found.__copy__():  # the hits so far, then the search
             if c == a or c == b:
                 continue
             if self._certified(a, c) and self._certified(c, b):
@@ -220,18 +283,22 @@ class _Run:
         for j in range(len(G)):
             for i in range(j + 1):
                 self._push_pairs(i, j)
-        queue, stats, options = self.queue, self.stats, self.options
-        ordering = self.reducer.ring.ordering
+        queue, waiting, stats, options = self.queue, self.waiting, self.stats, self.options
         pops = 0
         while queue:
-            _, _, _, pair_id, overlap = heappop(queue)
+            group = queue[0][2]
+            pair_id = group.ids[group.taken]
+            group.taken += 1
+            if group.taken == len(group.ids):
+                heappop(queue)
+                del waiting[group.factors]
             pops += 1
             if pops > options.max_pair_budget:
                 return G, True
             self.open.remove(pair_id)
             i, sigma, j, tau = pair_id
             if options.use_chain_criterion and self._chain_skippable(
-                    (i, sigma), (j, tau), Monomial(overlap, ordering)):
+                    (i, sigma), (j, tau), group):
                 stats.killed_chain += 1
                 continue
             h = reduce_full(spoly(G[i].shift(sigma), G[j].shift(tau)), self.reducer)

@@ -3,13 +3,17 @@ and converters into the oracle's plain-dict polynomial format."""
 
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations_with_replacement
+from heapq import heappop, heappush
+from itertools import chain, combinations_with_replacement
 from math import comb
 from operator import sub
 
 from dgb import DifferenceRing, Monomial, Signature
+from dgb.completion import shift_pair_candidates
 from dgb.orderings import DEGLEX, LEX
 from dgb.quotient import groebner_gamma_basis
+from dgb.reduction import ReducerBasis, reduce_full
+from dgb.ring import shifted_lcm, spoly
 
 
 def make_ring(rank=1, symbols=("x",), parameters=(), spec=None):
@@ -146,6 +150,93 @@ def instance_id(i, si, j, sj):
     a = (i, tuple(map(sub, si, delta)))
     b = (j, tuple(map(sub, sj, delta)))
     return a + b if a <= b else b + a
+
+
+class ReferenceRun:
+    """The pair loop with one heap entry (order, flat key, seq, id,
+    overlap factors) per queued pair and one iter_divisors search per chain
+    query: the reference for the grouped queue of completion._Run, which
+    must pop the same pairs in the same order and decide each alike.  It
+    takes the arguments of _Run and keeps its attributes queue, open,
+    reducer and killer."""
+
+    def __init__(self, G, options, bound, stats):
+        self.options = options
+        self.bound = bound
+        self.stats = stats
+        self.reducer = ReducerBasis(G)
+        self.queue = []
+        self.seq = 0
+        self.open = set()
+        self.killer = {}
+
+    def _push_pairs(self, i, j):
+        reducer, stats = self.reducer, self.stats
+        lm_i, lm_j = reducer.polys[i].lm, reducer.polys[j].lm
+        ordering = reducer.ring.ordering
+        pairs, raw = shift_pair_candidates(reducer.leads[i], reducer.leads[j], i == j)
+        if raw == 0:
+            stats.killed_product += 1
+        stats.killed_sigma += raw - len(pairs)
+        for sigma, tau in pairs:
+            overlap = shifted_lcm(lm_i, sigma, lm_j, tau)
+            bound = ordering.order(overlap)
+            if self.bound is not None and bound > self.bound:
+                stats.killed_truncation += 1
+                continue
+            stats.generated += 1
+            pair_id = (i, sigma, j, tau)
+            self.open.add(pair_id)
+            key = tuple(chain.from_iterable(ordering.monomial_key(overlap)))
+            heappush(self.queue, (bound, key, self.seq, pair_id, overlap))
+            self.seq += 1
+
+    def _certified(self, a, b):
+        return (a + b if a <= b else b + a) not in self.open
+
+    def _chain_skippable(self, a, b, overlap):
+        killer = self.killer
+        i, j = a[0], b[0]
+        first = {killer[n]: None for n in (i, j) if n in killer}
+        for c in self.reducer.iter_divisors(overlap, first):
+            if c == a or c == b:
+                continue
+            if self._certified(a, c) and self._certified(c, b):
+                killer[i] = killer[j] = c[0]
+                return True
+        return False
+
+    def run(self):
+        G = self.reducer.polys
+        for j in range(len(G)):
+            for i in range(j + 1):
+                self._push_pairs(i, j)
+        queue, stats, options = self.queue, self.stats, self.options
+        ordering = self.reducer.ring.ordering
+        pops = 0
+        while queue:
+            _, _, _, pair_id, overlap = heappop(queue)
+            pops += 1
+            if pops > options.max_pair_budget:
+                return G, True
+            self.open.remove(pair_id)
+            i, sigma, j, tau = pair_id
+            if options.use_chain_criterion and self._chain_skippable(
+                    (i, sigma), (j, tau), Monomial(overlap, ordering)):
+                stats.killed_chain += 1
+                continue
+            h = reduce_full(spoly(G[i].shift(sigma), G[j].shift(tau)), self.reducer)
+            if not h:
+                stats.reduced_to_zero += 1
+                continue
+            if h.lm.is_one:
+                return [self.reducer.ring.one], False
+            self.reducer.append(h)
+            stats.new_elements += 1
+            new = len(G) - 1
+            for t in range(new + 1):
+                self._push_pairs(t, new)
+        return G, False
 
 
 def _graded_key(kind, exps):

@@ -7,19 +7,19 @@ from pathlib import Path
 import pytest
 
 import classical
-from dgb import OrderingSpec, RingMismatchError, spoly
-from dgb.cli import parse_polynomial
+from dgb import Monomial, OrderingSpec, RingMismatchError, completion, spoly
+from dgb.cli import parse_polynomial, parse_problem
 from dgb.completion import (CompletionOptions, PairStats, _minimalize_elements, _Run,
                             interreduce, minimalize, shift_pair_candidates,
                             sigma_gbasis, sigma_gbasis_adaptive,
                             sigma_gbasis_truncated, verify_sigma_gbasis)
 from dgb.orderings import DEGLEX, DEGREVLEX, LEX
 from dgb.quotient import (PermutationAction, groebner_gamma_basis, normal_variables,
-                          pure_power_table)
+                          pure_power_table, symmetric_setup)
 from dgb.reduction import reduce, reduce_full
 
-from helpers import (enumerate_up_to_degree, instance_id, is_order_homogeneous, make_ring,
-                     monomial_gcd, mono_to_oracle, oracle_key, random_monomial,
+from helpers import (ReferenceRun, enumerate_up_to_degree, instance_id, is_order_homogeneous,
+                     make_ring, monomial_gcd, mono_to_oracle, oracle_key, random_monomial,
                      random_polynomial, to_oracle)
 
 
@@ -222,6 +222,13 @@ def _seeded_run(seed, budget, modes=("plain", "truncated", "adaptive")):
     return gens, mode, basis
 
 
+def _queued(run):
+    """(overlap factors, id) for each pair waiting in the grouped queue of a
+    _Run, in no particular order."""
+    return [(group.factors, pair_id) for *_, group in run.queue
+            for pair_id in group.ids[group.taken:]]
+
+
 def test_chain_test_open_set_matches_processed_set_reference(monkeypatch):
     # The reference certifies a shifted pair when the product criterion
     # holds or when its id was treated earlier in the run; every query the
@@ -230,17 +237,18 @@ def test_chain_test_open_set_matches_processed_set_reference(monkeypatch):
     counts = {"pushed": 0, "queries": 0}
 
     def checked_push(run, i, j):
-        before, seq = set(run.open), run.seq
+        before, queued = set(run.open), len(_queued(run))
         push(run, i, j)
         added = run.open - before
-        assert len(added) == run.seq - seq
+        assert len(added) == len(_queued(run)) - queued
         for pair_id in added:
             a, sigma, b, tau = pair_id
             assert (a, b) == (i, j) and instance_id(a, sigma, b, tau) == pair_id
         counts["pushed"] += len(added)
 
-    def checked_skippable(run, p, q, overlap):
+    def checked_skippable(run, p, q, group):
         (i, si), (j, sj) = p, q
+        overlap = Monomial(group.factors, run.reducer.ring.ordering)
         # every popped pair reaches the chain test and is treated before the
         # next pop, so the ids seen before this one are the treated ones
         ref = run.__dict__.setdefault("reference", {"treated": set(), "last": None})
@@ -263,7 +271,7 @@ def test_chain_test_open_set_matches_processed_set_reference(monkeypatch):
             assert run._certified((k, nu), (j, sj)) == right
             counts["queries"] += 2
             expected = expected or (left and right)
-        got = skippable(run, p, q, overlap)
+        got = skippable(run, p, q, group)
         assert got == expected
         return got
 
@@ -284,27 +292,30 @@ def test_open_ids_dividing_the_popped_overlap_have_that_overlap(monkeypatch):
     # _Run): when a pair is popped, an open id whose overlap divides the
     # popped overlap m has overlap m itself.  Each queued overlap (a factor
     # tuple) is checked against the lcm of the shifted leading monomials
-    # when it is pushed.
+    # when it is pushed, and the waiting map against the heap at each pop.
     push, skippable = _Run._push_pairs, _Run._chain_skippable
     counts = {"pops": 0, "dividing": 0}
 
     def checked_push(run, i, j):
-        seq = run.seq
+        before = set(run.open)
         push(run, i, j)
-        for *_, entry_seq, (a, sa, b, sb), overlap in run.queue:
-            if entry_seq >= seq:
+        for overlap, (a, sa, b, sb) in _queued(run):
+            if (a, sa, b, sb) not in before:
                 lm_a, lm_b = run.reducer.polys[a].lm, run.reducer.polys[b].lm
                 assert overlap == lm_a.shift(sa).lcm(lm_b.shift(sb)).factors
 
-    def checked_skippable(run, a, b, overlap):
-        assert {entry[3] for entry in run.queue} == run.open
-        exps = dict(overlap.factors)
-        for *_, other in run.queue:
+    def checked_skippable(run, a, b, group):
+        queued = _queued(run)
+        assert {pair_id for _, pair_id in queued} == run.open
+        assert {g.factors: g for *_, g in run.queue} == run.waiting
+        assert len(run.waiting) == len(run.queue)
+        exps = dict(group.factors)
+        for other, _ in queued:
             if all(exps.get(var, 0) >= e for var, e in other):
-                assert other == overlap.factors
+                assert other == group.factors
                 counts["dividing"] += 1
         counts["pops"] += 1
-        return skippable(run, a, b, overlap)
+        return skippable(run, a, b, group)
 
     monkeypatch.setattr(_Run, "_push_pairs", checked_push)
     monkeypatch.setattr(_Run, "_chain_skippable", checked_skippable)
@@ -322,6 +333,104 @@ def test_open_ids_dividing_the_popped_overlap_have_that_overlap(monkeypatch):
 
 
 _PINNED_MODES = ("plain", "no-chain", "truncated", "adaptive", "budget")
+
+
+def _logged_runs(monkeypatch, run_class, stale):
+    """Make run_class the drivers' pair loop and log each of its runs.  Per
+    popped pair, in pop order: its id, the pair counts and the basis size
+    before it, and its chain decision (None with the chain test off).
+    Chain queries of a _Run that find their group's divisor list made for
+    a smaller basis count as stale; as stale after an own pair when the
+    pair popped just before was of the same group, and as decided by a new
+    element when the elements of the stale list alone decide otherwise."""
+    runs = []
+    init, skippable = run_class.__init__, run_class._chain_skippable
+
+    class PopLog(set):  # the open set: a pair's id leaves it when it is treated
+        def remove(self, pair_id):
+            super().remove(pair_id)
+            run = self.run
+            self.pops.append([pair_id, dataclasses.astuple(run.stats), len(run.reducer), None])
+
+    def logged_init(run, *args):
+        init(run, *args)
+        run.open = PopLog()
+        run.open.run, run.open.pops = run, []
+        runs.append(run)
+
+    def logged_skippable(run, a, b, where):  # the overlap, or for a _Run its group
+        pops = run.open.pops
+        old_only = None
+        if run_class is _Run and where.found is not None \
+                and where.size != len(run.reducer):
+            stale["lists"] += 1
+            if len(pops) > 1 and pops[-2][0] in where.ids and pops[-2][2] < pops[-1][2]:
+                stale["after an own pair"] += 1
+            old_only = any(c[0] < where.size and c != a and c != b
+                           and run._certified(a, c) and run._certified(c, b)
+                           for c in run.reducer.iter_divisors(where.monomial))
+        got = skippable(run, a, b, where)
+        if old_only is not None and old_only != got:
+            stale["decided by a new element"] += 1
+        assert pops[-1][0] == a + b and pops[-1][3] is None
+        pops[-1][3] = got
+        return got
+
+    monkeypatch.setattr(completion, "_Run", run_class)
+    monkeypatch.setattr(run_class, "__init__", logged_init)
+    monkeypatch.setattr(run_class, "_chain_skippable", logged_skippable)
+    return runs
+
+
+def _budget_pair(run):
+    """The pairs in the open set that are not queued: the one popped when
+    the pair budget ran out, or none."""
+    if isinstance(run, ReferenceRun):
+        queued = {entry[3] for entry in run.queue}
+    else:
+        queued = {pair_id for _, pair_id in _queued(run)}
+    return sorted(run.open - queued)
+
+
+def test_grouped_queue_matches_the_per_pair_reference(monkeypatch):
+    # Differential gate for the grouped queue of _Run against ReferenceRun
+    # (helpers.py), the loop with one heap entry per pair and one divisor
+    # search per chain query: over the 36 seeded runs in all five modes and
+    # cycle5's lifted generators, both pop the same pairs in the same order,
+    # with the same pair counts, basis size and chain decision at each pop,
+    # run out of budget at the same pair and return the same basis.  The
+    # seeded runs meet stale divisor lists, also after an own pair; the
+    # hand-built set below has one where an element the stale list lacks
+    # kills the pair, so a list that is not rebuilt changes a decision.
+    problem = parse_problem((Path(__file__).parent / "data/cli/cycle5.dgb").read_text())
+    action = PermutationAction(problem.permutation, problem.ring)
+    lifted = symmetric_setup(action, problem.polynomials)
+    ring = make_ring(1, ("x",), spec=OrderingSpec(DEGLEX, None, DEGREVLEX, None))
+    hand_built = [parse_polynomial(ring, text) for text in
+                  ("3*x(2)^2", "x(2)*x(1)^2*x(0)^2 + x(2)*x(0)", "-1/2*x(1)^2*x(0) - 2*x(1)")]
+    computations = [lambda seed=seed: _seeded_run(seed, budget=150, modes=_PINNED_MODES)[2]
+                    for seed in range(36)]
+    computations += [lambda: sigma_gbasis(lifted), lambda: sigma_gbasis(hand_built)]
+    stale = {"lists": 0, "after an own pair": 0, "decided by a new element": 0}
+    outcomes, modes = {}, set()
+    for run_class in (ReferenceRun, _Run):
+        outcomes[run_class] = []
+        for compute in computations:
+            with monkeypatch.context() as patch:
+                runs = _logged_runs(patch, run_class, stale)
+                basis = compute()
+            outcomes[run_class].append(
+                (str(basis.status), dataclasses.astuple(basis.stats),
+                 [str(g) for g in basis], [(run.open.pops, _budget_pair(run)) for run in runs]))
+            modes.add((str(basis.status), bool(runs and runs[0].options.use_chain_criterion)))
+    for expected, got in zip(outcomes[ReferenceRun], outcomes[_Run]):
+        assert got == expected
+    pops = [pop for *_, logs in outcomes[_Run] for log, _ in logs for pop in log]
+    assert len(pops) > 1000 and sum(pop[3] is True for pop in pops) > 100
+    assert sum(bool(budget) for *_, logs in outcomes[_Run] for _, budget in logs) >= 5
+    assert {("complete", False), ("complete", True), ("budget_exhausted", True)} <= modes
+    assert stale["after an own pair"] > 0 and stale["lists"] > stale["after an own pair"]
+    assert stale["decided by a new element"] > 0
 
 
 def _pinned_outcome(seed):
