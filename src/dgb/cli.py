@@ -43,6 +43,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
+from operator import add
 from typing import NamedTuple
 
 from .completion import (CompletionOptions, interreduce, minimalize,
@@ -55,11 +56,13 @@ from .quotient import (LinearRelation, PermutationAction, QuotientPresentation,
                        parse_cycles, pure_power_table)
 from .reduction import reduce as head_reduce
 from .reduction import replay_certificate
-from .ring import (DifferenceRing, Monomial, Signature, format_monomial,
-                   format_polynomial)
+from .ring import (DifferenceRing, Monomial, Polynomial, Signature, _merge,
+                   format_monomial, format_polynomial)
 
-_TOKEN = re.compile(r"(?P<nl>\n)|[ \t\r]+|#[^\n]*|(?P<int>\d+)|(?P<ident>[^\W\d]\w*)"
+_TOKEN = re.compile(r"[ \t\r\n]+|#[^\n]*|(?P<int>\d+)|(?P<ident>[^\W\d]\w*)"
                     r"|(?P<punct>[{}()\[\]=,;:^*/+\->])")
+
+MAX_NESTING = 240  # how deep parentheses may nest in one expression
 
 
 # --- tokenizer -----------------------------------------------------------
@@ -72,21 +75,48 @@ class Token(NamedTuple):
     column: int
 
 
-def tokenize(text):
-    tokens = []
-    line, line_start, end = 1, 0, 0
+def _scan(text):
+    """The tokens of text in one pass, as parallel lists of kinds, values
+    and offsets, closed by an eof token at the end of the text; blanks and
+    comments are skipped.  A character no token matches is an error."""
+    kinds, values, offsets = [], [], []
+    end = 0
     for match in _TOKEN.finditer(text):
-        if match.start() != end:
+        start = match.start()
+        if start != end:
             break
         end = match.end()
         kind = match.lastgroup
-        if kind == "nl":
-            line, line_start = line + 1, end
-        elif kind:
-            tokens.append(Token(kind, match.group(), line, match.start() - line_start + 1))
+        if kind:
+            kinds.append(kind)
+            values.append(match.group())
+            offsets.append(start)
     if end < len(text):
-        raise ParseError(f"unexpected character {text[end]!r}", line, end - line_start + 1)
-    tokens.append(Token("eof", "", line, end - line_start + 1))
+        raise _error(text, f"unexpected character {text[end]!r}", end)
+    kinds.append("eof")
+    values.append("")
+    offsets.append(end)
+    return kinds, values, offsets
+
+
+def _error(text, message, offset):
+    """A ParseError at an offset of text; line and column count from 1."""
+    column = offset - text.rfind("\n", 0, offset)
+    return ParseError(message, text.count("\n", 0, offset) + 1, column)
+
+
+def tokenize(text):
+    """The tokens of text with their lines and columns, ending with eof."""
+    kinds, values, offsets = _scan(text)
+    tokens = []
+    line, line_start, last = 1, 0, 0
+    for kind, value, offset in zip(kinds, values, offsets):
+        newlines = text.count("\n", last, offset)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", last, offset) + 1
+        last = offset
+        tokens.append(Token(kind, value, line, offset - line_start + 1))
     return tokens
 
 
@@ -100,23 +130,35 @@ class ProblemFile:
     permutation: tuple = None  # tuple of cycles, 1-based points
 
 
+class _Tok(NamedTuple):
+    kind: str
+    value: str
+    offset: int
+
+
 class _Parser:
+    """A parser over the tokens of one text, kept as parallel lists of kinds,
+    values and offsets.  The block layer reads them as `_Tok`s through
+    peek/next; the expression layer walks the lists itself."""
+
     def __init__(self, text):
-        self.tokens = tokenize(text)
+        self.text = text
+        self.kinds, self.values, self.offsets = _scan(text)
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def peek(self, i=None):
+        """The token at index i, by default the next one."""
+        i = self.pos if i is None else i
+        return _Tok(self.kinds[i], self.values[i], self.offsets[i])
 
     def next(self):
-        tok = self.tokens[self.pos]
+        tok = self.peek()
         if tok.kind != "eof":
             self.pos += 1
         return tok
 
     def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.column)
+        raise _error(self.text, message, (tok or self.peek()).offset)
 
     def expect(self, value):
         tok = self.next()
@@ -132,7 +174,7 @@ class _Parser:
         return tok.value
 
     def at(self, value):
-        return self.peek().value == value
+        return self.values[self.pos] == value
 
     # --- problem structure ---------------------------------------------
 
@@ -182,7 +224,7 @@ class _Parser:
             except ParseError as exc:
                 if exc.line is not None:
                     raise
-                raise ParseError(exc.message, tok.line, tok.column) from None
+                raise _error(self.text, exc.message, tok.offset) from None
             self.expect(";")
         return items, self.expect("}")
 
@@ -279,106 +321,193 @@ class _Parser:
         return tuple(parse_cycles(" ".join(text)))
 
     # --- polynomial expressions ------------------------------------------
+    #
+    #   expr   := ['+' | '-'] term (('+' | '-') term)*
+    #   term   := factor (('*' | '/') factor)*
+    #   factor := atom ['^' int]
+    #   atom   := int | parameter | symbol '(' int (',' int)* ')' | '(' expr ')'
+    #
+    # An expression evaluates to a term dict: packed factor tuple (the form
+    # of Monomial.factors) -> nonzero coefficient.  Each value is a fresh
+    # dict that its reader owns, so a sum adds into it in place.
 
     def parse_expr(self, ring):
-        negative = False
-        if self.at("-"):
-            self.next()
-            negative = True
-        elif self.at("+"):
-            self.next()
-        acc = self.parse_term(ring)
-        if negative:
-            acc = -acc
-        while self.at("+") or self.at("-"):
-            op = self.next().value
-            term = self.parse_term(ring)
-            acc = acc - term if op == "-" else acc + term
-        return acc
+        """The expression at the current token, as a Polynomial."""
+        return _polynomial(ring, self.parse_terms(ring))
 
-    def parse_term(self, ring):
-        acc = self.parse_factor(ring)
-        while self.at("*") or self.at("/"):
-            op = self.next().value
-            tok = self.peek()
-            rhs = self.parse_factor(ring)
-            if op == "*":
-                acc = acc * rhs
-            else:
-                if not rhs:
-                    self.fail("division by zero", tok)
-                if len(rhs.terms) != 1 or not rhs.terms[0][0].is_one:
-                    self.fail("can only divide by a constant coefficient", tok)
-                acc = acc.scale(ring.field.one / rhs.terms[0][1])
-        return acc
-
-    def parse_factor(self, ring):
-        base = self.parse_atom(ring)
-        if self.at("^"):
-            self.next()
-            tok = self.next()
-            if tok.kind != "int":
-                self.fail("expected an integer exponent", tok)
-            e = int(tok.value)
-            if len(base.terms) == 1 and e:
-                # a single term c*m raises directly to c^e * m^e
-                mono, coeff = base.terms[0]
-                power = Monomial([(var, k * e) for var, k in mono.factors], mono.ordering)
-                return ring.polynomial([(coeff ** e, power)])
-            out = ring.one
-            for _ in range(e):
-                out = out * base
-            return out
-        return base
-
-    def parse_atom(self, ring):
-        tok = self.next()
-        if tok.kind == "int":
-            return ring.constant(int(tok.value))
-        if tok.value == "(":
-            inner = self.parse_expr(ring)
-            self.expect(")")
-            return inner
-        if tok.kind == "ident":
-            name = tok.value
-            try:
-                symbol = ring.symbol_index(name)
-            except KeyError:
-                try:
-                    value = ring.field.parameter(name)
-                except KeyError:
-                    self.fail(f"unknown symbol {name!r}", tok)
-                return ring.constant(value)
-            if not self.at("("):
-                self.fail(f"symbol {name!r} needs a shift tuple", tok)
-            self.next()
-            shift = self.parse_shift_tuple(ring, tok)
-            try:
-                return ring.var(symbol, shift)
-            except ShiftWidthError as exc:
-                self.fail(str(exc), tok)
-        self.fail(f"unexpected {tok.value!r}", tok)
-
-    def parse_shift_tuple(self, ring, head):
-        entries = []
+    def parse_terms(self, ring):
+        """The expression at the current token, as a term dict.  One loop
+        reads it left to right; an open parenthesis saves the state of the
+        enclosing expression on a stack of at most MAX_NESTING entries."""
+        kinds, values = self.kinds, self.values
+        stack = []
+        i = self.pos
+        # op is '*' or '/' before the factor that starts at token rhs
+        total, term, op, rhs = {}, None, None, 0
+        minus = values[i] == "-"  # the term being read is subtracted
+        if minus or values[i] == "+":
+            i += 1
         while True:
-            tok = self.next()
-            if tok.value == "-":
-                inner = self.next()
-                self.fail(f"negative shift entry -{inner.value}", tok)
-            if tok.kind != "int":
-                self.fail("expected a shift exponent", tok)
-            entries.append(int(tok.value))
-            tok = self.next()
-            if tok.value == ")":
+            value, kind = values[i], kinds[i]
+            if value == "(":
+                if len(stack) == MAX_NESTING:
+                    self.fail(f"parentheses nested more than {MAX_NESTING} deep", self.peek(i))
+                stack.append((total, term, op, rhs, minus))
+                i += 1
+                total, term, op = {}, None, None
+                minus = values[i] == "-"
+                if minus or values[i] == "+":
+                    i += 1
+                continue
+            if kind == "int":
+                c = ring.field.coerce(int(value))
+                value = {(): c} if c else {}
+                i += 1
+            elif kind == "ident":
+                value, i = self._name(ring, i)
+            else:
+                self.fail(f"unexpected {value!r}" if value else "unexpected end of input",
+                          self.peek(i))
+            while True:  # value is an atom, or a parenthesized expression
+                if values[i] == "^":
+                    i += 1
+                    if kinds[i] != "int":
+                        self.fail("expected an integer exponent", self.peek(i))
+                    value = _power(ring, value, int(values[i]))
+                    i += 1
+                if op is None:
+                    term = value
+                elif op == "*":
+                    term = _product(term, value)
+                else:
+                    term = self._quotient(ring, term, value, rhs)
+                sep = values[i]
+                if sep == "*" or sep == "/":
+                    op = sep
+                    i += 1
+                    rhs = i
+                    break
+                _add(total, term, minus)
+                if sep == "+" or sep == "-":
+                    minus = sep == "-"
+                    term = op = None
+                    i += 1
+                    break
+                if not stack:
+                    self.pos = i
+                    return total
+                if sep != ")":
+                    found = repr(sep) if sep else "end of input"
+                    self.fail(f"expected ')', found {found}", self.peek(i))
+                i += 1
+                value = total
+                total, term, op, rhs, minus = stack.pop()
+
+    def _name(self, ring, i):
+        """(term dict, next index) of the symbol or parameter at token i."""
+        name = self.values[i]
+        try:
+            symbol = ring.symbol_index(name)
+        except KeyError:
+            try:
+                value = ring.field.parameter(name)
+            except KeyError:
+                self.fail(f"unknown symbol {name!r}", self.peek(i))
+            if self.values[i + 1] == "(":
+                self.fail(f"parameter {name!r} takes no shift tuple", self.peek(i))
+            return {(): value}, i + 1
+        if self.values[i + 1] != "(":
+            self.fail(f"symbol {name!r} needs a shift tuple", self.peek(i))
+        shift, end = self._shift_tuple(ring, i)
+        try:
+            var = ring.ordering.variable(symbol, shift)
+        except ShiftWidthError as exc:
+            self.fail(str(exc), self.peek(i))
+        return {((var, 1),): ring.field.one}, end
+
+    def _shift_tuple(self, ring, head):
+        """(shift, next index) of the tuple after the symbol at token head."""
+        kinds, values = self.kinds, self.values
+        entries = []
+        i = head + 2
+        while True:
+            if values[i] == "-":
+                self.fail(f"negative shift entry -{values[i + 1]}", self.peek(i))
+            if kinds[i] != "int":
+                self.fail("expected a shift exponent", self.peek(i))
+            entries.append(int(values[i]))
+            sep = values[i + 1]
+            i += 2
+            if sep == ")":
                 break
-            if tok.value != ",":
-                self.fail("expected ',' or ')' in shift tuple", tok)
-        if len(entries) != ring.signature.shift_rank:
-            self.fail(
-                f"shift tuple of arity {len(entries)} in a ring of rank "
-                f"{ring.signature.shift_rank}", head)
-        return tuple(entries)
+            if sep != ",":
+                self.fail("expected ',' or ')' in shift tuple", self.peek(i - 1))
+        rank = ring.signature.shift_rank
+        if len(entries) != rank:
+            self.fail(f"shift tuple of arity {len(entries)} in a ring of rank {rank}",
+                      self.peek(head))
+        return tuple(entries), i
+
+    def _quotient(self, ring, term, divisor, at):
+        """term / divisor, which must be a nonzero constant; a divisor that
+        is not is an error at token at, where it starts."""
+        if not divisor:
+            self.fail("division by zero", self.peek(at))
+        if len(divisor) != 1 or () not in divisor:
+            self.fail("can only divide by a constant coefficient", self.peek(at))
+        inverse = ring.field.one / divisor[()]
+        return {f: c * inverse for f, c in term.items()}
+
+
+def _add(total, terms, minus):
+    """total += terms (or -= when minus), in place, dropping zeros."""
+    for f, c in terms.items():
+        old = total.get(f)
+        if old is None:
+            total[f] = -c if minus else c
+        else:
+            c = old - c if minus else old + c
+            if c:
+                total[f] = c
+            else:
+                del total[f]
+
+
+def _product(a, b):
+    """The term dict of a*b.  A one-term side moves the other's exponent
+    vectors by one monomial, which merges no two terms."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        (fb, cb), = b.items()
+        return {_merge(f, fb, add): c * cb for f, c in a.items()}
+    out = {}
+    for fa, ca in a.items():
+        for fb, cb in b.items():
+            f = _merge(fa, fb, add)
+            c = ca * cb
+            old = out.get(f)
+            out[f] = c if old is None else old + c
+    return {f: c for f, c in out.items() if c}
+
+
+def _power(ring, base, e):
+    """base^e: a single term c*m directly as c^e * m^e, else by products."""
+    if len(base) == 1 and e:
+        (f, c), = base.items()
+        return {tuple([(var, k * e) for var, k in f]): c ** e}
+    out = {(): ring.field.one}
+    for _ in range(e):
+        out = _product(out, base)
+    return out
+
+
+def _polynomial(ring, terms):
+    """The Polynomial of a term dict: one Monomial per term, one sort."""
+    ordering = ring.ordering
+    out = [(Monomial(f, ordering) if f else Monomial.ONE, c) for f, c in terms.items()]
+    out.sort(key=lambda t: t[0].key, reverse=True)
+    return Polynomial(ring, tuple(out))
 
 
 def parse_problem(text) -> ProblemFile:
@@ -391,7 +520,7 @@ def parse_polynomial(ring, text):
     poly = parser.parse_expr(ring)
     tok = parser.peek()
     if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.column)
+        parser.fail(f"trailing input {tok.value!r}", tok)
     return poly
 
 

@@ -8,7 +8,8 @@ from itertools import chain, combinations_with_replacement
 from math import comb
 from operator import sub
 
-from dgb import DifferenceRing, Monomial, Signature
+from dgb import DifferenceRing, Monomial, ParseError, ShiftWidthError, Signature
+from dgb.cli import tokenize
 from dgb.completion import shift_pair_candidates
 from dgb.orderings import DEGLEX, LEX
 from dgb.quotient import groebner_gamma_basis
@@ -327,3 +328,166 @@ def oracle_key(ring):
         return 0
 
     return cmp_to_key(mono_cmp)
+
+
+class _ReferenceParser:
+    """The expression layer that `cli._Parser` replaced, kept as the
+    reference: it reads `cli.tokenize`'s tokens through peek/next, and each
+    operator builds a Polynomial."""
+
+    def __init__(self, tokens, pos=0):
+        self.tokens = tokens
+        self.pos = pos
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def fail(self, message, tok=None):
+        tok = tok or self.peek()
+        raise ParseError(message, tok.line, tok.column)
+
+    def expect(self, value):
+        tok = self.next()
+        if tok.value != value:
+            found = repr(tok.value) if tok.value else "end of input"
+            self.fail(f"expected {value!r}, found {found}", tok)
+        return tok
+
+    def at(self, value):
+        return self.peek().value == value
+
+    def parse_expr(self, ring):
+        negative = False
+        if self.at("-"):
+            self.next()
+            negative = True
+        elif self.at("+"):
+            self.next()
+        acc = self.parse_term(ring)
+        if negative:
+            acc = -acc
+        while self.at("+") or self.at("-"):
+            op = self.next().value
+            term = self.parse_term(ring)
+            acc = acc - term if op == "-" else acc + term
+        return acc
+
+    def parse_term(self, ring):
+        acc = self.parse_factor(ring)
+        while self.at("*") or self.at("/"):
+            op = self.next().value
+            tok = self.peek()
+            rhs = self.parse_factor(ring)
+            if op == "*":
+                acc = acc * rhs
+            else:
+                if not rhs:
+                    self.fail("division by zero", tok)
+                if len(rhs.terms) != 1 or not rhs.terms[0][0].is_one:
+                    self.fail("can only divide by a constant coefficient", tok)
+                acc = acc.scale(ring.field.one / rhs.terms[0][1])
+        return acc
+
+    def parse_factor(self, ring):
+        base = self.parse_atom(ring)
+        if self.at("^"):
+            self.next()
+            tok = self.next()
+            if tok.kind != "int":
+                self.fail("expected an integer exponent", tok)
+            e = int(tok.value)
+            if len(base.terms) == 1 and e:
+                # a single term c*m raises directly to c^e * m^e
+                mono, coeff = base.terms[0]
+                power = Monomial([(var, k * e) for var, k in mono.factors], mono.ordering)
+                return ring.polynomial([(coeff ** e, power)])
+            out = ring.one
+            for _ in range(e):
+                out = out * base
+            return out
+        return base
+
+    def parse_atom(self, ring):
+        tok = self.next()
+        if tok.kind == "int":
+            return ring.constant(int(tok.value))
+        if tok.value == "(":
+            inner = self.parse_expr(ring)
+            self.expect(")")
+            return inner
+        if tok.kind == "ident":
+            name = tok.value
+            try:
+                symbol = ring.symbol_index(name)
+            except KeyError:
+                try:
+                    value = ring.field.parameter(name)
+                except KeyError:
+                    self.fail(f"unknown symbol {name!r}", tok)
+                return ring.constant(value)
+            if not self.at("("):
+                self.fail(f"symbol {name!r} needs a shift tuple", tok)
+            self.next()
+            shift = self.parse_shift_tuple(ring, tok)
+            try:
+                return ring.var(symbol, shift)
+            except ShiftWidthError as exc:
+                self.fail(str(exc), tok)
+        self.fail(f"unexpected {tok.value!r}", tok)
+
+    def parse_shift_tuple(self, ring, head):
+        entries = []
+        while True:
+            tok = self.next()
+            if tok.value == "-":
+                inner = self.next()
+                self.fail(f"negative shift entry -{inner.value}", tok)
+            if tok.kind != "int":
+                self.fail("expected a shift exponent", tok)
+            entries.append(int(tok.value))
+            tok = self.next()
+            if tok.value == ")":
+                break
+            if tok.value != ",":
+                self.fail("expected ',' or ')' in shift tuple", tok)
+        if len(entries) != ring.signature.shift_rank:
+            self.fail(
+                f"shift tuple of arity {len(entries)} in a ring of rank "
+                f"{ring.signature.shift_rank}", head)
+        return tuple(entries)
+
+
+def reference_parse_polynomial(ring, text):
+    """`cli.parse_polynomial` as the reference expression layer reads it."""
+    parser = _ReferenceParser(tokenize(text))
+    poly = parser.parse_expr(ring)
+    tok = parser.peek()
+    if tok.kind != "eof":
+        raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.column)
+    return poly
+
+
+def reference_ideal_polynomials(ring, text):
+    """The polynomials of every `ideal { ... }` block of a problem text,
+    read by the reference expression layer over the tokens of the whole
+    text, so error positions are those of the file."""
+    tokens = tokenize(text)
+    out = []
+    k = 0
+    while tokens[k].kind != "eof":
+        if tokens[k].value != "ideal":
+            k += 1
+            continue
+        parser = _ReferenceParser(tokens, k + 1)
+        parser.expect("{")
+        while not parser.at("}"):
+            out.append(parser.parse_expr(ring))
+            parser.expect(";")
+        k = parser.expect("}") and parser.pos
+    return out

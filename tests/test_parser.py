@@ -1,0 +1,442 @@
+"""The expression layer of the problem-file parser against its reference.
+
+`cli._Parser` evaluates an expression into a term dict in one pass over the
+tokens.  `helpers.reference_parse_polynomial` keeps the parser it replaced,
+which builds a Polynomial for every operator.  Both must give equal
+polynomials, and the same (message, line, column) for every error, apart
+from three intended changes, each asserted as such:
+
+* an expression that ends early reports `unexpected end of input`, where the
+  reference reported `unexpected ''`;
+* a parameter followed by a shift tuple, `H(1)`, reports `parameter 'H'
+  takes no shift tuple` at the parameter, where the reference reported the
+  `(` after it as trailing input or as a missing `)` or `;`;
+* parentheses nested deeper than `MAX_NESTING` are a positioned parse error,
+  where the recursive reference ran out of stack.
+"""
+
+import ast
+import importlib.util
+import json
+import re
+from itertools import cycle, product
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import golden_cycle8
+import golden_navier
+from dgb import ParseError
+from dgb.cli import MAX_NESTING, parse_polynomial, parse_problem, run, tokenize
+from helpers import make_ring, reference_ideal_polynomials, reference_parse_polynomial
+from test_cli_snapshots import CASES
+
+TESTS = Path(__file__).parent
+ROOT = TESTS.parent
+DATA = TESTS / "data"
+CLI_SOURCE = ROOT / "src" / "dgb" / "cli.py"
+
+FLOW = parse_problem((DATA / "navier_stokes.dgb").read_text()).ring
+RING_X = make_ring(1, ("x",))
+RING_XY = make_ring(2, ("x", "y"), ("H", "K"))
+
+_OPEN_PAREN_FOUND = {"trailing input '('", "expected ')', found '('", "expected ';', found '('"}
+
+
+def _outcome(parse, *args):
+    """What a parse gives: its value, or its error as (message, line, column)."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return (exc.message, exc.line, exc.column)
+
+
+def _intended(ring, text, reference):
+    """The reference outcome under the intended message changes."""
+    if not isinstance(reference, tuple):
+        return reference
+    message, line, column = reference
+    if message == "unexpected ''":
+        return ("unexpected end of input", line, column)
+    if message in _OPEN_PAREN_FOUND:
+        tokens = tokenize(text)
+        k = next(k for k, tok in enumerate(tokens) if (tok.line, tok.column) == (line, column))
+        before = tokens[k - 1] if k else None
+        if before is not None and before.value in ring.signature.parameters:
+            return (f"parameter {before.value!r} takes no shift tuple",
+                    before.line, before.column)
+    return reference
+
+
+def _assert_matches_reference(ring, text):
+    got = _outcome(parse_polynomial, ring, text)
+    assert got == _intended(ring, text, _outcome(reference_parse_polynomial, ring, text)), text
+
+
+def _ring_of(text):
+    """The ring of a problem text, read from the text before its first ideal
+    block."""
+    return parse_problem(re.split(r"\bideal\b", text, maxsplit=1)[0]).ring
+
+
+def _problem_outcome(text):
+    """The ideal polynomials of a problem text, by the parser and by the
+    reference."""
+    ring = _ring_of(text)
+    got = _outcome(lambda: parse_problem(text).polynomials)
+    reference = _outcome(reference_ideal_polynomials, ring, text)
+    return got, _intended(ring, text, reference)
+
+
+@pytest.mark.parametrize("path", sorted(DATA.rglob("*.dgb")) + sorted(
+    (ROOT / "perfbench" / "data").glob("*.dgb")), ids=lambda path: path.name)
+def test_matches_reference_on_data_files(path):
+    got, expected = _problem_outcome(path.read_text())
+    assert got == expected
+
+
+def _snapshot_texts(name):
+    """The polynomial and monomial texts printed by a pinned CLI run."""
+    stdout = (DATA / "cli" / f"{name}.out").read_text().split("--- stdout\n")[1]
+    stdout = stdout.split("--- stderr\n")[0]
+    if stdout.startswith("{"):
+        report = json.loads(stdout.replace("<masked>", "0"))
+        texts = []
+        for key in ("basis", "classical_basis", "leading_monomials"):
+            texts.extend(report.get(key) or [])
+        texts.extend(report[key] for key in ("remainder", "normal_form") if key in report)
+        texts.extend(step["cofactor"] for step in report.get("certificate", []))
+        texts.extend(failure["remainder"] for failure in report.get("failures", []))
+        return texts
+    texts = [line.strip() for line in stdout.splitlines()
+             if line.startswith("  ") and ":" not in line]
+    for line in stdout.splitlines():
+        key, _, value = line.partition(": ")
+        if key in ("remainder", "normal_form"):
+            texts.append(value)
+        elif key == "leading monomials":
+            texts.extend(value.split(", "))
+    return texts
+
+
+def _golden_texts():
+    cycle8 = parse_problem((DATA / "twisted_cubic_cycle8.dgb").read_text()).ring
+    cases = [(cycle8, text) for text in (golden_cycle8.GAMMA_BASIS
+                                         + golden_cycle8.GAMMA_LEADING_MONOMIALS
+                                         + golden_cycle8.CLASSICAL_LEADING_MONOMIALS)]
+    cases += [(FLOW, text) for text in (sorted(golden_navier.LEADING_MONOMIALS)
+                                        + [golden_navier.REDUCED_SECOND,
+                                           golden_navier.PRESSURE_ELEMENT])]
+    for name, argv in sorted(CASES.items()):
+        source = argv[argv.index("--input" if "--input" in argv else "--gens") + 1]
+        ring = _ring_of((DATA / source).read_text())
+        cases += [(ring, text) for text in _snapshot_texts(name)]
+    return cases
+
+
+def test_matches_reference_on_golden_texts():
+    cases = _golden_texts()
+    assert len(cases) > 150
+    for ring, text in cases:
+        assert not isinstance(_outcome(parse_polynomial, ring, text), tuple), text
+        _assert_matches_reference(ring, text)
+
+
+def test_matches_reference_on_readme_examples():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (problem,) = [block for block in re.findall(r"^```\n(.*?)^```", readme, re.S | re.M)
+                  if block.startswith("ring {")]
+    got, expected = _problem_outcome(problem)
+    assert len(got) == 2 and got == expected
+    spans = re.findall(r"`([^`\n]+)`", readme) + re.findall(r'--(?:poly|var) "([^"]+)"', readme)
+    assert {"(H^2+1)*u(0,0,0)", "u(1,0,0)", "x(3)", "3/4", "x(3)*x(2)", "u(2,0,1)"} <= set(spans)
+    for text in spans:
+        for ring in (FLOW, RING_X):
+            _assert_matches_reference(ring, text)
+
+
+def _flowstream():
+    spec = importlib.util.spec_from_file_location("flowstream",
+                                                  ROOT / "perfbench" / "flowstream.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_matches_reference_on_flow_items():
+    flowstream = _flowstream()
+    equations = flowstream.ideal_equations((DATA / "navier_stokes.dgb").read_text())
+    for seed in (91, 92, 93):
+        stream = flowstream.ItemStream(equations, FLOW.signature.symbols, 3, seed, 0)
+        for _ in range(40):
+            for text in stream.next_item():
+                _assert_matches_reference(FLOW, text)
+
+
+# --- random expression trees ------------------------------------------------
+
+RINGS = [make_ring(rank, ("x", "y", "z")[:rank], parameters)
+         for rank in (1, 2, 3) for parameters in ((), ("H", "K"))]
+
+# strategies are built once: building one is much dearer than drawing from it
+_BLANKS = st.lists(st.sampled_from(["", "", "", " ", "  ", "\n", " # note\n", "\t"]),
+                   min_size=1, max_size=6)
+_POWER = st.sampled_from(["", "", "", "", "^0", "^1", "^2", "^3"])
+_SIGN = st.sampled_from(["", "", "-", "+"])
+_PRODUCTS = st.lists(st.sampled_from("***/"), max_size=1)
+_SUMS = st.lists(st.sampled_from("+-"), max_size=2)
+
+
+def _atoms(ring):
+    """Integers, parameters and variables with shift entries up to 2."""
+    rank = ring.signature.shift_rank
+    shifts = [",".join(map(str, s)) for s in product(range(3), repeat=rank)]
+    variables = [f"{name}({s})" for name in ring.signature.symbols for s in shifts]
+    kinds = [st.sampled_from([str(k) for k in range(13)]), st.sampled_from(variables),
+             st.sampled_from(variables)]
+    if ring.signature.parameters:
+        kinds.append(st.sampled_from(ring.signature.parameters))
+    return st.one_of(kinds)
+
+
+def _divisors(ring):
+    """Nonzero constants; the edits below make zero and non-constant ones.
+    The one parameter divisor keeps coefficient gcds cheap."""
+    constants = ["2", "3", "7", "12"]
+    if ring.signature.parameters:
+        constants += [ring.signature.parameters[0]]
+    return st.sampled_from(constants)
+
+
+def _edits(ring):
+    """(how, where, text): delete the character at a fraction of the text,
+    or insert or append a character, a zero divisor, an atom as a divisor
+    or a shift tuple."""
+    inserts = list("()+-*/^,;x0H$\n") + ["/0", "/(1 - 1)", "(1)", "(0,1)"]
+    return st.tuples(st.sampled_from(["delete", "insert", "append"]), st.floats(0, 1),
+                     st.one_of(st.sampled_from(inserts), _atoms(ring).map("/".__add__)))
+
+
+_LARGE_EXPONENT = re.compile(r"\^(?:\s|#[^\n]*)*(?:[4-9]|\d\d)")
+
+_PER_RING = {id(ring): (_atoms(ring), _divisors(ring),
+                        st.lists(_edits(ring), min_size=1, max_size=2)) for ring in RINGS}
+
+
+@st.composite
+def _expressions(draw, ring, depth=2):
+    """Expression trees over one of RINGS as text: unary signs, sums,
+    products, `/` by divisors, `^` on atoms and on parenthesized
+    expressions, with blanks, newlines and comments between tokens."""
+    blank = cycle(draw(_BLANKS)).__next__
+    atoms, divisors, _ = _PER_RING[id(ring)]
+
+    def factor(depth):
+        if depth and draw(st.booleans()):
+            body = f"({blank()}{expression(depth - 1)}{blank()})"
+        else:
+            body = draw(atoms)
+        return body + draw(_POWER).replace("^", f"{blank()}^{blank()}")
+
+    def term(depth):
+        out = factor(depth)
+        for op in draw(_PRODUCTS):
+            out += f"{blank()}{op}{blank()}" + (factor(depth) if op == "*" else draw(divisors))
+        return out
+
+    def expression(depth):
+        out = draw(_SIGN) + term(depth)
+        for op in draw(_SUMS):
+            out += f"{blank()}{op}{blank()}" + term(depth)
+        return out
+
+    return expression(depth)
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_matches_reference_on_random_expressions(data):
+    """Each drawn expression is compared as drawn, then after one or two
+    edits, which mostly make it malformed."""
+    ring = data.draw(st.sampled_from(RINGS))
+    text = data.draw(_expressions(ring))
+    _assert_matches_reference(ring, text)
+    for how, where, insert in data.draw(_PER_RING[id(ring)][2]):
+        at = len(text) if how == "append" else int(where * len(text))
+        if how == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + insert + text[at:]
+    # an edit that joins an exponent to the digits after it, as in ^2*3 ->
+    # ^23, can ask for a power of a sum too large to expand in a test
+    if not _LARGE_EXPONENT.search(text):
+        _assert_matches_reference(ring, text)
+
+
+# --- every message ------------------------------------------------------------
+
+R1 = "ring { shifts: 1; symbols: x; }\n"
+R2 = "ring { shifts: 2; symbols: x, y; parameters: H, K; }\n"
+
+# (ring for a polynomial text, or None for a problem text), text, outcome
+MESSAGES = [
+    (RING_X, "x(0) $ 1", ("unexpected character '$'", 1, 6)),
+    (RING_X, "x(0) + )", ("unexpected ')'", 1, 8)),
+    (RING_X, "x(0)*-x(1)", ("unexpected '-'", 1, 6)),
+    (RING_X, "x(0) +", ("unexpected end of input", 1, 7)),
+    (RING_X, "", ("unexpected end of input", 1, 1)),
+    (RING_X, "x(0)^y(0)", ("expected an integer exponent", 1, 6)),
+    (RING_X, "x(0)^", ("expected an integer exponent", 1, 6)),
+    (RING_X, "x(0)/0", ("division by zero", 1, 6)),
+    (RING_X, "x(0)/(1 - 1)", ("division by zero", 1, 6)),
+    (RING_X, "x(0)/x(1)", ("can only divide by a constant coefficient", 1, 6)),
+    (RING_X, "1/(x(0) + 1)", ("can only divide by a constant coefficient", 1, 3)),
+    (RING_XY, "w(1,0)", ("unknown symbol 'w'", 1, 1)),
+    (RING_XY, "H(1)", ("parameter 'H' takes no shift tuple", 1, 1)),
+    (RING_XY, "(H(1))", ("parameter 'H' takes no shift tuple", 1, 2)),
+    (RING_XY, "2*x", ("symbol 'x' needs a shift tuple", 1, 3)),
+    (RING_X, "x(70000)",
+     ("total shift degree 70000 exceeds the limit 65535 of a packed variable", 1, 1)),
+    (RING_XY, "x(1,-2)", ("negative shift entry -2", 1, 5)),
+    (RING_XY, "x(-", ("negative shift entry -", 1, 3)),
+    (RING_XY, "x(a,0)", ("expected a shift exponent", 1, 3)),
+    (RING_XY, "x(1,", ("expected a shift exponent", 1, 5)),
+    (RING_XY, "x(1 0)", ("expected ',' or ')' in shift tuple", 1, 5)),
+    (RING_XY, "x(1", ("expected ',' or ')' in shift tuple", 1, 4)),
+    (RING_XY, "x(1,0,2)", ("shift tuple of arity 3 in a ring of rank 2", 1, 1)),
+    (RING_X, "(x(0) + 1", ("expected ')', found end of input", 1, 10)),
+    (RING_X, "(x(0) + 1]", ("expected ')', found ']'", 1, 10)),
+    (RING_X, "x(1) x(2)", ("trailing input 'x'", 1, 6)),
+    (RING_XY, "x(0,0)^2^3", ("trailing input '^'", 1, 9)),
+    (RING_X, "(" * (MAX_NESTING + 1) + "x(0)" + ")" * (MAX_NESTING + 1),
+     (f"parentheses nested more than {MAX_NESTING} deep", 1, MAX_NESTING + 1)),
+    (None, R1 + R1, ("duplicate ring block", 2, 1)),
+    (None, "ideal { x(0); }", ("ideal block before ring block", 1, 1)),
+    (None, "symmetric { perm: (1 2); }", ("symmetric block before ring block", 1, 1)),
+    (None, R1 + "group { }", ("unknown section 'group'", 2, 1)),
+    (None, "# only a comment\n", ("problem file has no ring block", 2, 1)),
+    (None, "ring { shifts: 1; symbols: x; colour: red; }", ("unknown ring item 'colour'", 1, 31)),
+    (None, "ring { shifts: 1; shifts: 2; symbols: x; }", ("duplicate shifts item", 1, 19)),
+    (None, "ring { symbols: x; }", ("ring block is missing 'shifts'", 1, 20)),
+    (None, "ring { shifts: 1; }", ("ring block is missing 'symbols'", 1, 19)),
+    (None, "ring { shifts: 0; symbols: x; }", ("shift rank must be at least 1", 1, 1)),
+    (None, "ring { shifts: 65; symbols: x; }", ("shift rank 65 exceeds the limit 64", 1, 1)),
+    (None, "ring { shifts: 1; symbols: x, ½; }", ("invalid identifier '½'", 1, 1)),
+    (None, "ring { shifts: 1; symbols: x; parameters: x; }",
+     ("symbol and parameter names must be distinct", 1, 1)),
+    (None, "ring { shifts: x; symbols: x; }", ("expected an integer shift rank", 1, 16)),
+    (None, "ring { shifts: 1; symbols: 1; }", ("expected an identifier", 1, 28)),
+    (None, "ring { shifts: 1; symbols: x; order: block(shifts=grlex[s1], symbols=lex[x]); }",
+     ("unknown ordering 'grlex'", 1, 51)),
+    (None, "ring { shifts: 2; symbols: x; order: block(shifts=lex[s1>s1], symbols=lex[x]); }",
+     ("shift priority must name s1, s2 exactly once each", 1, 31)),
+    (None, "ring { shifts: 1; symbols: x, y; order: block(shifts=lex[s1], symbols=lex[x]); }",
+     ("symbol priority must name every declared symbol exactly once", 1, 34)),
+    (None, "ring { shifts: 1; symbols: x; order: block(shift=lex[s1], symbols=lex[x]); }",
+     ("expected 'shifts', found 'shift'", 1, 44)),
+    (None, R1 + "symmetric { perm: (1 x); }", ("non-integer point in cycle (1 x)", 2, 13)),
+    (None, R1 + "symmetric { group: (1 2); }", ("unknown symmetric item 'group'", 2, 13)),
+    (None, R1 + "symmetric { perm: (1 2); perm: (1 2 3); }", ("duplicate perm item", 2, 26)),
+    (None, R1 + "symmetric { perm: (1 2); }\nsymmetric { perm: (1 2 3); }",
+     ("duplicate symmetric block", 3, 1)),
+    (None, R1 + "ideal { x(1) + ; }", ("unexpected ';'", 2, 16)),
+    (None, R1 + "ideal { x(1) x(2); }", ("expected ';', found 'x'", 2, 14)),
+    (None, R1 + "ideal { x(1) # c", ("expected ';', found end of input", 2, 17)),
+    (None, R2 + "ideal {\n  x(1,0) + (K*H(0,1)); }", ("parameter 'H' takes no shift tuple", 3, 15)),
+    (None, R1 + "ideal { x(1) € 2; }", ("unexpected character '€'", 2, 14)),
+]
+
+
+@pytest.mark.parametrize("ring, text, outcome", MESSAGES,
+                         ids=[outcome[0][:40] for _, _, outcome in MESSAGES])
+def test_every_message_is_positioned(ring, text, outcome):
+    if ring is None:
+        assert _outcome(parse_problem, text) == outcome
+        if text.startswith("ring") and "ideal" in text:
+            got, expected = _problem_outcome(text)
+            assert got == expected == outcome
+    else:
+        assert _outcome(parse_polynomial, ring, text) == outcome
+        if not outcome[0].startswith("parentheses nested"):
+            _assert_matches_reference(ring, text)
+
+
+def _pattern(node):
+    """A message node as a pattern: a replacement field matches any text."""
+    if isinstance(node, ast.Constant):
+        return re.escape(node.value) + r"\Z"
+    return "".join(re.escape(part.value) if isinstance(part, ast.Constant) else ".+"
+                   for part in node.values) + r"\Z"
+
+
+def _message_templates():
+    """The literal messages that cli.py passes to `fail`, `_error` and
+    `ParseError`, as patterns."""
+    templates = []
+    for node in ast.walk(ast.parse(CLI_SOURCE.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name not in ("fail", "_error", "ParseError"):
+            continue
+        message = node.args[1 if name == "_error" else 0]
+        for part in ([message.body, message.orelse] if isinstance(message, ast.IfExp)
+                     else [message]):
+            if isinstance(part, ast.JoinedStr) or (
+                    isinstance(part, ast.Constant) and isinstance(part.value, str)):
+                templates.append(_pattern(part))
+    return templates
+
+
+def test_message_table_covers_every_message():
+    templates = _message_templates()
+    assert len(templates) >= 30
+    messages = [outcome[0] for _, _, outcome in MESSAGES]
+    missing = [t for t in templates if not any(re.match(t, m) for m in messages)]
+    assert missing == []
+
+
+# --- the intended changes -------------------------------------------------------
+
+
+@pytest.mark.parametrize("ring, text, reference, outcome", [
+    (RING_X, "x(0) +", ("unexpected ''", 1, 7), ("unexpected end of input", 1, 7)),
+    (RING_X, "", ("unexpected ''", 1, 1), ("unexpected end of input", 1, 1)),
+    (RING_XY, "H(1)", ("trailing input '('", 1, 2), ("parameter 'H' takes no shift tuple", 1, 1)),
+    (RING_XY, "2*(K*H(0,1))", ("expected ')', found '('", 1, 7),
+     ("parameter 'H' takes no shift tuple", 1, 6)),
+])
+def test_intended_message_changes(ring, text, reference, outcome):
+    assert _outcome(reference_parse_polynomial, ring, text) == reference
+    assert _outcome(parse_polynomial, ring, text) == outcome
+
+
+def test_nesting_limit():
+    deep = "(" * MAX_NESTING + "x(1)" + ")" * MAX_NESTING
+    assert parse_polynomial(RING_X, deep) == RING_X.var("x", (1,))
+    assert parse_polynomial(RING_X, f"-{deep}^2 + 1") == \
+        parse_polynomial(RING_X, "-x(1)^2 + 1")
+    # the reference recursed once per level and ran out of stack
+    with pytest.raises(RecursionError):
+        reference_parse_polynomial(RING_X, "(" * 1000 + "x(1)" + ")" * 1000)
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(RING_X, "(" * 5000 + "x(1)" + ")" * 5000)
+    assert (err.value.message, err.value.line, err.value.column) == (
+        f"parentheses nested more than {MAX_NESTING} deep", 1, MAX_NESTING + 1)
+
+
+def test_cli_reports_deep_nesting_and_early_end(tmp_path, capsys):
+    problem = tmp_path / "deep.dgb"
+    problem.write_text(R1 + "ideal { x(1) - " + "(" * 250 + "x(0)" + ")" * 250 + "; }\n")
+    assert run(["compute", "--input", str(problem)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"dgb: parentheses nested more than {MAX_NESTING} deep "
+                            f"at line 2, column {16 + MAX_NESTING}\n")
+    problem.write_text(R1 + "ideal { x(1) - x(0); }\n")
+    assert run(["reduce", "--input", str(problem), "--poly", ""]) == 1
+    assert capsys.readouterr().err == "dgb: unexpected end of input at line 1, column 1\n"
+    assert run(["reduce", "--input", str(problem), "--poly", "x(0) +"]) == 1
+    assert capsys.readouterr().err == "dgb: unexpected end of input at line 1, column 7\n"
