@@ -28,17 +28,16 @@ fixed.  An item may appear at most once in its block, and a block at most
 once in a file.  `dgb symmetric` computes in the file's ring, under its
 order.
 
-Each completion setting has one flag: `--no-chain`, `--pair-budget`
-(`DGB_PAIR_BUDGET` when not given) and, for `--adaptive` runs only,
-`--order-cap`.  The flags become the keywords of the library driver, which
-validates them.
+Each completion setting has one flag: `--no-chain`, `--pair-budget` and,
+for `--adaptive` runs only, `--order-cap`.  The flags become the keywords
+of the library driver, which validates them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import re
 import sys
 import time
@@ -63,6 +62,10 @@ _TOKEN = re.compile(r"[ \t\r\n]+|#[^\n]*|(?P<int>\d+)|(?P<ident>[^\W\d]\w*)"
                     r"|(?P<punct>[{}()\[\]=,;:^*/+\->])")
 
 MAX_NESTING = 240  # how deep parentheses may nest in one expression
+# The largest work bound e * C(e + t - 1, t - 1) of a power of a t-term base,
+# t >= 2, that the parser expands: e products, none with more terms than the
+# C(e + t - 1, t - 1) monomials of degree e in t variables.
+MAX_POWER_WORK = 30_000
 
 
 # --- tokenizer -----------------------------------------------------------
@@ -373,7 +376,12 @@ class _Parser:
                     i += 1
                     if kinds[i] != "int":
                         self.fail("expected an integer exponent", self.peek(i))
-                    value = _power(ring, value, int(values[i]))
+                    e, t = int(values[i]), len(value)
+                    if t > 1 and (e * t > MAX_POWER_WORK  # e * t is at most the bound
+                                  or e * math.comb(e + t - 1, t - 1) > MAX_POWER_WORK):
+                        self.fail(f"power ^{e} of a {t}-term base is too large to expand",
+                                  self.peek(i - 1))
+                    value = _power(ring, value, e)
                     i += 1
                 if op is None:
                     term = value
@@ -492,10 +500,10 @@ def _product(a, b):
 
 
 def _power(ring, base, e):
-    """base^e: a single term c*m directly as c^e * m^e, else by products."""
-    if len(base) == 1 and e:
-        (f, c), = base.items()
-        return {tuple([(var, k * e) for var, k in f]): c ** e}
+    """base^e: zero or a single term c*m directly, as c^e * m^e, else by
+    products."""
+    if len(base) < 2 and e:
+        return {tuple([(var, k * e) for var, k in f]): c ** e for f, c in base.items()}
     out = {(): ring.field.one}
     for _ in range(e):
         out = _product(out, base)
@@ -631,7 +639,8 @@ def _build_arg_parser():
     p.add_argument("--minimal", action="store_true", help="minimalize the result")
     p.add_argument("--interreduce", action="store_true",
                    help="minimalize and tail-reduce the result")
-    p.add_argument("--pair-budget", type=int, default=None, metavar="N")
+    p.add_argument("--pair-budget", type=int, metavar="N",
+                   default=CompletionOptions.max_pair_budget)
     p.add_argument("--order-cap", type=int, default=None, metavar="D",
                    help="with --adaptive: stop once the order bound would exceed D")
     p.add_argument("--stats", action="store_true", help="emit pair statistics")
@@ -653,7 +662,8 @@ def _build_arg_parser():
     p.add_argument("--gens", required=True, help="problem file with the generators")
     p.add_argument("--classical", action="store_true",
                    help="also expand to the plain minimal basis of the finite ring")
-    p.add_argument("--pair-budget", type=int, default=None, metavar="N")
+    p.add_argument("--pair-budget", type=int, metavar="N",
+                   default=CompletionOptions.max_pair_budget)
     p.add_argument("--stats", action="store_true", help="emit pair statistics")
     common(p)
 
@@ -671,19 +681,10 @@ def _load_problem(path) -> ProblemFile:
 
 
 def _limits(args) -> dict:
-    """The completion keywords from the flags, with DGB_PAIR_BUDGET for a
-    missing --pair-budget; the driver they go to validates them."""
-    budget = getattr(args, "pair_budget", None)
-    env = os.environ.get("DGB_PAIR_BUDGET")
-    if budget is None and env:
-        try:
-            budget = int(env)
-        except ValueError:
-            raise ValueError(f"DGB_PAIR_BUDGET must be an integer, got {env!r}") from None
+    """The completion keywords from the flags; the driver they go to
+    validates them."""
     limits = {"use_chain_criterion": not getattr(args, "no_chain", False),
-              "max_pair_budget": CompletionOptions.max_pair_budget}
-    if budget is not None:
-        limits["max_pair_budget"] = budget
+              "max_pair_budget": args.pair_budget}
     if getattr(args, "order_cap", None) is not None:
         limits["max_order_cap"] = args.order_cap
     return limits

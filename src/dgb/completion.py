@@ -7,7 +7,8 @@ pair of factors with the same symbol in the two leading monomials, with
 the shared gcd divided out.  Pairs are processed by a selection strategy
 keyed on the order bound of the overlap.  The product criterion lives only
 in this enumeration: the chain test counts a pair of shifted elements as
-certified exactly when it is not waiting in the queue (see _Run).
+certified exactly when it is not waiting in the group of the popped
+overlap (see _Run).
 
 Every driver is one pipeline: the generators are normalised once (one
 ring, zeros dropped, monic, a unit collapsing to 1), one run of the pair
@@ -132,17 +133,16 @@ class _Overlap:
     """The queued pairs that share one overlap, and the divisors of the
     overlap that chain queries have found so far (see _Run).
 
-    ids lists the pair ids in push order, of which the first taken have
-    been popped.  found is a tee of one iter_divisors search over the first
-    size elements of the reducer: a copy of it yields the divisors found so
-    far, then resumes the search, whose further hits the tee keeps."""
+    ids lists the pair ids not yet taken, in push order.  found is a tee
+    of one iter_divisors search over the first size elements of the
+    reducer: a copy of it yields the divisors found so far, then resumes
+    the search, whose further hits the tee keeps."""
 
-    __slots__ = ("factors", "ids", "taken", "monomial", "size", "found")
+    __slots__ = ("factors", "ids", "monomial", "size", "found")
 
     def __init__(self, factors):
         self.factors = factors
         self.ids = []
-        self.taken = 0
         self.monomial = None
         self.size = None
         self.found = None
@@ -155,26 +155,25 @@ class _Run:
     *Queue.*  Pairs are queued by overlap: queue holds one heap entry
     (order, flat key, group) per distinct queued overlap, and waiting maps
     the overlap's factor tuple to that group, an _Overlap whose ids are the
-    pair ids (i, sigma, j, tau) with that overlap in push order.  A pair
-    whose overlap is waiting is appended to its group and needs no key and
-    no heap push.  The loop takes the next id of the group on top of the
-    heap and pops the entry, dropping it from waiting, when it takes the
-    group's last id; the overlap becomes a Monomial once per group, and only
-    when the chain test runs.
+    pair ids (i, sigma, j, tau) with that overlap not yet taken, in push
+    order.  A pair whose overlap is waiting is appended to its group and
+    needs no key and no heap push.  The loop takes the first id of the
+    group on top of the heap and pops the entry, dropping it from waiting,
+    when that empties the group; the overlap becomes a Monomial once per
+    group, and only when the chain test runs.
 
     *Pop order.*  Pairs pop exactly as from a heap of (order, flat key,
     seq) per pair, seq counting pushes.  A group is in the heap iff it is
-    in waiting iff it has ids not given out, as the loop drops its entry
-    from both when it takes its last id.  The flat key compares as the
-    monomial key does (orderings.py), and the ordering is total, so
-    distinct overlaps have distinct keys: heap entries never tie, and the
-    heap never compares groups.  A group's ids are in seq order, since a
-    pushed id goes to the end of the waiting group of its overlap or starts
-    a new group when none waits.  So the least (order, key, seq) among the
-    queued pairs is the first id not given out of the group on top: the id
-    the loop takes.  That holds after every push, so a new pair with a
-    smaller key than the popped one is on top at the next step, as in the
-    per-pair heap.
+    in waiting iff it has ids, as the loop drops its entry from both when
+    it takes its last id.  The flat key compares as the monomial key does
+    (orderings.py), and the ordering is total, so distinct overlaps have
+    distinct keys: heap entries never tie, and the heap never compares
+    groups.  A group's ids are in seq order, since a pushed id goes to the
+    end of the waiting group of its overlap or starts a new group when none
+    waits.  So the least (order, key, seq) among the queued pairs is the
+    first id of the group on top: the id the loop takes.  That holds after
+    every push, so a new pair with a smaller key than the popped one is on
+    top at the next step, as in the per-pair heap.
 
     *Divisor list.*  A chain query reads its group's divisors: those that
     earlier queries found, then the suspended iter_divisors search, started
@@ -183,33 +182,36 @@ class _Run:
     overlap and the leading monomials of the elements present, and elements
     are only appended, so while the reducer's length is unchanged the
     search yields exactly that set, whichever pair reads it.  The test asks
-    whether some member certifies both halves, reading open at each query,
-    so neither the order nor the queries before change an answer.  An
-    element appended since may divide the overlap and certify both halves
-    (its pairs with smaller overlaps may have been treated in between), so
-    a grown reducer starts a new search.
+    whether some member certifies both halves, reading the group's ids at
+    each query, so neither the order nor the queries before change an
+    answer.  An element appended since may divide the overlap and certify
+    both halves (its pairs with smaller overlaps may have been treated in
+    between), so a grown reducer starts a new search.
 
-    *Open set.*  open holds the ids of the queued pairs not yet treated:
+    *Certified pairs.*  When the pair with overlap m is popped, a pair of
+    shifted elements a, c that both divide m is certified (product
+    criterion or treated) iff its sorted id, a + c or c + a with no shift
+    divided out, is not among the ids of m's group.  With the group empty,
+    any divisor c other than a and b kills the pair.
+
+    Proof.  Call open the ids of the queued pairs not yet treated:
     (i, sigma) <= (j, tau), with no common shift (min(sigma, tau) = 0
-    entrywise).  A shifted pair shares a variable iff its id is a candidate,
-    queued once both elements are present; the chain test asks only about
-    pairs whose overlap divides the one in hand, which truncation kept.  So
-    such a pair is certified (product criterion or treated) iff its id is
-    not in open.
-
-    The lookup needs no canonical id: a pair is certified iff its two
-    shifted elements, sorted but with no shift divided out, are not in
-    open.  Let the pair with overlap m be popped and take (i, sigma),
-    (k, nu) with both shifted leading monomials dividing m, so their lcm L
-    divides m and order(L) <= order(m).  Every open id has a priority
-    (order, key) at least (order(m), key(m)), as the popped one was the
-    least.  Dividing out the common shift delta = min(sigma, nu) gives the
-    id with overlap L' and L = delta*L', so order(L') = order(L) - |delta|.
-    If that id is open, then order(L') >= order(m) forces delta = 0, so the
-    id is the sorted pair as given, and order(L) = order(m) with key(L) >=
-    key(m); L divides m, so L <= m and L = m.  Conversely every member of
-    open is an id, so a sorted pair found there is its own canonical form.
-    Nothing here depends on the shift order or on truncation.
+    entrywise).  A shifted pair shares a variable iff its canonical id is
+    a candidate, queued once both elements are present; the chain test asks
+    only about pairs whose overlap divides m, which truncation kept.  So
+    such a pair is certified iff its canonical id is not open.  Take
+    (i, sigma), (k, nu) with both shifted leading monomials dividing m, so
+    their lcm L divides m and order(L) <= order(m).  Every open id has a
+    priority (order, key) at least (order(m), key(m)), as the popped one
+    was the least.  Dividing out the common shift delta = min(sigma, nu)
+    gives the canonical id, with overlap L' and L = delta*L', so order(L')
+    = order(L) - |delta|.  If that id is open, then order(L') >= order(m)
+    forces delta = 0, so the id is the sorted pair as given, and order(L)
+    = order(m) with key(L) >= key(m); L divides m, so L = m.  An open id
+    with overlap m is in m's group, the only one: a group leaves waiting
+    only once empty, and new pairs are pushed after the chain test.  And
+    every id of the group is open.  Nothing here depends on the shift
+    order or on truncation.
 
     The chain test asks whether some (k, nu) certifies both halves, which
     does not depend on the order in which candidates are tried.  So killer
@@ -223,7 +225,6 @@ class _Run:
         self.reducer = ReducerBasis(G)
         self.queue = []
         self.waiting = {}
-        self.open = set()
         self.killer = {}
 
     def _push_pairs(self, i, j):
@@ -247,19 +248,12 @@ class _Run:
                 key = tuple(chain.from_iterable(ordering.monomial_key(overlap)))
                 heappush(self.queue, (bound, key, group))
             stats.generated += 1
-            pair_id = (i, sigma, j, tau)  # canonical: min(sigma, tau) == 0
-            self.open.add(pair_id)
-            group.ids.append(pair_id)
-
-    def _certified(self, a, b):
-        """Whether the pair of shifted elements a = (i, si), b = (k, nu),
-        both dividing the overlap in hand, is already known to have a
-        Groebner representation."""
-        return (a + b if a <= b else b + a) not in self.open
+            group.ids.append((i, sigma, j, tau))  # canonical: min(sigma, tau) == 0
 
     def _chain_skippable(self, a, b, group):
         """Whether a shifted element c other than a and b divides the
-        group's overlap with both pairs a, c and c, b certified."""
+        group's overlap with both pairs a, c and c, b certified: not
+        waiting in the group."""
         killer, reducer = self.killer, self.reducer
         i, j = a[0], b[0]
         if group.size != len(reducer):
@@ -268,12 +262,15 @@ class _Run:
             first = {killer[n]: None for n in (i, j) if n in killer}
             group.size = len(reducer)
             group.found = tee(reducer.iter_divisors(group.monomial, first), 1)[0]
+        waiting = group.ids
         for c in group.found.__copy__():  # the hits so far, then the search
             if c == a or c == b:
                 continue
-            if self._certified(a, c) and self._certified(c, b):
-                killer[i] = killer[j] = c[0]
-                return True
+            if waiting and ((a + c if a <= c else c + a) in waiting
+                            or (c + b if c <= b else b + c) in waiting):
+                continue
+            killer[i] = killer[j] = c[0]
+            return True
         return False
 
     def run(self):
@@ -287,16 +284,13 @@ class _Run:
         pops = 0
         while queue:
             group = queue[0][2]
-            pair_id = group.ids[group.taken]
-            group.taken += 1
-            if group.taken == len(group.ids):
+            i, sigma, j, tau = group.ids.pop(0)
+            if not group.ids:
                 heappop(queue)
                 del waiting[group.factors]
             pops += 1
             if pops > options.max_pair_budget:
                 return G, True
-            self.open.remove(pair_id)
-            i, sigma, j, tau = pair_id
             if options.use_chain_criterion and self._chain_skippable(
                     (i, sigma), (j, tau), group):
                 stats.killed_chain += 1

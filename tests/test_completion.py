@@ -225,22 +225,30 @@ def _seeded_run(seed, budget, modes=("plain", "truncated", "adaptive")):
 def _queued(run):
     """(overlap factors, id) for each pair waiting in the grouped queue of a
     _Run, in no particular order."""
-    return [(group.factors, pair_id) for *_, group in run.queue
-            for pair_id in group.ids[group.taken:]]
+    return [(group.factors, pair_id) for *_, group in run.queue for pair_id in group.ids]
+
+
+def _waits(group, a, b):
+    """Whether the pair of shifted elements a, b is in the group's ids, the
+    chain test's reading of a pair that is not certified (see _Run)."""
+    return (a + b if a <= b else b + a) in group.ids
 
 
 def test_chain_test_open_set_matches_processed_set_reference(monkeypatch):
     # The reference certifies a shifted pair when the product criterion
     # holds or when its id was treated earlier in the run; every query the
     # chain test could make is compared, and so is every chain decision.
+    # Queries answered "not certified" find the pair waiting in the group of
+    # the popped overlap, and the seeded runs meet such answers.
     push, skippable = _Run._push_pairs, _Run._chain_skippable
-    counts = {"pushed": 0, "queries": 0}
+    counts = {"pushed": 0, "queries": 0, "waiting": 0}
 
     def checked_push(run, i, j):
-        before, queued = set(run.open), len(_queued(run))
+        before = [pair_id for _, pair_id in _queued(run)]
         push(run, i, j)
-        added = run.open - before
-        assert len(added) == len(_queued(run)) - queued
+        after = [pair_id for _, pair_id in _queued(run)]
+        added = set(after) - set(before)
+        assert len(added) == len(after) - len(before)
         for pair_id in added:
             a, sigma, b, tau = pair_id
             assert (a, b) == (i, j) and instance_id(a, sigma, b, tau) == pair_id
@@ -267,9 +275,10 @@ def test_chain_test_open_set_matches_processed_set_reference(monkeypatch):
             if (k, nu) == (i, si) or (k, nu) == (j, sj):
                 continue
             left, right = certified(i, si, k, nu), certified(k, nu, j, sj)
-            assert run._certified((i, si), (k, nu)) == left
-            assert run._certified((k, nu), (j, sj)) == right
+            assert _waits(group, (i, si), (k, nu)) != left
+            assert _waits(group, (k, nu), (j, sj)) != right
             counts["queries"] += 2
+            counts["waiting"] += (not left) + (not right)
             expected = expected or (left and right)
         got = skippable(run, p, q, group)
         assert got == expected
@@ -284,12 +293,12 @@ def test_chain_test_open_set_matches_processed_set_reference(monkeypatch):
     assert outcomes >= {("plain", "complete"), ("plain", "budget_exhausted"),
                         ("truncated", "complete_up_to_order"),
                         ("adaptive", "complete"), ("adaptive", "budget_exhausted")}
-    assert counts["pushed"] > 1000 and counts["queries"] > 1000
+    assert counts["pushed"] > 1000 and counts["queries"] > 1000 and counts["waiting"] > 0
 
 
 def test_open_ids_dividing_the_popped_overlap_have_that_overlap(monkeypatch):
     # The lemma behind the chain test's lookup without canonical ids (see
-    # _Run): when a pair is popped, an open id whose overlap divides the
+    # _Run): when a pair is popped, a queued id whose overlap divides the
     # popped overlap m has overlap m itself.  Each queued overlap (a factor
     # tuple) is checked against the lcm of the shifted leading monomials
     # when it is pushed, and the waiting map against the heap at each pop.
@@ -297,7 +306,7 @@ def test_open_ids_dividing_the_popped_overlap_have_that_overlap(monkeypatch):
     counts = {"pops": 0, "dividing": 0}
 
     def checked_push(run, i, j):
-        before = set(run.open)
+        before = {pair_id for _, pair_id in _queued(run)}
         push(run, i, j)
         for overlap, (a, sa, b, sb) in _queued(run):
             if (a, sa, b, sb) not in before:
@@ -306,7 +315,8 @@ def test_open_ids_dividing_the_popped_overlap_have_that_overlap(monkeypatch):
 
     def checked_skippable(run, a, b, group):
         queued = _queued(run)
-        assert {pair_id for _, pair_id in queued} == run.open
+        ids = [pair_id for _, pair_id in queued]
+        assert len(set(ids)) == len(ids) and a + b not in ids
         assert {g.factors: g for *_, g in run.queue} == run.waiting
         assert len(run.waiting) == len(run.queue)
         exps = dict(group.factors)
@@ -338,36 +348,54 @@ _PINNED_MODES = ("plain", "no-chain", "truncated", "adaptive", "budget")
 def _logged_runs(monkeypatch, run_class, stale):
     """Make run_class the drivers' pair loop and log each of its runs.  Per
     popped pair, in pop order: its id, the pair counts and the basis size
-    before it, and its chain decision (None with the chain test off).
-    Chain queries of a _Run that find their group's divisor list made for
-    a smaller basis count as stale; as stale after an own pair when the
-    pair popped just before was of the same group, and as decided by a new
-    element when the elements of the stale list alone decide otherwise."""
+    before it, and its chain decision (None with the chain test off).  A
+    ReferenceRun logs a pair when its id leaves the open set, a _Run when
+    its id leaves its group's ids.  Chain queries of a _Run that find their
+    group's divisor list made for a smaller basis count as stale; as stale
+    after an own pair when the pair popped just before was of the same
+    group, and as decided by a new element when the elements of the stale
+    list alone decide otherwise."""
     runs = []
     init, skippable = run_class.__init__, run_class._chain_skippable
 
-    class PopLog(set):  # the open set: a pair's id leaves it when it is treated
+    def log_pop(pair_id, ids):
+        run = runs[-1]
+        run.pops.append([pair_id, dataclasses.astuple(run.stats), len(run.reducer), None])
+        run.sources.append(ids)
+
+    class OpenLog(set):  # the open set of a ReferenceRun
         def remove(self, pair_id):
             super().remove(pair_id)
-            run = self.run
-            self.pops.append([pair_id, dataclasses.astuple(run.stats), len(run.reducer), None])
+            log_pop(pair_id, None)
+
+    class IdsLog(list):  # the ids of a group of a _Run
+        def pop(self, index):
+            pair_id = super().pop(index)
+            log_pop(pair_id, self)
+            return pair_id
+
+    class LoggedOverlap(completion._Overlap):
+        def __init__(self, factors):
+            super().__init__(factors)
+            self.ids = IdsLog()
 
     def logged_init(run, *args):
         init(run, *args)
-        run.open = PopLog()
-        run.open.run, run.open.pops = run, []
+        run.pops, run.sources = [], []
+        if run_class is ReferenceRun:
+            run.open = OpenLog()
         runs.append(run)
 
     def logged_skippable(run, a, b, where):  # the overlap, or for a _Run its group
-        pops = run.open.pops
+        pops = run.pops
         old_only = None
         if run_class is _Run and where.found is not None \
                 and where.size != len(run.reducer):
             stale["lists"] += 1
-            if len(pops) > 1 and pops[-2][0] in where.ids and pops[-2][2] < pops[-1][2]:
+            if len(pops) > 1 and run.sources[-2] is where.ids and pops[-2][2] < pops[-1][2]:
                 stale["after an own pair"] += 1
             old_only = any(c[0] < where.size and c != a and c != b
-                           and run._certified(a, c) and run._certified(c, b)
+                           and not _waits(where, a, c) and not _waits(where, c, b)
                            for c in run.reducer.iter_divisors(where.monomial))
         got = skippable(run, a, b, where)
         if old_only is not None and old_only != got:
@@ -377,19 +405,23 @@ def _logged_runs(monkeypatch, run_class, stale):
         return got
 
     monkeypatch.setattr(completion, "_Run", run_class)
+    monkeypatch.setattr(completion, "_Overlap", LoggedOverlap)
     monkeypatch.setattr(run_class, "__init__", logged_init)
     monkeypatch.setattr(run_class, "_chain_skippable", logged_skippable)
     return runs
 
 
-def _budget_pair(run):
-    """The pairs in the open set that are not queued: the one popped when
-    the pair budget ran out, or none."""
+def _pops_and_budget_pair(run):
+    """The logged pops of a run, and the pair popped when the pair budget
+    ran out, or none.  A ReferenceRun leaves that pair out of the queue
+    and in the open set; a _Run takes it from its group, and so logs it,
+    before it checks the budget."""
     if isinstance(run, ReferenceRun):
         queued = {entry[3] for entry in run.queue}
-    else:
-        queued = {pair_id for _, pair_id in _queued(run)}
-    return sorted(run.open - queued)
+        return run.pops, sorted(run.open - queued)
+    if len(run.pops) > run.options.max_pair_budget:
+        return run.pops[:-1], [run.pops[-1][0]]
+    return run.pops, []
 
 
 def test_grouped_queue_matches_the_per_pair_reference(monkeypatch):
@@ -421,7 +453,7 @@ def test_grouped_queue_matches_the_per_pair_reference(monkeypatch):
                 basis = compute()
             outcomes[run_class].append(
                 (str(basis.status), dataclasses.astuple(basis.stats),
-                 [str(g) for g in basis], [(run.open.pops, _budget_pair(run)) for run in runs]))
+                 [str(g) for g in basis], [_pops_and_budget_pair(run) for run in runs]))
             modes.add((str(basis.status), bool(runs and runs[0].options.use_chain_criterion)))
     for expected, got in zip(outcomes[ReferenceRun], outcomes[_Run]):
         assert got == expected

@@ -4,7 +4,7 @@
 tokens.  `helpers.reference_parse_polynomial` keeps the parser it replaced,
 which builds a Polynomial for every operator.  Both must give equal
 polynomials, and the same (message, line, column) for every error, apart
-from three intended changes, each asserted as such:
+from four intended changes, each asserted as such:
 
 * an expression that ends early reports `unexpected end of input`, where the
   reference reported `unexpected ''`;
@@ -12,7 +12,10 @@ from three intended changes, each asserted as such:
   takes no shift tuple` at the parameter, where the reference reported the
   `(` after it as trailing input or as a missing `)` or `;`;
 * parentheses nested deeper than `MAX_NESTING` are a positioned parse error,
-  where the recursive reference ran out of stack.
+  where the recursive reference ran out of stack;
+* a power of a base of two or more terms whose expansion bound is above
+  `MAX_POWER_WORK` is a positioned parse error at its `^`, where the
+  reference expanded it without a bound.
 """
 
 import ast
@@ -20,6 +23,7 @@ import importlib.util
 import json
 import re
 from itertools import cycle, product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -29,7 +33,7 @@ from hypothesis import strategies as st
 import golden_cycle8
 import golden_navier
 from dgb import ParseError
-from dgb.cli import MAX_NESTING, parse_polynomial, parse_problem, run, tokenize
+from dgb.cli import MAX_NESTING, MAX_POWER_WORK, parse_polynomial, parse_problem, run, tokenize
 from helpers import make_ring, reference_ideal_polynomials, reference_parse_polynomial
 from test_cli_snapshots import CASES
 
@@ -312,6 +316,7 @@ MESSAGES = [
     (RING_XY, "x(0,0)^2^3", ("trailing input '^'", 1, 9)),
     (RING_X, "(" * (MAX_NESTING + 1) + "x(0)" + ")" * (MAX_NESTING + 1),
      (f"parentheses nested more than {MAX_NESTING} deep", 1, MAX_NESTING + 1)),
+    (RING_X, "(x(0) + 1)^1000", ("power ^1000 of a 2-term base is too large to expand", 1, 11)),
     (None, R1 + R1, ("duplicate ring block", 2, 1)),
     (None, "ideal { x(0); }", ("ideal block before ring block", 1, 1)),
     (None, "symmetric { perm: (1 2); }", ("symmetric block before ring block", 1, 1)),
@@ -359,7 +364,7 @@ def test_every_message_is_positioned(ring, text, outcome):
             assert got == expected == outcome
     else:
         assert _outcome(parse_polynomial, ring, text) == outcome
-        if not outcome[0].startswith("parentheses nested"):
+        if not outcome[0].startswith(("parentheses nested", "power ^")):
             _assert_matches_reference(ring, text)
 
 
@@ -425,6 +430,49 @@ def test_nesting_limit():
         parse_polynomial(RING_X, "(" * 5000 + "x(1)" + ")" * 5000)
     assert (err.value.message, err.value.line, err.value.column) == (
         f"parentheses nested more than {MAX_NESTING} deep", 1, MAX_NESTING + 1)
+
+
+def test_power_expansion_limit():
+    # The largest accepted power of a t-term base has e * C(e + t - 1, t - 1)
+    # at most MAX_POWER_WORK; one more in the exponent is refused at the '^',
+    # at once, where the reference took seconds to minutes and unbounded
+    # memory, as for (x(0) + x(1) + x(2) + x(3))^60 and its 39,711 terms.
+    assert MAX_POWER_WORK == 30_000
+    largest = {2: 172, 3: 38, 4: 19, 8: 7, 16: 4}
+    for t, e in largest.items():
+        base = " + ".join(f"x({k})" for k in range(t))
+        assert e * comb(e + t - 1, t - 1) <= MAX_POWER_WORK < (e + 1) * comb(e + t, t - 1)
+        f = parse_polynomial(RING_X, f"({base})^{e}")
+        assert len(f.terms) == comb(e + t - 1, t - 1)
+        assert _outcome(parse_polynomial, RING_X, f"2*({base})^{e + 1}") == (
+            f"power ^{e + 1} of a {t}-term base is too large to expand", 1, len(base) + 5)
+    f = parse_polynomial(RING_X, "(x(0) + 1)^172")
+    assert f.terms == parse_polynomial(RING_X, " + ".join(
+        f"{comb(172, k)}*x(0)^{k}" for k in range(173))).terms
+    # no binomial of a huge exponent is computed; zero and one-term bases
+    # need no expansion, and ^0 and ^1 none either
+    assert _outcome(parse_polynomial, RING_X, "(x(0) - 1)^" + "9" * 40)[0] == (
+        f"power ^{'9' * 40} of a 2-term base is too large to expand")
+    assert parse_polynomial(RING_X, "(x(0) - x(0))^1000000000") == RING_X.zero
+    assert parse_polynomial(RING_X, "(x(0) - x(0))^0") == RING_X.one
+    assert parse_polynomial(RING_X, "(2*x(1))^1000") == \
+        parse_polynomial(RING_X, f"{2 ** 1000}*x(1)^1000")
+    assert parse_polynomial(RING_XY, "(x(0,1) + H*y(1,0) - 1/2)^1") == \
+        parse_polynomial(RING_XY, "x(0,1) + H*y(1,0) - 1/2")
+
+
+def test_cli_refuses_a_large_power(tmp_path, capsys):
+    problem = tmp_path / "power.dgb"
+    problem.write_text(R1 + "ideal { x(1) - x(0); }\n")
+    assert run(["reduce", "--input", str(problem), "--poly", "(x(0) + 1)^1000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("dgb: power ^1000 of a 2-term base is too large to expand "
+                            "at line 1, column 11\n")
+    problem.write_text(R1 + "ideal {\n  (x(0) + x(1) + x(2) + x(3))^60; }\n")
+    assert run(["compute", "--input", str(problem)]) == 1
+    assert capsys.readouterr().err == ("dgb: power ^60 of a 4-term base is too large to "
+                                       "expand at line 3, column 30\n")
 
 
 def test_cli_reports_deep_nesting_and_early_end(tmp_path, capsys):
