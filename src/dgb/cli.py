@@ -78,12 +78,19 @@ class Token(NamedTuple):
     column: int
 
 
+# 0 (no limit) where Python has no limit on converting a digit string to int
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def _scan(text):
     """The tokens of text in one pass, as parallel lists of kinds, values
     and offsets, closed by an eof token at the end of the text; blanks and
-    comments are skipped.  A character no token matches is an error."""
+    comments are skipped.  A character no token matches is an error, and so
+    is an integer literal longer than Python converts (see
+    sys.get_int_max_str_digits), so that every int() of a token succeeds."""
     kinds, values, offsets = [], [], []
     end = 0
+    digits = _int_max_str_digits() or len(text)
     for match in _TOKEN.finditer(text):
         start = match.start()
         if start != end:
@@ -91,6 +98,9 @@ def _scan(text):
         end = match.end()
         kind = match.lastgroup
         if kind:
+            if kind == "int" and end - start > digits:
+                raise _error(text, f"integer literal of {end - start} digits exceeds "
+                                   f"the limit of {digits} digits", start)
             kinds.append(kind)
             values.append(match.group())
             offsets.append(start)
@@ -297,7 +307,7 @@ class _Parser:
         if sorted(shift_names) != sorted(expected):
             self.fail(
                 f"shift priority must name {', '.join(expected)} exactly once each", tok)
-        shift_prio = tuple(int(name[1:]) - 1 for name in shift_names)
+        shift_prio = tuple(map(expected.index, shift_names))
         if sorted(symbol_names) != sorted(signature.symbols):
             self.fail("symbol priority must name every declared symbol exactly once", tok)
         index = {name: i for i, name in enumerate(signature.symbols)}

@@ -28,7 +28,7 @@ from operator import sub
 
 from .errors import InternalCheckError, RingMismatchError
 from .reduction import ReducerBasis, reduce, reduce_full
-from .ring import Monomial, shifted_lcm, spoly
+from .ring import Monomial, shifted_lcm, shifted_spoly
 
 
 @dataclass(frozen=True)
@@ -295,7 +295,7 @@ class _Run:
                     (i, sigma), (j, tau), group):
                 stats.killed_chain += 1
                 continue
-            h = reduce_full(spoly(G[i].shift(sigma), G[j].shift(tau)), self.reducer)
+            h = reduce_full(shifted_spoly(G[i], sigma, G[j], tau), self.reducer)
             if not h:
                 stats.reduced_to_zero += 1
                 continue
@@ -423,7 +423,7 @@ def verify_sigma_gbasis(basis_or_elements):
             pairs, _ = shift_pair_candidates(reducer.leads[i], reducer.leads[j], i == j)
             for sigma, tau in pairs:
                 checked += 1
-                s = spoly(elements[i].shift(sigma), elements[j].shift(tau))
+                s = shifted_spoly(elements[i], sigma, elements[j], tau)
                 h = reduce(s, reducer)
                 if h:
                     failures.append((i, j, sigma, tau, h))

@@ -212,7 +212,9 @@ class RationalFunction:
         z = self.field._const
         if len(b) == 1 and len(d) == 1 and z in b and z in d:
             b, d = b[z], d[z]
-            g, h = gcd(_content(a), d), gcd(_content(c), b)
+            # gcd(x, 1) is 1: a unit denominator needs no content
+            g = gcd(_content(a), d) if d != 1 else 1
+            h = gcd(_content(c), b) if b != 1 else 1
             num = _mul(_quo(a, g) if g != 1 else a, _quo(c, h) if h != 1 else c)
             den = b // h * (d // g)
             if den < 0:

@@ -8,6 +8,22 @@ some factor of the target, which leaves finitely many candidates to
 verify.  On packed variables a shift adds one constant to every variable,
 so mapping the anchor onto a target variable fixes that constant, and the
 other factors are probed at their offsets from the anchor.
+
+*One merge per step.*  A head step replaces the remainder h by
+h - c*m*s(g), where s(g) is a shifted basis element whose leading
+monomial divides lm(h), m = lm(h) / s(lm g) and c = lc(h) / lc(g) (just
+lc(h) when g is monic).  The step is one pass over the terms of h
+(ring._add_multiple): each later term of g is shifted by one checked
+offset, multiplied by c*m and merged into h, so no shifted copy of g, no
+term product and no negated copy is built, and a product term that meets
+a term of h keeps that term's Monomial.  The leading pair is skipped, and
+that is exact: c*m*s(lm g) has coefficient lc(h)/lc(g) * lc(g) = lc(h) and
+monomial lm(h), so the difference has coefficient exactly 0 there in the
+exact field, while every other product term lies below lm(h), as the
+ordering is multiplicative and respects shifts.  tail_reduce makes the
+same step at the first reducible term: the terms above it are left alone
+by the step, so that run moves to the output once.  S-polynomials and
+certificate replay take the same merge.
 """
 
 from __future__ import annotations
@@ -17,7 +33,7 @@ from operator import sub
 
 from .errors import InternalCheckError, RingMismatchError
 from .orderings import MAX_SHIFT_DEGREE
-from .ring import Monomial, Polynomial
+from .ring import Monomial, Polynomial, _add_multiple, _cofactor
 
 HEAD_STEP_LIMIT = 10_000_000  # safety net; the well-ordering guarantees termination
 
@@ -124,6 +140,25 @@ def _as_basis(G):
     return ReducerBasis([g for g in G if g])
 
 
+def _head_step(basis, terms, i, hit):
+    """(terms, coeff, cofactor): the terms of terms[i + 1:] minus
+    coeff*cofactor*shift(G[index]), for the hit (index, shift) on the
+    monomial of term i, which cancels exactly and is skipped."""
+    index, shift = hit
+    g = basis.polys[index]
+    m, c = terms[i]
+    offset = g.offset(shift)
+    cofactor = _cofactor(m.factors, g.lm.factors, offset)
+    lc = g.lc
+    coeff = c if lc == g.ring.field.one else c / lc
+    return _add_multiple(terms, i + 1, g, offset, -coeff, cofactor, 1), coeff, cofactor
+
+
+def _step_limit_error(f):
+    return InternalCheckError(f"reduction of {f} exceeded the step safety limit "
+                              f"of {HEAD_STEP_LIMIT} steps")
+
+
 def reduce(f: Polynomial, G, certificate=False):
     """Head reduction of f against all shifts of G.
 
@@ -135,24 +170,20 @@ def reduce(f: Polynomial, G, certificate=False):
     """
     basis = _as_basis(G)
     steps = []
-    h = f
+    terms = f.terms
     guard = 0
-    while h:
-        hit = basis.find_divisor(h.lm)
+    while terms:
+        hit = basis.find_divisor(terms[0][0])
         if hit is None:
             break
-        index, shift = hit
-        g = basis.polys[index].shift(shift)
-        coeff = h.lc / g.lc
-        cofactor = h.lm / g.lm
-        h = h + g.mul_term(-coeff, cofactor)
+        terms, coeff, cofactor = _head_step(basis, terms, 0, hit)
         if certificate:
-            steps.append((coeff, cofactor, shift, index))
+            index, shift = hit
+            steps.append((coeff, Monomial(cofactor, f.ring.ordering), shift, index))
         guard += 1
         if guard > HEAD_STEP_LIMIT:
-            raise InternalCheckError(
-                f"reduction of {f} exceeded the step safety limit "
-                f"of {HEAD_STEP_LIMIT} steps")
+            raise _step_limit_error(f)
+    h = f if terms is f.terms else Polynomial(f.ring, tuple(terms))
     return (h, steps) if certificate else h
 
 
@@ -160,16 +191,25 @@ def tail_reduce(f: Polynomial, G):
     """Full normal form: every monomial of the result is out of reach of
     the shifted leading monomials.  No normalization is applied."""
     basis = _as_basis(G)
-    # each kept lead is below every earlier one, so the kept terms stay sorted
-    terms = []
-    h = f
-    while h:
-        h = reduce(h, basis)
-        if not h:
-            break
-        terms.append(h.terms[0])
-        h = Polynomial(h.ring, h.terms[1:])
-    return Polynomial(f.ring, tuple(terms))
+    # a step at term i leaves the terms before it alone, as every product
+    # term lies below term i: the run before i moves to the output at once
+    out = []
+    terms, i = f.terms, 0
+    guard = 0
+    while i < len(terms):
+        hit = basis.find_divisor(terms[i][0])
+        if hit is None:
+            i += 1
+            continue
+        out.extend(terms[:i])
+        terms, i = _head_step(basis, terms, i, hit)[0], 0
+        guard += 1
+        if guard > HEAD_STEP_LIMIT:
+            raise _step_limit_error(f)
+    if terms is f.terms:
+        return f
+    out.extend(terms)
+    return Polynomial(f.ring, tuple(out))
 
 
 def reduce_full(f: Polynomial, G):
@@ -181,8 +221,9 @@ def reduce_full(f: Polynomial, G):
 def replay_certificate(h: Polynomial, steps, G):
     """Reconstruct the input of a certified reduction: h + sum of steps.
     Step indices refer to the nonzero elements of G, in order."""
-    polys = _as_basis(G).polys
-    total = h
+    polys = G.polys if isinstance(G, ReducerBasis) else [g for g in G if g]
+    terms = h.terms
     for coeff, cofactor, shift, index in steps:
-        total = total + polys[index].shift(shift).mul_term(coeff, cofactor)
-    return total
+        g = polys[index]
+        terms = _add_multiple(terms, 0, g, g.offset(shift), coeff, cofactor.factors, 0)
+    return Polynomial(h.ring, tuple(terms))

@@ -155,6 +155,14 @@ class Monomial:
 Monomial.ONE = Monomial()
 
 
+def _known_monomial(factors, ordering, key):
+    """A Monomial from a descending factor tuple and its key, already
+    computed by the caller."""
+    m = object.__new__(Monomial)
+    m.factors, m.ordering, m.key = factors, ordering, key
+    return m
+
+
 def _merge(fa, fb, combine):
     """Merge two descending factor tuples with a combiner that never
     produces zero (callers guarantee positive results)."""
@@ -361,14 +369,6 @@ class Polynomial:
             return self.ring.zero
         return Polynomial(self.ring, tuple((m, c * coeff) for m, c in self.terms))
 
-    def mul_term(self, coeff, mono):
-        """Multiply by coeff*mono; term order is preserved because the
-        ordering is multiplicative."""
-        if not coeff:
-            return self.ring.zero
-        return Polynomial(self.ring,
-                          tuple((m * mono, c * coeff) for m, c in self.terms))
-
     def monic(self):
         """Divide by the leading coefficient."""
         if not self.terms:
@@ -380,10 +380,15 @@ class Polynomial:
 
     # --- shift action ------------------------------------------------------
 
+    def offset(self, s):
+        """What shifting by s adds to every packed variable of self: checked
+        once, against the largest order."""
+        return self.ring.ordering.offset(s, max(self.order, 0))
+
     def shift(self, s):
-        """Termwise shift checked once, against the largest order, and self
-        for the zero shift; the ordering respects shifts, so terms stay sorted."""
-        offset = self.ring.ordering.offset(s, max(self.order, 0))
+        """Termwise shift, and self for the zero shift; the ordering
+        respects shifts, so terms stay sorted."""
+        offset = self.offset(s)
         if not offset:
             return self
         return Polynomial(self.ring, tuple([(Monomial([(v + offset, e) for v, e in m.factors],
@@ -393,9 +398,12 @@ class Polynomial:
 
     @property
     def order(self):
-        """Max order of the monomials; -inf for the zero polynomial."""
+        """Max order of the monomials; -inf for the zero polynomial.  An
+        order-compatible ordering puts it on the leading monomial."""
         if not self.terms:
             return NEG_INF
+        if self.ring.ordering.is_order_compatible:
+            return self.terms[0][0].order
         return max(m.order for m, _ in self.terms)
 
     # --- printing ------------------------------------------------------------
@@ -409,13 +417,78 @@ class Polynomial:
 
 def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial: the leading terms are scaled to the lcm and cancelled."""
+    zero = (0,) * f.ring.signature.shift_rank
+    return shifted_spoly(f, zero, g, zero)
+
+
+def shifted_spoly(f: Polynomial, s, g: Polynomial, t) -> Polynomial:
+    """spoly(f.shift(s), g.shift(t)) in one merge per element, with no
+    shifted copy: the shifts are applied inside _add_multiple, and the
+    leading terms, which cancel exactly, are skipped."""
     if not f or not g:
         raise ValueError("spoly of the zero polynomial is undefined")
     _same_ring(f, g)
     one = f.ring.field.one
-    l = f.lm.lcm(g.lm)
-    return (f.mul_term(one / f.lc, l / f.lm)
-            + g.mul_term(-one / g.lc, l / g.lm))
+    a, b = f.offset(s), g.offset(t)
+    fa, fb = f.lm.factors, g.lm.factors
+    lcm = _merge([(var + a, e) for var, e in fa], [(var + b, e) for var, e in fb], max)
+    terms = _add_multiple((), 0, f, a, one / f.lc, _cofactor(lcm, fa, a), 1)
+    return Polynomial(f.ring, tuple(_add_multiple(terms, 0, g, b, -one / g.lc,
+                                                 _cofactor(lcm, fb, b), 1)))
+
+
+def _cofactor(factors, lead, offset):
+    """The factor tuple of m / l, for m with the given factors and l the
+    monomial with factors lead shifted by offset; l must divide m."""
+    need = {var + offset: e for var, e in lead}
+    out = []
+    for var, e in factors:
+        d = e - need.get(var, 0)
+        if d:
+            out.append((var, d))
+    return tuple(out)
+
+
+def _add_multiple(terms, i, g, offset, coeff, cofactor, start):
+    """The terms of terms[i:] + coeff*m*g', in one merge, as a list: m the
+    monomial with the factor tuple cofactor, g' the terms of g from index
+    start on, with offset added to every packed variable (g shifted).
+
+    The ordering is multiplicative and respects shifts, so the product
+    terms come out descending.  Each product term's key is computed once;
+    its Monomial is built only when no term of terms[i:] has that key, and
+    a term that meets one keeps the existing Monomial.
+    """
+    ordering = g.ring.ordering
+    key_of = ordering.monomial_key
+    out = []
+    append = out.append
+    n = len(terms)
+    gterms = g.terms
+    for k in range(start, len(gterms)):
+        mono, c = gterms[k]
+        c = c * coeff
+        if offset or cofactor:
+            factors = mono.factors
+            if offset:
+                factors = [(var + offset, e) for var, e in factors]
+            factors = _merge(factors, cofactor, add)
+            key, mono = key_of(factors), None
+        else:
+            key = mono.key
+        while i < n and terms[i][0].key > key:
+            append(terms[i])
+            i += 1
+        if i < n and terms[i][0].key == key:
+            mt, ct = terms[i]
+            i += 1
+            c = ct + c
+            if c:
+                append((mt, c))
+        else:
+            append((mono or _known_monomial(factors, ordering, key), c))
+    out.extend(terms[i:])
+    return out
 
 
 # --- canonical text form ------------------------------------------------------

@@ -8,7 +8,7 @@ from itertools import chain, combinations_with_replacement
 from math import comb
 from operator import sub
 
-from dgb import DifferenceRing, Monomial, ParseError, ShiftWidthError, Signature
+from dgb import DifferenceRing, Monomial, ParseError, Polynomial, ShiftWidthError, Signature
 from dgb.cli import tokenize
 from dgb.completion import shift_pair_candidates
 from dgb.orderings import DEGLEX, LEX
@@ -238,6 +238,69 @@ class ReferenceRun:
             for t in range(new + 1):
                 self._push_pairs(t, new)
         return G, False
+
+
+# --- reduction by shift, term product and merge: the reference route ---------
+#
+# Before reduction merged each step into the remainder, a step built the
+# shifted element, multiplied it by the term, and added the product to the
+# whole remainder.  These functions keep that route, for differential tests.
+
+
+def mul_term(p, coeff, mono):
+    """p times coeff*mono, term by term."""
+    if not coeff:
+        return p.ring.zero
+    return Polynomial(p.ring, tuple((m * mono, c * coeff) for m, c in p.terms))
+
+
+def reference_reduce(f, G, certificate=False):
+    """reduction.reduce by shift, mul_term and __add__."""
+    basis = G if isinstance(G, ReducerBasis) else ReducerBasis([g for g in G if g])
+    steps = []
+    h = f
+    while h:
+        hit = basis.find_divisor(h.lm)
+        if hit is None:
+            break
+        index, shift = hit
+        g = basis.polys[index].shift(shift)
+        coeff = h.lc / g.lc
+        cofactor = h.lm / g.lm
+        h = h + mul_term(g, -coeff, cofactor)
+        steps.append((coeff, cofactor, shift, index))
+    return (h, steps) if certificate else h
+
+
+def reference_tail_reduce(f, G):
+    """reduction.tail_reduce as head reductions of the remainder with its
+    leading term removed."""
+    basis = G if isinstance(G, ReducerBasis) else ReducerBasis([g for g in G if g])
+    terms = []
+    h = f
+    while h:
+        h = reference_reduce(h, basis)
+        if not h:
+            break
+        terms.append(h.terms[0])
+        h = Polynomial(h.ring, h.terms[1:])
+    return Polynomial(f.ring, tuple(terms))
+
+
+def reference_replay(h, steps, G):
+    """reduction.replay_certificate by shift, mul_term and __add__."""
+    polys = [g for g in G if g]
+    total = h
+    for coeff, cofactor, shift, index in steps:
+        total = total + mul_term(polys[index].shift(shift), coeff, cofactor)
+    return total
+
+
+def reference_spoly(f, g):
+    """ring.spoly as the sum of two whole term products."""
+    one = f.ring.field.one
+    lcm = f.lm.lcm(g.lm)
+    return mul_term(f, one / f.lc, lcm / f.lm) + mul_term(g, -one / g.lc, lcm / g.lm)
 
 
 def _graded_key(kind, exps):

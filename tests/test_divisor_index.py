@@ -25,10 +25,9 @@ from dgb.completion import (shift_pair_candidates, sigma_gbasis_truncated,
                             verify_sigma_gbasis)
 from dgb.orderings import DEGLEX, DEGREVLEX, LEX
 from dgb.reduction import ReducerBasis
-from dgb.ring import spoly
 
-from helpers import (make_ring, random_monomial, random_polynomial, random_shift,
-                     reference_shift_key)
+from helpers import (make_ring, mul_term, random_monomial, random_polynomial, random_shift,
+                     reference_shift_key, reference_spoly)
 
 
 def _shifted(ring, lm, s):
@@ -156,14 +155,14 @@ def reference_verify(generators):
                                              elements[j].lm.decoded(), i == j)
             for sigma, tau in pairs:
                 checked += 1
-                h = spoly(elements[i].shift(sigma), elements[j].shift(tau))
+                h = reference_spoly(elements[i].shift(sigma), elements[j].shift(tau))
                 while h:
                     hit = next(reference_iter_divisors(elements, h.lm, bound), None)
                     if hit is None:
                         break
                     index, s, cofactor = hit
                     g = elements[index].shift(s)
-                    h = h - g.mul_term(h.lc / g.lc, cofactor)
+                    h = h - mul_term(g, h.lc / g.lc, cofactor)
                 if h:
                     failures.append((i, j, sigma, tau, h))
     return checked, failures

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from sympy import QQ, ZZ
@@ -332,3 +333,39 @@ def test_exact_division_of_long_products():
         off[max(off)] += 100
         assert divide(product, off) is None
         assert divide(f, {(13, 13): 1}) is None
+
+
+# (name, value from the generator H and a constant builder q)
+_UNIT_CASES = [
+    ("2H+2", lambda H, q: 2 * H + 2),
+    ("1/2", lambda H, q: q(1, 2)),
+    ("-2", lambda H, q: q(-2, 1)),
+    ("3H", lambda H, q: 3 * H),
+    ("(H+1)/2", lambda H, q: (H + 1) / 2),
+    ("(4H+2)/3", lambda H, q: (4 * H + 2) / 3),
+    ("3/4", lambda H, q: q(3, 4)),
+]
+
+
+@pytest.mark.parametrize("parameters", [("H",), ("H", "K")])
+def test_unit_denominator_products_match_the_reference(parameters, monkeypatch):
+    """A product with a unit denominator on either side skips that side's
+    content gcd: (2H+2)*(1/2) still cancels to H + 1, and products and
+    quotients where both or neither denominator is 1 agree with sympy."""
+    F = ConstantField(parameters)
+    ref, ref_gens = _reference_field(parameters)
+    ours = {name: build(F.parameter("H"), F.rational) for name, build in _UNIT_CASES}
+    theirs = {name: build(ref_gens["H"], lambda n, d: _reference_rational(ref, n, d))
+              for name, build in _UNIT_CASES}
+    half = ours["2H+2"] * ours["1/2"]
+    assert half == F.parameter("H") + F.one and list(half.den.values()) == [1]
+    contents = []
+    content = field_module._content
+    monkeypatch.setattr(field_module, "_content", lambda f: contents.append(f) or content(f))
+    for a, b in product(ours, repeat=2):
+        contents.clear()
+        _assert_same_value(F, ours[a] * ours[b], theirs[a] * theirs[b])
+        # no content is taken against a unit denominator
+        units = [list(ours[x].den.values()) == [1] for x in (a, b)]
+        assert len(contents) == 2 - sum(units), (a, b)
+        _assert_same_value(F, ours[a] / ours[b], theirs[a] / theirs[b])

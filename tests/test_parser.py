@@ -22,6 +22,7 @@ import ast
 import importlib.util
 import json
 import re
+import sys
 from itertools import cycle, product
 from math import comb
 from pathlib import Path
@@ -45,6 +46,9 @@ CLI_SOURCE = ROOT / "src" / "dgb" / "cli.py"
 FLOW = parse_problem((DATA / "navier_stokes.dgb").read_text()).ring
 RING_X = make_ring(1, ("x",))
 RING_XY = make_ring(2, ("x", "y"), ("H", "K"))
+
+DIGITS = sys.get_int_max_str_digits()  # the longest literal int() converts
+LONG = "1" * (DIGITS + 1)
 
 _OPEN_PAREN_FOUND = {"trailing input '('", "expected ')', found '('", "expected ';', found '('"}
 
@@ -317,6 +321,8 @@ MESSAGES = [
     (RING_X, "(" * (MAX_NESTING + 1) + "x(0)" + ")" * (MAX_NESTING + 1),
      (f"parentheses nested more than {MAX_NESTING} deep", 1, MAX_NESTING + 1)),
     (RING_X, "(x(0) + 1)^1000", ("power ^1000 of a 2-term base is too large to expand", 1, 11)),
+    (RING_X, "2*x(0) - " + LONG + "*x(1)",
+     (f"integer literal of {len(LONG)} digits exceeds the limit of {DIGITS} digits", 1, 10)),
     (None, R1 + R1, ("duplicate ring block", 2, 1)),
     (None, "ideal { x(0); }", ("ideal block before ring block", 1, 1)),
     (None, "symmetric { perm: (1 2); }", ("symmetric block before ring block", 1, 1)),
@@ -488,3 +494,36 @@ def test_cli_reports_deep_nesting_and_early_end(tmp_path, capsys):
     assert capsys.readouterr().err == "dgb: unexpected end of input at line 1, column 1\n"
     assert run(["reduce", "--input", str(problem), "--poly", "x(0) +"]) == 1
     assert capsys.readouterr().err == "dgb: unexpected end of input at line 1, column 7\n"
+
+
+@pytest.mark.parametrize("text", [
+    "ring { shifts: LONG; symbols: x; }",
+    R1 + "ideal { LONG*x(0); }",
+    R1 + "ideal { x(0)^LONG; }",
+    R1 + "ideal { x(LONG); }",
+    R1 + "ideal { x(0)/LONG; }",
+    R1 + "symmetric { perm: (1 LONG); }",
+], ids=["rank", "coefficient", "exponent", "shift entry", "divisor", "perm point"])
+def test_long_integer_literals_are_positioned_errors(text):
+    text = text.replace("LONG", LONG)
+    offset = text.index(LONG)
+    line, column = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+    assert _outcome(parse_problem, text) == (
+        f"integer literal of {len(LONG)} digits exceeds the limit of {DIGITS} digits",
+        line, column)
+
+
+def test_long_priority_name_is_a_positioned_error():
+    # s<digits> is a name, not a literal: the priority check refuses it
+    text = f"ring {{ shifts: 1; symbols: x; order: block(shifts=lex[s{LONG}], symbols=lex[x]); }}"
+    assert _outcome(parse_problem, text) == (
+        "shift priority must name s1 exactly once each", 1, text.index("order") + 1)
+
+
+def test_cli_refuses_a_long_integer_literal(capsys):
+    assert run(["reduce", "--input", str(DATA / "navier_stokes.dgb"),
+                "--poly", f"{LONG}*u(0,0,0)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"dgb: integer literal of {len(LONG)} digits exceeds the limit "
+                            f"of {DIGITS} digits at line 1, column 1\n")
