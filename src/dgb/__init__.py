@@ -7,8 +7,8 @@ companion-matrix normal forms, and Groebner bases of ideals invariant
 under cyclic permutation groups.
 """
 
-from .errors import (DGBError, ExactDivisionError, InternalCheckError,
-                     ParseError, RankMismatchError, RingMismatchError,
+from .errors import (CoefficientSizeError, DGBError, ExactDivisionError,
+                     InternalCheckError, ParseError, RankMismatchError, RingMismatchError,
                      ShiftWidthError, StaircaseError)
 from .field import ConstantField
 from .orderings import (DEGLEX, DEGREVLEX, LEX, MAX_SHIFT_DEGREE, Ordering,
@@ -26,7 +26,7 @@ from .quotient import (LinearRelation, PermutationAction, QuotientPresentation,
                        normal_variables, pure_power_table, symmetric_setup)
 
 __all__ = [
-    "DGBError", "ExactDivisionError", "InternalCheckError", "ParseError",
+    "CoefficientSizeError", "DGBError", "ExactDivisionError", "InternalCheckError", "ParseError",
     "RankMismatchError", "RingMismatchError", "ShiftWidthError", "StaircaseError",
     "ConstantField",
     "DEGLEX", "DEGREVLEX", "LEX", "MAX_SHIFT_DEGREE", "Ordering", "OrderingSpec",

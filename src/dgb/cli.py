@@ -387,11 +387,23 @@ class _Parser:
                     if kinds[i] != "int":
                         self.fail("expected an integer exponent", self.peek(i))
                     e, t = int(values[i]), len(value)
+                    one_term = t == 1
+                    if one_term:  # c*m: the power expands the numerator and denominator of c
+                        (c,) = value.values()
+                        t = ring.field.term_count(c)
                     if t > 1 and (e * t > MAX_POWER_WORK  # e * t is at most the bound
                                   or e * math.comb(e + t - 1, t - 1) > MAX_POWER_WORK):
                         self.fail(f"power ^{e} of a {t}-term base is too large to expand",
                                   self.peek(i - 1))
+                    # no coefficient of the power may pass the int-to-text
+                    # limit; that of c**e is judged before it is computed
+                    digits = _int_max_str_digits()
+                    if digits and one_term and ring.field.power_digits_exceed(c, e, digits):
+                        self._power_too_long(e, digits, i - 1)
                     value = _power(ring, value, e)
+                    if digits and not one_term and any(
+                            ring.field.digits_exceed(c, digits) for c in value.values()):
+                        self._power_too_long(e, digits, i - 1)
                     i += 1
                 if op is None:
                     term = value
@@ -420,6 +432,10 @@ class _Parser:
                 i += 1
                 value = total
                 total, term, op, rhs, minus = stack.pop()
+
+    def _power_too_long(self, e, digits, at):
+        self.fail(f"power ^{e} gives a coefficient of more than {digits} digits",
+                  self.peek(at))
 
     def _name(self, ring, i):
         """(term dict, next index) of the symbol or parameter at token i."""

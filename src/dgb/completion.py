@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from heapq import heappop, heappush
-from itertools import chain, tee
+from itertools import chain
 from operator import sub
 
 from .errors import InternalCheckError, RingMismatchError
 from .reduction import ReducerBasis, reduce, reduce_full
-from .ring import Monomial, shifted_lcm, shifted_spoly
+from .ring import _merge, shifted_spoly
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,15 @@ class SigmaBasis:
         return len(self.elements)
 
 
-def shift_pair_candidates(left, right, same: bool):
+def shift_pair_candidates(left, right, same: bool, derived):
     """Surviving (s, t) shift pairs for two decoded leading monomials.
 
     Returns (pairs, raw_count): the deduplicated list, sorted for
     determinism, plus the number of raw factor matches before collapsing
-    duplicates and identity self-pairs.
+    duplicates and identity self-pairs.  derived maps each pair (alpha,
+    beta) of factor shifts met so far to its shift pair, with the common
+    shift divided out; the call fills it, so callers that share it derive
+    each pair once.
     """
     raw = 0
     out = set()
@@ -100,15 +103,18 @@ def shift_pair_candidates(left, right, same: bool):
             if sym_a != sym_b:
                 continue
             raw += 1
-            common = tuple(map(min, alpha, beta))
-            sigma = tuple(map(sub, beta, common))
-            tau = tuple(map(sub, alpha, common))
+            pair = derived.get((alpha, beta))
+            if pair is None:
+                common = tuple(map(min, alpha, beta))
+                pair = derived[alpha, beta] = (tuple(map(sub, beta, common)),
+                                               tuple(map(sub, alpha, common)))
             if same:
+                sigma, tau = pair
                 if sigma == tau:
                     continue  # the trivial self-overlap
                 if sigma > tau:
-                    sigma, tau = tau, sigma  # symmetric duplicate
-            out.add((sigma, tau))
+                    pair = tau, sigma  # symmetric duplicate
+            out.add(pair)
     return sorted(out), raw
 
 
@@ -133,19 +139,19 @@ class _Overlap:
     """The queued pairs that share one overlap, and the divisors of the
     overlap that chain queries have found so far (see _Run).
 
-    ids lists the pair ids not yet taken, in push order.  found is a tee
-    of one iter_divisors search over the first size elements of the
-    reducer: a copy of it yields the divisors found so far, then resumes
-    the search, whose further hits the tee keeps."""
+    ids lists the pair ids not yet taken, in push order.  divisors lists
+    the (k, nu) that one divisor_runs search over the first size elements
+    of the reducer has yielded so far, and rest is that search, suspended
+    at the first index it has not read."""
 
-    __slots__ = ("factors", "ids", "monomial", "size", "found")
+    __slots__ = ("factors", "ids", "size", "divisors", "rest")
 
     def __init__(self, factors):
         self.factors = factors
         self.ids = []
-        self.monomial = None
         self.size = None
-        self.found = None
+        self.divisors = None
+        self.rest = None
 
 
 class _Run:
@@ -159,8 +165,10 @@ class _Run:
     order.  A pair whose overlap is waiting is appended to its group and
     needs no key and no heap push.  The loop takes the first id of the
     group on top of the heap and pops the entry, dropping it from waiting,
-    when that empties the group; the overlap becomes a Monomial once per
-    group, and only when the chain test runs.
+    when that empties the group.  An overlap is one merge of two shifted
+    leading monomials, each a factor tuple kept for the run per (element,
+    shift), and the shift pairs of two elements come from per-run
+    derivations of their factor shifts (shift_pair_candidates).
 
     *Pop order.*  Pairs pop exactly as from a heap of (order, flat key,
     seq) per pair, seq counting pushes.  A group is in the heap iff it is
@@ -175,18 +183,27 @@ class _Run:
     every push, so a new pair with a smaller key than the popped one is on
     top at the next step, as in the per-pair heap.
 
-    *Divisor list.*  A chain query reads its group's divisors: those that
-    earlier queries found, then the suspended iter_divisors search, started
-    in the killer-first order of the first pair that needed it.  The
-    (k, nu) with nu*lm(G[k]) dividing the overlap depend only on the
-    overlap and the leading monomials of the elements present, and elements
-    are only appended, so while the reducer's length is unchanged the
-    search yields exactly that set, whichever pair reads it.  The test asks
+    *Divisor list.*  A chain query reads its group's divisor list, then
+    resumes the group's suspended search (ReducerBasis.divisor_runs), made
+    over the reducer's first size elements in the killer-first order of
+    the query that started it, and appends what it yields.  A resume reads
+    one index and yields all of its hits, and the query appends them all
+    before it tests any, so the list is always the complete hits of the
+    indices read so far, in search order, and the unread remainder is the
+    search over the other indices.  So list plus remainder is iter_divisors
+    on the overlap over the first size elements in that order, whichever
+    pairs read before and wherever they stopped: a query drops no item and
+    reads none twice, and an item once appended stays.  Its set is the
+    (k, nu) with k < size and nu*lm(G[k]) dividing the overlap, which
+    depends only on the overlap and on leading monomials that never change,
+    as elements are only appended.  So while the reducer's length is
+    unchanged every query of the group may read the same set, whichever
+    pair it serves and whatever killers that pair has.  The test asks
     whether some member certifies both halves, reading the group's ids at
     each query, so neither the order nor the queries before change an
     answer.  An element appended since may divide the overlap and certify
     both halves (its pairs with smaller overlaps may have been treated in
-    between), so a grown reducer starts a new search.
+    between), so a grown reducer starts a new list and a new search.
 
     *Certified pairs.*  When the pair with overlap m is popped, a pair of
     shifted elements a, c that both divide m is certified (product
@@ -226,17 +243,26 @@ class _Run:
         self.queue = []
         self.waiting = {}
         self.killer = {}
+        self.derived = {}  # (alpha, beta) -> shift pair, see shift_pair_candidates
+        self.shifted = {}  # (i, sigma) -> the factor tuple of sigma*lm(G[i])
+
+    def _shifted_lead(self, i, sigma):
+        """The factor tuple of sigma*lm(G[i]), kept for the run."""
+        factors = self.shifted[i, sigma] = self.reducer.polys[i].lm.shift(sigma).factors
+        return factors
 
     def _push_pairs(self, i, j):
-        reducer, stats, waiting = self.reducer, self.stats, self.waiting
-        lm_i, lm_j = reducer.polys[i].lm, reducer.polys[j].lm
+        reducer, stats, waiting, shifted = self.reducer, self.stats, self.waiting, self.shifted
         ordering = reducer.ring.ordering
-        pairs, raw = shift_pair_candidates(reducer.leads[i], reducer.leads[j], i == j)
+        pairs, raw = shift_pair_candidates(reducer.leads[i], reducer.leads[j], i == j,
+                                           self.derived)
         if raw == 0:
             stats.killed_product += 1
         stats.killed_sigma += raw - len(pairs)
         for sigma, tau in pairs:
-            overlap = shifted_lcm(lm_i, sigma, lm_j, tau)
+            # a leading monomial is not 1, so its factor tuple is never empty
+            overlap = _merge(shifted.get((i, sigma)) or self._shifted_lead(i, sigma),
+                             shifted.get((j, tau)) or self._shifted_lead(j, tau), max)
             group = waiting.get(overlap)
             if group is None:  # a waiting overlap fits under the bound
                 bound = ordering.order(overlap)
@@ -256,22 +282,27 @@ class _Run:
         waiting in the group."""
         killer, reducer = self.killer, self.reducer
         i, j = a[0], b[0]
-        if group.size != len(reducer):
-            if group.monomial is None:
-                group.monomial = Monomial(group.factors, reducer.ring.ordering)
+        size = len(reducer.polys)
+        if group.size != size:
             first = {killer[n]: None for n in (i, j) if n in killer}
-            group.size = len(reducer)
-            group.found = tee(reducer.iter_divisors(group.monomial, first), 1)[0]
+            group.size = size
+            group.divisors = []
+            group.rest = reducer.divisor_runs(group.factors, first)
         waiting = group.ids
-        for c in group.found.__copy__():  # the hits so far, then the search
-            if c == a or c == b:
-                continue
-            if waiting and ((a + c if a <= c else c + a) in waiting
-                            or (c + b if c <= b else b + c) in waiting):
-                continue
-            killer[i] = killer[j] = c[0]
-            return True
-        return False
+        new = group.divisors  # the hits so far, then each index's hits as read
+        while True:
+            for c in new:
+                if c == a or c == b:
+                    continue
+                if waiting and ((a + c if a <= c else c + a) in waiting
+                                or (c + b if c <= b else b + c) in waiting):
+                    continue
+                killer[i] = killer[j] = c[0]
+                return True
+            new = next(group.rest, None)
+            if new is None:
+                return False
+            group.divisors.extend(new)
 
     def run(self):
         """(G, exhausted): the grown basis, or [1] once a unit appears, and
@@ -418,9 +449,11 @@ def verify_sigma_gbasis(basis_or_elements):
     reducer = ReducerBasis(elements)
     failures = []
     checked = 0
+    derived = {}
     for j in range(len(elements)):
         for i in range(j + 1):
-            pairs, _ = shift_pair_candidates(reducer.leads[i], reducer.leads[j], i == j)
+            pairs, _ = shift_pair_candidates(reducer.leads[i], reducer.leads[j], i == j,
+                                             derived)
             for sigma, tau in pairs:
                 checked += 1
                 s = shifted_spoly(elements[i], sigma, elements[j], tau)

@@ -23,6 +23,11 @@ class RingMismatchError(DGBError, ValueError):
     """Polynomials attached to different rings (or orderings) were mixed."""
 
 
+class CoefficientSizeError(DGBError, ValueError):
+    """A coefficient holds an integer with more decimal digits than Python
+    converts to text (``sys.get_int_max_str_digits``)."""
+
+
 class StaircaseError(DGBError, ValueError):
     """A generator mentions a variable outside the quotient staircase."""
 

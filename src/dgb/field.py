@@ -25,11 +25,14 @@ numerator, so ``(H^2 - 1)/2`` prints as ``1/2*H^2 - 1/2``.
 
 from __future__ import annotations
 
+import sys
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, log2
 from operator import add, sub
+
+from .errors import CoefficientSizeError
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,53 @@ class ConstantField:
         except KeyError:
             raise KeyError(f"unknown parameter {name!r}") from None
 
+    def term_count(self, c):
+        """The number of terms of the longer of the numerator and the
+        denominator of c: 1 in Q."""
+        return max(len(c.num), len(c.den)) if self.parameters else 1
+
+    # --- size against the int-to-text limit --------------------------------
+
+    def _parts(self, c):
+        """The numerator and denominator of c as dicts to nonzero ints (one
+        entry each in Q), the zero numerator empty."""
+        if self.parameters:
+            return c.num, c.den
+        return {0: c.numerator} if c else {}, {0: c.denominator}
+
+    def digits_exceed(self, c, digits):
+        """Whether an integer of c has more than digits decimal digits: its
+        numerator or denominator in Q, a coefficient of either in Q(params)."""
+        limit = 10 ** digits
+        return any(abs(n) >= limit for part in self._parts(c) for n in part.values())
+
+    def power_digits_exceed(self, c, e, digits):
+        """digits_exceed(c ** e, digits) for an int e >= 0, with no power
+        computed where bit lengths settle it.
+
+        A part p of c (numerator or denominator) has the part p^e in c**e:
+        in Q(params) both are kept coprime, and a power of a canonical
+        denominator stays canonical.  The lex-largest and lex-smallest terms
+        of p^e are the e-th powers of those of p, so p^e has a coefficient
+        of at least 2^(e(b-1)), b the bit length of the larger of them; and
+        no coefficient of p^e exceeds (sum of |coefficients of p|)^e.  Past
+        the limit the power is computed only between those bounds, where it
+        is at most about twice the limit long when p has one term."""
+        if c == self.one:  # the coefficient of most powers, x(1)^2 among them
+            return False
+        bits = digits * log2(10)  # 2^bits = 10^digits
+        low = high = 0
+        for part in self._parts(c):
+            if part:
+                ends = max(abs(part[max(part)]), abs(part[min(part)]))
+                low = max(low, e * (ends.bit_length() - 1))
+                high = max(high, e * sum(map(abs, part.values())).bit_length())
+        if low > bits + 1:
+            return True
+        if high < bits - 1:
+            return False
+        return self.digits_exceed(c ** e, digits)
+
     # --- printing ------------------------------------------------------
 
     def format(self, c) -> CoeffText:
@@ -132,7 +182,7 @@ class ConstantField:
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
-                    factors.append(f"{name}^{e}")
+                    factors.append(f"{name}^{_int_text(e)}")
             if not factors or abs(q) != 1:
                 factors.insert(0, _fraction_body(abs(q)))
             body = "*".join(factors)
@@ -147,10 +197,21 @@ class ConstantField:
         return out, atomic
 
 
+def _int_text(n) -> str:
+    """str(n), refused with a typed error past Python's limit on converting
+    an int to text."""
+    try:
+        return str(n)
+    except ValueError:
+        raise CoefficientSizeError(
+            f"a coefficient has an integer of more than {sys.get_int_max_str_digits()} "
+            f"digits, which Python does not convert to text") from None
+
+
 def _fraction_body(q: Fraction) -> str:
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_text(q.numerator)
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
 
 
 class RationalFunction:

@@ -50,11 +50,12 @@ class ReducerBasis:
     is skipped before any shift is tried.
     """
 
-    __slots__ = ("ring", "polys", "leads", "_shapes")
+    __slots__ = ("ring", "polys", "leads", "_shapes", "_shift_of")
 
     def __init__(self, polys):
         self.ring = None
         self.polys, self.leads, self._shapes = [], [], []
+        self._shift_of = {}  # packed variable -> its shift, decoded once
         for p in polys:
             self.append(p)
 
@@ -82,13 +83,14 @@ class ReducerBasis:
         self._shapes.append((m.total_degree, anchor - factors[-1][0], anchor,
                              self.leads[-1][0][0].shift, offsets, m.order))
 
-    def _shifts_into(self, shape, factors, exps):
-        """Shifts s with s*lm dividing the target with the given factors
-        and exponent map, lm the leading monomial of the given shape,
-        ascending in the shift ordering."""
+    def _shifts_into(self, index, shape, factors, exps):
+        """(index, s) for each shift s with s*lm dividing the target with
+        the given factors and exponent map, lm the leading monomial of the
+        element index, of the given shape; ascending in the shift ordering."""
         _, _, anchor, beta, offsets, order = shape
         ordering = self.ring.ordering
         n = ordering.n_symbols
+        shift_of = self._shift_of
         out = []
         # a shift s >= 0 maps the anchor onto a variable w >= anchor of its
         # symbol, and descending w is descending shift_key(s)
@@ -101,19 +103,23 @@ class ReducerBasis:
                 if exps.get(w + off, 0) < e:
                     break
             else:
-                s = tuple(map(sub, ordering.decode(w).shift, beta))
+                shift = shift_of.get(w)
+                if shift is None:
+                    shift = shift_of[w] = ordering.decode(w).shift
+                s = tuple(map(sub, shift, beta))
                 if min(s) >= 0 and order + sum(s) <= MAX_SHIFT_DEGREE:
-                    out.append(s)
+                    out.append((index, s))
         out.reverse()
         return out
 
-    def iter_divisors(self, target: Monomial, first=()):
-        """(index, shift) for every shift with shift*lm(G[index]) dividing
-        target: the distinct indices in first, then the others lowest index
-        first; the shifts of one index ascending in the shift ordering."""
-        factors = target.factors
+    def divisor_runs(self, factors, first=()):
+        """For each index whose shifted leading monomials divide the
+        monomial with the given factors, the list of its hits (index, s),
+        s ascending in the shift ordering: the distinct indices in first,
+        then the others lowest index first.  The search is lazy, one index
+        per resume, and covers the indices present when it is made."""
         exps = dict(factors)
-        degree = target.total_degree
+        degree = sum(exps.values())
         # the largest variable and the spread; -1 lies below every variable
         top, spread = (factors[0][0], factors[0][0] - factors[-1][0]) if factors else (-1, 0)
         shapes = self._shapes
@@ -123,15 +129,26 @@ class ReducerBasis:
         for index in indices:
             shape = shapes[index]
             if shape is None:  # a constant element divides everything
-                yield index, (0,) * self.ring.signature.shift_rank
+                yield [(index, (0,) * self.ring.signature.shift_rank)]
             elif shape[0] <= degree and shape[1] <= spread and shape[2] <= top:
-                for s in self._shifts_into(shape, factors, exps):
-                    yield index, s
+                hits = self._shifts_into(index, shape, factors, exps)
+                if hits:
+                    yield hits
+
+    def iter_divisors(self, target: Monomial, first=()):
+        """(index, shift) for every shift with shift*lm(G[index]) dividing
+        target, in the order of divisor_runs: the distinct indices in first,
+        then the others lowest index first; the shifts of one index
+        ascending in the shift ordering."""
+        for hits in self.divisor_runs(target.factors, first):
+            yield from hits
 
     def find_divisor(self, target: Monomial):
         """The first item of iter_divisors, or None when no shifted leading
         monomial divides target."""
-        return next(self.iter_divisors(target), None)
+        for hits in self.divisor_runs(target.factors):
+            return hits[0]
+        return None
 
 
 def _as_basis(G):

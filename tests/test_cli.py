@@ -452,6 +452,20 @@ def test_cli_verify_accepts_and_rejects(tmp_path, capsys):
     assert "remainder" in out["failures"][0]
 
 
+def test_cli_verifies_the_pinned_cycle8_basis(capsys):
+    # The benchmark's pinned basis (the 32 golden cycle8 elements and the
+    # cycle relation), read and not written: the verifier checks all 1,980
+    # surviving pairs, as many as a fresh derivation per pair of elements
+    # gives, and finds it complete.
+    path = Path(__file__).parent.parent / "perfbench" / "data" / "cycle8_basis.dgb"
+    assert run(["verify", "--json", "--input", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["status"], out["checked_pairs"], out["exit_code"]) == ("verified", 1980, 0)
+    leads = [g.lm.decoded() for g in parse_problem(path.read_text()).polynomials]
+    assert sum(len(completion.shift_pair_candidates(leads[i], leads[j], i == j, {})[0])
+               for j in range(len(leads)) for i in range(j + 1)) == 1980
+
+
 def test_cli_reduce_with_certificate(tmp_path, capsys):
     prob = tmp_path / "red.dgb"
     prob.write_text("ring { shifts: 1; symbols: x; }\nideal { x(1) - x(0); }\n")

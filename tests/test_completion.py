@@ -38,7 +38,7 @@ def test_critical_pairs_distinct_operators():
     ring = make_ring(2, ("x",))
     f = ring.var("x", (1, 0))
     g = ring.var("x", (0, 1))
-    pairs, raw = shift_pair_candidates(f.lm.decoded(), g.lm.decoded(), False)
+    pairs, raw = shift_pair_candidates(f.lm.decoded(), g.lm.decoded(), False, {})
     assert (pairs, raw) == ([((0, 1), (1, 0))], 1)
     (sigma, tau), = pairs
     overlap = f.lm.shift(sigma).lcm(g.lm.shift(tau))
@@ -50,13 +50,13 @@ def test_critical_pairs_disjoint_symbols_empty():
     ring = make_ring(1, ("x", "y"))
     f = ring.var("x", (2,))
     g = ring.var("y", (1,))
-    assert shift_pair_candidates(f.lm.decoded(), g.lm.decoded(), False) == ([], 0)
+    assert shift_pair_candidates(f.lm.decoded(), g.lm.decoded(), False, {}) == ([], 0)
 
 
 def test_critical_pairs_self_pair():
     ring = R1()
     f = x(ring, 1) * x(ring, 0) - x(ring, 0)
-    pairs, raw = shift_pair_candidates(f.lm.decoded(), f.lm.decoded(), True)
+    pairs, raw = shift_pair_candidates(f.lm.decoded(), f.lm.decoded(), True, {})
     # x(1)*x(0) against itself: four factor matches, of which the two
     # identity overlaps and one mirror image collapse
     assert (pairs, raw) == ([((0,), (1,))], 4)
@@ -73,7 +73,7 @@ def test_shift_pair_candidates_complete():
     for _ in range(60):
         a = random_monomial(rng, ring, max_factors=2)
         b = random_monomial(rng, ring, max_factors=2)
-        pairs, _ = shift_pair_candidates(a.decoded(), b.decoded(), False)
+        pairs, _ = shift_pair_candidates(a.decoded(), b.decoded(), False, {})
         listed = set(pairs)
         for s in enumerate_up_to_degree(3, 2):
             for t in enumerate_up_to_degree(3, 2):
@@ -178,7 +178,7 @@ def test_discarded_shift_pairs_are_multiples():
         g = random_polynomial(rng, ring, max_terms=2)
         if not f or not g:
             continue
-        pairs, _ = shift_pair_candidates(f.lm.decoded(), g.lm.decoded(), False)
+        pairs, _ = shift_pair_candidates(f.lm.decoded(), g.lm.decoded(), False, {})
         for sigma, tau in pairs:
             delta = tuple(rng.randint(0, 2) for _ in range(2))
             big = spoly(f.shift(tuple(map(add, sigma, delta))),
@@ -389,14 +389,15 @@ def _logged_runs(monkeypatch, run_class, stale):
     def logged_skippable(run, a, b, where):  # the overlap, or for a _Run its group
         pops = run.pops
         old_only = None
-        if run_class is _Run and where.found is not None \
+        if run_class is _Run and where.divisors is not None \
                 and where.size != len(run.reducer):
             stale["lists"] += 1
             if len(pops) > 1 and run.sources[-2] is where.ids and pops[-2][2] < pops[-1][2]:
                 stale["after an own pair"] += 1
+            overlap = Monomial(where.factors, run.reducer.ring.ordering)
             old_only = any(c[0] < where.size and c != a and c != b
                            and not _waits(where, a, c) and not _waits(where, c, b)
-                           for c in run.reducer.iter_divisors(where.monomial))
+                           for c in run.reducer.iter_divisors(overlap))
         got = skippable(run, a, b, where)
         if old_only is not None and old_only != got:
             stale["decided by a new element"] += 1
@@ -463,6 +464,69 @@ def test_grouped_queue_matches_the_per_pair_reference(monkeypatch):
     assert {("complete", False), ("complete", True), ("budget_exhausted", True)} <= modes
     assert stale["after an own pair"] > 0 and stale["lists"] > stale["after an own pair"]
     assert stale["decided by a new element"] > 0
+
+
+def test_divisor_list_is_the_killer_first_search_over_its_size(monkeypatch):
+    # Differential test for the divisor list of a group (see _Run): before
+    # and after every chain query of the seeded completions, the group's
+    # list followed by its unread remainder is iter_divisors on the overlap
+    # over the reducer's first size elements, in the killer-first order of
+    # the query that started the search; the remainder yields one index's
+    # hits at a time, and the list ends between two indices.  The remainder
+    # is read out for the check and put back as an iterator over the same
+    # runs.  Every chain decision matches ReferenceRun, which makes a fresh
+    # search per query, and the seeded runs meet lists read by a later
+    # query, searches resumed after such a list and searches read to the end.
+    skippable = _Run._chain_skippable
+    starts = {}  # group -> (killer-first indices, size) of its current search
+    counts = {"queries": 0, "read a list": 0, "resumed": 0, "read to the end": 0}
+
+    def check(run, group):
+        runs = list(group.rest)
+        group.rest = iter(runs)
+        first, size = starts[group]
+        overlap = Monomial(group.factors, run.reducer.ring.ordering)
+        expected = [c for c in run.reducer.iter_divisors(overlap, first) if c[0] < size]
+        listed = group.divisors
+        assert listed + [c for hits in runs for c in hits] == expected
+        assert all(hits and {k for k, _ in hits} == {hits[0][0]} for hits in runs)
+        assert not (listed and runs) or runs[0][0][0] != listed[-1][0]
+        return len(listed), len(runs)
+
+    def checked(run, a, b, group):
+        counts["queries"] += 1
+        before = 0
+        if group.size == len(run.reducer):
+            before, _ = check(run, group)
+            counts["read a list"] += before > 0
+        else:
+            killer = run.killer
+            starts[group] = ({killer[n]: None for n in (a[0], b[0]) if n in killer},
+                             len(run.reducer))
+        got = skippable(run, a, b, group)
+        after, unread = check(run, group)
+        assert got or unread == 0  # no certifying divisor: the whole search was read
+        counts["resumed"] += before > 0 and after > before
+        counts["read to the end"] += unread == 0
+        return got
+
+    stale = {"lists": 0, "after an own pair": 0, "decided by a new element": 0}
+    outcomes = {}
+    for run_class in (ReferenceRun, _Run):
+        outcomes[run_class] = []
+        for seed in range(36):
+            with monkeypatch.context() as patch:
+                if run_class is _Run:
+                    patch.setattr(_Run, "_chain_skippable", checked)
+                runs = _logged_runs(patch, run_class, stale)
+                _seeded_run(seed, budget=150, modes=_PINNED_MODES)
+            outcomes[run_class].append([_pops_and_budget_pair(run) for run in runs])
+    assert outcomes[_Run] == outcomes[ReferenceRun]
+    decisions = [pop[3] for logs in outcomes[_Run] for log, _ in logs for pop in log]
+    assert decisions.count(True) > 100 and decisions.count(False) > 100
+    assert counts["queries"] == decisions.count(True) + decisions.count(False)
+    assert counts["read a list"] > 0 and counts["resumed"] > 0
+    assert counts["read to the end"] > 0
 
 
 def _pinned_outcome(seed):
@@ -1023,3 +1087,23 @@ def test_adaptive_sweeps_share_one_stats(seed, cap, kind, stats):
     basis = sigma_gbasis_adaptive(gens, max_pair_budget=300, max_order_cap=cap)
     assert basis.status.kind == kind
     assert basis.stats == stats
+
+
+def test_stats_count_queued_pairs_and_drops_before_the_queue():
+    # The documented reading of PairStats (README, docs/run_report.schema.json):
+    # generated counts queued pairs; killed_chain, reduced_to_zero and
+    # new_elements count pairs taken from the queue, so they sum to at most
+    # generated, and to exactly generated when every run emptied its queue,
+    # as in a complete run that found no unit; killed_product, killed_sigma
+    # and killed_truncation count what never reached the queue.
+    emptied = cut = 0
+    for seed in range(36):
+        basis = _seeded_run(seed, budget=150, modes=_PINNED_MODES)[2]
+        s = basis.stats
+        taken = s.killed_chain + s.reduced_to_zero + s.new_elements
+        assert taken <= s.generated
+        if basis.status.kind != "budget_exhausted" and [str(g) for g in basis] != ["1"]:
+            assert taken == s.generated
+            emptied += 1
+        cut += taken < s.generated
+    assert emptied > 20 and cut > 0

@@ -152,7 +152,7 @@ def reference_verify(generators):
     for j in range(len(elements)):
         for i in range(j + 1):
             pairs, _ = shift_pair_candidates(elements[i].lm.decoded(),
-                                             elements[j].lm.decoded(), i == j)
+                                             elements[j].lm.decoded(), i == j, {})
             for sigma, tau in pairs:
                 checked += 1
                 h = reference_spoly(elements[i].shift(sigma), elements[j].shift(tau))

@@ -15,7 +15,12 @@ from four intended changes, each asserted as such:
   where the recursive reference ran out of stack;
 * a power of a base of two or more terms whose expansion bound is above
   `MAX_POWER_WORK` is a positioned parse error at its `^`, where the
-  reference expanded it without a bound.
+  reference expanded it without a bound; so is a power of one term whose
+  coefficient has a numerator or denominator of two or more terms in
+  Q(parameters), with t the longer one's term count;
+* a power that gives a coefficient with an integer of more digits than
+  `sys.get_int_max_str_digits()` is a positioned parse error at its `^`,
+  where the reference computed it, however large.
 """
 
 import ast
@@ -23,8 +28,9 @@ import importlib.util
 import json
 import re
 import sys
+from fractions import Fraction
 from itertools import cycle, product
-from math import comb
+from math import comb, log10
 from pathlib import Path
 
 import pytest
@@ -33,7 +39,7 @@ from hypothesis import strategies as st
 
 import golden_cycle8
 import golden_navier
-from dgb import ParseError
+from dgb import CoefficientSizeError, DGBError, ParseError
 from dgb.cli import MAX_NESTING, MAX_POWER_WORK, parse_polynomial, parse_problem, run, tokenize
 from helpers import make_ring, reference_ideal_polynomials, reference_parse_polynomial
 from test_cli_snapshots import CASES
@@ -321,6 +327,8 @@ MESSAGES = [
     (RING_X, "(" * (MAX_NESTING + 1) + "x(0)" + ")" * (MAX_NESTING + 1),
      (f"parentheses nested more than {MAX_NESTING} deep", 1, MAX_NESTING + 1)),
     (RING_X, "(x(0) + 1)^1000", ("power ^1000 of a 2-term base is too large to expand", 1, 11)),
+    (RING_X, "x(0) - 2^20000*x(1)",
+     (f"power ^20000 gives a coefficient of more than {DIGITS} digits", 1, 9)),
     (RING_X, "2*x(0) - " + LONG + "*x(1)",
      (f"integer literal of {len(LONG)} digits exceeds the limit of {DIGITS} digits", 1, 10)),
     (None, R1 + R1, ("duplicate ring block", 2, 1)),
@@ -527,3 +535,100 @@ def test_cli_refuses_a_long_integer_literal(capsys):
     assert captured.out == ""
     assert captured.err == (f"dgb: integer literal of {len(LONG)} digits exceeds the limit "
                             f"of {DIGITS} digits at line 1, column 1\n")
+
+
+def _largest_power(base):
+    """The largest e with base^e below 10^DIGITS: base^e has DIGITS digits
+    at most, base^(e + 1) more."""
+    e = int(DIGITS / log10(base))
+    while base ** e >= 10 ** DIGITS:
+        e -= 1
+    while base ** (e + 1) < 10 ** DIGITS:
+        e += 1
+    return e
+
+
+def test_powers_past_the_digit_limit_are_positioned_errors():
+    # A power whose coefficient would have an integer of more than DIGITS
+    # digits is refused at its '^', exactly past the limit, whether the
+    # integer is a numerator, a denominator or a coefficient in Q(H, K), and
+    # at once for an exponent of thousands of digits, which is not computed.
+    def refused(e, column):
+        return f"power ^{e} gives a coefficient of more than {DIGITS} digits", 1, column
+
+    for base in (2, 3, 10):
+        e = _largest_power(base)
+        assert parse_polynomial(RING_X, f"{base}^{e}*x(1)").lc == base ** e
+        assert _outcome(parse_polynomial, RING_X, f"{base}^{e + 1}*x(1)") == refused(
+            e + 1, len(str(base)) + 1)
+        assert parse_polynomial(RING_X, f"x(1)/{base}^{e}").lc == Fraction(1, base ** e)
+        assert _outcome(parse_polynomial, RING_X, f"x(1)/{base}^{e + 1}") == refused(
+            e + 1, len(str(base)) + 6)
+    e = _largest_power(2)
+    assert _outcome(parse_polynomial, RING_X, f"-(1/2)^{e + 1}") == refused(e + 1, 7)
+    huge = "9" * (DIGITS - 1)
+    assert _outcome(parse_polynomial, RING_X, f"2^{huge}*x(1)") == refused(huge, 2)
+    assert _outcome(parse_polynomial, RING_X, f"1^{huge}*x(1)") == RING_X.var("x", (1,))
+    # ^1 of a product already past the limit, and of one just inside it
+    d = (DIGITS + 1) // 2
+    assert _outcome(parse_polynomial, RING_X, f"(10^{d}*10^{d})^1") == refused(
+        1, 2 * len(str(d)) + 10)
+    assert parse_polynomial(RING_X, f"(10^{d}*10^{DIGITS - 1 - d})^1").lc == 10 ** (DIGITS - 1)
+    # Q(H, K): a parameter monomial, and a quotient with a constant denominator
+    h = RING_XY.field.parameter("H")
+    assert parse_polynomial(RING_XY, f"(2*H)^{e}*x(0,0)").lc == (2 * h) ** e
+    assert _outcome(parse_polynomial, RING_XY, f"(2*H)^{e + 1}*x(0,0)") == refused(e + 1, 6)
+    assert _outcome(parse_polynomial, RING_XY, f"(H/2)^{e + 1}*x(0,0)") == refused(e + 1, 6)
+    # a base of two or more terms is judged on the expanded power
+    d = (DIGITS - 1) // 2  # 10^(2d) fits, 10^(2d + 2) does not
+    f = parse_polynomial(RING_X, f"(10^{d}*x(1) + 1)^2")
+    assert [c for _, c in f.terms] == [10 ** (2 * d), 2 * 10 ** d, 1]
+    assert _outcome(parse_polynomial, RING_X, f"(10^{d + 1}*x(1) + 1)^2") == refused(
+        2, len(str(d + 1)) + 15)
+
+
+def test_powers_of_parameter_polynomials_are_bounded_like_polynomial_powers():
+    # A one-term base whose coefficient has a numerator or denominator of t
+    # terms expands like a t-term base, under the same bound.
+    for t, e in {2: 172, 3: 38}.items():
+        base = " + ".join(["H", "K", "1"][:t])
+        f = parse_polynomial(RING_XY, f"({base})^{e}*x(0,0)")
+        assert f.lc == parse_polynomial(RING_XY, f"({base})").lc ** e
+        assert _outcome(parse_polynomial, RING_XY, f"({base})^{e + 1}*x(0,0)") == (
+            f"power ^{e + 1} of a {t}-term base is too large to expand", 1, len(base) + 3)
+        assert _outcome(parse_polynomial, RING_XY, f"x(0,0)/({base})^{e + 1}") == (
+            f"power ^{e + 1} of a {t}-term base is too large to expand", 1, len(base) + 10)
+
+
+def test_format_refuses_an_integer_past_the_digit_limit():
+    # A coefficient computed past the limit (a product is not judged at
+    # parse time) prints as a typed error, not Python's bare ValueError.
+    q = RING_X.field
+    assert q.format(Fraction(10 ** (DIGITS - 1))).body == "1" + "0" * (DIGITS - 1)
+    for value in (Fraction(10 ** DIGITS), Fraction(1, 10 ** DIGITS)):
+        with pytest.raises(CoefficientSizeError) as err:
+            q.format(value)
+        assert isinstance(err.value, DGBError) and isinstance(err.value, ValueError)
+    h = RING_XY.field.parameter("H")
+    for value in (h * 10 ** DIGITS, h ** (10 ** DIGITS)):
+        with pytest.raises(CoefficientSizeError):
+            RING_XY.field.format(value)
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--certificate"], ["--json", "--certificate"]],
+                         ids=["text", "json", "certificate", "json certificate"])
+def test_cli_refuses_coefficients_past_the_digit_limit(tmp_path, capsys, flags):
+    problem = tmp_path / "p.dgb"
+    problem.write_text(R1 + "ideal { x(1) - x(0); }\n")
+    assert run(["reduce", "--input", str(problem), "--poly", "2^20000*x(5)"] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"dgb: power ^20000 gives a coefficient of more than {DIGITS} "
+                            f"digits at line 1, column 2\n")
+    # each power fits, their product does not: refused when it is printed
+    d = DIGITS // 2 + 1
+    assert run(["reduce", "--input", str(problem), "--poly", f"10^{d}*10^{d}*x(5)"] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"dgb: a coefficient has an integer of more than {DIGITS} digits, "
+                            f"which Python does not convert to text\n")

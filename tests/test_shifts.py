@@ -38,7 +38,7 @@ def divides(s, t):
 
 def gcd(s, t):
     """The common shift the pair enumerator divides out of x(s), x(t)."""
-    (sigma, tau), = shift_pair_candidates(x(s).lm.decoded(), x(t).lm.decoded(), False)[0]
+    (sigma, tau), = shift_pair_candidates(x(s).lm.decoded(), x(t).lm.decoded(), False, {})[0]
     assert x(s).lm.shift(sigma) == x(t).lm.shift(tau)
     return tuple(a - b for a, b in zip(s, tau))
 
@@ -99,7 +99,7 @@ shift3 = st.tuples(*[st.integers(0, 6)] * 3)
 def test_gcd_reconstruction(s, t):
     g = gcd(s, t)
     assert divides(g, s) and divides(g, t)
-    (sigma, tau), = shift_pair_candidates(x(s).lm.decoded(), x(t).lm.decoded(), False)[0]
+    (sigma, tau), = shift_pair_candidates(x(s).lm.decoded(), x(t).lm.decoded(), False, {})[0]
     assert not any(map(min, sigma, tau))  # the whole common shift is out
     assert x(g).shift(tau) == x(s) and x(g).shift(sigma) == x(t)
 
