@@ -41,7 +41,6 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from operator import add
 from typing import NamedTuple
 
@@ -53,6 +52,7 @@ from .orderings import _ORDER_NAMES, OrderingSpec
 from .quotient import (LinearRelation, PermutationAction, QuotientPresentation,
                        expand_classical_basis, groebner_gamma_basis,
                        parse_cycles, pure_power_table)
+from .records import Factory, Record
 from .reduction import reduce as head_reduce
 from .reduction import replay_certificate
 from .ring import (DifferenceRing, Monomial, Polynomial, Signature, _merge,
@@ -136,8 +136,7 @@ def tokenize(text):
 # --- parser --------------------------------------------------------------
 
 
-@dataclass
-class ProblemFile:
+class ProblemFile(Record):
     ring: DifferenceRing
     polynomials: list
     permutation: tuple = None  # tuple of cycles, 1-based points
@@ -355,6 +354,9 @@ class _Parser:
         kinds, values = self.kinds, self.values
         stack = []
         i = self.pos
+        # no exponent reaches tokens * (product of ^ literals): check once those pass `room` digits
+        digits = _int_max_str_digits()
+        room, spent = digits - len(str(len(values))) if digits else math.inf, 0
         # op is '*' or '/' before the factor that starts at token rhs
         total, term, op, rhs = {}, None, None, 0
         minus = values[i] == "-"  # the term being read is subtracted
@@ -397,13 +399,15 @@ class _Parser:
                                   self.peek(i - 1))
                     # no coefficient of the power may pass the int-to-text
                     # limit; that of c**e is judged before it is computed
-                    digits = _int_max_str_digits()
                     if digits and one_term and ring.field.power_digits_exceed(c, e, digits):
                         self._power_too_long(e, digits, i - 1)
                     value = _power(ring, value, e)
                     if digits and not one_term and any(
                             ring.field.digits_exceed(c, digits) for c in value.values()):
                         self._power_too_long(e, digits, i - 1)
+                    spent += len(values[i])
+                    if spent > room:
+                        self._check_exponents(ring, value, digits, "power", i - 1)
                     i += 1
                 if op is None:
                     term = value
@@ -411,6 +415,9 @@ class _Parser:
                     term = _product(term, value)
                 else:
                     term = self._quotient(ring, term, value, rhs)
+                if op and spent > room:
+                    self._check_exponents(ring, term, digits,
+                                          "product" if op == "*" else "quotient", rhs - 1)
                 sep = values[i]
                 if sep == "*" or sep == "/":
                     op = sep
@@ -436,6 +443,12 @@ class _Parser:
     def _power_too_long(self, e, digits, at):
         self.fail(f"power ^{e} gives a coefficient of more than {digits} digits",
                   self.peek(at))
+
+    def _check_exponents(self, ring, terms, digits, what, at):
+        limit = 10 ** digits
+        if any(k >= limit for f in terms for _, k in f) or any(
+                ring.field.exponent_exceeds(c, limit) for c in terms.values()):
+            self.fail(f"{what} gives an exponent of more than {digits} digits", self.peek(at))
 
     def _name(self, ring, i):
         """(term dict, next index) of the symbol or parameter at token i."""
@@ -592,25 +605,18 @@ def serialize_basis(ring, polynomials) -> str:
 # --- reports ---------------------------------------------------------------
 
 
-@dataclass
-class RunReport:
+class RunReport(Record):
     command: str
     status: str
     exit_code: int
     config: dict
-    fields: dict = field(default_factory=dict)
+    fields: dict = Factory(dict)
     wall_clock_seconds: float = 0.0
 
     def to_json(self):
-        return {
-            "command": self.command,
-            "status": self.status,
-            "exit_code": self.exit_code,
-            "config": self.config,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "membership": None,
-            **self.fields,
-        }
+        report = self.as_dict()
+        fields = report.pop("fields")
+        return {**report, "membership": None, **fields}
 
     def to_text(self):
         lines = [f"status: {self.status}"]

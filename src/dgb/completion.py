@@ -21,18 +21,17 @@ completeness criterion.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
 from heapq import heappop, heappush
 from itertools import chain
 from operator import sub
 
 from .errors import InternalCheckError, RingMismatchError
+from .records import Factory, Record
 from .reduction import ReducerBasis, reduce, reduce_full
 from .ring import _merge, shifted_spoly
 
 
-@dataclass(frozen=True)
-class CompletionOptions:
+class CompletionOptions(Record, frozen=True):
     """The settings a run of the pair loop reads, from the keywords of a
     driver; validated here and nowhere else."""
 
@@ -44,8 +43,7 @@ class CompletionOptions:
             raise ValueError("budget caps must be positive")
 
 
-@dataclass(frozen=True)
-class CompletionStatus:
+class CompletionStatus(Record, frozen=True):
     kind: str  # complete | complete_up_to_order | budget_exhausted
     order_bound: int = None
 
@@ -55,8 +53,7 @@ class CompletionStatus:
         return self.kind
 
 
-@dataclass
-class PairStats:
+class PairStats(Record):
     generated: int = 0
     killed_product: int = 0
     killed_sigma: int = 0
@@ -66,18 +63,14 @@ class PairStats:
     new_elements: int = 0
     sweeps: int = 1
 
-    def as_dict(self):
-        return asdict(self)
 
-
-@dataclass
-class SigmaBasis:
+class SigmaBasis(Record):
     """Result of a completion run: monic elements plus a status."""
 
     ring: object
     elements: tuple
     status: CompletionStatus
-    stats: PairStats = field(default_factory=PairStats)
+    stats: PairStats = Factory(PairStats)
 
     def __iter__(self):
         return iter(self.elements)
@@ -419,8 +412,7 @@ def sigma_gbasis_adaptive(generators, *, max_order_cap=64, **limits):
     return basis
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     ok: bool
     failures: list  # (left_index, right_index, left_shift, right_shift, remainder)
     checked_pairs: int = 0
@@ -467,7 +459,7 @@ def _same_kind(basis, elements):
     """The elements as a SigmaBasis with the status and stats of basis
     when basis is one, else as a list."""
     if isinstance(basis, SigmaBasis):
-        return replace(basis, elements=tuple(elements))
+        return SigmaBasis(basis.ring, tuple(elements), basis.status, basis.stats)
     return list(elements)
 
 

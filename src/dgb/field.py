@@ -27,16 +27,15 @@ from __future__ import annotations
 
 import sys
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, log2
 from operator import add, sub
 
 from .errors import CoefficientSizeError
+from .records import Record
 
 
-@dataclass(frozen=True)
-class CoeffText:
+class CoeffText(Record, frozen=True):
     """Canonical rendering of one coefficient.
 
     ``negative`` carries the display sign, ``body`` the unsigned text and
@@ -121,6 +120,10 @@ class ConstantField:
         limit = 10 ** digits
         return any(abs(n) >= limit for part in self._parts(c) for n in part.values())
 
+    def exponent_exceeds(self, c, limit):
+        """Whether a parameter has an exponent of at least limit in c."""
+        return bool(self.parameters) and any(max(k) >= limit for p in self._parts(c) for k in p)
+
     def power_digits_exceed(self, c, e, digits):
         """digits_exceed(c ** e, digits) for an int e >= 0, with no power
         computed where bit lengths settle it.
@@ -182,7 +185,7 @@ class ConstantField:
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
-                    factors.append(f"{name}^{_int_text(e)}")
+                    factors.append(f"{name}^{_int_text(e, 'an exponent is an integer')}")
             if not factors or abs(q) != 1:
                 factors.insert(0, _fraction_body(abs(q)))
             body = "*".join(factors)
@@ -197,14 +200,14 @@ class ConstantField:
         return out, atomic
 
 
-def _int_text(n) -> str:
+def _int_text(n, what="a coefficient has an integer") -> str:
     """str(n), refused with a typed error past Python's limit on converting
-    an int to text."""
+    an int to text; what names n in the message."""
     try:
         return str(n)
     except ValueError:
         raise CoefficientSizeError(
-            f"a coefficient has an integer of more than {sys.get_int_max_str_digits()} "
+            f"{what} of more than {sys.get_int_max_str_digits()} "
             f"digits, which Python does not convert to text") from None
 
 

@@ -43,12 +43,12 @@ a proper prefix stays a proper prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import partial
 from operator import mul
 from typing import NamedTuple
 
 from .errors import RankMismatchError, ShiftWidthError
+from .records import Record
 
 LEX = "lex"
 DEGLEX = "deglex"
@@ -69,8 +69,7 @@ class VarRef(NamedTuple):
 _varref = partial(tuple.__new__, VarRef)  # VarRef(...) without the Python-level __new__
 
 
-@dataclass(frozen=True)
-class OrderingSpec:
+class OrderingSpec(Record, frozen=True):
     """Declarative description of a block ordering.
 
     Priorities list indices from most to least significant; ``None`` means
@@ -114,9 +113,9 @@ class Ordering:
     def __init__(self, shift_rank, n_symbols, spec=None):
         spec = spec or OrderingSpec()
         # resolved priorities, so a spelled-out natural priority equals the default
-        self.spec = spec = replace(
-            spec, shift_priority=_check_priority(spec.shift_priority, shift_rank, "shift"),
-            symbol_priority=_check_priority(spec.symbol_priority, n_symbols, "symbol"))
+        self.spec = spec = OrderingSpec(
+            spec.shift_order, _check_priority(spec.shift_priority, shift_rank, "shift"),
+            spec.symbol_order, _check_priority(spec.symbol_priority, n_symbols, "symbol"))
         self.rank = shift_rank
         self.n_symbols = n_symbols
         # the low digit v of a variable, and back from v to the symbol

@@ -16,19 +16,18 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from itertools import product
 
 from .completion import SigmaBasis, minimalize, sigma_gbasis
 from .errors import (InternalCheckError, ParseError, RingMismatchError,
                      StaircaseError)
 from .orderings import DEGLEX, OrderingSpec, VarRef
+from .records import Record
 from .reduction import ReducerBasis, reduce_full, tail_reduce
 from .ring import DifferenceRing, Polynomial, Signature
 
 
-@dataclass(frozen=True)
-class LinearRelation:
+class LinearRelation(Record, frozen=True):
     """A monic linear rewrite rule for one symbol along one shift operator:
     coefficients (c_0, ..., c_d) with c_d = 1 encode the polynomial
     sum_k c_k * symbol(op^k), whose leading monomial is symbol(op^d)."""

@@ -16,7 +16,7 @@ import re
 from operator import add, itemgetter
 
 from .errors import ExactDivisionError, RingMismatchError
-from .field import ConstantField
+from .field import ConstantField, _int_text
 from .orderings import Ordering
 
 NEG_INF = float("-inf")
@@ -502,7 +502,7 @@ def format_monomial(m: Monomial, ring: DifferenceRing) -> str:
     for (sym, shift), e in m.decoded():
         inner = ",".join(str(a) for a in shift)
         body = f"{names[sym]}({inner})"
-        parts.append(f"{body}^{e}" if e > 1 else body)
+        parts.append(f"{body}^{_int_text(e, 'an exponent is an integer')}" if e > 1 else body)
     return "*".join(parts)
 
 

@@ -360,7 +360,7 @@ def _logged_runs(monkeypatch, run_class, stale):
 
     def log_pop(pair_id, ids):
         run = runs[-1]
-        run.pops.append([pair_id, dataclasses.astuple(run.stats), len(run.reducer), None])
+        run.pops.append([pair_id, tuple(run.stats.as_dict().values()), len(run.reducer), None])
         run.sources.append(ids)
 
     class OpenLog(set):  # the open set of a ReferenceRun
@@ -453,7 +453,7 @@ def test_grouped_queue_matches_the_per_pair_reference(monkeypatch):
                 runs = _logged_runs(patch, run_class, stale)
                 basis = compute()
             outcomes[run_class].append(
-                (str(basis.status), dataclasses.astuple(basis.stats),
+                (str(basis.status), tuple(basis.stats.as_dict().values()),
                  [str(g) for g in basis], [_pops_and_budget_pair(run) for run in runs]))
             modes.add((str(basis.status), bool(runs and runs[0].options.use_chain_criterion)))
     for expected, got in zip(outcomes[ReferenceRun], outcomes[_Run]):

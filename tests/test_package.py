@@ -131,3 +131,21 @@ def test_parameter_ring_leaves_sympy_unimported():
     assert square == ("(1/(H^2 - 2*H + 1))*x(1)^2 - (2/(H^2 - H))*x(1)*x(0)"
                       " + (1/H^2)*x(0)^2")
     assert sympy_loaded == "False"
+
+
+# --- the import footprint ----------------------------------------------------
+
+_ADDED_MODULES = """
+import json, sys
+bare = set(sys.modules)
+import dgb.cli
+print(json.dumps(sorted(set(sys.modules) - bare)))
+"""
+
+
+def test_cli_import_leaves_the_introspection_modules_unloaded():
+    # dataclasses imports inspect, which imports ast, dis and tokenize: about
+    # a third of a cold `import dgb.cli`, paid by every run of the command.
+    added = json.loads(_python(_ADDED_MODULES))
+    assert "dgb.cli" in added
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(added)

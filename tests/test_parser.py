@@ -39,7 +39,7 @@ from hypothesis import strategies as st
 
 import golden_cycle8
 import golden_navier
-from dgb import CoefficientSizeError, DGBError, ParseError
+from dgb import CoefficientSizeError, DGBError, ParseError, format_monomial, format_polynomial
 from dgb.cli import MAX_NESTING, MAX_POWER_WORK, parse_polynomial, parse_problem, run, tokenize
 from helpers import make_ring, reference_ideal_polynomials, reference_parse_polynomial
 from test_cli_snapshots import CASES
@@ -55,6 +55,7 @@ RING_XY = make_ring(2, ("x", "y"), ("H", "K"))
 
 DIGITS = sys.get_int_max_str_digits()  # the longest literal int() converts
 LONG = "1" * (DIGITS + 1)
+NINES = "9" * DIGITS  # the largest exponent a literal can give
 
 _OPEN_PAREN_FOUND = {"trailing input '('", "expected ')', found '('", "expected ';', found '('"}
 
@@ -331,6 +332,12 @@ MESSAGES = [
      (f"power ^20000 gives a coefficient of more than {DIGITS} digits", 1, 9)),
     (RING_X, "2*x(0) - " + LONG + "*x(1)",
      (f"integer literal of {len(LONG)} digits exceeds the limit of {DIGITS} digits", 1, 10)),
+    (RING_X, f"(x(0)^{NINES})^2",
+     (f"power gives an exponent of more than {DIGITS} digits", 1, DIGITS + 8)),
+    (RING_X, f"x(1) + x(0)^{NINES}*x(0)",
+     (f"product gives an exponent of more than {DIGITS} digits", 1, DIGITS + 13)),
+    (RING_XY, f"x(0,0)/H^{NINES}/H",
+     (f"quotient gives an exponent of more than {DIGITS} digits", 1, DIGITS + 10)),
     (None, R1 + R1, ("duplicate ring block", 2, 1)),
     (None, "ideal { x(0); }", ("ideal block before ring block", 1, 1)),
     (None, "symmetric { perm: (1 2); }", ("symmetric block before ring block", 1, 1)),
@@ -378,7 +385,7 @@ def test_every_message_is_positioned(ring, text, outcome):
             assert got == expected == outcome
     else:
         assert _outcome(parse_polynomial, ring, text) == outcome
-        if not outcome[0].startswith(("parentheses nested", "power ^")):
+        if not outcome[0].startswith(("parentheses nested", "power ", "product ", "quotient ")):
             _assert_matches_reference(ring, text)
 
 
@@ -613,6 +620,60 @@ def test_format_refuses_an_integer_past_the_digit_limit():
     for value in (h * 10 ** DIGITS, h ** (10 ** DIGITS)):
         with pytest.raises(CoefficientSizeError):
             RING_XY.field.format(value)
+
+
+def test_exponents_past_the_digit_limit_are_positioned_errors():
+    # An exponent that a power, product or quotient pushes to DIGITS + 1
+    # digits is refused at its operator, for a symbol or a parameter; one of
+    # DIGITS digits is kept, however it was reached.
+    def refused(what, text):
+        at = text.rindex({"power": "^", "product": "*", "quotient": "/"}[what])
+        return f"{what} gives an exponent of more than {DIGITS} digits", 1, at + 1
+
+    top = 10 ** DIGITS - 1
+    half = "5" + "0" * (DIGITS - 1)  # (top + 1) / 2
+    kept = [(RING_X, f"x(0)^{NINES}"), (RING_X, f"(x(0)^{NINES})^1*x(1)^{NINES}"),
+            (RING_X, f"x(0)^{top - 1}*x(0)"), (RING_X, f"x(0)^{half}*x(0)^{int(half) - 1}"),
+            (RING_X, f"(x(0)^{NINES[:-1]}*x(1))^10"), (RING_XY, f"H^{NINES}*x(0,0)"),
+            (RING_XY, f"x(0,0)/H^{top - 1}/H"), (RING_XY, f"(K*H^{NINES})^1*x(0,0)")]
+    for ring, text in kept:
+        format_polynomial(parse_polynomial(ring, text))  # every exponent converts
+    assert parse_polynomial(RING_XY, f"x(0,0)/H^{top - 1}/H").lc.den == {(top, 0): 1}
+    for ring, what, text in [
+            (RING_X, "power", f"(x(0)^{NINES})^2"),
+            (RING_X, "power", f"(x(0)^{NINES[:-1]}*x(1) + 1)^11"),
+            (RING_X, "product", f"x(0)^{half}*x(0)^{half}"),
+            (RING_X, "product", f"x(1)*(x(0)^{NINES} + 1)*(x(0) + 1)"),
+            (RING_XY, "power", f"(H^{NINES})^{NINES}*x(0,0)"),
+            (RING_XY, "product", f"x(0,0)*H*H^{NINES}"),
+            (RING_XY, "quotient", f"x(0,0)/H^{NINES}/H"),
+            (RING_XY, "quotient", f"x(0,0)/(2*K^{NINES})/K")]:
+        assert _outcome(parse_polynomial, ring, text) == refused(what, text), text[:30]
+
+
+def test_format_refuses_an_exponent_past_the_digit_limit():
+    # An exponent computed past the limit outside the parser, as by
+    # Polynomial arithmetic, prints as a typed error.
+    top = 10 ** DIGITS - 1
+    assert format_monomial(RING_X.monomial([(0, (1,), top)]), RING_X) == f"x(1)^{NINES}"
+    half = RING_X.monomial([(0, (1,), (top + 1) // 2)])
+    for m in (RING_X.monomial([(0, (1,), top + 1)]), half * half):
+        with pytest.raises(CoefficientSizeError, match="an exponent is an integer of more than"):
+            format_monomial(m, RING_X)
+    h = RING_XY.field.parameter("H")
+    with pytest.raises(CoefficientSizeError, match="an exponent is an integer of more than"):
+        RING_XY.field.format(h ** (top + 1))
+
+
+def test_cli_refuses_exponents_past_the_digit_limit(tmp_path, capsys):
+    problem = tmp_path / "p.dgb"
+    problem.write_text(R1 + "ideal { x(1) - x(0); }\n")
+    nines = "9" * 3000
+    assert run(["reduce", "--input", str(problem), "--poly", f"(x(0)^{nines})^{nines}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"dgb: power gives an exponent of more than {DIGITS} digits "
+                            f"at line 1, column {len(nines) + 8}\n")
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"], ["--certificate"], ["--json", "--certificate"]],
