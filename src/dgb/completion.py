@@ -28,7 +28,7 @@ from operator import sub
 from .errors import InternalCheckError, RingMismatchError
 from .records import Factory, Record
 from .reduction import ReducerBasis, reduce, reduce_full
-from .ring import _merge, shifted_spoly
+from .ring import shifted_spoly
 
 
 class CompletionOptions(Record, frozen=True):
@@ -158,10 +158,12 @@ class _Run:
     order.  A pair whose overlap is waiting is appended to its group and
     needs no key and no heap push.  The loop takes the first id of the
     group on top of the heap and pops the entry, dropping it from waiting,
-    when that empties the group.  An overlap is one merge of two shifted
-    leading monomials, each a factor tuple kept for the run per (element,
-    shift), and the shift pairs of two elements come from per-run
-    derivations of their factor shifts (shift_pair_candidates).
+    when that empties the group.  An overlap is the lcm of two shifted
+    leading monomials, merged inline from their factor tuples, and
+    shifted[i][sigma] keeps the factor tuple of sigma*lm(G[i]) for the run,
+    one table per element, so a push looks a shifted lead up by its shift
+    alone.  The shift pairs of two elements come from per-run derivations
+    of their factor shifts (shift_pair_candidates).
 
     *Pop order.*  Pairs pop exactly as from a heap of (order, flat key,
     seq) per pair, seq counting pushes.  A group is in the heap iff it is
@@ -178,25 +180,28 @@ class _Run:
 
     *Divisor list.*  A chain query reads its group's divisor list, then
     resumes the group's suspended search (ReducerBasis.divisor_runs), made
-    over the reducer's first size elements in the killer-first order of
-    the query that started it, and appends what it yields.  A resume reads
-    one index and yields all of its hits, and the query appends them all
-    before it tests any, so the list is always the complete hits of the
-    indices read so far, in search order, and the unread remainder is the
-    search over the other indices.  So list plus remainder is iter_divisors
-    on the overlap over the first size elements in that order, whichever
-    pairs read before and wherever they stopped: a query drops no item and
-    reads none twice, and an item once appended stays.  Its set is the
-    (k, nu) with k < size and nu*lm(G[k]) dividing the overlap, which
-    depends only on the overlap and on leading monomials that never change,
-    as elements are only appended.  So while the reducer's length is
-    unchanged every query of the group may read the same set, whichever
-    pair it serves and whatever killers that pair has.  The test asks
-    whether some member certifies both halves, reading the group's ids at
-    each query, so neither the order nor the queries before change an
-    answer.  An element appended since may divide the overlap and certify
-    both halves (its pairs with smaller overlaps may have been treated in
-    between), so a grown reducer starts a new list and a new search.
+    over the reducer's first size elements in the killer-first order of the
+    query that started it, and appends what it yields.  That query passes
+    the killers of its two halves as a tuple of at most two distinct
+    indices, the left half's first, which the search tries before the other
+    indices in index order.  A resume reads one index and yields all of its
+    hits, and the query appends them all before it tests any, so the list
+    is always the complete hits of the indices read so far, in search
+    order, and the unread remainder is the search over the other indices.
+    So list plus remainder is iter_divisors on the overlap over the first
+    size elements in that order, whichever pairs read before and wherever
+    they stopped: a query drops no item and reads none twice, and an item
+    once appended stays.  Its set is the (k, nu) with k < size and
+    nu*lm(G[k]) dividing the overlap, which depends only on the overlap and
+    on leading monomials that never change, as elements are only appended.
+    So while the reducer's length is unchanged every query of the group may
+    read the same set, whichever pair it serves and whatever killers that
+    pair has.  The test asks whether some member certifies both halves,
+    reading the group's ids at each query, so neither the order nor the
+    queries before change an answer.  An element appended since may divide
+    the overlap and certify both halves (its pairs with smaller overlaps
+    may have been treated in between), so a grown reducer starts a new list
+    and a new search.
 
     *Certified pairs.*  When the pair with overlap m is popped, a pair of
     shifted elements a, c that both divide m is certified (product
@@ -237,25 +242,44 @@ class _Run:
         self.waiting = {}
         self.killer = {}
         self.derived = {}  # (alpha, beta) -> shift pair, see shift_pair_candidates
-        self.shifted = {}  # (i, sigma) -> the factor tuple of sigma*lm(G[i])
+        self.shifted = [{} for _ in G]  # shifted[i][sigma]: the factor tuple of sigma*lm(G[i])
 
     def _shifted_lead(self, i, sigma):
         """The factor tuple of sigma*lm(G[i]), kept for the run."""
-        factors = self.shifted[i, sigma] = self.reducer.polys[i].lm.shift(sigma).factors
+        factors = self.shifted[i][sigma] = self.reducer.polys[i].lm.shift(sigma).factors
         return factors
 
     def _push_pairs(self, i, j):
-        reducer, stats, waiting, shifted = self.reducer, self.stats, self.waiting, self.shifted
+        reducer, stats, waiting = self.reducer, self.stats, self.waiting
         ordering = reducer.ring.ordering
         pairs, raw = shift_pair_candidates(reducer.leads[i], reducer.leads[j], i == j,
                                            self.derived)
         if raw == 0:
             stats.killed_product += 1
         stats.killed_sigma += raw - len(pairs)
+        leads_i, leads_j = self.shifted[i], self.shifted[j]
         for sigma, tau in pairs:
             # a leading monomial is not 1, so its factor tuple is never empty
-            overlap = _merge(shifted.get((i, sigma)) or self._shifted_lead(i, sigma),
-                             shifted.get((j, tau)) or self._shifted_lead(j, tau), max)
+            fa = leads_i.get(sigma) or self._shifted_lead(i, sigma)
+            fb = leads_j.get(tau) or self._shifted_lead(j, tau)
+            # the overlap, lcm of the two: ring._merge(fa, fb, max), inlined
+            # as it runs once per pair
+            out = []
+            a = b = 0
+            la, lb = len(fa), len(fb)
+            while a < la and b < lb:
+                pa, pb = fa[a], fb[b]
+                if pa[0] == pb[0]:
+                    out.append(pa if pa[1] >= pb[1] else pb)
+                    a += 1
+                    b += 1
+                elif pa[0] > pb[0]:
+                    out.append(pa)
+                    a += 1
+                else:
+                    out.append(pb)
+                    b += 1
+            overlap = (*out, *fa[a:], *fb[b:])
             group = waiting.get(overlap)
             if group is None:  # a waiting overlap fits under the bound
                 bound = ordering.order(overlap)
@@ -277,7 +301,12 @@ class _Run:
         i, j = a[0], b[0]
         size = len(reducer.polys)
         if group.size != size:
-            first = {killer[n]: None for n in (i, j) if n in killer}
+            # the killers of both halves, distinct, for divisor_runs to try first
+            ki, kj = killer.get(i), killer.get(j)
+            if ki is None:
+                first = () if kj is None else (kj,)
+            else:
+                first = (ki,) if kj is None or kj == ki else (ki, kj)
             group.size = size
             group.divisors = []
             group.rest = reducer.divisor_runs(group.factors, first)
@@ -326,6 +355,7 @@ class _Run:
             if h.lm.is_one:
                 return [self.reducer.ring.one], False
             self.reducer.append(h)
+            self.shifted.append({})
             stats.new_elements += 1
             new = len(G) - 1
             for t in range(new + 1):

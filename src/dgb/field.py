@@ -439,14 +439,21 @@ def _gcd(f, g, v=0):
 
 
 def _evaluate(f, v, x):
-    """f with parameter v set to the integer x."""
-    powers = [1]
-    for _ in range(max(e[v] for e in f)):
-        powers.append(powers[-1] * x)
-    h = {}
+    """f with parameter v set to the integer x.  The distinct exponents of
+    v are walked in ascending order with one running power of x, so memory
+    follows the result, not the square of the degree; the result keeps the
+    order in which f first meets each of its monomials."""
+    h, by_exponent = {}, {}
     for e, c in f.items():
         m = e[:v] + (0,) + e[v + 1:]
-        h[m] = h.get(m, 0) + c * powers[e[v]]
+        h[m] = 0
+        by_exponent.setdefault(e[v], []).append((m, c))
+    power, last = 1, 0
+    for k in sorted(by_exponent):
+        power *= x ** (k - last)
+        last = k
+        for m, c in by_exponent[k]:
+            h[m] += c * power
     return {m: c for m, c in h.items() if c}
 
 

@@ -187,21 +187,6 @@ def _merge(fa, fb, combine):
     return tuple(out)
 
 
-def shifted_lcm(m, s, n, t):
-    """The factor tuple of m.shift(s).lcm(n.shift(t)), merged in one pass
-    and with no Monomial built.  A zero shift moves nothing, so it is
-    neither applied nor checked."""
-    ordering = m.ordering or n.ordering
-    fa, fb = m.factors, n.factors
-    if fa and any(s):
-        offset = ordering.offset(s, ordering.order(fa))
-        fa = [(var + offset, e) for var, e in fa]
-    if fb and any(t):
-        offset = ordering.offset(t, ordering.order(fb))
-        fb = [(var + offset, e) for var, e in fb]
-    return _merge(fa, fb, max)
-
-
 class DifferenceRing:
     """A signature, a constant field and a block ordering, bundled.
 

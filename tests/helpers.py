@@ -14,7 +14,7 @@ from dgb.completion import shift_pair_candidates
 from dgb.orderings import DEGLEX, LEX
 from dgb.quotient import groebner_gamma_basis
 from dgb.reduction import ReducerBasis, reduce_full
-from dgb.ring import shifted_lcm, spoly
+from dgb.ring import _merge, spoly
 
 
 def make_ring(rank=1, symbols=("x",), parameters=(), spec=None):
@@ -140,6 +140,35 @@ def monomial_gcd(m, n):
     exps = dict(n.factors)
     return Monomial([(var, min(e, exps[var])) for var, e in m.factors if var in exps],
                     m.ordering or n.ordering)
+
+
+def shifted_lcm(m, s, n, t):
+    """The factor tuple of m.shift(s).lcm(n.shift(t)), merged in one pass
+    and with no Monomial built: the overlap of a queued pair in
+    ReferenceRun.  A zero shift moves nothing, so it is neither applied
+    nor checked."""
+    ordering = m.ordering or n.ordering
+    fa, fb = m.factors, n.factors
+    if fa and any(s):
+        offset = ordering.offset(s, ordering.order(fa))
+        fa = [(var + offset, e) for var, e in fa]
+    if fb and any(t):
+        offset = ordering.offset(t, ordering.order(fb))
+        fb = [(var + offset, e) for var, e in fb]
+    return _merge(fa, fb, max)
+
+
+def dense_evaluate(f, v, x):
+    """field._evaluate by a list of every power of x up to the degree in
+    parameter v: the reference for the running-power walk."""
+    powers = [1]
+    for _ in range(max(e[v] for e in f)):
+        powers.append(powers[-1] * x)
+    h = {}
+    for e, c in f.items():
+        m = e[:v] + (0,) + e[v + 1:]
+        h[m] = h.get(m, 0) + c * powers[e[v]]
+    return {m: c for m, c in h.items() if c}
 
 
 def instance_id(i, si, j, sj):

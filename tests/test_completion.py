@@ -16,7 +16,7 @@ from dgb.completion import (CompletionOptions, PairStats, _minimalize_elements, 
 from dgb.orderings import DEGLEX, DEGREVLEX, LEX
 from dgb.quotient import (PermutationAction, groebner_gamma_basis, normal_variables,
                           pure_power_table, symmetric_setup)
-from dgb.reduction import reduce, reduce_full
+from dgb.reduction import ReducerBasis, reduce, reduce_full
 
 from helpers import (ReferenceRun, enumerate_up_to_degree, instance_id, is_order_homogeneous,
                      make_ring, monomial_gcd, mono_to_oracle, oracle_key, random_monomial,
@@ -823,6 +823,39 @@ def test_limits_are_passed_as_keywords_only():
         sigma_gbasis([f], max_pair_budget=0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         CompletionOptions().max_pair_budget = 1
+
+
+@pytest.mark.parametrize("killer, first", [
+    ({}, ()), ({0: 1}, (1,)), ({1: 0}, (0,)), ({0: 1, 1: 0}, (1, 0)),
+    ({0: 1, 1: 1}, (1,)), ({0: 0, 1: 0}, (0,))])
+def test_chain_query_tries_the_killers_of_both_halves_first(monkeypatch, killer, first):
+    # a query that starts a search tries the killers of its two halves first,
+    # each once, the left one first, even when both halves share a killer;
+    # the decision does not depend on them
+    ring = R1()
+    G = [x(ring, 0) * x(ring, 2) - x(ring, 1, 2), x(ring, 0) * x(ring, 3) - x(ring, 1) * x(ring, 2)]
+    run = _Run([g.monic() for g in G], CompletionOptions(), None, PairStats())
+    for j in range(2):
+        for i in range(j + 1):
+            run._push_pairs(i, j)
+    group = next(g for *_, g in sorted(run.queue) if g.ids[0][0] != g.ids[0][2])
+    i, sigma, j, tau = group.ids.pop(0)
+    a, b = (i, sigma), (j, tau)
+    assert (i, j) == (0, 1)
+    searches = []
+    divisor_runs = ReducerBasis.divisor_runs
+
+    def recorded(basis, factors, first=()):
+        searches.append(first)
+        return divisor_runs(basis, factors, first)
+
+    monkeypatch.setattr(ReducerBasis, "divisor_runs", recorded)
+    run.killer = dict(killer)
+    got = run._chain_skippable(a, b, group)
+    assert searches == [first]
+    overlap = Monomial(group.factors, ring.ordering)
+    assert got == any(c not in (a, b) and not _waits(group, a, c) and not _waits(group, c, b)
+                      for c in run.reducer.iter_divisors(overlap))
 
 
 # --- verification --------------------------------------------------------------

@@ -127,6 +127,30 @@ def test_indexed_search_matches_linear_scan(ring_index):
     assert hits > 0  # the targets are built to be divisible
 
 
+def test_first_indices_are_searched_first_and_once():
+    # iter_divisors(target, first): the distinct indices of first in their
+    # order, then the others lowest index first, every hit exactly once,
+    # whether first is empty, names one index or repeats one; divisor_runs
+    # gives the same hits, one list per index, for the distinct first
+    ring = make_ring(1, ("x",))
+    x = [ring.var("x", (k,)) for k in range(4)]
+    polys = [x[1], x[0] * x[1], x[2] * x[2], x[0]]
+    basis = ReducerBasis(polys)
+    target = (x[0] * x[1] * x[2] * x[2] * x[3]).lm
+    expected = [h[:2] for h in reference_iter_divisors(polys, target)]
+    assert {k for k, _ in expected} == {0, 1, 2, 3}
+    assert len(expected) == len(set(expected)) > 4  # x(1) and x(0) have several shifts
+    for first, order in [((), (0, 1, 2, 3)), ((2,), (2, 0, 1, 3)), ((3, 3), (3, 0, 1, 2)),
+                         ((1, 3, 1), (1, 3, 0, 2)), ((2, 0, 2, 0), (2, 0, 1, 3)),
+                         ((3, 2, 1, 0), (3, 2, 1, 0))]:
+        ordered = [h for k in order for h in expected if h[0] == k]
+        assert list(basis.iter_divisors(target, first)) == ordered, first
+        distinct = tuple(dict.fromkeys(first))
+        runs = list(basis.divisor_runs(target.factors, distinct))
+        assert [hits[0][0] for hits in runs] == list(order)
+        assert [h for hits in runs for h in hits] == ordered
+
+
 def test_appended_elements_are_indexed():
     ring = make_ring(2, ("x", "y"))
     rng = random.Random(11)

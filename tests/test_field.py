@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -7,8 +8,11 @@ from sympy import QQ, ZZ
 from sympy.polys.fields import field as sympy_field
 from sympy.polys.rings import ring as sympy_ring
 
-from dgb import ConstantField
+from dgb import ConstantField, DifferenceRing, Signature
 from dgb import field as field_module
+from dgb.cli import parse_polynomial
+
+from helpers import dense_evaluate
 
 
 def test_plain_rationals():
@@ -369,3 +373,33 @@ def test_unit_denominator_products_match_the_reference(parameters, monkeypatch):
         units = [list(ours[x].den.values()) == [1] for x in (a, b)]
         assert len(contents) == 2 - sum(units), (a, b)
         _assert_same_value(F, ours[a] / ours[b], theirs[a] / theirs[b])
+
+
+def test_evaluate_matches_the_dense_reference():
+    # the running power over the distinct exponents gives the dense
+    # evaluation's values, in the same monomial order
+    rng = random.Random(41)
+    for _ in range(600):
+        nvars = rng.randint(1, 3)
+        f = _random_integer_polynomial(rng, nvars)
+        if rng.random() < 0.3:  # a sparse high power
+            f[tuple(rng.choice((0, rng.randint(20, 200))) for _ in range(nvars))] = rng.randint(1, 9)
+        v = rng.randrange(nvars)
+        x = rng.choice((0, 1, -1, rng.randint(2, 10**6)))
+        got, expected = field_module._evaluate(f, v, x), dense_evaluate(f, v, x)
+        assert got == expected and list(got) == list(expected)
+
+
+def test_evaluating_a_sparse_high_power_keeps_memory_small():
+    # the gcd of H^N and H*K + 1 evaluates H^N at a large point; a list of
+    # every power up to N took 132.9 MB at N = 20,000 and ran out of memory
+    # under 1 GB at N = 100,000, where one running power needs well under 1 MB
+    ring = DifferenceRing(Signature(1, ("x",), ("H", "K")))
+    tracemalloc.start()
+    try:
+        p = parse_polynomial(ring, "(1/H^20000 + 1/(H*K+1))*x(0)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(p.terms) == 1
+    assert peak < 8_000_000

@@ -18,9 +18,7 @@ from dgb import (MAX_SHIFT_DEGREE, ExactDivisionError, OrderingSpec, RankMismatc
                  ReducerBasis, ShiftWidthError)
 from dgb.completion import shift_pair_candidates
 from dgb.orderings import DEGLEX, DEGREVLEX, LEX
-from dgb.ring import shifted_lcm
-
-from helpers import enumerate_up_to_degree, make_ring
+from helpers import enumerate_up_to_degree, make_ring, shifted_lcm
 
 R3 = make_ring(3, ("x",))
 
