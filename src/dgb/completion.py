@@ -28,7 +28,7 @@ from operator import sub
 from .errors import InternalCheckError, RingMismatchError
 from .records import Factory, Record
 from .reduction import ReducerBasis, reduce, reduce_full
-from .ring import shifted_spoly
+from .ring import _lcm, shifted_spoly
 
 
 class CompletionOptions(Record, frozen=True):
@@ -159,7 +159,7 @@ class _Run:
     needs no key and no heap push.  The loop takes the first id of the
     group on top of the heap and pops the entry, dropping it from waiting,
     when that empties the group.  An overlap is the lcm of two shifted
-    leading monomials, merged inline from their factor tuples, and
+    leading monomials, one ring._lcm of their factor tuples, and
     shifted[i][sigma] keeps the factor tuple of sigma*lm(G[i]) for the run,
     one table per element, so a push looks a shifted lead up by its shift
     alone.  The shift pairs of two elements come from per-run derivations
@@ -260,26 +260,8 @@ class _Run:
         leads_i, leads_j = self.shifted[i], self.shifted[j]
         for sigma, tau in pairs:
             # a leading monomial is not 1, so its factor tuple is never empty
-            fa = leads_i.get(sigma) or self._shifted_lead(i, sigma)
-            fb = leads_j.get(tau) or self._shifted_lead(j, tau)
-            # the overlap, lcm of the two: ring._merge(fa, fb, max), inlined
-            # as it runs once per pair
-            out = []
-            a = b = 0
-            la, lb = len(fa), len(fb)
-            while a < la and b < lb:
-                pa, pb = fa[a], fb[b]
-                if pa[0] == pb[0]:
-                    out.append(pa if pa[1] >= pb[1] else pb)
-                    a += 1
-                    b += 1
-                elif pa[0] > pb[0]:
-                    out.append(pa)
-                    a += 1
-                else:
-                    out.append(pb)
-                    b += 1
-            overlap = (*out, *fa[a:], *fb[b:])
+            overlap = _lcm(leads_i.get(sigma) or self._shifted_lead(i, sigma),
+                           leads_j.get(tau) or self._shifted_lead(j, tau))
             group = waiting.get(overlap)
             if group is None:  # a waiting overlap fits under the bound
                 bound = ordering.order(overlap)

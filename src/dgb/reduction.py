@@ -43,17 +43,18 @@ class ReducerBasis:
 
     Each element keeps its decoded leading monomial (leads) and its shape:
     the total degree, the spread (largest minus smallest packed variable),
-    the anchor (the largest variable), every factor as an offset from the
-    anchor, and its hits met so far by anchor image (see divisor_runs).
-    Shifting changes neither degree nor spread, so an element whose degree
-    or spread exceeds the target's is skipped before any shift is tried.
+    the anchor (the largest variable) and its shift, every factor as an
+    offset from the anchor, and the order.  Shifting changes neither degree
+    nor spread, so an element whose degree or spread exceeds the target's
+    is skipped before any shift is tried.
     """
 
-    __slots__ = ("ring", "polys", "leads", "_shapes")
+    __slots__ = ("ring", "polys", "leads", "_shapes", "_shift_of")
 
     def __init__(self, polys):
         self.ring = None
         self.polys, self.leads, self._shapes = [], [], []
+        self._shift_of = {}  # packed variable -> its shift, decoded once
         for p in polys:
             self.append(p)
 
@@ -78,17 +79,37 @@ class ReducerBasis:
         factors = m.factors
         anchor = factors[0][0]
         offsets = tuple([(var - anchor, e) for var, e in factors])
-        self._shapes.append((m.total_degree, anchor - factors[-1][0], anchor, offsets, {}))
+        self._shapes.append((m.total_degree, anchor - factors[-1][0], anchor,
+                             self.leads[-1][0][0].shift, offsets, m.order))
 
-    def _hit(self, index, w):
-        """(index, s) for the shift s that maps the anchor of element index
-        onto the variable w of its symbol, or None when s has a negative
-        entry or moves the leading monomial past MAX_SHIFT_DEGREE."""
-        lm = self.polys[index].lm
-        s = tuple(map(sub, self.ring.ordering.decode(w).shift, self.leads[index][0][0].shift))
-        if min(s) >= 0 and lm.order + sum(s) <= MAX_SHIFT_DEGREE:
-            return index, s
-        return None
+    def _shifts_into(self, index, shape, factors, exps):
+        """(index, s) for each shift s with s*lm dividing the target with
+        the given factors and exponent map, lm the leading monomial of the
+        element index, of the given shape; ascending in the shift ordering."""
+        _, _, anchor, beta, offsets, order = shape
+        ordering = self.ring.ordering
+        n = ordering.n_symbols
+        shift_of = self._shift_of
+        out = []
+        # a shift s >= 0 maps the anchor onto a variable w >= anchor of its
+        # symbol, and descending w is descending shift_key(s)
+        for w, _ in factors:
+            if w < anchor:
+                break
+            if (w - anchor) % n:
+                continue
+            for off, e in offsets:
+                if exps.get(w + off, 0) < e:
+                    break
+            else:
+                shift = shift_of.get(w)
+                if shift is None:
+                    shift = shift_of[w] = ordering.decode(w).shift
+                s = tuple(map(sub, shift, beta))
+                if min(s) >= 0 and order + sum(s) <= MAX_SHIFT_DEGREE:
+                    out.append((index, s))
+        out.reverse()
+        return out
 
     def divisor_runs(self, factors, first=()):
         """For each index whose shifted leading monomials divide the
@@ -96,22 +117,12 @@ class ReducerBasis:
         s ascending in the shift ordering: the indices in first, which are
         distinct, then the others lowest index first.  The search is lazy,
         one index per resume, and covers the indices present when it is
-        made.
-
-        An index is skipped when its degree, spread or anchor exceeds the
-        target's.  Else a shift s >= 0 maps the anchor onto a variable
-        w >= anchor of its symbol, descending w is descending shift_key(s),
-        and the other factors are probed at their offsets from w.  The hit
-        for w depends on the element and w alone, so each element keeps its
-        hits (None for a shift out of range) by w."""
-        if not self._shapes:
-            return
+        made."""
         exps = dict(factors)
         degree = sum(exps.values())
         # the largest variable and the spread; -1 lies below every variable
         top, spread = (factors[0][0], factors[0][0] - factors[-1][0]) if factors else (-1, 0)
         shapes = self._shapes
-        n = self.ring.ordering.n_symbols
         # first, then every index but those of first
         skip = ()
         for walk in (first, range(len(shapes))):
@@ -121,28 +132,10 @@ class ReducerBasis:
                 shape = shapes[index]
                 if shape is None:  # a constant element divides everything
                     yield [(index, (0,) * self.ring.signature.shift_rank)]
-                    continue
-                if shape[0] > degree or shape[1] > spread or shape[2] > top:
-                    continue
-                _, _, anchor, offsets, known = shape
-                hits = []
-                for w, _ in factors:
-                    if w < anchor:
-                        break
-                    if (w - anchor) % n:
-                        continue
-                    for off, e in offsets:
-                        if exps.get(w + off, 0) < e:
-                            break
-                    else:
-                        hit = known.get(w, False)
-                        if hit is False:
-                            hit = known[w] = self._hit(index, w)
-                        if hit is not None:
-                            hits.append(hit)
-                if hits:
-                    hits.reverse()
-                    yield hits
+                elif shape[0] <= degree and shape[1] <= spread and shape[2] <= top:
+                    hits = self._shifts_into(index, shape, factors, exps)
+                    if hits:
+                        yield hits
             skip = first
 
     def iter_divisors(self, target: Monomial, first=()):

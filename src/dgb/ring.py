@@ -99,8 +99,7 @@ class Monomial:
                         self.ordering or other.ordering)
 
     def lcm(self, other):
-        return Monomial(_merge(self.factors, other.factors, max),
-                        self.ordering or other.ordering)
+        return Monomial(_lcm(self.factors, other.factors), self.ordering or other.ordering)
 
     def divides(self, other):
         pos = {var: e for var, e in other.factors}
@@ -181,6 +180,31 @@ def _merge(fa, fb, combine):
             i += 1
         else:
             out.append((vb, eb))
+            j += 1
+    out.extend(fa[i:])
+    out.extend(fb[j:])
+    return tuple(out)
+
+
+def _lcm(fa, fb):
+    """The factor tuple of the lcm of two monomials with descending factor
+    tuples fa and fb: _merge(fa, fb, max), with a shared variable keeping
+    the larger of its two factor pairs, so no pair is built.  It runs once
+    per critical pair."""
+    out = []
+    i = j = 0
+    la, lb = len(fa), len(fb)
+    while i < la and j < lb:
+        pa, pb = fa[i], fb[j]
+        if pa[0] == pb[0]:
+            out.append(pa if pa[1] >= pb[1] else pb)
+            i += 1
+            j += 1
+        elif pa[0] > pb[0]:
+            out.append(pa)
+            i += 1
+        else:
+            out.append(pb)
             j += 1
     out.extend(fa[i:])
     out.extend(fb[j:])
@@ -416,7 +440,7 @@ def shifted_spoly(f: Polynomial, s, g: Polynomial, t) -> Polynomial:
     one = f.ring.field.one
     a, b = f.offset(s), g.offset(t)
     fa, fb = f.lm.factors, g.lm.factors
-    lcm = _merge([(var + a, e) for var, e in fa], [(var + b, e) for var, e in fb], max)
+    lcm = _lcm([(var + a, e) for var, e in fa], [(var + b, e) for var, e in fb])
     terms = _add_multiple((), 0, f, a, one / f.lc, _cofactor(lcm, fa, a), 1)
     return Polynomial(f.ring, tuple(_add_multiple(terms, 0, g, b, -one / g.lc,
                                                  _cofactor(lcm, fb, b), 1)))

@@ -14,7 +14,7 @@ from dgb.completion import shift_pair_candidates
 from dgb.orderings import DEGLEX, LEX
 from dgb.quotient import groebner_gamma_basis
 from dgb.reduction import ReducerBasis, reduce_full
-from dgb.ring import _merge, spoly
+from dgb.ring import _lcm, spoly
 
 
 def make_ring(rank=1, symbols=("x",), parameters=(), spec=None):
@@ -155,7 +155,7 @@ def shifted_lcm(m, s, n, t):
     if fb and any(t):
         offset = ordering.offset(t, ordering.order(fb))
         fb = [(var + offset, e) for var, e in fb]
-    return _merge(fa, fb, max)
+    return _lcm(fa, fb)
 
 
 def dense_evaluate(f, v, x):
