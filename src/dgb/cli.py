@@ -41,7 +41,6 @@ import math
 import re
 import sys
 import time
-from operator import add
 from typing import NamedTuple
 
 from .completion import (CompletionOptions, interreduce, minimalize,
@@ -55,7 +54,7 @@ from .quotient import (LinearRelation, PermutationAction, QuotientPresentation,
 from .records import Factory, Record
 from .reduction import reduce as head_reduce
 from .reduction import replay_certificate
-from .ring import (DifferenceRing, Monomial, Polynomial, Signature, _merge,
+from .ring import (DifferenceRing, Signature, _add, _polynomial, _power, _product,
                    format_monomial, format_polynomial)
 
 _TOKEN = re.compile(r"[ \t\r\n]+|#[^\n]*|(?P<int>\d+)|(?P<ident>[^\W\d]\w*)"
@@ -317,7 +316,7 @@ class _Parser:
         self.expect("{")
         out = []
         while not self.at("}"):
-            out.append(self.parse_expr(ring))
+            out.append(_polynomial(ring, self.parse_terms(ring)))
             self.expect(";")
         self.expect("}")
         return out
@@ -340,12 +339,9 @@ class _Parser:
     #   atom   := int | parameter | symbol '(' int (',' int)* ')' | '(' expr ')'
     #
     # An expression evaluates to a term dict: packed factor tuple (the form
-    # of Monomial.factors) -> nonzero coefficient.  Each value is a fresh
-    # dict that its reader owns, so a sum adds into it in place.
-
-    def parse_expr(self, ring):
-        """The expression at the current token, as a Polynomial."""
-        return _polynomial(ring, self.parse_terms(ring))
+    # of Monomial.factors) -> nonzero coefficient, added, multiplied and
+    # raised by ring.py's term-dict kernel.  Each value is a fresh dict that
+    # its reader owns, so a sum adds into it in place.
 
     def parse_terms(self, ring):
         """The expression at the current token, as a term dict.  One loop
@@ -506,57 +502,6 @@ class _Parser:
         return {f: c * inverse for f, c in term.items()}
 
 
-def _add(total, terms, minus):
-    """total += terms (or -= when minus), in place, dropping zeros."""
-    for f, c in terms.items():
-        old = total.get(f)
-        if old is None:
-            total[f] = -c if minus else c
-        else:
-            c = old - c if minus else old + c
-            if c:
-                total[f] = c
-            else:
-                del total[f]
-
-
-def _product(a, b):
-    """The term dict of a*b.  A one-term side moves the other's exponent
-    vectors by one monomial, which merges no two terms."""
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        (fb, cb), = b.items()
-        return {_merge(f, fb, add): c * cb for f, c in a.items()}
-    out = {}
-    for fa, ca in a.items():
-        for fb, cb in b.items():
-            f = _merge(fa, fb, add)
-            c = ca * cb
-            old = out.get(f)
-            out[f] = c if old is None else old + c
-    return {f: c for f, c in out.items() if c}
-
-
-def _power(ring, base, e):
-    """base^e: zero or a single term c*m directly, as c^e * m^e, else by
-    products."""
-    if len(base) < 2 and e:
-        return {tuple([(var, k * e) for var, k in f]): c ** e for f, c in base.items()}
-    out = {(): ring.field.one}
-    for _ in range(e):
-        out = _product(out, base)
-    return out
-
-
-def _polynomial(ring, terms):
-    """The Polynomial of a term dict: one Monomial per term, one sort."""
-    ordering = ring.ordering
-    out = [(Monomial(f, ordering) if f else Monomial.ONE, c) for f, c in terms.items()]
-    out.sort(key=lambda t: t[0].key, reverse=True)
-    return Polynomial(ring, tuple(out))
-
-
 def parse_problem(text) -> ProblemFile:
     return _Parser(text).parse_problem()
 
@@ -564,7 +509,7 @@ def parse_problem(text) -> ProblemFile:
 def parse_polynomial(ring, text):
     """Parse a single polynomial expression over an existing ring."""
     parser = _Parser(text)
-    poly = parser.parse_expr(ring)
+    poly = _polynomial(ring, parser.parse_terms(ring))
     tok = parser.peek()
     if tok.kind != "eof":
         parser.fail(f"trailing input {tok.value!r}", tok)

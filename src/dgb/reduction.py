@@ -22,8 +22,9 @@ monomial lm(h), so the difference has coefficient exactly 0 there in the
 exact field, while every other product term lies below lm(h), as the
 ordering is multiplicative and respects shifts.  tail_reduce makes the
 same step at the first reducible term: the terms above it are left alone
-by the step, so that run moves to the output once.  S-polynomials and
-certificate replay take the same merge.
+by the step, so that run moves to the output once.  The same merge serves
+replay_certificate, ring.shifted_spoly and spoly, and Polynomial + and -;
+products of whole polynomials (the parser, Polynomial *) take ring._product.
 """
 
 from __future__ import annotations

@@ -8,12 +8,17 @@ polynomials are sparse sums of terms over an exact constant field, kept
 strictly descending under the ring's block ordering.  The shift monoid
 acts on everything by translating every variable's shift and fixing
 coefficients; on packed variables that is one addition each.
+
+Sums merge in _add_multiple (reduce, tail_reduce, replay_certificate,
+shifted_spoly, spoly, Polynomial + and -), products of term dicts in
+_product (the parser, through _power, and Polynomial *), and exact monomial
+quotients in _cofactor (reduction steps, S-polynomials, Monomial /).
 """
 
 from __future__ import annotations
 
 import re
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .errors import ExactDivisionError, RingMismatchError
 from .field import ConstantField, _int_text
@@ -95,8 +100,9 @@ class Monomial:
         return hash(self.factors)
 
     def __mul__(self, other):
-        return Monomial(_merge(self.factors, other.factors, add),
-                        self.ordering or other.ordering)
+        if not isinstance(other, Monomial):
+            return NotImplemented
+        return Monomial(_merge(self.factors, other.factors), self.ordering or other.ordering)
 
     def lcm(self, other):
         return Monomial(_lcm(self.factors, other.factors), self.ordering or other.ordering)
@@ -107,17 +113,11 @@ class Monomial:
 
     def __truediv__(self, other):
         """Exact quotient self/other."""
-        out = []
-        need = {var: e for var, e in other.factors}
-        for var, e in self.factors:
-            d = e - need.pop(var, 0)
-            if d < 0:
-                raise ExactDivisionError(f"{other!r} does not divide {self!r}")
-            if d:
-                out.append((var, d))
-        if need:
+        if not isinstance(other, Monomial):
+            return NotImplemented
+        if not other.divides(self):
             raise ExactDivisionError(f"{other!r} does not divide {self!r}")
-        return Monomial(out, self.ordering)
+        return Monomial(_cofactor(self.factors, other.factors, 0), self.ordering)
 
     def shift(self, s):
         """Image under the shift action, self for the zero shift: one
@@ -162,9 +162,9 @@ def _known_monomial(factors, ordering, key):
     return m
 
 
-def _merge(fa, fb, combine):
-    """Merge two descending factor tuples with a combiner that never
-    produces zero (callers guarantee positive results)."""
+def _merge(fa, fb):
+    """The factor tuple of the product of two monomials with descending
+    factor tuples fa and fb: the exponents of a shared variable add."""
     out = []
     i = j = 0
     la, lb = len(fa), len(fb)
@@ -172,7 +172,7 @@ def _merge(fa, fb, combine):
         va, ea = fa[i]
         vb, eb = fb[j]
         if va == vb:
-            out.append((va, combine(ea, eb)))
+            out.append((va, ea + eb))
             i += 1
             j += 1
         elif va > vb:
@@ -188,9 +188,8 @@ def _merge(fa, fb, combine):
 
 def _lcm(fa, fb):
     """The factor tuple of the lcm of two monomials with descending factor
-    tuples fa and fb: _merge(fa, fb, max), with a shared variable keeping
-    the larger of its two factor pairs, so no pair is built.  It runs once
-    per critical pair."""
+    tuples fa and fb, once per critical pair: a shared variable keeps the
+    larger of its two factor pairs, so no pair is built."""
     out = []
     i = j = 0
     la, lb = len(fa), len(fb)
@@ -332,45 +331,24 @@ class Polynomial:
         return Polynomial(self.ring, tuple((m, -c) for m, c in self.terms))
 
     def __add__(self, other):
-        _same_ring(self, other)
-        out = []
-        i = j = 0
-        ta, tb = self.terms, other.terms
-        la, lb = len(ta), len(tb)
-        while i < la and j < lb:
-            ma, ca = ta[i]
-            mb, cb = tb[j]
-            ka, kb = ma.key, mb.key
-            if ka == kb:
-                c = ca + cb
-                if c:
-                    out.append((ma, c))
-                i += 1
-                j += 1
-            elif ka > kb:
-                out.append(ta[i])
-                i += 1
-            else:
-                out.append(tb[j])
-                j += 1
-        out.extend(ta[i:])
-        out.extend(tb[j:])
-        return Polynomial(self.ring, tuple(out))
+        return self._plus(other, self.ring.field.one)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -self.ring.field.one)
+
+    def _plus(self, other, sign):
+        """self + sign*other in one _add_multiple merge, keeping the Monomials."""
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        _same_ring(self, other)
+        return Polynomial(self.ring, tuple(_add_multiple(self.terms, 0, other, 0, sign, (), 0)))
 
     def __mul__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         _same_ring(self, other)
-        if not self.terms or not other.terms:
-            return self.ring.zero
-        acc = {}
-        for ma, ca in self.terms:
-            for mb, cb in other.terms:
-                m = ma * mb
-                c = acc.get(m)
-                acc[m] = ca * cb if c is None else c + ca * cb
-        return self.ring.polynomial((c, m) for m, c in acc.items())
+        return _polynomial(self.ring, _product({m.factors: c for m, c in self.terms},
+                                               {m.factors: c for m, c in other.terms}))
 
     def scale(self, coeff):
         """Multiply by a nonzero field constant (order preserved)."""
@@ -481,7 +459,7 @@ def _add_multiple(terms, i, g, offset, coeff, cofactor, start):
             factors = mono.factors
             if offset:
                 factors = [(var + offset, e) for var, e in factors]
-            factors = _merge(factors, cofactor, add)
+            factors = _merge(factors, cofactor)
             key, mono = key_of(factors), None
         else:
             key = mono.key
@@ -498,6 +476,57 @@ def _add_multiple(terms, i, g, offset, coeff, cofactor, start):
             append((mono or _known_monomial(factors, ordering, key), c))
     out.extend(terms[i:])
     return out
+
+
+def _add(total, terms, minus):
+    """total += terms (or -= when minus), in place, dropping zeros."""
+    for f, c in terms.items():
+        old = total.get(f)
+        if old is None:
+            total[f] = -c if minus else c
+        else:
+            c = old - c if minus else old + c
+            if c:
+                total[f] = c
+            else:
+                del total[f]
+
+
+def _product(a, b):
+    """The term dict of a*b.  A one-term side moves the other's exponent
+    vectors by one monomial, which merges no two terms."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        (fb, cb), = b.items()
+        return {_merge(f, fb): c * cb for f, c in a.items()}
+    out = {}
+    for fa, ca in a.items():
+        for fb, cb in b.items():
+            f = _merge(fa, fb)
+            c = ca * cb
+            old = out.get(f)
+            out[f] = c if old is None else old + c
+    return {f: c for f, c in out.items() if c}
+
+
+def _power(ring, base, e):
+    """base^e: zero or a single term c*m directly, as c^e * m^e, else by
+    products."""
+    if len(base) < 2 and e:
+        return {tuple([(var, k * e) for var, k in f]): c ** e for f, c in base.items()}
+    out = {(): ring.field.one}
+    for _ in range(e):
+        out = _product(out, base)
+    return out
+
+
+def _polynomial(ring, terms):
+    """The Polynomial of a term dict: one Monomial per term, one sort."""
+    ordering = ring.ordering
+    out = [(Monomial(f, ordering) if f else Monomial.ONE, c) for f, c in terms.items()]
+    out.sort(key=lambda t: t[0].key, reverse=True)
+    return Polynomial(ring, tuple(out))
 
 
 # --- canonical text form ------------------------------------------------------

@@ -14,7 +14,7 @@ from dgb.completion import shift_pair_candidates
 from dgb.orderings import DEGLEX, LEX
 from dgb.quotient import groebner_gamma_basis
 from dgb.reduction import ReducerBasis, reduce_full
-from dgb.ring import _lcm, spoly
+from dgb.ring import _lcm, _same_ring, spoly
 
 
 def make_ring(rank=1, symbols=("x",), parameters=(), spec=None):
@@ -274,6 +274,53 @@ class ReferenceRun:
 # Before reduction merged each step into the remainder, a step built the
 # shifted element, multiplied it by the term, and added the product to the
 # whole remainder.  These functions keep that route, for differential tests.
+# Its sum and product, reference_add and reference_mul, are a two-pointer
+# merge and a Monomial-keyed product that share no code with
+# ring._add_multiple and ring._product, which Polynomial + and * run: the
+# reference does not run the arithmetic that it checks.
+
+
+def reference_add(f, g):
+    """f + g by a two-pointer merge of the terms on the monomial keys."""
+    _same_ring(f, g)
+    out = []
+    i = j = 0
+    ta, tb = f.terms, g.terms
+    la, lb = len(ta), len(tb)
+    while i < la and j < lb:
+        ma, ca = ta[i]
+        mb, cb = tb[j]
+        ka, kb = ma.key, mb.key
+        if ka == kb:
+            c = ca + cb
+            if c:
+                out.append((ma, c))
+            i += 1
+            j += 1
+        elif ka > kb:
+            out.append(ta[i])
+            i += 1
+        else:
+            out.append(tb[j])
+            j += 1
+    out.extend(ta[i:])
+    out.extend(tb[j:])
+    return Polynomial(f.ring, tuple(out))
+
+
+def reference_mul(f, g):
+    """f * g with one Monomial per term product, collected in a dict keyed
+    by Monomial and canonicalized by DifferenceRing.polynomial."""
+    _same_ring(f, g)
+    if not f.terms or not g.terms:
+        return f.ring.zero
+    acc = {}
+    for ma, ca in f.terms:
+        for mb, cb in g.terms:
+            m = ma * mb
+            c = acc.get(m)
+            acc[m] = ca * cb if c is None else c + ca * cb
+    return f.ring.polynomial((c, m) for m, c in acc.items())
 
 
 def mul_term(p, coeff, mono):
@@ -284,7 +331,7 @@ def mul_term(p, coeff, mono):
 
 
 def reference_reduce(f, G, certificate=False):
-    """reduction.reduce by shift, mul_term and __add__."""
+    """reduction.reduce by shift, mul_term and reference_add."""
     basis = G if isinstance(G, ReducerBasis) else ReducerBasis([g for g in G if g])
     steps = []
     h = f
@@ -296,7 +343,7 @@ def reference_reduce(f, G, certificate=False):
         g = basis.polys[index].shift(shift)
         coeff = h.lc / g.lc
         cofactor = h.lm / g.lm
-        h = h + mul_term(g, -coeff, cofactor)
+        h = reference_add(h, mul_term(g, -coeff, cofactor))
         steps.append((coeff, cofactor, shift, index))
     return (h, steps) if certificate else h
 
@@ -317,11 +364,11 @@ def reference_tail_reduce(f, G):
 
 
 def reference_replay(h, steps, G):
-    """reduction.replay_certificate by shift, mul_term and __add__."""
+    """reduction.replay_certificate by shift, mul_term and reference_add."""
     polys = [g for g in G if g]
     total = h
     for coeff, cofactor, shift, index in steps:
-        total = total + mul_term(polys[index].shift(shift), coeff, cofactor)
+        total = reference_add(total, mul_term(polys[index].shift(shift), coeff, cofactor))
     return total
 
 
@@ -329,7 +376,8 @@ def reference_spoly(f, g):
     """ring.spoly as the sum of two whole term products."""
     one = f.ring.field.one
     lcm = f.lm.lcm(g.lm)
-    return mul_term(f, one / f.lc, lcm / f.lm) + mul_term(g, -one / g.lc, lcm / g.lm)
+    return reference_add(mul_term(f, one / f.lc, lcm / f.lm),
+                         mul_term(g, -one / g.lc, lcm / g.lm))
 
 
 def _graded_key(kind, exps):
@@ -425,7 +473,7 @@ def oracle_key(ring):
 class _ReferenceParser:
     """The expression layer that `cli._Parser` replaced, kept as the
     reference: it reads `cli.tokenize`'s tokens through peek/next, and each
-    operator builds a Polynomial."""
+    operator builds a Polynomial, by reference_add and reference_mul."""
 
     def __init__(self, tokens, pos=0):
         self.tokens = tokens
@@ -467,7 +515,7 @@ class _ReferenceParser:
         while self.at("+") or self.at("-"):
             op = self.next().value
             term = self.parse_term(ring)
-            acc = acc - term if op == "-" else acc + term
+            acc = reference_add(acc, -term if op == "-" else term)
         return acc
 
     def parse_term(self, ring):
@@ -477,7 +525,7 @@ class _ReferenceParser:
             tok = self.peek()
             rhs = self.parse_factor(ring)
             if op == "*":
-                acc = acc * rhs
+                acc = reference_mul(acc, rhs)
             else:
                 if not rhs:
                     self.fail("division by zero", tok)
@@ -501,7 +549,7 @@ class _ReferenceParser:
                 return ring.polynomial([(coeff ** e, power)])
             out = ring.one
             for _ in range(e):
-                out = out * base
+                out = reference_mul(out, base)
             return out
         return base
 
