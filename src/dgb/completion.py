@@ -252,8 +252,8 @@ class _Run:
     def _push_pairs(self, i, j):
         reducer, stats, waiting = self.reducer, self.stats, self.waiting
         ordering = reducer.ring.ordering
-        pairs, raw = shift_pair_candidates(reducer.leads[i], reducer.leads[j], i == j,
-                                           self.derived)
+        leads = reducer.leads
+        pairs, raw = shift_pair_candidates(leads[i], leads[j], i == j, self.derived)
         if raw == 0:
             stats.killed_product += 1
         stats.killed_sigma += raw - len(pairs)
@@ -451,13 +451,13 @@ def verify_sigma_gbasis(basis_or_elements):
     if not ring.ordering.is_order_compatible:
         raise ValueError("verification requires an order-compatible ordering")
     reducer = ReducerBasis(elements)
+    leads = reducer.leads
     failures = []
     checked = 0
     derived = {}
     for j in range(len(elements)):
         for i in range(j + 1):
-            pairs, _ = shift_pair_candidates(reducer.leads[i], reducer.leads[j], i == j,
-                                             derived)
+            pairs, _ = shift_pair_candidates(leads[i], leads[j], i == j, derived)
             for sigma, tau in pairs:
                 checked += 1
                 s = shifted_spoly(elements[i], sigma, elements[j], tau)

@@ -57,7 +57,7 @@ class ConstantField:
     rational coefficients.
     """
 
-    __slots__ = ("parameters", "zero", "one", "_gens", "_const")
+    __slots__ = ("parameters", "zero", "one", "minus_one", "_gens", "_const")
 
     def __init__(self, parameters=()):
         self.parameters = tuple(parameters)
@@ -65,6 +65,7 @@ class ConstantField:
         self._const = (0,) * k
         self.zero = self.rational(0)
         self.one = self.rational(1)
+        self.minus_one = self.rational(-1)
         self._gens = {name: RationalFunction(
             self, {tuple(int(i == j) for j in range(k)): 1}, {self._const: 1})
             for i, name in enumerate(self.parameters)}

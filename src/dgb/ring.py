@@ -448,14 +448,22 @@ def _add_multiple(terms, i, g, offset, coeff, cofactor, start):
     """
     ordering = g.ring.ordering
     key_of = ordering.monomial_key
+    field = g.ring.field
+    # coeff is one or minus one for + and -, and for a monic g in
+    # shifted_spoly: then a term's coefficient is c or -c, no product
+    unit = 1 if coeff == field.one else -1 if coeff == field.minus_one else 0
+    moved = offset or cofactor
     out = []
     append = out.append
     n = len(terms)
     gterms = g.terms
     for k in range(start, len(gterms)):
         mono, c = gterms[k]
-        c = c * coeff
-        if offset or cofactor:
+        if not unit:
+            c = c * coeff
+        elif unit < 0:
+            c = -c
+        if moved:
             factors = mono.factors
             if offset:
                 factors = [(var + offset, e) for var, e in factors]

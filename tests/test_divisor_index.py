@@ -12,19 +12,29 @@ the reference cofactor.
 The reference also keeps the shift bound the verifier once passed to the
 search: twice the largest leading order.  The verifier, which no longer
 bounds its search, must give what the bounded reference gives.
+
+Each element keeps a table of anchor images (ReducerBasis).  One basis,
+grown by append between rounds of shuffled and repeated queries, must give
+the reference's hits and a fresh basis's, and its tables must hold exactly
+the images that passed a probe, with the entry the image admits.  The
+targets reach every edge of an entry: an image on another symbol, one
+with a negative shift entry, and shifted elements that meet
+MAX_SHIFT_DEGREE exactly or pass it by one.
 """
 
 import random
 from functools import partial
 from itertools import permutations
+from operator import add, sub
 
 import pytest
 
 from dgb import OrderingSpec
 from dgb.completion import (shift_pair_candidates, sigma_gbasis_truncated,
                             verify_sigma_gbasis)
-from dgb.orderings import DEGLEX, DEGREVLEX, LEX
+from dgb.orderings import DEGLEX, DEGREVLEX, LEX, MAX_SHIFT_DEGREE
 from dgb.reduction import ReducerBasis
+from dgb.ring import Monomial
 
 from helpers import (make_ring, mul_term, random_monomial, random_polynomial, random_shift,
                      reference_shift_key, reference_spoly)
@@ -46,6 +56,8 @@ def reference_candidate_shifts(ring, lm, target, max_shift_deg=None):
             seen.add(tuple(a - b for a, b in zip(alpha, beta)))
     if max_shift_deg is not None:
         seen = {s for s in seen if sum(s) <= max_shift_deg}
+    # a shifted copy exists only while its order stays within the packing
+    seen = {s for s in seen if lm.order + sum(s) <= MAX_SHIFT_DEGREE}
     out = [s for s in seen if _shifted(ring, lm, s).divides(target)]
     out.sort(key=key)
     return out
@@ -161,6 +173,201 @@ def test_appended_elements_are_indexed():
     for _ in range(50):
         target = _target(rng, ring, polys)
         assert _hits(basis, target) == list(reference_iter_divisors(polys, target))
+
+
+# --- the table of anchor images -------------------------------------------
+
+
+def _table_rings():
+    """Ranks 1-3, one to three symbols, all nine (shift, symbol) order
+    pairs, each with a seeded shift and symbol priority."""
+    rng = random.Random(7300)
+    for rank in (1, 2, 3):
+        for symbols in (("x",), ("x", "y"), ("x", "y", "z")):
+            for shift_order in (LEX, DEGLEX, DEGREVLEX):
+                for symbol_order in (LEX, DEGLEX, DEGREVLEX):
+                    spec = OrderingSpec(shift_order, tuple(rng.sample(range(rank), rank)),
+                                        symbol_order,
+                                        tuple(rng.sample(range(len(symbols)), len(symbols))))
+                    yield make_ring(rank, symbols, spec=spec)
+
+
+TABLE_RINGS = list(_table_rings())
+
+
+def _packed_monomial(ring, factors):
+    """The monomial with the given packed factors, or None when one of them
+    is not a variable of the ring (a shift past the packing, or a negative
+    or carried field)."""
+    ordering = ring.ordering
+    for var, _ in factors:
+        if var < 0:
+            return None
+        symbol, shift = ordering.decode(var)
+        try:
+            if ordering.variable(symbol, shift) != var:
+                return None
+        except ValueError:  # ShiftWidthError is a ValueError
+            return None
+    return Monomial(sorted(factors, reverse=True), ordering)
+
+
+def _moved(ring, lm, w):
+    """lm with every packed variable moved so that its anchor lands on w,
+    or None when that is not a monomial of the ring: the target that makes
+    every offset probe of the anchor image w pass."""
+    d = w - lm.factors[0][0]
+    return _packed_monomial(ring, [(var + d, e) for var, e in lm.factors])
+
+
+def _unit(rank, k, size=1):
+    return tuple(size if j == k else 0 for j in range(rank))
+
+
+def _table_basis(rng, ring):
+    """A random basis, with the elements whose anchors reach every edge:
+    a variable of shift one in the last shift priority (its images on
+    other symbols and with a negative entry are variables), and under a
+    lex shift order an anchor of lower order than its element, the only
+    place where order + |s| can pass the packing while the image is still
+    a variable."""
+    polys = _basis(rng, ring)
+    spec = ring.ordering.spec
+    rank = ring.signature.shift_rank
+    top, low = spec.shift_priority[0], spec.shift_priority[-1]
+    edges = [ring.var(0, _unit(rank, low))]
+    if spec.shift_order == LEX and rank > 1:
+        edges.append(ring.var(0, _unit(rank, top)) * ring.var(0, _unit(rank, low, 5)))
+    for lead in edges:
+        polys.insert(rng.randrange(len(polys) + 1), lead + ring.constant(rng.choice([1, -2])))
+    return polys
+
+
+def _edge_targets(rng, ring, g):
+    """Targets at the edges of an anchor image of g: the probe passes at an
+    image on another symbol and at one with a negative shift entry; the
+    shifted element meets MAX_SHIFT_DEGREE exactly; or it is one past, with
+    the image still a variable (the probe then meets carried fields)."""
+    lm = g.lm
+    if lm.is_one:
+        return []
+    ordering = ring.ordering
+    rank, n = ring.signature.shift_rank, len(ring.signature.symbols)
+    anchor = lm.factors[0][0]
+    symbol, beta = ordering.decode(anchor)
+    images = []
+    for other in range(n):  # another symbol, shifted or not
+        if other != symbol:
+            for s in ((0,) * rank, _unit(rank, rng.randrange(rank)), random_shift(rng, rank, 2)):
+                images.append((other, tuple(map(add, beta, s))))
+    for k in range(rank):  # one entry down, another up
+        for j in range(rank):
+            if j != k and beta[k]:
+                images.append((symbol, tuple(b - (i == k) + 2 * (i == j)
+                                             for i, b in enumerate(beta))))
+    room = MAX_SHIFT_DEGREE - lm.order
+    low = ordering.spec.shift_priority[-1]
+    for k in {rng.randrange(rank), low}:
+        for size in (room, room + 1):
+            images.append((symbol, tuple(b + s for b, s in zip(beta, _unit(rank, k, size)))))
+    targets = []
+    for image in images:
+        try:
+            w = ordering.variable(*image)
+        except ValueError:
+            continue
+        if w < anchor:
+            continue
+        target = _moved(ring, lm, w)
+        if target is not None:
+            targets.append(target)
+            targets.append(target * random_monomial(rng, ring, max_factors=2, max_shift_deg=1))
+    return targets
+
+
+def _table(basis, k):
+    """The anchor-image table of element k (a private field of its shape)."""
+    return basis._shapes[k][5]
+
+
+def _table_entry(ring, k, lm, w):
+    """What the table of element k, with leading monomial lm, holds at the
+    anchor image w: (k, s) when the shift s maps the anchor onto w and
+    s*lm is a monomial of the ring, else None."""
+    ordering = ring.ordering
+    symbol, beta = ordering.decode(lm.factors[0][0])
+    w_symbol, alpha = ordering.decode(w)
+    s = tuple(a - b for a, b in zip(alpha, beta))
+    if w_symbol != symbol or min(s) < 0 or lm.order + sum(s) > MAX_SHIFT_DEGREE:
+        return None
+    return k, s
+
+
+def _check_query(ring, basis, polys, target, passed, kinds):
+    """Compare one query with the reference and with a fresh basis, and
+    each table with passed[k]: the images that passed a probe of element k
+    so far, with the entry each admits."""
+    expected = [(k, s) for k, g in enumerate(polys)
+                for s in reference_candidate_shifts(ring, g.lm, target)]
+    fresh = ReducerBasis(polys)
+    assert list(basis.iter_divisors(target)) == expected, (polys, target)
+    assert list(fresh.iter_divisors(target)) == expected, (polys, target)
+    first = expected[0] if expected else None
+    assert basis.find_divisor(target) == first == fresh.find_divisor(target)
+    exps = dict(target.factors)
+    for k, g in enumerate(polys):
+        if g.lm.is_one:
+            continue
+        factors = g.lm.factors
+        anchor = factors[0][0]
+        images = passed.setdefault(k, {})
+        for w, _ in target.factors:
+            if (w >= anchor and w not in images
+                    and all(exps.get(w + var - anchor, 0) >= e for var, e in factors)):
+                entry = images[w] = _table_entry(ring, k, g.lm, w)
+                if entry is None:
+                    symbol, beta = ring.ordering.decode(anchor)
+                    w_symbol, alpha = ring.ordering.decode(w)
+                    kinds.add("symbol" if w_symbol != symbol else
+                              "negative" if min(map(sub, alpha, beta)) < 0 else "degree")
+        # every image that passed a probe has its entry, misses have none
+        assert _table(basis, k) == images, (g, target)
+    for k, s in expected:
+        if polys[k].lm.order + sum(s) == MAX_SHIFT_DEGREE:
+            kinds.add("exact")
+
+
+@pytest.mark.parametrize("ring_index", range(len(TABLE_RINGS)))
+def test_anchor_image_tables_match_reference(ring_index):
+    # one basis grows by append between rounds of queries; each round asks
+    # its new targets twice and some earlier ones again, shuffled, so
+    # entries filled by one target serve the next, and a fresh basis of the
+    # same elements must agree
+    ring = TABLE_RINGS[ring_index]
+    rng = random.Random(7400 + ring_index)
+    polys = _table_basis(rng, ring)
+    basis = ReducerBasis(polys[:1])
+    targets, passed, kinds = [], {}, set()
+    for size in range(1, len(polys) + 1):
+        if size > len(basis):
+            basis.append(polys[size - 1])
+        present = polys[:size]
+        new = [_target(rng, ring, present) for _ in range(2)]
+        new += _edge_targets(rng, ring, present[-1])
+        queries = new * 2 + rng.sample(targets, min(len(targets), 6))
+        targets += new
+        rng.shuffle(queries)
+        for target in queries:
+            _check_query(ring, basis, present, target, passed, kinds)
+    spec, rank = ring.ordering.spec, ring.signature.shift_rank
+    wanted = {"exact"}
+    if len(ring.signature.symbols) > 1:
+        wanted.add("symbol")
+    if rank > 1:
+        wanted.add("negative")
+    if spec.shift_order == LEX and rank > 1:
+        wanted.add("degree")
+    assert wanted <= kinds, (wanted, kinds)
 
 
 def reference_verify(generators):
