@@ -22,7 +22,7 @@ completeness criterion.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import chain
+from math import isqrt
 from operator import sub
 
 from .errors import InternalCheckError, RingMismatchError
@@ -128,20 +128,28 @@ def _monic_generators(generators):
     return ring, G
 
 
-class _Overlap:
+class _Overlap(list):
     """The queued pairs that share one overlap, and the divisors of the
-    overlap that chain queries have found so far (see _Run).
+    overlap that chain queries have found so far (see _Run).  It is also
+    the overlap's heap entry: as a list it holds [order, key], the order
+    and monomial key of the overlap, and nothing else, so the heap
+    compares groups by those two alone; the rest lives in slots.
 
-    ids lists the pair ids not yet taken, in push order.  divisors lists
-    the (k, nu) that one divisor_runs search over the first size elements
-    of the reducer has yielded so far, and rest is that search, suspended
-    at the first index it has not read."""
+    first is the id of the earliest pair not yet taken, None once every
+    pair is taken, and more lists the later ones in push order, None until
+    a second pair arrives.  divisors lists the (k, nu) that one
+    divisor_runs search over the first size elements of the reducer has
+    yielded so far, and rest is that search, suspended at the first index
+    it has not read."""
 
-    __slots__ = ("factors", "ids", "size", "divisors", "rest")
+    __slots__ = ("factors", "first", "more", "size", "divisors", "rest")
 
-    def __init__(self, factors):
+    def __init__(self, order, key, factors, first):
+        self.append(order)
+        self.append(key)
         self.factors = factors
-        self.ids = []
+        self.first = first
+        self.more = None
         self.size = None
         self.divisors = None
         self.rest = None
@@ -151,32 +159,52 @@ class _Run:
     """One pass of the pair loop over a nonempty, non-unit, monic G,
     adding its pair counts to the given stats.
 
-    *Queue.*  Pairs are queued by overlap: queue holds one heap entry
-    (order, flat key, group) per distinct queued overlap, and waiting maps
-    the overlap's factor tuple to that group, an _Overlap whose ids are the
-    pair ids (i, sigma, j, tau) with that overlap not yet taken, in push
-    order.  A pair whose overlap is waiting is appended to its group and
-    needs no key and no heap push.  The loop takes the first id of the
-    group on top of the heap and pops the entry, dropping it from waiting,
-    when that empties the group.  An overlap is the lcm of two shifted
-    leading monomials, one ring._lcm of their factor tuples, and
-    shifted[i][sigma] keeps the factor tuple of sigma*lm(G[i]) for the run,
-    one table per element, so a push looks a shifted lead up by its shift
-    alone.  The shift pairs of two elements come from per-run derivations
-    of their factor shifts (shift_pair_candidates).
+    *Queue.*  Pairs are queued by overlap, the lcm of two shifted leading
+    monomials (one ring._lcm of their factor tuples).  waiting maps the
+    overlap's factor tuple to its group, an _Overlap holding the ids of
+    the pairs with that overlap not yet taken, and queue is a heap of those
+    groups.  Under a lex symbol order the monomial key is the factor tuple
+    itself (orderings.py), so a group's heap key is the tuple that waiting
+    holds, not a copy.  A group keeps its first id inline and makes a list
+    only for a second one, which most groups never get (three in four on
+    grow.dgb).
+    A pair whose overlap is waiting is added to its group and needs no key
+    and no heap push.  The loop takes the first id of the group on top of
+    the heap, moving the next one up, and pops the group, dropping it from
+    waiting, when it takes its last id.
 
-    *Pop order.*  Pairs pop exactly as from a heap of (order, flat key,
-    seq) per pair, seq counting pushes.  A group is in the heap iff it is
-    in waiting iff it has ids, as the loop drops its entry from both when
-    it takes its last id.  The flat key compares as the monomial key does
-    (orderings.py), and the ordering is total, so distinct overlaps have
-    distinct keys: heap entries never tie, and the heap never compares
-    groups.  A group's ids are in seq order, since a pushed id goes to the
-    end of the waiting group of its overlap or starts a new group when none
-    waits.  So the least (order, key, seq) among the queued pairs is the
-    first id of the group on top: the id the loop takes.  That holds after
-    every push, so a new pair with a smaller key than the popped one is on
-    top at the next step, as in the per-pair heap.
+    *Pair ids.*  Each shifted element (i, sigma) that a push meets gets a
+    code, the next free int, kept for the run: codes[i][sigma] is the code,
+    elements[code] is (i, sigma) and shifted[code] is the factor tuple of
+    sigma*lm(G[i]), so a push looks a shifted lead up by its shift alone.
+    No pair joins an element to itself, as shift_pair_candidates drops the
+    trivial self-overlap, so its two codes differ.  The id of the pair of
+    elements with codes h > l is the int h*h + l, one int in place of a
+    tuple per pair.  As h*h <= h*h + l < (h + 1)**2, isqrt gives h back,
+    and then l; the loop orders the two elements as (i, sigma) <=
+    (j, tau), the canonical id with min(sigma, tau) = 0 entrywise.  An id
+    names an unordered pair of shifted elements, with no shift divided
+    out, so a chain query makes the id of a pair from the codes of its two
+    halves; an element with no code is in no queued pair.  The shift pairs
+    of two elements come from per-run derivations of their factor shifts
+    (shift_pair_candidates).
+
+    *Pop order.*  Pairs pop exactly as from a heap of (order, key, seq) per
+    pair, seq counting pushes.  A group is in the heap iff it is in waiting
+    iff it has ids (first is not None), as the loop drops it from both when
+    it takes its last id.  The key compares as the monomial order does,
+    and the ordering is total, so distinct overlaps have distinct keys.
+    waiting holds one group per overlap, so no two groups in the heap have
+    equal [order, key] lists.  A list compares like a tuple, by its first
+    unequal item, and the lists hold nothing past the key: the heap never
+    compares past (order, key), and never ties.  A group's ids are in seq
+    order: first is the earliest, and more holds the rest in push order,
+    since a pushed id goes to the end of the waiting group of its overlap
+    or starts a new group when none waits, and a take moves the head of
+    more up to first.  So the least (order, key, seq) among the queued
+    pairs is the first id of the group on top: the id the loop takes.  That
+    holds after every push, so a new pair with a smaller key than the
+    popped one is on top at the next step, as in the per-pair heap.
 
     *Divisor list.*  A chain query reads its group's divisor list, then
     resumes the group's suspended search (ReducerBasis.divisor_runs), made
@@ -197,7 +225,8 @@ class _Run:
     So while the reducer's length is unchanged every query of the group may
     read the same set, whichever pair it serves and whatever killers that
     pair has.  The test asks whether some member certifies both halves,
-    reading the group's ids at each query, so neither the order nor the
+    reading the group's ids at each query (first and more, or none once
+    first is None), so neither the order nor the
     queries before change an answer.  An element appended since may divide
     the overlap and certify both halves (its pairs with smaller overlaps
     may have been treated in between), so a grown reducer starts a new list
@@ -205,9 +234,9 @@ class _Run:
 
     *Certified pairs.*  When the pair with overlap m is popped, a pair of
     shifted elements a, c that both divide m is certified (product
-    criterion or treated) iff its sorted id, a + c or c + a with no shift
-    divided out, is not among the ids of m's group.  With the group empty,
-    any divisor c other than a and b kills the pair.
+    criterion or treated) iff its id, made from the codes of a and c with
+    no shift divided out, is not among the ids of m's group.  With the
+    group empty, any divisor c other than a and b kills the pair.
 
     Proof.  Call open the ids of the queued pairs not yet treated:
     (i, sigma) <= (j, tau), with no common shift (min(sigma, tau) = 0
@@ -221,7 +250,7 @@ class _Run:
     was the least.  Dividing out the common shift delta = min(sigma, nu)
     gives the canonical id, with overlap L' and L = delta*L', so order(L')
     = order(L) - |delta|.  If that id is open, then order(L') >= order(m)
-    forces delta = 0, so the id is the sorted pair as given, and order(L)
+    forces delta = 0, so the id is that of the pair as given, and order(L)
     = order(m) with key(L) >= key(m); L divides m, so L = m.  An open id
     with overlap m is in m's group, the only one: a group leaves waiting
     only once empty, and new pairs are pushed after the chain test.  And
@@ -242,12 +271,17 @@ class _Run:
         self.waiting = {}
         self.killer = {}
         self.derived = {}  # (alpha, beta) -> shift pair, see shift_pair_candidates
-        self.shifted = [{} for _ in G]  # shifted[i][sigma]: the factor tuple of sigma*lm(G[i])
+        self.codes = [{} for _ in G]  # codes[i][sigma]: the code of (i, sigma)
+        self.elements = []  # elements[code]: the shifted element (i, sigma)
+        self.shifted = []  # shifted[code]: the factor tuple of sigma*lm(G[i])
 
-    def _shifted_lead(self, i, sigma):
-        """The factor tuple of sigma*lm(G[i]), kept for the run."""
-        factors = self.shifted[i][sigma] = self.reducer.polys[i].lm.shift(sigma).factors
-        return factors
+    def _code(self, i, sigma):
+        """The code of the shifted element (i, sigma), the next free one on
+        its first use."""
+        code = self.codes[i][sigma] = len(self.elements)
+        self.elements.append((i, sigma))
+        self.shifted.append(self.reducer.polys[i].lm.shift(sigma).factors)
+        return code
 
     def _push_pairs(self, i, j):
         reducer, stats, waiting = self.reducer, self.stats, self.waiting
@@ -257,23 +291,31 @@ class _Run:
         if raw == 0:
             stats.killed_product += 1
         stats.killed_sigma += raw - len(pairs)
-        leads_i, leads_j = self.shifted[i], self.shifted[j]
+        codes_i, codes_j, shifted = self.codes[i], self.codes[j], self.shifted
         for sigma, tau in pairs:
-            # a leading monomial is not 1, so its factor tuple is never empty
-            overlap = _lcm(leads_i.get(sigma) or self._shifted_lead(i, sigma),
-                           leads_j.get(tau) or self._shifted_lead(j, tau))
+            a = codes_i.get(sigma)
+            if a is None:
+                a = self._code(i, sigma)
+            b = codes_j.get(tau)
+            if b is None:
+                b = self._code(j, tau)
+            pair = a * a + b if a > b else b * b + a  # the pair id, see _Run
+            overlap = _lcm(shifted[a], shifted[b])
             group = waiting.get(overlap)
             if group is None:  # a waiting overlap fits under the bound
                 bound = ordering.order(overlap)
                 if self.bound is not None and bound > self.bound:
                     stats.killed_truncation += 1
                     continue
-                group = waiting[overlap] = _Overlap(overlap)
-                # the flat key compares as the key does, and faster (orderings.py)
-                key = tuple(chain.from_iterable(ordering.monomial_key(overlap)))
-                heappush(self.queue, (bound, key, group))
+                # under a lex symbol order the key is the overlap itself
+                group = waiting[overlap] = _Overlap(
+                    bound, ordering.monomial_key(overlap), overlap, pair)
+                heappush(self.queue, group)
+            elif group.more is None:
+                group.more = [pair]
+            else:
+                group.more.append(pair)
             stats.generated += 1
-            group.ids.append((i, sigma, j, tau))  # canonical: min(sigma, tau) == 0
 
     def _chain_skippable(self, a, b, group):
         """Whether a shifted element c other than a and b divides the
@@ -286,21 +328,29 @@ class _Run:
             # the killers of both halves, distinct, for divisor_runs to try first
             ki, kj = killer.get(i), killer.get(j)
             if ki is None:
-                first = () if kj is None else (kj,)
+                tried = () if kj is None else (kj,)
             else:
-                first = (ki,) if kj is None or kj == ki else (ki, kj)
+                tried = (ki,) if kj is None or kj == ki else (ki, kj)
             group.size = size
             group.divisors = []
-            group.rest = reducer.divisor_runs(group.factors, first)
-        waiting = group.ids
+            group.rest = reducer.divisor_runs(group.factors, tried)
+        first, more = group.first, group.more
+        if first is not None:
+            codes = self.codes
+            ca, cb = codes[i][a[1]], codes[j][b[1]]
         new = group.divisors  # the hits so far, then each index's hits as read
         while True:
             for c in new:
                 if c == a or c == b:
                     continue
-                if waiting and ((a + c if a <= c else c + a) in waiting
-                                or (c + b if c <= b else b + c) in waiting):
-                    continue
+                if first is not None:
+                    cc = codes[c[0]].get(c[1])  # None: no pair with c was queued
+                    if cc is not None:
+                        left = ca * ca + cc if ca > cc else cc * cc + ca
+                        right = cb * cb + cc if cb > cc else cc * cc + cb
+                        if (left == first or right == first
+                                or more and (left in more or right in more)):
+                            continue
                 killer[i] = killer[j] = c[0]
                 return True
             new = next(group.rest, None)
@@ -316,18 +366,26 @@ class _Run:
             for i in range(j + 1):
                 self._push_pairs(i, j)
         queue, waiting, stats, options = self.queue, self.waiting, self.stats, self.options
+        elements = self.elements
         pops = 0
         while queue:
-            group = queue[0][2]
-            i, sigma, j, tau = group.ids.pop(0)
-            if not group.ids:
+            group = queue[0]
+            pair = group.first
+            if group.more:
+                group.first = group.more.pop(0)
+            else:
+                group.first = None
                 heappop(queue)
                 del waiting[group.factors]
+            high = isqrt(pair)  # the larger code, see _Run
+            a, b = elements[pair - high * high], elements[high]
+            if b < a:  # as pushed: (i, sigma) <= (j, tau)
+                a, b = b, a
+            (i, sigma), (j, tau) = a, b
             pops += 1
             if pops > options.max_pair_budget:
                 return G, True
-            if options.use_chain_criterion and self._chain_skippable(
-                    (i, sigma), (j, tau), group):
+            if options.use_chain_criterion and self._chain_skippable(a, b, group):
                 stats.killed_chain += 1
                 continue
             h = reduce_full(shifted_spoly(G[i], sigma, G[j], tau), self.reducer)
@@ -337,7 +395,7 @@ class _Run:
             if h.lm.is_one:
                 return [self.reducer.ring.one], False
             self.reducer.append(h)
-            self.shifted.append({})
+            self.codes.append({})
             stats.new_elements += 1
             new = len(G) - 1
             for t in range(new + 1):

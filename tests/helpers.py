@@ -174,8 +174,8 @@ def dense_evaluate(f, v, x):
 def instance_id(i, si, j, sj):
     """Canonical identity of a pair of shifted basis elements, with the
     common shift divided out so that equivalent pairs coincide, as the
-    flat (i, si, j, sj) the completion queues: the reference for the id
-    lookup of the chain test."""
+    flat (i, si, j, sj) that a queued pair id of the completion decodes to:
+    the reference for the id lookup of the chain test."""
     delta = tuple(map(min, si, sj))
     a = (i, tuple(map(sub, si, delta)))
     b = (j, tuple(map(sub, sj, delta)))

@@ -1,6 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import random
+import tracemalloc
+from math import isqrt
 from operator import add
 from pathlib import Path
 
@@ -222,16 +225,31 @@ def _seeded_run(seed, budget, modes=("plain", "truncated", "adaptive")):
     return gens, mode, basis
 
 
+def _decoded(run, pair):
+    """The flat (i, sigma, j, tau), (i, sigma) <= (j, tau), of a pair id of
+    a _Run: the codes h > l of its shifted elements packed as h*h + l."""
+    high = isqrt(pair)
+    low = pair - high * high
+    assert low < high
+    a, b = sorted((run.elements[low], run.elements[high]))
+    return a + b
+
+
+def _ids(group):
+    """The pair ids waiting in a group of a _Run, in push order."""
+    return [] if group.first is None else [group.first, *(group.more or ())]
+
+
 def _queued(run):
-    """(overlap factors, id) for each pair waiting in the grouped queue of a
-    _Run, in no particular order."""
-    return [(group.factors, pair_id) for *_, group in run.queue for pair_id in group.ids]
+    """(overlap factors, pair id) for each pair waiting in the grouped queue
+    of a _Run, in no particular order."""
+    return [(group.factors, pair) for group in run.queue for pair in _ids(group)]
 
 
-def _waits(group, a, b):
+def _waits(run, group, a, b):
     """Whether the pair of shifted elements a, b is in the group's ids, the
     chain test's reading of a pair that is not certified (see _Run)."""
-    return (a + b if a <= b else b + a) in group.ids
+    return (a + b if a <= b else b + a) in {_decoded(run, pair) for pair in _ids(group)}
 
 
 def test_chain_test_open_set_matches_processed_set_reference(monkeypatch):
@@ -249,7 +267,8 @@ def test_chain_test_open_set_matches_processed_set_reference(monkeypatch):
         after = [pair_id for _, pair_id in _queued(run)]
         added = set(after) - set(before)
         assert len(added) == len(after) - len(before)
-        for pair_id in added:
+        for pair in added:
+            pair_id = _decoded(run, pair)
             a, sigma, b, tau = pair_id
             assert (a, b) == (i, j) and instance_id(a, sigma, b, tau) == pair_id
         counts["pushed"] += len(added)
@@ -275,8 +294,8 @@ def test_chain_test_open_set_matches_processed_set_reference(monkeypatch):
             if (k, nu) == (i, si) or (k, nu) == (j, sj):
                 continue
             left, right = certified(i, si, k, nu), certified(k, nu, j, sj)
-            assert _waits(group, (i, si), (k, nu)) != left
-            assert _waits(group, (k, nu), (j, sj)) != right
+            assert _waits(run, group, (i, si), (k, nu)) != left
+            assert _waits(run, group, (k, nu), (j, sj)) != right
             counts["queries"] += 2
             counts["waiting"] += (not left) + (not right)
             expected = expected or (left and right)
@@ -306,19 +325,28 @@ def test_open_ids_dividing_the_popped_overlap_have_that_overlap(monkeypatch):
     counts = {"pops": 0, "dividing": 0}
 
     def checked_push(run, i, j):
-        before = {pair_id for _, pair_id in _queued(run)}
+        before = {pair for _, pair in _queued(run)}
+        groups = {id(g) for g in run.queue}
         push(run, i, j)
-        for overlap, (a, sa, b, sb) in _queued(run):
-            if (a, sa, b, sb) not in before:
+        for overlap, pair in _queued(run):
+            if pair not in before:
+                a, sa, b, sb = _decoded(run, pair)
                 lm_a, lm_b = run.reducer.polys[a].lm, run.reducer.polys[b].lm
                 assert overlap == lm_a.shift(sa).lcm(lm_b.shift(sb)).factors
+        # a heap entry is [order, key] and no more, so the heap never
+        # compares past the key
+        ordering = run.reducer.ring.ordering
+        for g in run.queue:
+            if id(g) not in groups:
+                assert g == [ordering.order(g.factors), ordering.monomial_key(g.factors)]
 
     def checked_skippable(run, a, b, group):
         queued = _queued(run)
-        ids = [pair_id for _, pair_id in queued]
+        ids = [_decoded(run, pair) for _, pair in queued]
         assert len(set(ids)) == len(ids) and a + b not in ids
-        assert {g.factors: g for *_, g in run.queue} == run.waiting
+        assert {g.factors: id(g) for g in run.queue} == {f: id(g) for f, g in run.waiting.items()}
         assert len(run.waiting) == len(run.queue)
+        assert all(g.first is not None for g in run.queue)
         exps = dict(group.factors)
         for other, _ in queued:
             if all(exps.get(var, 0) >= e for var, e in other):
@@ -358,26 +386,24 @@ def _logged_runs(monkeypatch, run_class, stale):
     runs = []
     init, skippable = run_class.__init__, run_class._chain_skippable
 
-    def log_pop(pair_id, ids):
+    def log_pop(pair_id, source):
         run = runs[-1]
         run.pops.append([pair_id, tuple(run.stats.as_dict().values()), len(run.reducer), None])
-        run.sources.append(ids)
+        run.sources.append(source)
 
     class OpenLog(set):  # the open set of a ReferenceRun
         def remove(self, pair_id):
             super().remove(pair_id)
             log_pop(pair_id, None)
 
-    class IdsLog(list):  # the ids of a group of a _Run
-        def pop(self, index):
-            pair_id = super().pop(index)
-            log_pop(pair_id, self)
-            return pair_id
+    class LoggedOverlap(completion._Overlap):  # a group of a _Run
+        __slots__ = ()
 
-    class LoggedOverlap(completion._Overlap):
-        def __init__(self, factors):
-            super().__init__(factors)
-            self.ids = IdsLog()
+        def __setattr__(self, name, value):
+            # a _Run sets first after __init__ only when it takes that id
+            if name == "first" and hasattr(self, "first"):
+                log_pop(_decoded(runs[-1], self.first), self)
+            super().__setattr__(name, value)
 
     def logged_init(run, *args):
         init(run, *args)
@@ -392,11 +418,11 @@ def _logged_runs(monkeypatch, run_class, stale):
         if run_class is _Run and where.divisors is not None \
                 and where.size != len(run.reducer):
             stale["lists"] += 1
-            if len(pops) > 1 and run.sources[-2] is where.ids and pops[-2][2] < pops[-1][2]:
+            if len(pops) > 1 and run.sources[-2] is where and pops[-2][2] < pops[-1][2]:
                 stale["after an own pair"] += 1
             overlap = Monomial(where.factors, run.reducer.ring.ordering)
             old_only = any(c[0] < where.size and c != a and c != b
-                           and not _waits(where, a, c) and not _waits(where, c, b)
+                           and not _waits(run, where, a, c) and not _waits(run, where, c, b)
                            for c in run.reducer.iter_divisors(overlap))
         got = skippable(run, a, b, where)
         if old_only is not None and old_only != got:
@@ -478,13 +504,13 @@ def test_divisor_list_is_the_killer_first_search_over_its_size(monkeypatch):
     # search per query, and the seeded runs meet lists read by a later
     # query, searches resumed after such a list and searches read to the end.
     skippable = _Run._chain_skippable
-    starts = {}  # group -> (killer-first indices, size) of its current search
+    starts = {}  # id(group) -> (killer-first indices, size) of its current search
     counts = {"queries": 0, "read a list": 0, "resumed": 0, "read to the end": 0}
 
     def check(run, group):
         runs = list(group.rest)
         group.rest = iter(runs)
-        first, size = starts[group]
+        first, size = starts[id(group)]
         overlap = Monomial(group.factors, run.reducer.ring.ordering)
         expected = [c for c in run.reducer.iter_divisors(overlap, first) if c[0] < size]
         listed = group.divisors
@@ -501,7 +527,7 @@ def test_divisor_list_is_the_killer_first_search_over_its_size(monkeypatch):
             counts["read a list"] += before > 0
         else:
             killer = run.killer
-            starts[group] = ({killer[n]: None for n in (a[0], b[0]) if n in killer},
+            starts[id(group)] = ({killer[n]: None for n in (a[0], b[0]) if n in killer},
                              len(run.reducer))
         got = skippable(run, a, b, group)
         after, unread = check(run, group)
@@ -838,8 +864,10 @@ def test_chain_query_tries_the_killers_of_both_halves_first(monkeypatch, killer,
     for j in range(2):
         for i in range(j + 1):
             run._push_pairs(i, j)
-    group = next(g for *_, g in sorted(run.queue) if g.ids[0][0] != g.ids[0][2])
-    i, sigma, j, tau = group.ids.pop(0)
+    group = next(g for g in sorted(run.queue)
+                 if _decoded(run, g.first)[0] != _decoded(run, g.first)[2])
+    i, sigma, j, tau = _decoded(run, group.first)
+    group.first = group.more.pop(0) if group.more else None  # take it, as run does
     a, b = (i, sigma), (j, tau)
     assert (i, j) == (0, 1)
     searches = []
@@ -854,7 +882,8 @@ def test_chain_query_tries_the_killers_of_both_halves_first(monkeypatch, killer,
     got = run._chain_skippable(a, b, group)
     assert searches == [first]
     overlap = Monomial(group.factors, ring.ordering)
-    assert got == any(c not in (a, b) and not _waits(group, a, c) and not _waits(group, c, b)
+    assert got == any(c not in (a, b) and not _waits(run, group, a, c)
+                      and not _waits(run, group, c, b)
                       for c in run.reducer.iter_divisors(overlap))
 
 
@@ -1140,3 +1169,31 @@ def test_stats_count_queued_pairs_and_drops_before_the_queue():
             emptied += 1
         cut += taken < s.generated
     assert emptied > 20 and cut > 0
+
+
+def test_pair_queue_memory_per_generated_pair():
+    # Memory regression gate for the pair queue (see completion._Run): the
+    # generator of grow.dgb at pair budget 1,000 queues 3,185 pairs and
+    # leaves most of them waiting.  Its traced peak was 796 kB, 250 B per
+    # generated pair (415 B before one key per overlap, an inline first id
+    # and packed pair ids); the bound is that plus 25%, so one more
+    # container per pair fails it.  The peak depends on when cyclic garbage
+    # is collected, so the run starts from a collected heap.
+    ring = R1()
+    g = x(ring, 0) * x(ring, 2) - x(ring, 1, 2)
+    tracing = tracemalloc.is_tracing()
+    gc.collect()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        basis = sigma_gbasis([g], max_pair_budget=1000)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert basis.status.kind == "budget_exhausted"
+    assert basis.stats == PairStats(generated=3185, killed_sigma=805, killed_chain=827,
+                                    reduced_to_zero=140, new_elements=33)
+    assert peak / basis.stats.generated < 250 * 1.25
