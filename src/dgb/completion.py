@@ -128,31 +128,23 @@ def _monic_generators(generators):
     return ring, G
 
 
-class _Overlap(list):
-    """The queued pairs that share one overlap, and the divisors of the
-    overlap that chain queries have found so far (see _Run).  It is also
-    the overlap's heap entry: as a list it holds [order, key], the order
-    and monomial key of the overlap, and nothing else, so the heap
-    compares groups by those two alone; the rest lives in slots.
+class _Overlap:
+    """The queued pairs that share one overlap, once it has two or more,
+    and the state of the last chain query of the group (see _Run).
 
     first is the id of the earliest pair not yet taken, None once every
-    pair is taken, and more lists the later ones in push order, None until
-    a second pair arrives.  divisors lists the (k, nu) that one
-    divisor_runs search over the first size elements of the reducer has
-    yielded so far, and rest is that search, suspended at the first index
-    it has not read."""
+    pair is taken, and more lists the later ones in push order.  search is
+    None until a query, then (size, divisors, rest): divisors lists the
+    (k, nu) that one divisor_runs search over the first size elements of
+    the reducer has yielded so far, and rest is that search, suspended at
+    the first index it has not read."""
 
-    __slots__ = ("factors", "first", "more", "size", "divisors", "rest")
+    __slots__ = ("first", "more", "search")
 
-    def __init__(self, order, key, factors, first):
-        self.append(order)
-        self.append(key)
-        self.factors = factors
+    def __init__(self, first, second):
         self.first = first
-        self.more = None
-        self.size = None
-        self.divisors = None
-        self.rest = None
+        self.more = [second]
+        self.search = None
 
 
 class _Run:
@@ -161,17 +153,19 @@ class _Run:
 
     *Queue.*  Pairs are queued by overlap, the lcm of two shifted leading
     monomials (one ring._lcm of their factor tuples).  waiting maps the
-    overlap's factor tuple to its group, an _Overlap holding the ids of
-    the pairs with that overlap not yet taken, and queue is a heap of those
-    groups.  Under a lex symbol order the monomial key is the factor tuple
-    itself (orderings.py), so a group's heap key is the tuple that waiting
-    holds, not a copy.  A group keeps its first id inline and makes a list
-    only for a second one, which most groups never get (three in four on
-    grow.dgb).
-    A pair whose overlap is waiting is added to its group and needs no key
-    and no heap push.  The loop takes the first id of the group on top of
-    the heap, moving the next one up, and pops the group, dropping it from
-    waiting, when it takes its last id.
+    overlap's factor tuple to the ids of the pairs with that overlap not
+    yet taken: the bare id of a lone pair, or an _Overlap group, made when
+    a second pair arrives, which most overlaps never get (four in five on
+    grow.dgb).  queue is a heap of the waiting overlaps' queue keys
+    (Ordering.queue_key), one immutable key per overlap, which sorts as
+    (order, monomial key) does, and Ordering.queue_factors gives back the
+    factor tuple that waiting holds.  Under lex symbols and a graded shift
+    order the queue key is that tuple itself, and otherwise it holds that
+    tuple as its last item: never a copy.  A pair whose overlap is waiting
+    is added to its entry and needs no key and no heap push.  The loop
+    takes the first id of the overlap on top of the heap, moving the next
+    one up, and pops the key, dropping the overlap from waiting, when it
+    takes its last id; a lone pair's is its only one.
 
     *Pair ids.*  Each shifted element (i, sigma) that a push meets gets a
     code, the next free int, kept for the run: codes[i][sigma] is the code,
@@ -190,21 +184,23 @@ class _Run:
     (shift_pair_candidates).
 
     *Pop order.*  Pairs pop exactly as from a heap of (order, key, seq) per
-    pair, seq counting pushes.  A group is in the heap iff it is in waiting
-    iff it has ids (first is not None), as the loop drops it from both when
-    it takes its last id.  The key compares as the monomial order does,
-    and the ordering is total, so distinct overlaps have distinct keys.
-    waiting holds one group per overlap, so no two groups in the heap have
-    equal [order, key] lists.  A list compares like a tuple, by its first
-    unequal item, and the lists hold nothing past the key: the heap never
-    compares past (order, key), and never ties.  A group's ids are in seq
-    order: first is the earliest, and more holds the rest in push order,
-    since a pushed id goes to the end of the waiting group of its overlap
-    or starts a new group when none waits, and a take moves the head of
-    more up to first.  So the least (order, key, seq) among the queued
-    pairs is the first id of the group on top: the id the loop takes.  That
-    holds after every push, so a new pair with a smaller key than the
-    popped one is on top at the next step, as in the per-pair heap.
+    pair, seq counting pushes.  An overlap's key is in the heap iff the
+    overlap is in waiting iff it has ids (a lone id, or a group whose first
+    is not None), as the loop drops it from both when it takes its last id,
+    and a push adds both or neither.  The key compares as the monomial
+    order does, and the ordering is total, so distinct overlaps have
+    distinct keys; the queue key sorts as (order, key) does (orderings.py)
+    and waiting holds each overlap once, so the heap holds distinct keys,
+    never ties, and orders the overlaps by (order, key).  An overlap's ids
+    are in seq order: a lone id is the only one, first is the earliest,
+    and more holds the rest in push order, since a pushed id goes to the
+    end of the waiting entry of its overlap (a lone id becoming a group's
+    first) or starts a new entry when none waits, and a take moves the
+    head of more up to first.  So the least (order, key, seq) among the
+    queued pairs is the first id of the overlap on top: the id the loop
+    takes.  That holds after every push, so a new pair with a smaller key
+    than the popped one is on top at the next step, as in the per-pair
+    heap.
 
     *Divisor list.*  A chain query reads its group's divisor list, then
     resumes the group's suspended search (ReducerBasis.divisor_runs), made
@@ -230,13 +226,15 @@ class _Run:
     queries before change an answer.  An element appended since may divide
     the overlap and certify both halves (its pairs with smaller overlaps
     may have been treated in between), so a grown reducer starts a new list
-    and a new search.
+    and a new search.  A lone pair's query is its overlap's only one, so
+    its list and search stay in locals.
 
     *Certified pairs.*  When the pair with overlap m is popped, a pair of
     shifted elements a, c that both divide m is certified (product
     criterion or treated) iff its id, made from the codes of a and c with
     no shift divided out, is not among the ids of m's group.  With the
-    group empty, any divisor c other than a and b kills the pair.
+    group empty, or none as for a lone pair, any divisor c other than a
+    and b kills the pair.
 
     Proof.  Call open the ids of the queued pairs not yet treated:
     (i, sigma) <= (j, tau), with no common shift (min(sigma, tau) = 0
@@ -252,10 +250,10 @@ class _Run:
     = order(L) - |delta|.  If that id is open, then order(L') >= order(m)
     forces delta = 0, so the id is that of the pair as given, and order(L)
     = order(m) with key(L) >= key(m); L divides m, so L = m.  An open id
-    with overlap m is in m's group, the only one: a group leaves waiting
-    only once empty, and new pairs are pushed after the chain test.  And
-    every id of the group is open.  Nothing here depends on the shift
-    order or on truncation.
+    with overlap m is among m's ids, the only entry: an entry leaves
+    waiting only once empty, and new pairs are pushed after the chain
+    test.  And every id still waiting is open.  Nothing here depends on the
+    shift order or on truncation.
 
     The chain test asks whether some (k, nu) certifies both halves, which
     does not depend on the order in which candidates are tried.  So killer
@@ -301,44 +299,44 @@ class _Run:
                 b = self._code(j, tau)
             pair = a * a + b if a > b else b * b + a  # the pair id, see _Run
             overlap = _lcm(shifted[a], shifted[b])
-            group = waiting.get(overlap)
-            if group is None:  # a waiting overlap fits under the bound
-                bound = ordering.order(overlap)
-                if self.bound is not None and bound > self.bound:
+            entry = waiting.get(overlap)
+            if entry is None:  # a waiting overlap fits under the bound
+                order = ordering.order(overlap)
+                if self.bound is not None and order > self.bound:
                     stats.killed_truncation += 1
                     continue
-                # under a lex symbol order the key is the overlap itself
-                group = waiting[overlap] = _Overlap(
-                    bound, ordering.monomial_key(overlap), overlap, pair)
-                heappush(self.queue, group)
-            elif group.more is None:
-                group.more = [pair]
+                waiting[overlap] = pair
+                heappush(self.queue, ordering.queue_key(overlap, order))
+            elif entry.__class__ is int:
+                waiting[overlap] = _Overlap(entry, pair)
             else:
-                group.more.append(pair)
+                entry.more.append(pair)
             stats.generated += 1
 
-    def _chain_skippable(self, a, b, group):
+    def _chain_skippable(self, a, b, overlap, group):
         """Whether a shifted element c other than a and b divides the
-        group's overlap with both pairs a, c and c, b certified: not
-        waiting in the group."""
+        overlap with both pairs a, c and c, b certified: not waiting in
+        the group, which is None for a lone pair."""
         killer, reducer = self.killer, self.reducer
         i, j = a[0], b[0]
         size = len(reducer.polys)
-        if group.size != size:
+        search = None if group is None else group.search
+        if search is None or search[0] != size:
             # the killers of both halves, distinct, for divisor_runs to try first
             ki, kj = killer.get(i), killer.get(j)
             if ki is None:
                 tried = () if kj is None else (kj,)
             else:
                 tried = (ki,) if kj is None or kj == ki else (ki, kj)
-            group.size = size
-            group.divisors = []
-            group.rest = reducer.divisor_runs(group.factors, tried)
-        first, more = group.first, group.more
+            search = size, [], reducer.divisor_runs(overlap, tried)
+            if group is not None:
+                group.search = search
+        _, divisors, rest = search
+        first = None if group is None else group.first
         if first is not None:
-            codes = self.codes
+            more, codes = group.more, self.codes
             ca, cb = codes[i][a[1]], codes[j][b[1]]
-        new = group.divisors  # the hits so far, then each index's hits as read
+        new = divisors  # the hits so far, then each index's hits as read
         while True:
             for c in new:
                 if c == a or c == b:
@@ -353,10 +351,10 @@ class _Run:
                             continue
                 killer[i] = killer[j] = c[0]
                 return True
-            new = next(group.rest, None)
+            new = next(rest, None)
             if new is None:
                 return False
-            group.divisors.extend(new)
+            divisors.extend(new)
 
     def run(self):
         """(G, exhausted): the grown basis, or [1] once a unit appears, and
@@ -366,17 +364,20 @@ class _Run:
             for i in range(j + 1):
                 self._push_pairs(i, j)
         queue, waiting, stats, options = self.queue, self.waiting, self.stats, self.options
+        factors_of = self.reducer.ring.ordering.queue_factors
         elements = self.elements
         pops = 0
         while queue:
-            group = queue[0]
-            pair = group.first
-            if group.more:
-                group.first = group.more.pop(0)
+            overlap = factors_of(queue[0])
+            group = waiting[overlap]
+            if group.__class__ is int:  # a lone pair
+                pair, group = group, None
             else:
-                group.first = None
+                pair = group.first
+                group.first = group.more.pop(0) if group.more else None
+            if group is None or group.first is None:
                 heappop(queue)
-                del waiting[group.factors]
+                del waiting[overlap]
             high = isqrt(pair)  # the larger code, see _Run
             a, b = elements[pair - high * high], elements[high]
             if b < a:  # as pushed: (i, sigma) <= (j, tau)
@@ -385,7 +386,7 @@ class _Run:
             pops += 1
             if pops > options.max_pair_budget:
                 return G, True
-            if options.use_chain_criterion and self._chain_skippable(a, b, group):
+            if options.use_chain_criterion and self._chain_skippable(a, b, overlap, group):
                 stats.killed_chain += 1
                 continue
             h = reduce_full(shifted_spoly(G[i], sigma, G[j], tau), self.reducer)

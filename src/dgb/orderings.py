@@ -39,6 +39,25 @@ Either way a key is a tuple of tuples of one length (pairs or triples), so
 its entries concatenated into one tuple compare as the key does: the first
 difference of the flat tuples lies in the first differing inner tuple, and
 a proper prefix stays a proper prefix.
+
+*Queue keys.*  The pair queue orders overlaps by (order, monomial key);
+queue_key gives one immutable key per monomial that sorts the same way.
+Under a graded shift order the monomial key alone does.  Proof: the order
+of a monomial is the top field of its largest variable, the first factor,
+and both forms of the monomial key compare that variable first (the factor
+tuple by it, the graded key by its shift key, the first run's), ahead of
+anything else.  Variables of different orders differ in the top field, so
+their comparison is the orders' comparison, and monomials of equal order
+go on to the monomial key itself.  Under a lex shift order the order is
+unrelated to the largest variable and stays in front.  So the queue key
+is the factor tuple itself under lex symbols and a graded shift order, and
+(order, factor tuple) under lex symbols and a lex shift order.  Under
+graded symbols it is (order, monomial key, factor tuple) under either
+shift order: the order stays in front because the heap compares an int
+faster than the nested run a graded key starts with, and the factor tuple
+rides along so that queue_factors reads it back instead of rebuilding it
+from the runs.  It never decides a comparison, as the items before it are
+equal only for equal monomials.
 """
 
 from __future__ import annotations
@@ -210,3 +229,17 @@ class Ordering:
             parts.append((shift, degree, run))
             i = j
         return tuple(parts)
+
+    def queue_key(self, factors, order):
+        """The pair queue's key of a monomial of the given order, which
+        sorts as (order, monomial key) does (see the module docstring)."""
+        if self.spec.symbol_order != LEX:
+            return order, self.monomial_key(factors), factors
+        return factors if self._degree_bits is not None else (order, factors)
+
+    def queue_factors(self, key):
+        """The factor tuple of the monomial whose queue_key is key: the key
+        itself or its last item."""
+        if self._degree_bits is not None and self.spec.symbol_order == LEX:
+            return key
+        return key[-1]

@@ -24,6 +24,7 @@ from dgb.reduction import ReducerBasis, reduce, reduce_full
 from helpers import (ReferenceRun, enumerate_up_to_degree, instance_id, is_order_homogeneous,
                      make_ring, monomial_gcd, mono_to_oracle, oracle_key, random_monomial,
                      random_polynomial, to_oracle)
+from queue_memory import GATES, SLACK, STATS as QUEUE_STATS, traced_bytes_per_pair
 
 
 def R1():
@@ -198,15 +199,20 @@ def _reference_shifted_overlap(lm_a, sa, lm_b, sb):
                for (sym, beta), _ in lm_b.decoded())
 
 
-def _seeded_run(seed, budget, modes=("plain", "truncated", "adaptive")):
+def _seeded_run(seed, budget, modes=("plain", "truncated", "adaptive"), order=None):
     """One seeded completion over rank 1-2, cycling through the three
     shift orderings and the given drivers: plain, no-chain, truncated,
-    adaptive, and budget (plain completion cut after three pairs)."""
+    adaptive, and budget (plain completion cut after three pairs).  The
+    symbol ordering is drawn at random; order, a (shift, symbol) pair of
+    ordering names, replaces both."""
     rng = random.Random(seed)
     rank = rng.choice([1, 2])
     shift_order = (LEX, DEGLEX, DEGREVLEX)[seed % 3]
     symbols = ("x", "y")[: rng.choice([1, 2])]
-    spec = OrderingSpec(shift_order, None, rng.choice([LEX, DEGLEX, DEGREVLEX]), None)
+    symbol_order = rng.choice([LEX, DEGLEX, DEGREVLEX])
+    if order is not None:
+        shift_order, symbol_order = order
+    spec = OrderingSpec(shift_order, None, symbol_order, None)
     ring = make_ring(rank, symbols, spec=spec)
     gens = [random_polynomial(rng, ring, max_terms=2, max_shift_deg=1) for _ in range(2)]
     gens = [g for g in gens if g]
@@ -235,15 +241,21 @@ def _decoded(run, pair):
     return a + b
 
 
-def _ids(group):
-    """The pair ids waiting in a group of a _Run, in push order."""
-    return [] if group.first is None else [group.first, *(group.more or ())]
+def _ids(entry):
+    """The pair ids waiting in an entry of a _Run's waiting map, in push
+    order: a lone id, or a group's ids; none for the group None that a
+    chain query of a lone pair gets."""
+    if entry is None:
+        return []
+    if isinstance(entry, int):
+        return [entry]
+    return [] if entry.first is None else [entry.first, *entry.more]
 
 
 def _queued(run):
     """(overlap factors, pair id) for each pair waiting in the grouped queue
     of a _Run, in no particular order."""
-    return [(group.factors, pair) for group in run.queue for pair in _ids(group)]
+    return [(overlap, pair) for overlap, entry in run.waiting.items() for pair in _ids(entry)]
 
 
 def _waits(run, group, a, b):
@@ -273,9 +285,9 @@ def test_chain_test_open_set_matches_processed_set_reference(monkeypatch):
             assert (a, b) == (i, j) and instance_id(a, sigma, b, tau) == pair_id
         counts["pushed"] += len(added)
 
-    def checked_skippable(run, p, q, group):
+    def checked_skippable(run, p, q, factors, group):
         (i, si), (j, sj) = p, q
-        overlap = Monomial(group.factors, run.reducer.ring.ordering)
+        overlap = Monomial(factors, run.reducer.ring.ordering)
         # every popped pair reaches the chain test and is treated before the
         # next pop, so the ids seen before this one are the treated ones
         ref = run.__dict__.setdefault("reference", {"treated": set(), "last": None})
@@ -299,7 +311,7 @@ def test_chain_test_open_set_matches_processed_set_reference(monkeypatch):
             counts["queries"] += 2
             counts["waiting"] += (not left) + (not right)
             expected = expected or (left and right)
-        got = skippable(run, p, q, group)
+        got = skippable(run, p, q, factors, group)
         assert got == expected
         return got
 
@@ -326,34 +338,49 @@ def test_open_ids_dividing_the_popped_overlap_have_that_overlap(monkeypatch):
 
     def checked_push(run, i, j):
         before = {pair for _, pair in _queued(run)}
-        groups = {id(g) for g in run.queue}
+        keys = {id(k) for k in run.queue}
         push(run, i, j)
         for overlap, pair in _queued(run):
             if pair not in before:
                 a, sa, b, sb = _decoded(run, pair)
                 lm_a, lm_b = run.reducer.polys[a].lm, run.reducer.polys[b].lm
                 assert overlap == lm_a.shift(sa).lcm(lm_b.shift(sb)).factors
-        # a heap entry is [order, key] and no more, so the heap never
-        # compares past the key
+        # a heap entry is the queue key of its overlap, which compares with
+        # the top as [order, key] lists do (orderings.py has the proof), so
+        # the heap pops as a heap of [order, key] lists would
         ordering = run.reducer.ring.ordering
-        for g in run.queue:
-            if id(g) not in groups:
-                assert g == [ordering.order(g.factors), ordering.monomial_key(g.factors)]
+        spec, factors_of = ordering.spec, ordering.queue_factors
 
-    def checked_skippable(run, a, b, group):
+        def order_and_key(k):
+            overlap = factors_of(k)
+            return [ordering.order(overlap), ordering.monomial_key(overlap)]
+
+        new = [k for k in run.queue if id(k) not in keys]
+        held = {id(f) for f in run.waiting} if new else ()
+        for k in new:
+            overlap = run.__dict__.setdefault("overlaps", {})[id(k)] = factors_of(k)
+            assert k == ordering.queue_key(overlap, ordering.order(overlap))
+            top = run.queue[0]
+            assert (k > top) == (order_and_key(k) > order_and_key(top))
+            if spec.shift_order != LEX and spec.symbol_order == LEX:
+                assert id(k) in held  # the tuple waiting holds, not a copy
+
+    def checked_skippable(run, a, b, factors, group):
         queued = _queued(run)
         ids = [_decoded(run, pair) for _, pair in queued]
         assert len(set(ids)) == len(ids) and a + b not in ids
-        assert {g.factors: id(g) for g in run.queue} == {f: id(g) for f, g in run.waiting.items()}
+        # the overlap of each heap key, as checked when it was pushed
+        assert {run.overlaps[id(k)] for k in run.queue} == set(run.waiting)
         assert len(run.waiting) == len(run.queue)
-        assert all(g.first is not None for g in run.queue)
-        exps = dict(group.factors)
+        assert all(_ids(entry) for entry in run.waiting.values())
+        assert group is None or isinstance(group, completion._Overlap)
+        exps = dict(factors)
         for other, _ in queued:
             if all(exps.get(var, 0) >= e for var, e in other):
-                assert other == group.factors
+                assert other == factors
                 counts["dividing"] += 1
         counts["pops"] += 1
-        return skippable(run, a, b, group)
+        return skippable(run, a, b, factors, group)
 
     monkeypatch.setattr(_Run, "_push_pairs", checked_push)
     monkeypatch.setattr(_Run, "_chain_skippable", checked_skippable)
@@ -378,7 +405,9 @@ def _logged_runs(monkeypatch, run_class, stale):
     popped pair, in pop order: its id, the pair counts and the basis size
     before it, and its chain decision (None with the chain test off).  A
     ReferenceRun logs a pair when its id leaves the open set, a _Run when
-    its id leaves its group's ids.  Chain queries of a _Run that find their
+    its id leaves its group's ids or, for a lone pair, when its overlap
+    leaves waiting; the log keeps the group, None for a lone pair, as the
+    pop's source.  Chain queries of a _Run that find their
     group's divisor list made for a smaller basis count as stale; as stale
     after an own pair when the pair popped just before was of the same
     group, and as decided by a new element when the elements of the stale
@@ -405,26 +434,37 @@ def _logged_runs(monkeypatch, run_class, stale):
                 log_pop(_decoded(runs[-1], self.first), self)
             super().__setattr__(name, value)
 
+    class LoggedWaiting(dict):  # the waiting map of a _Run
+        def __delitem__(self, overlap):
+            entry = self[overlap]
+            if isinstance(entry, int):  # a lone pair leaves with its overlap
+                log_pop(_decoded(runs[-1], entry), None)
+            super().__delitem__(overlap)
+
     def logged_init(run, *args):
         init(run, *args)
         run.pops, run.sources = [], []
         if run_class is ReferenceRun:
             run.open = OpenLog()
+        else:
+            run.waiting = LoggedWaiting()
         runs.append(run)
 
-    def logged_skippable(run, a, b, where):  # the overlap, or for a _Run its group
+    def logged_skippable(run, a, b, *where):  # the overlap, and for a _Run its group
         pops = run.pops
         old_only = None
-        if run_class is _Run and where.divisors is not None \
-                and where.size != len(run.reducer):
+        group = where[1] if run_class is _Run else None
+        if group is not None and group.search is not None \
+                and group.search[0] != len(run.reducer):
+            size = group.search[0]
             stale["lists"] += 1
-            if len(pops) > 1 and run.sources[-2] is where and pops[-2][2] < pops[-1][2]:
+            if len(pops) > 1 and run.sources[-2] is group and pops[-2][2] < pops[-1][2]:
                 stale["after an own pair"] += 1
-            overlap = Monomial(where.factors, run.reducer.ring.ordering)
-            old_only = any(c[0] < where.size and c != a and c != b
-                           and not _waits(run, where, a, c) and not _waits(run, where, c, b)
+            overlap = Monomial(where[0], run.reducer.ring.ordering)
+            old_only = any(c[0] < size and c != a and c != b
+                           and not _waits(run, group, a, c) and not _waits(run, group, c, b)
                            for c in run.reducer.iter_divisors(overlap))
-        got = skippable(run, a, b, where)
+        got = skippable(run, a, b, *where)
         if old_only is not None and old_only != got:
             stale["decided by a new element"] += 1
         assert pops[-1][0] == a + b and pops[-1][3] is None
@@ -492,45 +532,160 @@ def test_grouped_queue_matches_the_per_pair_reference(monkeypatch):
     assert stale["decided by a new element"] > 0
 
 
+_ORDERS = [(shift, symbol) for shift in (LEX, DEGLEX, DEGREVLEX)
+           for symbol in (LEX, DEGLEX, DEGREVLEX)]
+_ORDERED_SEEDS = (*range(15), 31)
+
+
+def _ordered_computations(shift_order, symbol_order):
+    """Completions under one shift x symbol order: grow.dgb's generator cut
+    by three pair budgets, the first stopping inside a group, the hand-built
+    set of
+    test_grouped_queue_matches_the_per_pair_reference, and _seeded_run
+    over _ORDERED_SEEDS: seeds 0-14 take each of the five modes three times,
+    and seed 31 pops a pair whose group's list went stale at the group's
+    previous pair.
+    """
+    spec = OrderingSpec(shift_order, None, symbol_order, None)
+    ring = make_ring(1, ("x",), spec=spec)
+    grow = parse_polynomial(ring, "x(0)*x(2) - x(1)^2")
+    hand_built = [parse_polynomial(ring, text) for text in
+                  ("3*x(2)^2", "x(2)*x(1)^2*x(0)^2 + x(2)*x(0)", "-1/2*x(1)^2*x(0) - 2*x(1)")]
+    computations = [lambda budget=budget: sigma_gbasis([grow], max_pair_budget=budget)
+                    for budget in (8, 40, 150)]
+    computations.append(lambda: sigma_gbasis(hand_built, max_pair_budget=150))
+    computations += [lambda seed=seed: _seeded_run(seed, 150, _PINNED_MODES,
+                                                   (shift_order, symbol_order))[2]
+                     for seed in _ORDERED_SEEDS]
+    return computations
+
+
+def test_queue_of_bare_keys_matches_the_reference_under_every_order(monkeypatch):
+    # Differential gate for the queue of bare keys (see _Run and
+    # Ordering.queue_key) over all nine shift x symbol orders, where
+    # _seeded_run draws the symbol order at random: per order, _Run and
+    # ReferenceRun pop the same pairs in the same order with the same chain
+    # decisions, run out of budget at the same pair and return the same
+    # basis.  Every order pops lone pairs and pairs of groups of two or
+    # more; the runs meet a group whose reducer grew between two of its
+    # queries (also where an element the stale list lacks decides), and
+    # budget stops inside a group that still holds ids.
+    stale = {"lists": 0, "after an own pair": 0, "decided by a new element": 0}
+    sources = {}  # order -> {"lone": pops, "group": pops}
+    stops = {"lone": 0, "group": 0, "inside a group": 0}
+    for order in _ORDERS:
+        outcomes = {}
+        counts = sources[order] = {"lone": 0, "group": 0}
+        for run_class in (ReferenceRun, _Run):
+            outcomes[run_class] = []
+            for compute in _ordered_computations(*order):
+                with monkeypatch.context() as patch:
+                    runs = _logged_runs(patch, run_class, stale)
+                    basis = compute()
+                outcomes[run_class].append(
+                    (str(basis.status), tuple(basis.stats.as_dict().values()),
+                     [str(g) for g in basis], [_pops_and_budget_pair(run) for run in runs]))
+                if run_class is not _Run:
+                    continue
+                for run in runs:
+                    for source in run.sources:
+                        counts["lone" if source is None else "group"] += 1
+                    if len(run.pops) > run.options.max_pair_budget:
+                        last = run.sources[-1]
+                        stops["lone" if last is None else "group"] += 1
+                        stops["inside a group"] += last is not None and last.first is not None
+        assert outcomes[_Run] == outcomes[ReferenceRun], order
+    assert all(counts["lone"] > 0 and counts["group"] > 0 for counts in sources.values())
+    assert stale["after an own pair"] > 0 and stale["decided by a new element"] > 0
+    assert stops["lone"] > 0 and stops["inside a group"] > 0
+
+
 def test_divisor_list_is_the_killer_first_search_over_its_size(monkeypatch):
-    # Differential test for the divisor list of a group (see _Run): before
-    # and after every chain query of the seeded completions, the group's
-    # list followed by its unread remainder is iter_divisors on the overlap
-    # over the reducer's first size elements, in the killer-first order of
-    # the query that started the search; the remainder yields one index's
-    # hits at a time, and the list ends between two indices.  The remainder
-    # is read out for the check and put back as an iterator over the same
-    # runs.  Every chain decision matches ReferenceRun, which makes a fresh
-    # search per query, and the seeded runs meet lists read by a later
+    # Differential test for the divisor list of a chain query (see _Run):
+    # before and after every chain query of the seeded completions, the
+    # list read so far followed by the unread remainder of the search is
+    # iter_divisors on the overlap over the reducer's first size elements,
+    # in the killer-first order of the query that started the search; the
+    # search yields one index's hits at a time, and the list ends between
+    # two indices.  A group's list is its search slot, whose remainder is
+    # read out for the check and put back as an iterator over the same
+    # runs; a lone pair's query keeps its list in locals, so its search is
+    # recorded as divisor_runs makes it, and the runs the query reads are
+    # its list.  Every chain decision matches ReferenceRun, which makes a
+    # fresh search per query, and the seeded runs meet lone queries that
+    # stop early and that read to the end, group lists read by a later
     # query, searches resumed after such a list and searches read to the end.
     skippable = _Run._chain_skippable
+    divisor_runs = ReducerBasis.divisor_runs
     starts = {}  # id(group) -> (killer-first indices, size) of its current search
-    counts = {"queries": 0, "read a list": 0, "resumed": 0, "read to the end": 0}
+    counts = {"queries": 0, "lone": 0, "lone stopped early": 0, "read a list": 0,
+              "resumed": 0, "read to the end": 0}
 
-    def check(run, group):
-        runs = list(group.rest)
-        group.rest = iter(runs)
-        first, size = starts[id(group)]
-        overlap = Monomial(group.factors, run.reducer.ring.ordering)
+    class ReadLog:  # a search that keeps the runs it has yielded
+        def __init__(self, runs):
+            self.runs, self.read = runs, []
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            hits = next(self.runs)
+            self.read.append(hits)
+            return hits
+
+    def killers_first(run, a, b):
+        return tuple(dict.fromkeys(run.killer[n] for n in (a[0], b[0]) if n in run.killer))
+
+    def check(run, factors, first, size, read, runs):
+        overlap = Monomial(factors, run.reducer.ring.ordering)
         expected = [c for c in run.reducer.iter_divisors(overlap, first) if c[0] < size]
-        listed = group.divisors
-        assert listed + [c for hits in runs for c in hits] == expected
+        assert read + [c for hits in runs for c in hits] == expected
         assert all(hits and {k for k, _ in hits} == {hits[0][0]} for hits in runs)
-        assert not (listed and runs) or runs[0][0][0] != listed[-1][0]
+        assert not (read and runs) or runs[0][0][0] != read[-1][0]
+
+    def check_group(run, factors, group):
+        size, listed, rest = group.search
+        runs = list(rest)
+        group.search = size, listed, iter(runs)
+        first, started = starts[id(group)]
+        assert size == started
+        check(run, factors, first, size, listed, runs)
         return len(listed), len(runs)
 
-    def checked(run, a, b, group):
+    def checked_lone(run, a, b, factors):
+        first, size = killers_first(run, a, b), len(run.reducer)
+        searches = []
+
+        def recorded(basis, factors, first=()):
+            search = ReadLog(divisor_runs(basis, factors, first))
+            searches.append((first, search))
+            return search
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ReducerBasis, "divisor_runs", recorded)
+            got = skippable(run, a, b, factors, None)
+        [(tried, search)] = searches  # one search per lone query
+        assert tried == first
+        runs = list(search.runs)
+        check(run, factors, first, size, [], search.read + runs)
+        assert got or not runs  # no certifying divisor: the whole search was read
+        counts["lone stopped early"] += bool(runs)
+        counts["read to the end"] += not runs
+        return got
+
+    def checked(run, a, b, factors, group):
         counts["queries"] += 1
+        if group is None:  # a lone pair's search stays in the query
+            counts["lone"] += 1
+            return checked_lone(run, a, b, factors)
         before = 0
-        if group.size == len(run.reducer):
-            before, _ = check(run, group)
+        if group.search is not None and group.search[0] == len(run.reducer):
+            before, _ = check_group(run, factors, group)
             counts["read a list"] += before > 0
         else:
-            killer = run.killer
-            starts[id(group)] = ({killer[n]: None for n in (a[0], b[0]) if n in killer},
-                             len(run.reducer))
-        got = skippable(run, a, b, group)
-        after, unread = check(run, group)
+            starts[id(group)] = killers_first(run, a, b), len(run.reducer)
+        got = skippable(run, a, b, factors, group)
+        after, unread = check_group(run, factors, group)
         assert got or unread == 0  # no certifying divisor: the whole search was read
         counts["resumed"] += before > 0 and after > before
         counts["read to the end"] += unread == 0
@@ -552,7 +707,8 @@ def test_divisor_list_is_the_killer_first_search_over_its_size(monkeypatch):
     assert decisions.count(True) > 100 and decisions.count(False) > 100
     assert counts["queries"] == decisions.count(True) + decisions.count(False)
     assert counts["read a list"] > 0 and counts["resumed"] > 0
-    assert counts["read to the end"] > 0
+    assert counts["read to the end"] > 0 and 0 < counts["lone"] < counts["queries"]
+    assert counts["lone stopped early"] > 0
 
 
 def _pinned_outcome(seed):
@@ -864,10 +1020,18 @@ def test_chain_query_tries_the_killers_of_both_halves_first(monkeypatch, killer,
     for j in range(2):
         for i in range(j + 1):
             run._push_pairs(i, j)
-    group = next(g for g in sorted(run.queue)
-                 if _decoded(run, g.first)[0] != _decoded(run, g.first)[2])
-    i, sigma, j, tau = _decoded(run, group.first)
-    group.first = group.more.pop(0) if group.more else None  # take it, as run does
+    def first_pair(overlap):
+        return _decoded(run, _ids(run.waiting[overlap])[0])
+
+    overlap = next(f for f in map(ring.ordering.queue_factors, sorted(run.queue))
+                   if first_pair(f)[0] != first_pair(f)[2])
+    group = run.waiting[overlap]
+    if isinstance(group, int):  # take it, as run does
+        pair, group = group, None
+    else:
+        pair = group.first
+        group.first = group.more.pop(0) if group.more else None
+    i, sigma, j, tau = _decoded(run, pair)
     a, b = (i, sigma), (j, tau)
     assert (i, j) == (0, 1)
     searches = []
@@ -879,9 +1043,9 @@ def test_chain_query_tries_the_killers_of_both_halves_first(monkeypatch, killer,
 
     monkeypatch.setattr(ReducerBasis, "divisor_runs", recorded)
     run.killer = dict(killer)
-    got = run._chain_skippable(a, b, group)
+    got = run._chain_skippable(a, b, overlap, group)
     assert searches == [first]
-    overlap = Monomial(group.factors, ring.ordering)
+    overlap = Monomial(overlap, ring.ordering)
     assert got == any(c not in (a, b) and not _waits(run, group, a, c)
                       and not _waits(run, group, c, b)
                       for c in run.reducer.iter_divisors(overlap))
@@ -1197,3 +1361,14 @@ def test_pair_queue_memory_per_generated_pair():
     assert basis.stats == PairStats(generated=3185, killed_sigma=805, killed_chain=827,
                                     reduced_to_zero=140, new_elements=33)
     assert peak / basis.stats.generated < 250 * 1.25
+
+
+def test_pair_queue_memory_of_bare_keys():
+    # Memory regression gate for the queue of bare keys (see
+    # completion._Run), on the run of the gate above: 164 B per generated
+    # pair traced on Python 3.11-3.13 and 170 B on 3.10.  The bound is
+    # 165 B plus 25%, so a group object for every lone pair (232 B) fails
+    # it.  tests/queue_memory.py runs both gates without pytest.
+    basis, per_pair = traced_bytes_per_pair()
+    assert basis.status.kind == "budget_exhausted" and basis.stats == QUEUE_STATS
+    assert per_pair < GATES["test_pair_queue_memory_of_bare_keys"] * SLACK

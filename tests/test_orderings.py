@@ -166,6 +166,43 @@ def test_packed_keys_match_the_block_order_reference(rank):
     assert checked == 18 * 51 * 51
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_queue_keys_sort_as_order_then_monomial_key(rank):
+    # Ordering.queue_key (the pair queue's heap key, see the module
+    # docstring): under all nine shift x symbol orders, with natural and
+    # non-default priorities, queue keys of random monomials of one to three
+    # factors sort exactly as (order, monomial key) pairs, and queue_factors
+    # gives the factor tuple back, the object itself, not a copy.  Under lex
+    # symbols the key is the factor tuple itself, after the order under a
+    # lex shift order; under graded symbols it is (order, monomial key,
+    # factor tuple).
+    symbols = ("x", "y", "z")
+    checked = 0
+    for index, spec in enumerate(_specs(rank, len(symbols))):
+        rng = random.Random(2000 * rank + index)
+        ring = make_ring(rank, symbols, spec=spec)
+        ordering = ring.ordering
+        monos = [random_monomial(rng, ring, max_factors=3, max_shift_deg=3, max_exp=3)
+                 for _ in range(60)]
+        pairs = [(ordering.order(m.factors), ordering.monomial_key(m.factors)) for m in monos]
+        keys = [ordering.queue_key(m.factors, order) for m, (order, _) in zip(monos, pairs)]
+        for i in range(len(monos)):
+            for j in range(len(monos)):
+                assert _sign(keys[i], keys[j]) == _sign(pairs[i], pairs[j]), \
+                    (spec, monos[i], monos[j])
+                checked += 1
+        graded, lex_symbols = spec.shift_order != LEX, spec.symbol_order == LEX
+        for key, m, (order, mkey) in zip(keys, monos, pairs):
+            assert ordering.queue_factors(key) is m.factors
+            if not lex_symbols:
+                assert key == (order, mkey, m.factors)
+            elif graded:
+                assert key is m.factors
+            else:
+                assert key == (order, m.factors)
+    assert checked == 18 * 60 * 60
+
+
 @pytest.mark.parametrize("shift_order", [LEX, DEGLEX, DEGREVLEX])
 def test_shift_past_the_packed_width_raises(shift_order):
     ring = make_ring(2, ("x", "y"), spec=OrderingSpec(shift_order, (1, 0), LEX, None))
