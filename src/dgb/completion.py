@@ -212,12 +212,13 @@ class _Run:
     hits, and the query appends them all before it tests any, so the list
     is always the complete hits of the indices read so far, in search
     order, and the unread remainder is the search over the other indices.
-    So list plus remainder is iter_divisors on the overlap over the first
-    size elements in that order, whichever pairs read before and wherever
-    they stopped: a query drops no item and reads none twice, and an item
-    once appended stays.  Its set is the (k, nu) with k < size and
-    nu*lm(G[k]) dividing the overlap, which depends only on the overlap and
-    on leading monomials that never change, as elements are only appended.
+    So list plus remainder is divisor_runs on the overlap, its runs
+    flattened, over the first size elements in that order, whichever pairs
+    read before and wherever they stopped: a query drops no item and reads
+    none twice, and an item once appended stays.  Its set is the (k, nu)
+    with k < size and nu*lm(G[k]) dividing the overlap, which depends only
+    on the overlap and on leading monomials that never change, as elements
+    are only appended.
     So while the reducer's length is unchanged every query of the group may
     read the same set, whichever pair it serves and whatever killers that
     pair has.  The test asks whether some member certifies both halves,

@@ -28,11 +28,17 @@ a term of h keeps that term's Monomial.  The leading pair is skipped, and
 that is exact: c*m*s(lm g) has coefficient lc(h)/lc(g) * lc(g) = lc(h) and
 monomial lm(h), so the difference has coefficient exactly 0 there in the
 exact field, while every other product term lies below lm(h), as the
-ordering is multiplicative and respects shifts.  tail_reduce makes the
-same step at the first reducible term: the terms above it are left alone
-by the step, so that run moves to the output once.  The same merge serves
+ordering is multiplicative and respects shifts.  The same merge serves
 replay_certificate, ring.shifted_spoly and spoly, and Polynomial + and -;
 products of whole polynomials (the parser, Polynomial *) take ring._product.
+
+*One loop.*  reduce, tail_reduce and reduce_full all run _reduce, which
+walks the terms of the remainder, probes each examined term once with
+find_divisor and makes the step above at the first hit.  Head reduction
+stops at the first miss; tail reduction moves on to the next term, and at
+a hit the terms above it, which the step leaves alone, move to the output
+once.  The loop checks the ring once per call and counts every step
+against HEAD_STEP_LIMIT.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from operator import sub
 
 from .errors import InternalCheckError, RingMismatchError
 from .orderings import MAX_SHIFT_DEGREE
-from .ring import Monomial, Polynomial, _add_multiple, _cofactor
+from .ring import Monomial, Polynomial, _add_multiple, _cofactor, _same_ring
 
 HEAD_STEP_LIMIT = 10_000_000  # safety net; the well-ordering guarantees termination
 
@@ -201,17 +207,9 @@ class ReducerBasis:
                         yield hits
             skip = first
 
-    def iter_divisors(self, target: Monomial, first=()):
-        """(index, shift) for every shift with shift*lm(G[index]) dividing
-        target, in the order of divisor_runs: the distinct indices in first,
-        then the others lowest index first; the shifts of one index
-        ascending in the shift ordering."""
-        for hits in self.divisor_runs(target.factors, tuple(dict.fromkeys(first))):
-            yield from hits
-
     def find_divisor(self, target: Monomial):
-        """The first item of iter_divisors, or None when no shifted leading
-        monomial divides target."""
+        """The first hit (index, s) of divisor_runs on the factors of
+        target, or None when no shifted leading monomial divides target."""
         for hits in self.divisor_runs(target.factors):
             return hits[0]
         return None
@@ -223,23 +221,46 @@ def _as_basis(G):
     return ReducerBasis([g for g in G if g])
 
 
-def _head_step(basis, terms, i, hit):
-    """(terms, coeff, cofactor): the terms of terms[i + 1:] minus
-    coeff*cofactor*shift(G[index]), for the hit (index, shift) on the
-    monomial of term i, which cancels exactly and is skipped."""
-    index, shift = hit
-    g = basis.polys[index]
-    m, c = terms[i]
-    offset = g.offset(shift)
-    cofactor = _cofactor(m.factors, g.lm.factors, offset)
-    lc = g.lc
-    coeff = c if lc == g.ring.field.one else c / lc
-    return _add_multiple(terms, i + 1, g, offset, -coeff, cofactor, 1), coeff, cofactor
-
-
-def _step_limit_error(f):
-    return InternalCheckError(f"reduction of {f} exceeded the step safety limit "
-                              f"of {HEAD_STEP_LIMIT} steps")
+def _reduce(f, G, tail, steps=None):
+    """f reduced against all shifts of G: its head only, or with tail=True
+    every term.  Each step appends (coefficient, cofactor, shift, basis
+    index) to steps when given; replay_certificate reads them back."""
+    basis = _as_basis(G)
+    if basis.ring is not None:  # an empty basis has no ring
+        _same_ring(f, basis)
+    # a step at term i leaves the terms before it alone, as every product
+    # term lies below term i: the run before i moves to the output at once
+    out = []
+    terms, i = f.terms, 0
+    guard = 0
+    while i < len(terms):
+        m, c = terms[i]
+        hit = basis.find_divisor(m)
+        if hit is None:
+            if not tail:
+                break
+            i += 1
+            continue
+        # the step for the hit (index, shift): term i cancels exactly and
+        # is skipped, the later terms take -coeff*cofactor*shift(G[index])
+        index, shift = hit
+        g = basis.polys[index]
+        offset = g.offset(shift)
+        cofactor = _cofactor(m.factors, g.lm.factors, offset)
+        lc = g.lc
+        coeff = c if lc == g.ring.field.one else c / lc
+        out.extend(terms[:i])
+        terms, i = _add_multiple(terms, i + 1, g, offset, -coeff, cofactor, 1), 0
+        if steps is not None:
+            steps.append((coeff, Monomial(cofactor, f.ring.ordering), shift, index))
+        guard += 1
+        if guard > HEAD_STEP_LIMIT:
+            raise InternalCheckError(f"reduction of {f} exceeded the step safety limit "
+                                     f"of {HEAD_STEP_LIMIT} steps")
+    if terms is f.terms:
+        return f
+    out.extend(terms)
+    return Polynomial(f.ring, tuple(out))
 
 
 def reduce(f: Polynomial, G, certificate=False):
@@ -251,48 +272,15 @@ def reduce(f: Polynomial, G, certificate=False):
     of (coefficient, cofactor, shift, basis_index) steps whose replay
     reconstructs f as h + sum of coeff*cofactor*shift(G[i]).
     """
-    basis = _as_basis(G)
-    steps = []
-    terms = f.terms
-    guard = 0
-    while terms:
-        hit = basis.find_divisor(terms[0][0])
-        if hit is None:
-            break
-        terms, coeff, cofactor = _head_step(basis, terms, 0, hit)
-        if certificate:
-            index, shift = hit
-            steps.append((coeff, Monomial(cofactor, f.ring.ordering), shift, index))
-        guard += 1
-        if guard > HEAD_STEP_LIMIT:
-            raise _step_limit_error(f)
-    h = f if terms is f.terms else Polynomial(f.ring, tuple(terms))
+    steps = [] if certificate else None
+    h = _reduce(f, G, False, steps)
     return (h, steps) if certificate else h
 
 
 def tail_reduce(f: Polynomial, G):
     """Full normal form: every monomial of the result is out of reach of
     the shifted leading monomials.  No normalization is applied."""
-    basis = _as_basis(G)
-    # a step at term i leaves the terms before it alone, as every product
-    # term lies below term i: the run before i moves to the output at once
-    out = []
-    terms, i = f.terms, 0
-    guard = 0
-    while i < len(terms):
-        hit = basis.find_divisor(terms[i][0])
-        if hit is None:
-            i += 1
-            continue
-        out.extend(terms[:i])
-        terms, i = _head_step(basis, terms, i, hit)[0], 0
-        guard += 1
-        if guard > HEAD_STEP_LIMIT:
-            raise _step_limit_error(f)
-    if terms is f.terms:
-        return f
-    out.extend(terms)
-    return Polynomial(f.ring, tuple(out))
+    return _reduce(f, G, True)
 
 
 def reduce_full(f: Polynomial, G):
@@ -305,6 +293,8 @@ def replay_certificate(h: Polynomial, steps, G):
     """Reconstruct the input of a certified reduction: h + sum of steps.
     Step indices refer to the nonzero elements of G, in order."""
     polys = G.polys if isinstance(G, ReducerBasis) else [g for g in G if g]
+    for g in polys:
+        _same_ring(h, g)
     terms = h.terms
     for coeff, cofactor, shift, index in steps:
         g = polys[index]

@@ -171,6 +171,15 @@ def dense_evaluate(f, v, x):
     return {m: c for m, c in h.items() if c}
 
 
+def divisor_hits(basis, target, first=()):
+    """Every hit (index, shift) of basis.divisor_runs on the monomial
+    target, one run after another: the distinct indices of first in their
+    order, then the others lowest index first; the shifts of one index
+    ascending in the shift ordering.  Lazy, as the search is."""
+    for hits in basis.divisor_runs(target.factors, tuple(dict.fromkeys(first))):
+        yield from hits
+
+
 def instance_id(i, si, j, sj):
     """Canonical identity of a pair of shifted basis elements, with the
     common shift divided out so that equivalent pairs coincide, as the
@@ -184,7 +193,7 @@ def instance_id(i, si, j, sj):
 
 class ReferenceRun:
     """The pair loop with one heap entry (order, flat key, seq, id,
-    overlap factors) per queued pair and one iter_divisors search per chain
+    overlap factors) per queued pair and one divisor_hits search per chain
     query: the reference for the grouped queue of completion._Run, which
     must pop the same pairs in the same order and decide each alike.  It
     takes the arguments of _Run and keeps its attributes queue, open,
@@ -228,7 +237,7 @@ class ReferenceRun:
         killer = self.killer
         i, j = a[0], b[0]
         first = {killer[n]: None for n in (i, j) if n in killer}
-        for c in self.reducer.iter_divisors(overlap, first):
+        for c in divisor_hits(self.reducer, overlap, first):
             if c == a or c == b:
                 continue
             if self._certified(a, c) and self._certified(c, b):

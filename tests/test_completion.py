@@ -21,9 +21,9 @@ from dgb.quotient import (PermutationAction, groebner_gamma_basis, normal_variab
                           pure_power_table, symmetric_setup)
 from dgb.reduction import ReducerBasis, reduce, reduce_full
 
-from helpers import (ReferenceRun, enumerate_up_to_degree, instance_id, is_order_homogeneous,
-                     make_ring, monomial_gcd, mono_to_oracle, oracle_key, random_monomial,
-                     random_polynomial, to_oracle)
+from helpers import (ReferenceRun, divisor_hits, enumerate_up_to_degree, instance_id,
+                     is_order_homogeneous, make_ring, monomial_gcd, mono_to_oracle, oracle_key,
+                     random_monomial, random_polynomial, to_oracle)
 from queue_memory import GATES, SLACK, STATS as QUEUE_STATS, traced_bytes_per_pair
 
 
@@ -302,7 +302,7 @@ def test_chain_test_open_set_matches_processed_set_reference(monkeypatch):
             return instance_id(a, sa, b, sb) in ref["treated"]
 
         expected = False
-        for k, nu in run.reducer.iter_divisors(overlap):
+        for k, nu in divisor_hits(run.reducer, overlap):
             if (k, nu) == (i, si) or (k, nu) == (j, sj):
                 continue
             left, right = certified(i, si, k, nu), certified(k, nu, j, sj)
@@ -463,7 +463,7 @@ def _logged_runs(monkeypatch, run_class, stale):
             overlap = Monomial(where[0], run.reducer.ring.ordering)
             old_only = any(c[0] < size and c != a and c != b
                            and not _waits(run, group, a, c) and not _waits(run, group, c, b)
-                           for c in run.reducer.iter_divisors(overlap))
+                           for c in divisor_hits(run.reducer, overlap))
         got = skippable(run, a, b, *where)
         if old_only is not None and old_only != got:
             stale["decided by a new element"] += 1
@@ -604,7 +604,7 @@ def test_divisor_list_is_the_killer_first_search_over_its_size(monkeypatch):
     # Differential test for the divisor list of a chain query (see _Run):
     # before and after every chain query of the seeded completions, the
     # list read so far followed by the unread remainder of the search is
-    # iter_divisors on the overlap over the reducer's first size elements,
+    # divisor_hits on the overlap over the reducer's first size elements,
     # in the killer-first order of the query that started the search; the
     # search yields one index's hits at a time, and the list ends between
     # two indices.  A group's list is its search slot, whose remainder is
@@ -638,7 +638,7 @@ def test_divisor_list_is_the_killer_first_search_over_its_size(monkeypatch):
 
     def check(run, factors, first, size, read, runs):
         overlap = Monomial(factors, run.reducer.ring.ordering)
-        expected = [c for c in run.reducer.iter_divisors(overlap, first) if c[0] < size]
+        expected = [c for c in divisor_hits(run.reducer, overlap, first) if c[0] < size]
         assert read + [c for hits in runs for c in hits] == expected
         assert all(hits and {k for k, _ in hits} == {hits[0][0]} for hits in runs)
         assert not (read and runs) or runs[0][0][0] != read[-1][0]
@@ -1048,7 +1048,7 @@ def test_chain_query_tries_the_killers_of_both_halves_first(monkeypatch, killer,
     overlap = Monomial(overlap, ring.ordering)
     assert got == any(c not in (a, b) and not _waits(run, group, a, c)
                       and not _waits(run, group, c, b)
-                      for c in run.reducer.iter_divisors(overlap))
+                      for c in divisor_hits(run.reducer, overlap))
 
 
 # --- verification --------------------------------------------------------------

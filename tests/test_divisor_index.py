@@ -36,8 +36,8 @@ from dgb.orderings import DEGLEX, DEGREVLEX, LEX, MAX_SHIFT_DEGREE
 from dgb.reduction import ReducerBasis
 from dgb.ring import Monomial
 
-from helpers import (make_ring, mul_term, random_monomial, random_polynomial, random_shift,
-                     reference_shift_key, reference_spoly)
+from helpers import (divisor_hits, make_ring, mul_term, random_monomial, random_polynomial,
+                     random_shift, reference_shift_key, reference_spoly)
 
 
 def _shifted(ring, lm, s):
@@ -109,7 +109,7 @@ def _target(rng, ring, polys):
 def _hits(basis, target):
     """The engine's hits, each with the cofactor reduce uses."""
     return [(index, s, target / basis.polys[index].shift(s).lm)
-            for index, s in basis.iter_divisors(target)]
+            for index, s in divisor_hits(basis, target)]
 
 
 @pytest.mark.parametrize("ring_index", range(len(RINGS)))
@@ -134,14 +134,14 @@ def test_indexed_search_matches_linear_scan(ring_index):
                                                  order_rng.randint(1, len(polys))))
             front = [h[:2] for k in order for h in expected if h[0] == k]
             rest = [h[:2] for h in expected if h[0] not in order]
-            assert list(basis.iter_divisors(target, order)) == front + rest
+            assert list(divisor_hits(basis, target, order)) == front + rest
             hits += len(expected)
     assert hits > 0  # the targets are built to be divisible
 
 
 def test_first_indices_are_searched_first_and_once():
-    # iter_divisors(target, first): the distinct indices of first in their
-    # order, then the others lowest index first, every hit exactly once,
+    # divisor_hits(basis, target, first): the distinct indices of first in
+    # their order, then the others lowest index first, every hit exactly once,
     # whether first is empty, names one index or repeats one; divisor_runs
     # gives the same hits, one list per index, for the distinct first
     ring = make_ring(1, ("x",))
@@ -156,7 +156,7 @@ def test_first_indices_are_searched_first_and_once():
                          ((1, 3, 1), (1, 3, 0, 2)), ((2, 0, 2, 0), (2, 0, 1, 3)),
                          ((3, 2, 1, 0), (3, 2, 1, 0))]:
         ordered = [h for k in order for h in expected if h[0] == k]
-        assert list(basis.iter_divisors(target, first)) == ordered, first
+        assert list(divisor_hits(basis, target, first)) == ordered, first
         distinct = tuple(dict.fromkeys(first))
         runs = list(basis.divisor_runs(target.factors, distinct))
         assert [hits[0][0] for hits in runs] == list(order)
@@ -310,8 +310,8 @@ def _check_query(ring, basis, polys, target, passed, kinds):
     expected = [(k, s) for k, g in enumerate(polys)
                 for s in reference_candidate_shifts(ring, g.lm, target)]
     fresh = ReducerBasis(polys)
-    assert list(basis.iter_divisors(target)) == expected, (polys, target)
-    assert list(fresh.iter_divisors(target)) == expected, (polys, target)
+    assert list(divisor_hits(basis, target)) == expected, (polys, target)
+    assert list(divisor_hits(fresh, target)) == expected, (polys, target)
     first = expected[0] if expected else None
     assert basis.find_divisor(target) == first == fresh.find_divisor(target)
     exps = dict(target.factors)

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from dgb import Monomial, Polynomial
+from dgb import Monomial, OrderingSpec, Polynomial, RingMismatchError
 from dgb.reduction import (ReducerBasis, reduce, reduce_full,
                            replay_certificate, tail_reduce)
 
-from helpers import make_ring, random_polynomial
+from helpers import divisor_hits, make_ring, random_polynomial
 
 
 @pytest.fixture
@@ -24,7 +24,7 @@ def test_find_divisor_shifted_hit(R1):
     # both s=(1,) and s=(2,) give shifted divisors; the tie-break picks the
     # smallest shift, and the divisor identity must hold exactly
     basis = ReducerBasis([g])
-    assert list(basis.iter_divisors(target)) == [(0, (1,)), (0, (2,))]
+    assert list(divisor_hits(basis, target)) == [(0, (1,)), (0, (2,))]
     index, shift = basis.find_divisor(target)
     assert (index, shift) == (0, (1,))
     assert (target / g.lm.shift(shift)) * g.lm.shift(shift) == target
@@ -106,7 +106,7 @@ def test_empty_basis(R1):
     basis = ReducerBasis([])
     assert len(basis) == 0 and basis.ring is None
     assert basis.find_divisor(f.lm) is None
-    assert list(basis.iter_divisors(f.lm)) == []
+    assert list(divisor_hits(basis, f.lm)) == []
     basis.append(x(R1, 1))
     assert basis.ring is R1 and basis.find_divisor(f.lm) == (0, (1,))
     assert reduce(f, []) == f
@@ -194,3 +194,39 @@ def test_multi_factor_anchor():
     shifted = g.lm.shift(shift)
     assert shifted.divides(target)
     assert (target / shifted) * shifted == target
+
+
+@pytest.mark.parametrize("rank, symbols, spec", [
+    (1, ("x", "y"), OrderingSpec(symbol_priority=(1, 0))),
+    (1, ("x", "y", "z"), None),
+    (2, ("x", "y"), None),
+], ids=["symbol priority", "symbol count", "shift rank"])
+def test_reduction_refuses_a_basis_of_another_ring(rank, symbols, spec):
+    ring, other = make_ring(1, ("x", "y")), make_ring(rank, symbols, spec=spec)
+    assert other != ring
+
+    def var(r, name, k, e=1):
+        return r.var(name, (k,) + (0,) * (r.signature.shift_rank - 1), e)
+
+    def element(r):  # x(1) - 5*y(0)^2
+        return var(r, "x", 1) - var(r, "y", 0, 2).scale(r.field.rational(5))
+
+    three = ring.field.rational(3)
+    f = var(ring, "x", 2) * var(ring, "y", 0) + var(ring, "x", 0).scale(three)
+    # over its own ring the element reduces f
+    h, steps = reduce(f, [element(ring)], certificate=True)
+    assert h == (var(ring, "y", 1, 2) * var(ring, "y", 0)).scale(ring.field.rational(5)) \
+        + var(ring, "x", 0).scale(three)
+    assert replay_certificate(h, steps, [element(ring)]) == f
+
+    def certified(f, G):
+        return reduce(f, G, certificate=True)
+
+    for G in ([element(other)], ReducerBasis([element(other)])):
+        for route in (reduce, certified, tail_reduce, reduce_full):
+            with pytest.raises(RingMismatchError):
+                route(f, G)
+        with pytest.raises(RingMismatchError):
+            replay_certificate(h, steps, G)
+    # an empty basis has no ring, so nothing to refuse
+    assert reduce(f, ReducerBasis([])) is f and tail_reduce(f, [ring.zero]) is f

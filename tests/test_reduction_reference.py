@@ -16,7 +16,7 @@ from itertools import product
 
 import pytest
 
-from dgb import OrderingSpec, ShiftWidthError
+from dgb import OrderingSpec, ShiftWidthError, reduction
 from dgb.orderings import DEGLEX, DEGREVLEX, LEX
 from dgb.reduction import (ReducerBasis, reduce, reduce_full, replay_certificate,
                            tail_reduce)
@@ -114,6 +114,40 @@ def test_reduction_matches_the_reference_route(index):
         for s, t in ((s, t), (zero, t), (s, zero)):
             assert shifted_spoly(a, s, b, t) == reference_spoly(a.shift(s), b.shift(t))
 
+
+
+@pytest.mark.parametrize("index", CASES)
+def test_one_divisor_probe_per_examined_term(index, monkeypatch):
+    """Reduction probes each term it examines once: a step is one probe and
+    one merge (_add_multiple); head reduction then probes the irreducible
+    head of a nonzero remainder and stops, tail reduction probes each term
+    it keeps.  So it neither probes past the first irreducible head nor
+    probes an output term twice."""
+    counts = {"probes": 0, "steps": 0}
+    find, merge = ReducerBasis.find_divisor, reduction._add_multiple
+
+    def counted_find(basis, target):
+        counts["probes"] += 1
+        return find(basis, target)
+
+    def counted_merge(*args):
+        counts["steps"] += 1
+        return merge(*args)
+
+    monkeypatch.setattr(ReducerBasis, "find_divisor", counted_find)
+    monkeypatch.setattr(reduction, "_add_multiple", counted_merge)
+    ring, G, inputs = _case(index)
+    total = 0
+    for f in inputs:
+        for route, tail in ((reduce, False), (tail_reduce, True), (reduce_full, True)):
+            counts.update(probes=0, steps=0)
+            h = route(f, G)
+            assert counts["probes"] == counts["steps"] + (len(h) if tail else bool(h))
+            total += counts["steps"]
+        counts.update(probes=0, steps=0)
+        h, steps = reduce(f, G, certificate=True)
+        assert counts["steps"] == len(steps) and counts["probes"] == len(steps) + bool(h)
+    assert total > 0
 
 def test_reference_cases_cover_every_path():
     """The seeded cases reach the paths the merge has to get right."""
