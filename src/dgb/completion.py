@@ -180,8 +180,8 @@ class _Run:
     names an unordered pair of shifted elements, with no shift divided
     out, so a chain query makes the id of a pair from the codes of its two
     halves; an element with no code is in no queued pair.  The shift pairs
-    of two elements come from per-run derivations of their factor shifts
-    (shift_pair_candidates).
+    of two elements come from their decoded leads, leads[i] for G[i], and
+    per-run derivations of their factor shifts (shift_pair_candidates).
 
     *Pop order.*  Pairs pop exactly as from a heap of (order, key, seq) per
     pair, seq counting pushes.  An overlap's key is in the heap iff the
@@ -271,6 +271,7 @@ class _Run:
         self.killer = {}
         self.derived = {}  # (alpha, beta) -> shift pair, see shift_pair_candidates
         self.codes = [{} for _ in G]  # codes[i][sigma]: the code of (i, sigma)
+        self.leads = [g.lm.decoded() for g in G]  # leads[i]: lm(G[i]) decoded
         self.elements = []  # elements[code]: the shifted element (i, sigma)
         self.shifted = []  # shifted[code]: the factor tuple of sigma*lm(G[i])
 
@@ -285,7 +286,7 @@ class _Run:
     def _push_pairs(self, i, j):
         reducer, stats, waiting = self.reducer, self.stats, self.waiting
         ordering = reducer.ring.ordering
-        leads = reducer.leads
+        leads = self.leads
         pairs, raw = shift_pair_candidates(leads[i], leads[j], i == j, self.derived)
         if raw == 0:
             stats.killed_product += 1
@@ -398,6 +399,7 @@ class _Run:
                 return [self.reducer.ring.one], False
             self.reducer.append(h)
             self.codes.append({})
+            self.leads.append(h.lm.decoded())
             stats.new_elements += 1
             new = len(G) - 1
             for t in range(new + 1):
@@ -511,7 +513,7 @@ def verify_sigma_gbasis(basis_or_elements):
     if not ring.ordering.is_order_compatible:
         raise ValueError("verification requires an order-compatible ordering")
     reducer = ReducerBasis(elements)
-    leads = reducer.leads
+    leads = [g.lm.decoded() for g in elements]
     failures = []
     checked = 0
     derived = {}

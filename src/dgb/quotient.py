@@ -151,7 +151,6 @@ class QuotientPresentation:
         self.ring = ring
         self.relations = matrix
         self.relation_polynomials = [matrix[key].polynomial(ring) for key in sorted(matrix)]
-        self.reducer = ReducerBasis(self.relation_polynomials)
 
     @property
     def dimension(self):
@@ -192,7 +191,7 @@ class QuotientPresentation:
     def normal_form_reduction(self, var):
         """Normal form of a variable by reduction against the relations."""
         i, shift = var
-        return tail_reduce(self.ring.var(i, shift), self.reducer)
+        return tail_reduce(self.ring.var(i, shift), self.relation_polynomials)
 
     def normal_form_variable(self, var):
         """Normal form of a variable, computed along both routes; the two
@@ -218,8 +217,8 @@ class PermutationAction:
     i of the rank-one ring given (by default x, or x1..xn, under a deglex
     shift and lex symbol order), with the cycle relation
     symbol_i(s^d_i) - symbol_i(0) closing it.  Its presentation, the
-    QuotientPresentation of those relations with their reducer, is built
-    once, with the action.
+    QuotientPresentation of those relations, is built once, with the
+    action; neither keeps a reducer, so neither grows with use.
     """
 
     def __init__(self, cycles, ring=None):
@@ -327,7 +326,7 @@ def expand_classical_basis(action: PermutationAction, gamma_elements):
     """Unfold a group-invariant basis into the plain minimal basis of the
     finite ring: apply all powers of the shift, wrap through the cycle
     relations, deduplicate, and minimalize with plain divisibility."""
-    relations = action.presentation.reducer
+    relations = ReducerBasis(action.presentation.relation_polynomials)
     copies = {}
     for g in gamma_elements:
         for k in range(action.order):

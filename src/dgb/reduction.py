@@ -84,32 +84,21 @@ class ReducerBasis:
     that found 47,837 hits (545 entries over the run's three bases).  The
     shift of w is decoded once per basis (_shift_of, shared by the
     tables): many elements meet the same images, and append reads the
-    anchor's shift from it too.
-
-    leads, the decoded leading monomials, is made on first read and kept
-    up to date by append: the search never reads it, and a basis built for
-    one call of reduce or reduce_full on a plain list never does either.
+    anchor's shift from it too.  Both live as long as the basis: a caller
+    that keeps the basis keeps them, and nothing else holds them.
     """
 
-    __slots__ = ("ring", "polys", "_leads", "_shapes", "_shift_of")
+    __slots__ = ("ring", "polys", "_shapes", "_shift_of")
 
     def __init__(self, polys):
         self.ring = None
         self.polys, self._shapes = [], []
-        self._leads = None
         self._shift_of = {}  # packed variable -> its shift, decoded once
         for p in polys:
             self.append(p)
 
     def __len__(self):
         return len(self.polys)
-
-    @property
-    def leads(self):
-        """The leading monomials decoded (Monomial.decoded), by index."""
-        if self._leads is None:
-            self._leads = [p.lm.decoded() for p in self.polys]
-        return self._leads
 
     def append(self, poly):
         """Grow the basis in place (used by completion as elements arrive)."""
@@ -121,8 +110,6 @@ class ReducerBasis:
             raise RingMismatchError("basis mixes different rings")
         m = poly.lm
         self.polys.append(poly)
-        if self._leads is not None:
-            self._leads.append(m.decoded())
         if m.is_one:
             self._shapes.append(None)
             return

@@ -213,7 +213,7 @@ class ReferenceRun:
         reducer, stats = self.reducer, self.stats
         lm_i, lm_j = reducer.polys[i].lm, reducer.polys[j].lm
         ordering = reducer.ring.ordering
-        pairs, raw = shift_pair_candidates(reducer.leads[i], reducer.leads[j], i == j, {})
+        pairs, raw = shift_pair_candidates(lm_i.decoded(), lm_j.decoded(), i == j, {})
         if raw == 0:
             stats.killed_product += 1
         stats.killed_sigma += raw - len(pairs)

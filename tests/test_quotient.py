@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -445,6 +447,25 @@ def test_one_presentation_and_one_relation_reducer_per_action(monkeypatch):
     gamma = groebner_gamma_basis(action, [g])
     assert len(expand_classical_basis(action, gamma.elements)) > len(gamma.elements)
     assert counts == {"presentations": 1, "relation_reducers": 1}
+
+
+def test_presentation_keeps_no_state_that_grows_with_use():
+    """Normal forms of far-shifted variables leave nothing behind on the
+    presentation: its reducer, if it kept one, would hold the anchor images
+    and decoded shifts of every variable the reductions passed through."""
+    presentation = PermutationAction("(1 2 3 4 5 6 7 8)").presentation
+    tracemalloc.start()
+    try:
+        presentation.normal_form_variable(VarRef(0, (3,)))
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for k in (10, 100, 1000, 5000):
+            presentation.normal_form_variable(VarRef(0, (k,)))
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16_384
 
 
 def test_degree_zero_relation_empties_its_symbol():

