@@ -498,8 +498,8 @@ class _Parser:
             self.fail("division by zero", self.peek(at))
         if len(divisor) != 1 or () not in divisor:
             self.fail("can only divide by a constant coefficient", self.peek(at))
-        inverse = ring.field.one / divisor[()]
-        return {f: c * inverse for f, c in term.items()}
+        quotient, d = ring.field.quotient, divisor[()]
+        return {f: quotient(c, d) for f, c in term.items()}
 
 
 def parse_problem(text) -> ProblemFile:

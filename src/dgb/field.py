@@ -1,26 +1,36 @@
 """Exact constant coefficient fields.
 
-Coefficients live either in Q (no declared parameters, plain
-``fractions.Fraction``) or in the rational function field Q(p1,...,pk)
-over the declared transcendental parameters (``RationalFunction``).  A
-``RationalFunction`` is a pair ``num/den`` of integer polynomials in
-ZZ[p1,...,pk], each a dict from exponent tuples (parameters in declared
-order) to nonzero ints, kept in one canonical form: ``num`` and ``den``
-have no common factor in ZZ[p1,...,pk], integer content included, the
-leading coefficient of ``den`` (lex on exponent tuples) is positive, and
-zero is ``0/1``.  Equal values therefore have equal dicts, which is what
-equality, hashing and printing read.
+Coefficients live either in Q (no declared parameters) or in the rational
+function field Q(p1,...,pk) over the declared transcendental parameters.
+In both a constant is a plain Python number: an ``int`` when it is
+integral, otherwise a reduced ``fractions.Fraction``.  A value that
+involves a parameter is a ``RationalFunction``: a pair ``num/den`` of
+integer polynomials in ZZ[p1,...,pk], each a dict from exponent tuples
+(parameters in declared order) to nonzero ints, kept in one canonical
+form: ``num`` and ``den`` have no common factor in ZZ[p1,...,pk], integer
+content included, the leading coefficient of ``den`` (lex on exponent
+tuples) is positive, and at least one of them involves a parameter.  A
+``RationalFunction`` is therefore never a constant and never zero: any
+sum, product, quotient or power whose canonical result is constant comes
+back as the plain number (``_value``).  Equal values have equal
+representations, which is what equality, hashing and printing read; a
+``Fraction(n, 1)`` that Fraction arithmetic returns equals ``n`` and
+hashes as ``n``, so it is the same value as the ``int``.
 
-When both denominators are constant (ground values included) arithmetic
-cancels with integer gcds only.  Otherwise products and sums cancel
-Henrici's way, through gcds of the smaller pieces.  A polynomial gcd comes
-from the heuristic GCDHEU (Char, Geddes & Gonnet, JSC 1989), whose
-candidate is accepted only when it divides both inputs exactly, with the
-primitive polynomial remainder sequence (Brown, JACM 1971) as the
-fallback when the heuristic gives up.  Both kinds support ``+ - * / **``,
-equality and truthiness, so polynomial code treats them uniformly.
-Printing folds a constant denominator into rational coefficients of the
-numerator, so ``(H^2 - 1)/2`` prints as ``1/2*H^2 - 1/2``.
+``int / int`` is a float, so no code divides two coefficients with ``/``:
+every coefficient quotient goes through ``ConstantField.quotient``.
+
+When both denominators are constant arithmetic cancels with integer gcds
+only, and a plain-number operand takes a direct path of integer gcds.
+Otherwise products and sums cancel Henrici's way, through gcds of the
+smaller pieces.  A polynomial gcd comes from the heuristic GCDHEU (Char,
+Geddes & Gonnet, JSC 1989), whose candidate is accepted only when it
+divides both inputs exactly, with the primitive polynomial remainder
+sequence (Brown, JACM 1971) as the fallback when the heuristic gives up.
+Plain numbers and ``RationalFunction``s mix under ``+ - * **``, equality
+and truthiness, so polynomial code treats them uniformly.  Printing folds
+a constant denominator into rational coefficients of the numerator, so
+``(H^2 - 1)/2`` prints as ``1/2*H^2 - 1/2``.
 """
 
 from __future__ import annotations
@@ -51,10 +61,14 @@ class CoeffText(Record, frozen=True):
 class ConstantField:
     """The field of constants for one ring signature.
 
-    Without parameters the elements are ``Fraction``s.  With parameters
-    they are ``RationalFunction``s ``num/den`` over ZZ[p1,...,pk] in the
-    canonical form of the module docstring; ``format`` renders them with
-    rational coefficients.
+    A constant is a plain number with or without parameters: an ``int``
+    when it is integral, otherwise a reduced ``Fraction`` (``rational``,
+    ``coerce``, ``zero``, ``one`` and ``minus_one`` return these).  With
+    parameters a value that involves one is a ``RationalFunction``
+    ``num/den`` over ZZ[p1,...,pk] in the canonical form of the module
+    docstring, which never holds a constant.  Coefficients divide through
+    ``quotient`` only, as ``int / int`` is a float; ``format`` renders
+    every value with rational coefficients.
     """
 
     __slots__ = ("parameters", "zero", "one", "minus_one", "_gens", "_const")
@@ -82,18 +96,26 @@ class ConstantField:
         return "ConstantField(Q)"
 
     def rational(self, num, den=1):
+        """num/den as a plain number: an int when integral, else a Fraction."""
         value = Fraction(num, den)
-        if not self.parameters:
-            return value
-        # A Fraction is reduced with a positive denominator: already canonical.
-        n, z = value.numerator, self._const
-        return RationalFunction(self, {z: n} if n else {}, {z: value.denominator})
+        return value.numerator if value.denominator == 1 else value
 
     def coerce(self, value):
         """Accept ints and Fractions alongside native field elements."""
+        if value.__class__ is int or value.__class__ is RationalFunction:
+            return value
         if isinstance(value, (int, Fraction)):
             return self.rational(value)
         return value
+
+    def quotient(self, a, b):
+        """a / b for field elements a and b, b nonzero: the one division of
+        coefficients.  Plain numbers give a plain number, an int when the
+        quotient is integral."""
+        if a.__class__ is RationalFunction or b.__class__ is RationalFunction:
+            return a / b
+        value = Fraction(a, b)
+        return value.numerator if value.denominator == 1 else value
 
     def parameter(self, name):
         try:
@@ -103,40 +125,45 @@ class ConstantField:
 
     def term_count(self, c):
         """The number of terms of the longer of the numerator and the
-        denominator of c: 1 in Q."""
-        return max(len(c.num), len(c.den)) if self.parameters else 1
+        denominator of c: 1 for a plain number."""
+        if c.__class__ is RationalFunction:
+            return max(len(c.num), len(c.den))
+        return 1
 
     # --- size against the int-to-text limit --------------------------------
 
     def _parts(self, c):
         """The numerator and denominator of c as dicts to nonzero ints (one
-        entry each in Q), the zero numerator empty."""
-        if self.parameters:
+        entry each for a plain number), the zero numerator empty."""
+        if c.__class__ is RationalFunction:
             return c.num, c.den
-        return {0: c.numerator} if c else {}, {0: c.denominator}
+        z = self._const
+        return {z: c.numerator} if c else {}, {z: c.denominator}
 
     def digits_exceed(self, c, digits):
         """Whether an integer of c has more than digits decimal digits: its
-        numerator or denominator in Q, a coefficient of either in Q(params)."""
+        numerator or denominator, or a coefficient of either when c involves
+        a parameter."""
         limit = 10 ** digits
         return any(abs(n) >= limit for part in self._parts(c) for n in part.values())
 
     def exponent_exceeds(self, c, limit):
         """Whether a parameter has an exponent of at least limit in c."""
-        return bool(self.parameters) and any(max(k) >= limit for p in self._parts(c) for k in p)
+        return c.__class__ is RationalFunction and any(
+            max(k) >= limit for p in (c.num, c.den) for k in p)
 
     def power_digits_exceed(self, c, e, digits):
         """digits_exceed(c ** e, digits) for an int e >= 0, with no power
         computed where bit lengths settle it.
 
         A part p of c (numerator or denominator) has the part p^e in c**e:
-        in Q(params) both are kept coprime, and a power of a canonical
-        denominator stays canonical.  The lex-largest and lex-smallest terms
-        of p^e are the e-th powers of those of p, so p^e has a coefficient
-        of at least 2^(e(b-1)), b the bit length of the larger of them; and
-        no coefficient of p^e exceeds (sum of |coefficients of p|)^e.  Past
-        the limit the power is computed only between those bounds, where it
-        is at most about twice the limit long when p has one term."""
+        both are kept coprime, and a power of a canonical denominator stays
+        canonical.  The lex-largest and lex-smallest terms of p^e are the
+        e-th powers of those of p, so p^e has a coefficient of at least
+        2^(e(b-1)), b the bit length of the larger of them; and no
+        coefficient of p^e exceeds (sum of |coefficients of p|)^e.  Past the
+        limit the power is computed only between those bounds, where it is
+        at most about twice the limit long when p has one term."""
         if c == self.one:  # the coefficient of most powers, x(1)^2 among them
             return False
         bits = digits * log2(10)  # 2^bits = 10^digits
@@ -155,7 +182,7 @@ class ConstantField:
     # --- printing ------------------------------------------------------
 
     def format(self, c) -> CoeffText:
-        if not self.parameters:
+        if c.__class__ is not RationalFunction:
             return CoeffText(c < 0, _fraction_body(abs(c)), True)
         numer_terms = [(m, Fraction(q)) for m, q in sorted(c.num.items(), reverse=True)]
         denom_terms = [(m, Fraction(q)) for m, q in sorted(c.den.items(), reverse=True)]
@@ -212,17 +239,21 @@ def _int_text(n, what="a coefficient has an integer") -> str:
             f"digits, which Python does not convert to text") from None
 
 
-def _fraction_body(q: Fraction) -> str:
+def _fraction_body(q) -> str:
+    """The text of a nonnegative int or Fraction."""
     if q.denominator == 1:
         return _int_text(q.numerator)
     return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
 
 
 class RationalFunction:
-    """An element ``num/den`` of Q(p1,...,pk), in canonical form.
+    """An element ``num/den`` of Q(p1,...,pk) that involves a parameter, in
+    the canonical form of the module docstring.
 
-    Build values through a ``ConstantField`` (``rational``, ``parameter``)
-    and arithmetic; the constructor takes a pair already in canonical form.
+    Build values through a ``ConstantField`` (``parameter``) and
+    arithmetic; the constructor takes a pair already in canonical form.
+    An operand that is a plain number takes a direct path, and a result
+    that is constant comes back as a plain number.
     """
 
     __slots__ = ("field", "num", "den", "_hash")
@@ -230,26 +261,17 @@ class RationalFunction:
     def __init__(self, field, num, den):
         self.field, self.num, self.den, self._hash = field, num, den, None
 
-    def _lift(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.field.rational(other)
-        return other if isinstance(other, RationalFunction) else None
-
-    def _canonical(self, num, den):
-        """num/den with num and den coprime; fixes the sign of den."""
-        if den[max(den)] < 0:
-            num, den = _scale(num, -1), _scale(den, -1)
-        return RationalFunction(self.field, num, den)
-
     def __add__(self, other, sign=1):
-        if other.__class__ is not RationalFunction and (other := self._lift(other)) is None:
-            return NotImplemented
-        a, b, c, d = self.num, self.den, other.num, other.den
-        if not c:
-            return self
-        if not a:
-            return other if sign == 1 else -other
         z = self.field._const
+        if other.__class__ is RationalFunction:
+            c, d = other.num, other.den
+        elif isinstance(other, (int, Fraction)):
+            if not other:
+                return self
+            c, d = {z: other.numerator}, {z: other.denominator}
+        else:
+            return NotImplemented
+        a, b = self.num, self.den
         if len(b) == 1 and len(d) == 1 and z in b and z in d:
             b, d = b[z], d[z]
             g = gcd(b, d)
@@ -259,16 +281,19 @@ class RationalFunction:
                 g = gcd(_content(num), g)
                 if g != 1:
                     num, den = _quo(num, g), den // g
-            return RationalFunction(self.field, num, {z: den}) if num else self.field.zero
+            return _value(self.field, num, {z: den})
         g, b1, d1 = _gcd(b, d)
         num = _combine(_mul(a, d1), 1, _mul(c, b1), sign)
         if not num:
-            return self.field.zero
+            return 0
         _, num, g = _gcd(num, g)
-        return self._canonical(num, _mul(_mul(g, b1), d1))
+        return _value(self.field, num, _mul(_mul(g, b1), d1))
 
     def __sub__(self, other):
         return self.__add__(other, -1)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
 
     __radd__ = __add__
 
@@ -276,6 +301,7 @@ class RationalFunction:
         """(a/b)*(c/d) for nonzero coprime pairs; d's sign may be either."""
         z = self.field._const
         if len(b) == 1 and len(d) == 1 and z in b and z in d:
+            # a and c both involve a parameter, and so does their product
             b, d = b[z], d[z]
             # gcd(x, 1) is 1: a unit denominator needs no content
             g = gcd(_content(a), d) if d != 1 else 1
@@ -287,56 +313,96 @@ class RationalFunction:
             return RationalFunction(self.field, num, {z: den})
         _, a, d = _gcd(a, d)
         _, c, b = _gcd(c, b)
-        return self._canonical(_mul(a, c), _mul(b, d))
+        return _value(self.field, _mul(a, c), _mul(b, d))
+
+    def _scaled(self, p, q):
+        """self * p/q for coprime ints p != 0 and q > 0: the common factors
+        are gcd(p, content of den) and gcd(content of num, q)."""
+        a, b = self.num, self.den
+        g = gcd(p, *b.values())
+        if g != 1:
+            p, b = p // g, _quo(b, g)
+        if q != 1:
+            h = gcd(_content(a), q)
+            if h != 1:
+                q, a = q // h, _quo(a, h)
+        return RationalFunction(self.field, _scale(a, p) if p != 1 else a,
+                                _scale(b, q) if q != 1 else b)
 
     def __mul__(self, other):
-        if other.__class__ is not RationalFunction and (other := self._lift(other)) is None:
-            return NotImplemented
-        if not self.num or not other.num:
-            return self.field.zero
-        return self._times(self.num, self.den, other.num, other.den)
+        if other.__class__ is RationalFunction:
+            return self._times(self.num, self.den, other.num, other.den)
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other.numerator, other.denominator) if other else 0
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if other.__class__ is not RationalFunction and (other := self._lift(other)) is None:
+        if other.__class__ is RationalFunction:
+            return self._times(self.num, self.den, other.den, other.num)
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("division by zero in the constant field")
+            p, q = other.numerator, other.denominator
+            return self._scaled(q, p) if p > 0 else self._scaled(-q, -p)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if not other.num:
-            raise ZeroDivisionError("division by zero in the constant field")
-        if not self.num:
-            return self
-        return self._times(self.num, self.den, other.den, other.num)
+        if not other:
+            return 0
+        inverse = _value(self.field, self.den, self.num)
+        return inverse._scaled(other.numerator, other.denominator)
 
     def __pow__(self, n):
         if n < 0:
-            return (self.field.one / self) ** -n
-        num, den = _power(self.num, n, self.field._const), _power(self.den, n, self.field._const)
-        return RationalFunction(self.field, num, den)
+            return self.field.quotient(self.field.one, self) ** -n
+        z = self.field._const
+        return _value(self.field, _power(self.num, n, z), _power(self.den, n, z))
 
     def __neg__(self):
         return RationalFunction(self.field, _scale(self.num, -1), self.den)
 
     def __bool__(self):
-        return bool(self.num)
+        return True  # zero is the int 0
 
     def __eq__(self, other):
-        if other.__class__ is not RationalFunction and (other := self._lift(other)) is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if other.__class__ is RationalFunction:
+            return self.num == other.num and self.den == other.den
+        # a RationalFunction is never a constant
+        return False if isinstance(other, (int, Fraction)) else NotImplemented
 
     def __hash__(self):
         if self._hash is None:
-            z, num, den = self.field._const, self.num, self.den
-            if len(den) == 1 and z in den and len(num) <= 1 and (not num or z in num):
-                # a ground value hashes like the Fraction it equals
-                self._hash = hash(Fraction(num.get(z, 0), den[z]))
-            else:
-                self._hash = hash((frozenset(num.items()), frozenset(den.items())))
+            self._hash = hash((frozenset(self.num.items()), frozenset(self.den.items())))
         return self._hash
 
     def __repr__(self):
         text = self.field.format(self)
         return f"RationalFunction({'-' if text.negative else ''}{text.body})"
+
+
+def _value(field, num, den):
+    """The element num/den of field for coprime num and den, num empty for
+    zero: den's leading coefficient made positive, and a plain number when
+    neither involves a parameter."""
+    if not num:
+        return 0
+    z = field._const
+    if len(den) == 1 and z in den:
+        d = den[z]
+        if len(num) == 1 and z in num:
+            n = num[z]
+            if d < 0:
+                n, d = -n, -d
+            return n if d == 1 else Fraction(n, d)
+        if d < 0:
+            num, den = _scale(num, -1), {z: -d}
+    elif den[max(den)] < 0:
+        num, den = _scale(num, -1), _scale(den, -1)
+    return RationalFunction(field, num, den)
 
 
 # --- sparse polynomials over ZZ: dicts from exponent tuples to nonzero ints ----

@@ -235,7 +235,7 @@ def _reduce(f, G, tail, steps=None):
         offset = g.offset(shift)
         cofactor = _cofactor(m.factors, g.lm.factors, offset)
         lc = g.lc
-        coeff = c if lc == g.ring.field.one else c / lc
+        coeff = c if lc == 1 else g.ring.field.quotient(c, lc)
         out.extend(terms[:i])
         terms, i = _add_multiple(terms, i + 1, g, offset, -coeff, cofactor, 1), 0
         if steps is not None:

@@ -331,10 +331,10 @@ class Polynomial:
         return Polynomial(self.ring, tuple((m, -c) for m, c in self.terms))
 
     def __add__(self, other):
-        return self._plus(other, self.ring.field.one)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self._plus(other, -self.ring.field.one)
+        return self._plus(other, -1)
 
     def _plus(self, other, sign):
         """self + sign*other in one _add_multiple merge, keeping the Monomials."""
@@ -361,9 +361,10 @@ class Polynomial:
         if not self.terms:
             raise ZeroDivisionError("cannot normalize the zero polynomial")
         lc = self.terms[0][1]
-        if lc == self.ring.field.one:
+        if lc == 1:
             return self
-        return Polynomial(self.ring, tuple((m, c / lc) for m, c in self.terms))
+        quotient = self.ring.field.quotient
+        return Polynomial(self.ring, tuple((m, quotient(c, lc)) for m, c in self.terms))
 
     # --- shift action ------------------------------------------------------
 
@@ -415,12 +416,12 @@ def shifted_spoly(f: Polynomial, s, g: Polynomial, t) -> Polynomial:
     if not f or not g:
         raise ValueError("spoly of the zero polynomial is undefined")
     _same_ring(f, g)
-    one = f.ring.field.one
+    quotient = f.ring.field.quotient
     a, b = f.offset(s), g.offset(t)
     fa, fb = f.lm.factors, g.lm.factors
     lcm = _lcm([(var + a, e) for var, e in fa], [(var + b, e) for var, e in fb])
-    terms = _add_multiple((), 0, f, a, one / f.lc, _cofactor(lcm, fa, a), 1)
-    return Polynomial(f.ring, tuple(_add_multiple(terms, 0, g, b, -one / g.lc,
+    terms = _add_multiple((), 0, f, a, quotient(1, f.lc), _cofactor(lcm, fa, a), 1)
+    return Polynomial(f.ring, tuple(_add_multiple(terms, 0, g, b, quotient(-1, g.lc),
                                                  _cofactor(lcm, fb, b), 1)))
 
 
@@ -448,10 +449,9 @@ def _add_multiple(terms, i, g, offset, coeff, cofactor, start):
     """
     ordering = g.ring.ordering
     key_of = ordering.monomial_key
-    field = g.ring.field
     # coeff is one or minus one for + and -, and for a monic g in
     # shifted_spoly: then a term's coefficient is c or -c, no product
-    unit = 1 if coeff == field.one else -1 if coeff == field.minus_one else 0
+    unit = 1 if coeff == 1 else -1 if coeff == -1 else 0
     moved = offset or cofactor
     out = []
     append = out.append

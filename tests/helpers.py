@@ -11,6 +11,7 @@ from operator import sub
 from dgb import DifferenceRing, Monomial, ParseError, Polynomial, ShiftWidthError, Signature
 from dgb.cli import tokenize
 from dgb.completion import shift_pair_candidates
+from dgb.field import RationalFunction
 from dgb.orderings import DEGLEX, LEX
 from dgb.quotient import groebner_gamma_basis
 from dgb.reduction import ReducerBasis, reduce_full
@@ -106,12 +107,32 @@ def random_polynomial(rng, ring, max_terms=3, order_exact=None, **mono_kw):
 
 def to_oracle(poly):
     """Convert a difference polynomial over plain Q into the oracle's
-    dict-of-monomials representation."""
+    dict-of-monomials representation, whose coefficients are Fractions."""
     out = {}
     for m, c in poly.terms:
-        assert isinstance(c, Fraction), "oracle conversion needs a parameter-free ring"
-        out[mono_to_oracle(m)] = c
+        assert type(c) in (int, Fraction), "oracle conversion needs a parameter-free ring"
+        out[mono_to_oracle(m)] = Fraction(c)
     return out
+
+
+def num_den(field, c):
+    """The numerator and denominator of the coefficient c over field as
+    dicts from exponent tuples to nonzero ints: a RationalFunction's own,
+    and for a plain number its numerator and denominator at the all-zero
+    exponent tuple, the zero numerator empty."""
+    if isinstance(c, RationalFunction):
+        return c.num, c.den
+    z = (0,) * len(field.parameters)
+    return ({z: c.numerator} if c else {}), {z: c.denominator}
+
+
+def is_exact_coefficient(c):
+    """Whether c has a canonical type: an int, a Fraction, or a
+    RationalFunction that involves a parameter.  Never a float or a bool,
+    and never a RationalFunction equal to a constant."""
+    if type(c) in (int, Fraction):
+        return True
+    return type(c) is RationalFunction and any(any(e) for part in (c.num, c.den) for e in part)
 
 
 def mono_to_oracle(m):
@@ -350,7 +371,7 @@ def reference_reduce(f, G, certificate=False):
             break
         index, shift = hit
         g = basis.polys[index].shift(shift)
-        coeff = h.lc / g.lc
+        coeff = h.ring.field.quotient(h.lc, g.lc)
         cofactor = h.lm / g.lm
         h = reference_add(h, mul_term(g, -coeff, cofactor))
         steps.append((coeff, cofactor, shift, index))
@@ -383,10 +404,10 @@ def reference_replay(h, steps, G):
 
 def reference_spoly(f, g):
     """ring.spoly as the sum of two whole term products."""
-    one = f.ring.field.one
+    field = f.ring.field
     lcm = f.lm.lcm(g.lm)
-    return reference_add(mul_term(f, one / f.lc, lcm / f.lm),
-                         mul_term(g, -one / g.lc, lcm / g.lm))
+    return reference_add(mul_term(f, field.quotient(field.one, f.lc), lcm / f.lm),
+                         mul_term(g, field.quotient(field.minus_one, g.lc), lcm / g.lm))
 
 
 def _graded_key(kind, exps):
@@ -540,7 +561,7 @@ class _ReferenceParser:
                     self.fail("division by zero", tok)
                 if len(rhs.terms) != 1 or not rhs.terms[0][0].is_one:
                     self.fail("can only divide by a constant coefficient", tok)
-                acc = acc.scale(ring.field.one / rhs.terms[0][1])
+                acc = acc.scale(ring.field.quotient(ring.field.one, rhs.terms[0][1]))
         return acc
 
     def parse_factor(self, ring):

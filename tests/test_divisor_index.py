@@ -393,7 +393,7 @@ def reference_verify(generators):
                         break
                     index, s, cofactor = hit
                     g = elements[index].shift(s)
-                    h = h - mul_term(g, h.lc / g.lc, cofactor)
+                    h = h - mul_term(g, h.ring.field.quotient(h.lc, g.lc), cofactor)
                 if h:
                     failures.append((i, j, sigma, tau, h))
     return checked, failures

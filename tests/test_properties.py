@@ -9,7 +9,7 @@ from dgb.cli import parse_polynomial
 from dgb.orderings import DEGLEX, DEGREVLEX, LEX
 from dgb.reduction import reduce, replay_certificate, tail_reduce
 
-from helpers import enumerate_up_to_degree, make_ring
+from helpers import enumerate_up_to_degree, make_ring, num_den
 
 _ORDERS = st.sampled_from([LEX, DEGLEX, DEGREVLEX])
 
@@ -56,7 +56,7 @@ def _polynomial(draw, ring, max_terms=4):
                     tuple(draw(st.integers(0, 3)) for _ in range(rank)),
                     draw(st.integers(1, 3)))
                    for _ in range(draw(st.integers(0, 2)))]
-        terms.append((num / den if den else num, ring.monomial(factors)))
+        terms.append((field.quotient(num, den) if den else num, ring.monomial(factors)))
     return ring.polynomial(terms)
 
 
@@ -68,7 +68,8 @@ def _check_roundtrip(parameters):
     @given(_polynomials(parameters))
     def roundtrip(f):
         assert parse_polynomial(f.ring, format_polynomial(f)) == f
-        denominators.extend(c.den if parameters else c.denominator for _, c in f.terms)
+        denominators.extend(num_den(f.ring.field, c)[1] if parameters else c.denominator
+                            for _, c in f.terms)
         spec = f.ring.ordering.spec
         specs.add((spec.shift_order, spec.symbol_order,
                    spec.shift_priority != tuple(range(f.ring.signature.shift_rank)),
