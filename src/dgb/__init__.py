@@ -7,7 +7,7 @@ companion-matrix normal forms, and Groebner bases of ideals invariant
 under cyclic permutation groups.
 """
 
-from .errors import (CoefficientSizeError, DGBError, ExactDivisionError,
+from .errors import (CoefficientSizeError, CoefficientTypeError, DGBError, ExactDivisionError,
                      InternalCheckError, ParseError, RankMismatchError, RingMismatchError,
                      ShiftWidthError, StaircaseError)
 from .field import ConstantField
@@ -26,8 +26,9 @@ from .quotient import (LinearRelation, PermutationAction, QuotientPresentation,
                        normal_variables, pure_power_table, symmetric_setup)
 
 __all__ = [
-    "CoefficientSizeError", "DGBError", "ExactDivisionError", "InternalCheckError", "ParseError",
-    "RankMismatchError", "RingMismatchError", "ShiftWidthError", "StaircaseError",
+    "CoefficientSizeError", "CoefficientTypeError", "DGBError", "ExactDivisionError",
+    "InternalCheckError", "ParseError", "RankMismatchError", "RingMismatchError",
+    "ShiftWidthError", "StaircaseError",
     "ConstantField",
     "DEGLEX", "DEGREVLEX", "LEX", "MAX_SHIFT_DEGREE", "Ordering", "OrderingSpec",
     "MAX_SHIFT_RANK", "DifferenceRing", "Monomial", "NEG_INF", "Polynomial", "Signature",

@@ -371,7 +371,7 @@ class _Parser:
                     i += 1
                 continue
             if kind == "int":
-                c = ring.field.coerce(int(value))
+                c = int(value)
                 value = {(): c} if c else {}
                 i += 1
             elif kind == "ident":

@@ -128,25 +128,6 @@ def _monic_generators(generators):
     return ring, G
 
 
-class _Overlap:
-    """The queued pairs that share one overlap, once it has two or more,
-    and the state of the last chain query of the group (see _Run).
-
-    first is the id of the earliest pair not yet taken, None once every
-    pair is taken, and more lists the later ones in push order.  search is
-    None until a query, then (size, divisors, rest): divisors lists the
-    (k, nu) that one divisor_runs search over the first size elements of
-    the reducer has yielded so far, and rest is that search, suspended at
-    the first index it has not read."""
-
-    __slots__ = ("first", "more", "search")
-
-    def __init__(self, first, second):
-        self.first = first
-        self.more = [second]
-        self.search = None
-
-
 class _Run:
     """One pass of the pair loop over a nonempty, non-unit, monic G,
     adding its pair counts to the given stats.
@@ -154,18 +135,18 @@ class _Run:
     *Queue.*  Pairs are queued by overlap, the lcm of two shifted leading
     monomials (one ring._lcm of their factor tuples).  waiting maps the
     overlap's factor tuple to the ids of the pairs with that overlap not
-    yet taken: the bare id of a lone pair, or an _Overlap group, made when
-    a second pair arrives, which most overlaps never get (four in five on
-    grow.dgb).  queue is a heap of the waiting overlaps' queue keys
-    (Ordering.queue_key), one immutable key per overlap, which sorts as
-    (order, monomial key) does, and Ordering.queue_factors gives back the
-    factor tuple that waiting holds.  Under lex symbols and a graded shift
-    order the queue key is that tuple itself, and otherwise it holds that
-    tuple as its last item: never a copy.  A pair whose overlap is waiting
-    is added to its entry and needs no key and no heap push.  The loop
-    takes the first id of the overlap on top of the heap, moving the next
-    one up, and pops the key, dropping the overlap from waiting, when it
-    takes its last id; a lone pair's is its only one.
+    yet taken: the bare id of a lone pair, or a group, the list of its ids
+    in push order, made when a second pair arrives, which most overlaps
+    never get (four in five on grow.dgb).  queue is a heap of the waiting
+    overlaps' queue keys (Ordering.queue_key), one immutable key per
+    overlap, which sorts as (order, monomial key) does, and
+    Ordering.queue_factors gives back the factor tuple that waiting holds.
+    Under lex symbols and a graded shift order the queue key is that tuple
+    itself, and otherwise it holds that tuple as its last item: never a
+    copy.  A pair whose overlap is waiting is added to its entry and needs
+    no key and no heap push.  The loop takes the first id of the overlap on
+    top of the heap, and pops the key, dropping the overlap from waiting,
+    when it takes its last id; a lone pair's is its only one.
 
     *Pair ids.*  Each shifted element (i, sigma) that a push meets gets a
     code, the next free int, kept for the run: codes[i][sigma] is the code,
@@ -185,57 +166,62 @@ class _Run:
 
     *Pop order.*  Pairs pop exactly as from a heap of (order, key, seq) per
     pair, seq counting pushes.  An overlap's key is in the heap iff the
-    overlap is in waiting iff it has ids (a lone id, or a group whose first
-    is not None), as the loop drops it from both when it takes its last id,
-    and a push adds both or neither.  The key compares as the monomial
+    overlap is in waiting iff it has ids (a lone id, or a nonempty group),
+    as the loop drops it from both when it takes its last id, and a push
+    adds both or neither.  The key compares as the monomial
     order does, and the ordering is total, so distinct overlaps have
     distinct keys; the queue key sorts as (order, key) does (orderings.py)
     and waiting holds each overlap once, so the heap holds distinct keys,
     never ties, and orders the overlaps by (order, key).  An overlap's ids
-    are in seq order: a lone id is the only one, first is the earliest,
-    and more holds the rest in push order, since a pushed id goes to the
-    end of the waiting entry of its overlap (a lone id becoming a group's
-    first) or starts a new entry when none waits, and a take moves the
-    head of more up to first.  So the least (order, key, seq) among the
-    queued pairs is the first id of the overlap on top: the id the loop
-    takes.  That holds after every push, so a new pair with a smaller key
+    are in seq order: a lone id is the only one, and a group lists them in
+    push order, since a pushed id goes to the end of the waiting entry of
+    its overlap (a lone id becoming a group's first) or starts a new entry
+    when none waits, and a take removes the first.  So the least (order,
+    key, seq) among the queued pairs is the first id of the overlap on top:
+    the id the loop takes.  That holds after every push, so a new pair with a smaller key
     than the popped one is on top at the next step, as in the per-pair
     heap.
 
-    *Divisor list.*  A chain query reads its group's divisor list, then
-    resumes the group's suspended search (ReducerBasis.divisor_runs), made
-    over the reducer's first size elements in the killer-first order of the
-    query that started it, and appends what it yields.  That query passes
-    the killers of its two halves as a tuple of at most two distinct
-    indices, the left half's first, which the search tries before the other
-    indices in index order.  A resume reads one index and yields all of its
-    hits, and the query appends them all before it tests any, so the list
-    is always the complete hits of the indices read so far, in search
-    order, and the unread remainder is the search over the other indices.
-    So list plus remainder is divisor_runs on the overlap, its runs
-    flattened, over the first size elements in that order, whichever pairs
-    read before and wherever they stopped: a query drops no item and reads
-    none twice, and an item once appended stays.  Its set is the (k, nu)
-    with k < size and nu*lm(G[k]) dividing the overlap, which depends only
-    on the overlap and on leading monomials that never change, as elements
-    are only appended.
-    So while the reducer's length is unchanged every query of the group may
-    read the same set, whichever pair it serves and whatever killers that
-    pair has.  The test asks whether some member certifies both halves,
-    reading the group's ids at each query (first and more, or none once
-    first is None), so neither the order nor the
-    queries before change an answer.  An element appended since may divide
-    the overlap and certify both halves (its pairs with smaller overlaps
-    may have been treated in between), so a grown reducer starts a new list
-    and a new search.  A lone pair's query is its overlap's only one, so
-    its list and search stay in locals.
+    *Divisor list.*  A chain query reads a divisor list, then resumes a
+    suspended search (ReducerBasis.divisor_runs), made over the reducer's
+    first size elements in the killer-first order of the query that
+    started it, and appends what it yields.  That query passes the killers
+    of its two halves as a tuple of at most two distinct indices, the left
+    half's first, which the search tries before the other indices in index
+    order.  A resume reads one index and yields all of its hits, and the
+    query appends them all before it tests any, so the list is always the
+    complete hits of the indices read so far, in search order, and the
+    unread remainder is the search over the other indices.  So list plus
+    remainder is divisor_runs on the overlap, its runs flattened, over the
+    first size elements in that order, whichever pairs read before and
+    wherever they stopped: a query drops no item and reads none twice, and
+    an item once appended stays.  Its set is the (k, nu) with k < size and
+    nu*lm(G[k]) dividing the overlap, which depends only on the overlap and
+    on leading monomials that never change, as elements are only appended.
+    So while the reducer's length is unchanged every query of one overlap
+    may read the same set, whichever pair it serves and whatever killers
+    that pair has.  The test asks whether some member certifies both
+    halves, reading the group's ids at each query (none for a lone pair),
+    so neither the order nor the queries before change an answer.  An
+    element appended since may divide the overlap and certify both halves
+    (its pairs with smaller overlaps may have been treated in between), so
+    a grown reducer starts a new list and a new search.
+
+    The run keeps one list, the last query's: search is (size, overlap,
+    divisors, rest), None before the first query.  A query reuses it when
+    its overlap is that very tuple and the reducer still has size elements,
+    and otherwise starts a new list and search.  That shares a list among
+    the consecutive queries of one group at one reducer size, and only
+    them: a group stays on top of the heap until a push, pushes follow
+    reducer.append, and each pop of a group reads the same tuple from its
+    queue key.  A lone pair's query is its overlap's only one.
 
     *Certified pairs.*  When the pair with overlap m is popped, a pair of
     shifted elements a, c that both divide m is certified (product
     criterion or treated) iff its id, made from the codes of a and c with
-    no shift divided out, is not among the ids of m's group.  With the
-    group empty, or none as for a lone pair, any divisor c other than a
-    and b kills the pair.
+    no shift divided out, is not among the ids still in m's group.  With
+    the group empty (its last id taken), or none as for a lone pair, any
+    divisor c other than a and b kills the pair.
 
     Proof.  Call open the ids of the queued pairs not yet treated:
     (i, sigma) <= (j, tau), with no common shift (min(sigma, tau) = 0
@@ -269,6 +255,7 @@ class _Run:
         self.queue = []
         self.waiting = {}
         self.killer = {}
+        self.search = None  # the last chain query's divisor list, see _Run
         self.derived = {}  # (alpha, beta) -> shift pair, see shift_pair_candidates
         self.codes = [{} for _ in G]  # codes[i][sigma]: the code of (i, sigma)
         self.leads = [g.lm.decoded() for g in G]  # leads[i]: lm(G[i]) decoded
@@ -310,9 +297,9 @@ class _Run:
                 waiting[overlap] = pair
                 heappush(self.queue, ordering.queue_key(overlap, order))
             elif entry.__class__ is int:
-                waiting[overlap] = _Overlap(entry, pair)
+                waiting[overlap] = [entry, pair]
             else:
-                entry.more.append(pair)
+                entry.append(pair)
             stats.generated += 1
 
     def _chain_skippable(self, a, b, overlap, group):
@@ -322,34 +309,30 @@ class _Run:
         killer, reducer = self.killer, self.reducer
         i, j = a[0], b[0]
         size = len(reducer.polys)
-        search = None if group is None else group.search
-        if search is None or search[0] != size:
+        search = self.search
+        if search is None or search[1] is not overlap or search[0] != size:
             # the killers of both halves, distinct, for divisor_runs to try first
             ki, kj = killer.get(i), killer.get(j)
             if ki is None:
                 tried = () if kj is None else (kj,)
             else:
                 tried = (ki,) if kj is None or kj == ki else (ki, kj)
-            search = size, [], reducer.divisor_runs(overlap, tried)
-            if group is not None:
-                group.search = search
-        _, divisors, rest = search
-        first = None if group is None else group.first
-        if first is not None:
-            more, codes = group.more, self.codes
+            search = self.search = size, overlap, [], reducer.divisor_runs(overlap, tried)
+        _, _, divisors, rest = search
+        if group:
+            codes = self.codes
             ca, cb = codes[i][a[1]], codes[j][b[1]]
         new = divisors  # the hits so far, then each index's hits as read
         while True:
             for c in new:
                 if c == a or c == b:
                     continue
-                if first is not None:
+                if group:
                     cc = codes[c[0]].get(c[1])  # None: no pair with c was queued
                     if cc is not None:
                         left = ca * ca + cc if ca > cc else cc * cc + ca
                         right = cb * cb + cc if cb > cc else cc * cc + cb
-                        if (left == first or right == first
-                                or more and (left in more or right in more)):
+                        if left in group or right in group:
                             continue
                 killer[i] = killer[j] = c[0]
                 return True
@@ -375,9 +358,8 @@ class _Run:
             if group.__class__ is int:  # a lone pair
                 pair, group = group, None
             else:
-                pair = group.first
-                group.first = group.more.pop(0) if group.more else None
-            if group is None or group.first is None:
+                pair = group.pop(0)
+            if not group:
                 heappop(queue)
                 del waiting[overlap]
             high = isqrt(pair)  # the larger code, see _Run

@@ -28,6 +28,12 @@ class CoefficientSizeError(DGBError, ValueError):
     converts to text (``sys.get_int_max_str_digits``)."""
 
 
+class CoefficientTypeError(DGBError, TypeError):
+    """A coefficient is neither an int, a Fraction nor a value of the
+    ring's field: a float, a Decimal or a string, say.  Every coefficient
+    is exact, so none is converted."""
+
+
 class StaircaseError(DGBError, ValueError):
     """A generator mentions a variable outside the quotient staircase."""
 

@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import gcd, isqrt, log2
 from operator import add, sub
 
-from .errors import CoefficientSizeError
+from .errors import CoefficientSizeError, CoefficientTypeError, RingMismatchError
 from .records import Record
 
 
@@ -63,7 +63,7 @@ class ConstantField:
 
     A constant is a plain number with or without parameters: an ``int``
     when it is integral, otherwise a reduced ``Fraction`` (``rational``,
-    ``coerce``, ``zero``, ``one`` and ``minus_one`` return these).  With
+    ``coerce``, ``zero`` and ``one`` return these).  With
     parameters a value that involves one is a ``RationalFunction``
     ``num/den`` over ZZ[p1,...,pk] in the canonical form of the module
     docstring, which never holds a constant.  Coefficients divide through
@@ -71,7 +71,7 @@ class ConstantField:
     every value with rational coefficients.
     """
 
-    __slots__ = ("parameters", "zero", "one", "minus_one", "_gens", "_const")
+    __slots__ = ("parameters", "zero", "one", "_gens", "_const")
 
     def __init__(self, parameters=()):
         self.parameters = tuple(parameters)
@@ -79,7 +79,6 @@ class ConstantField:
         self._const = (0,) * k
         self.zero = self.rational(0)
         self.one = self.rational(1)
-        self.minus_one = self.rational(-1)
         self._gens = {name: RationalFunction(
             self, {tuple(int(i == j) for j in range(k)): 1}, {self._const: 1})
             for i, name in enumerate(self.parameters)}
@@ -101,12 +100,21 @@ class ConstantField:
         return value.numerator if value.denominator == 1 else value
 
     def coerce(self, value):
-        """Accept ints and Fractions alongside native field elements."""
-        if value.__class__ is int or value.__class__ is RationalFunction:
+        """value as an element of this field: an int, a Fraction (an int
+        when integral) or a RationalFunction of this field.  A value of
+        another field raises RingMismatchError; anything else, a float, a
+        Decimal or a string among them, raises CoefficientTypeError."""
+        if value.__class__ is int:
+            return value
+        if value.__class__ is RationalFunction:
+            if value.field is not self and value.field != self:
+                raise RingMismatchError(f"a coefficient of {value.field!r} used in {self!r}")
             return value
         if isinstance(value, (int, Fraction)):
             return self.rational(value)
-        return value
+        raise CoefficientTypeError(
+            f"coefficient {value!r} of type {type(value).__name__} is not exact: "
+            f"use an int, a Fraction or a value of {self!r}")
 
     def quotient(self, a, b):
         """a / b for field elements a and b, b nonzero: the one division of

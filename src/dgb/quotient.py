@@ -51,7 +51,7 @@ class LinearRelation(Record, frozen=True):
         pairs = []
         for k, c in enumerate(self.coefficients):
             shift = tuple(k if j == self.shift_index else 0 for j in range(r))
-            pairs.append((ring.field.coerce(c), ring.monomial([(self.symbol_index, shift, 1)])))
+            pairs.append((c, ring.monomial([(self.symbol_index, shift, 1)])))
         return ring.polynomial(pairs)
 
     @classmethod

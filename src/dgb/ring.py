@@ -351,7 +351,8 @@ class Polynomial:
                                                {m.factors: c for m, c in other.terms}))
 
     def scale(self, coeff):
-        """Multiply by a nonzero field constant (order preserved)."""
+        """Multiply by a field constant (order preserved)."""
+        coeff = self.ring.field.coerce(coeff)
         if not coeff:
             return self.ring.zero
         return Polynomial(self.ring, tuple((m, c * coeff) for m, c in self.terms))

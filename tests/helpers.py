@@ -407,7 +407,7 @@ def reference_spoly(f, g):
     field = f.ring.field
     lcm = f.lm.lcm(g.lm)
     return reference_add(mul_term(f, field.quotient(field.one, f.lc), lcm / f.lm),
-                         mul_term(g, field.quotient(field.minus_one, g.lc), lcm / g.lm))
+                         mul_term(g, field.quotient(-1, g.lc), lcm / g.lm))
 
 
 def _graded_key(kind, exps):

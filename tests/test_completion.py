@@ -249,7 +249,7 @@ def _ids(entry):
         return []
     if isinstance(entry, int):
         return [entry]
-    return [] if entry.first is None else [entry.first, *entry.more]
+    return list(entry)
 
 
 def _queued(run):
@@ -373,7 +373,7 @@ def test_open_ids_dividing_the_popped_overlap_have_that_overlap(monkeypatch):
         assert {run.overlaps[id(k)] for k in run.queue} == set(run.waiting)
         assert len(run.waiting) == len(run.queue)
         assert all(_ids(entry) for entry in run.waiting.values())
-        assert group is None or isinstance(group, completion._Overlap)
+        assert group is None or isinstance(group, list)
         exps = dict(factors)
         for other, _ in queued:
             if all(exps.get(var, 0) >= e for var, e in other):
@@ -407,11 +407,12 @@ def _logged_runs(monkeypatch, run_class, stale):
     ReferenceRun logs a pair when its id leaves the open set, a _Run when
     its id leaves its group's ids or, for a lone pair, when its overlap
     leaves waiting; the log keeps the group, None for a lone pair, as the
-    pop's source.  Chain queries of a _Run that find their
-    group's divisor list made for a smaller basis count as stale; as stale
-    after an own pair when the pair popped just before was of the same
-    group, and as decided by a new element when the elements of the stale
-    list alone decide otherwise."""
+    pop's source.  Chain queries of a _Run's groups whose previous query
+    of the same group saw a smaller basis count as stale: a divisor list
+    kept per group would be stale there.  They count as stale after an own
+    pair when the pair popped just before was of the same group, and as
+    decided by a new element when the elements of that smaller basis
+    alone decide otherwise."""
     runs = []
     init, skippable = run_class.__init__, run_class._chain_skippable
 
@@ -425,16 +426,20 @@ def _logged_runs(monkeypatch, run_class, stale):
             super().remove(pair_id)
             log_pop(pair_id, None)
 
-    class LoggedOverlap(completion._Overlap):  # a group of a _Run
-        __slots__ = ()
+    class LoggedGroup(list):  # a group of a _Run
+        __slots__ = ("size",)  # the basis size at the group's last chain query
 
-        def __setattr__(self, name, value):
-            # a _Run sets first after __init__ only when it takes that id
-            if name == "first" and hasattr(self, "first"):
-                log_pop(_decoded(runs[-1], self.first), self)
-            super().__setattr__(name, value)
+        def pop(self, index):  # a _Run pops a group's ids only to take them
+            pair = super().pop(index)
+            log_pop(_decoded(runs[-1], pair), self)
+            return pair
 
     class LoggedWaiting(dict):  # the waiting map of a _Run
+        def __setitem__(self, overlap, entry):
+            if entry.__class__ is list:  # a new group
+                entry = LoggedGroup(entry)
+            super().__setitem__(overlap, entry)
+
         def __delitem__(self, overlap):
             entry = self[overlap]
             if isinstance(entry, int):  # a lone pair leaves with its overlap
@@ -454,9 +459,8 @@ def _logged_runs(monkeypatch, run_class, stale):
         pops = run.pops
         old_only = None
         group = where[1] if run_class is _Run else None
-        if group is not None and group.search is not None \
-                and group.search[0] != len(run.reducer):
-            size = group.search[0]
+        size = getattr(group, "size", None)
+        if size is not None and size != len(run.reducer):
             stale["lists"] += 1
             if len(pops) > 1 and run.sources[-2] is group and pops[-2][2] < pops[-1][2]:
                 stale["after an own pair"] += 1
@@ -465,6 +469,8 @@ def _logged_runs(monkeypatch, run_class, stale):
                            and not _waits(run, group, a, c) and not _waits(run, group, c, b)
                            for c in divisor_hits(run.reducer, overlap))
         got = skippable(run, a, b, *where)
+        if group is not None:
+            group.size = len(run.reducer)
         if old_only is not None and old_only != got:
             stale["decided by a new element"] += 1
         assert pops[-1][0] == a + b and pops[-1][3] is None
@@ -472,7 +478,6 @@ def _logged_runs(monkeypatch, run_class, stale):
         return got
 
     monkeypatch.setattr(completion, "_Run", run_class)
-    monkeypatch.setattr(completion, "_Overlap", LoggedOverlap)
     monkeypatch.setattr(run_class, "__init__", logged_init)
     monkeypatch.setattr(run_class, "_chain_skippable", logged_skippable)
     return runs
@@ -498,9 +503,10 @@ def test_grouped_queue_matches_the_per_pair_reference(monkeypatch):
     # cycle5's lifted generators, both pop the same pairs in the same order,
     # with the same pair counts, basis size and chain decision at each pop,
     # run out of budget at the same pair and return the same basis.  The
-    # seeded runs meet stale divisor lists, also after an own pair; the
-    # hand-built set below has one where an element the stale list lacks
-    # kills the pair, so a list that is not rebuilt changes a decision.
+    # seeded runs meet groups whose basis grew between two of their
+    # queries, also over an own pair; in the hand-built set below an
+    # element added in between kills the pair, so a divisor list kept per
+    # group and not rebuilt would change a decision.
     problem = parse_problem((Path(__file__).parent / "data/cli/cycle5.dgb").read_text())
     action = PermutationAction(problem.permutation, problem.ring)
     lifted = symmetric_setup(action, problem.polynomials)
@@ -543,7 +549,7 @@ def _ordered_computations(shift_order, symbol_order):
     set of
     test_grouped_queue_matches_the_per_pair_reference, and _seeded_run
     over _ORDERED_SEEDS: seeds 0-14 take each of the five modes three times,
-    and seed 31 pops a pair whose group's list went stale at the group's
+    and seed 31 pops a pair whose group's basis grew at the group's
     previous pair.
     """
     spec = OrderingSpec(shift_order, None, symbol_order, None)
@@ -568,7 +574,7 @@ def test_queue_of_bare_keys_matches_the_reference_under_every_order(monkeypatch)
     # decisions, run out of budget at the same pair and return the same
     # basis.  Every order pops lone pairs and pairs of groups of two or
     # more; the runs meet a group whose reducer grew between two of its
-    # queries (also where an element the stale list lacks decides), and
+    # queries (also where an element added in between decides), and
     # budget stops inside a group that still holds ids.
     stale = {"lists": 0, "after an own pair": 0, "decided by a new element": 0}
     sources = {}  # order -> {"lone": pops, "group": pops}
@@ -593,7 +599,7 @@ def test_queue_of_bare_keys_matches_the_reference_under_every_order(monkeypatch)
                     if len(run.pops) > run.options.max_pair_budget:
                         last = run.sources[-1]
                         stops["lone" if last is None else "group"] += 1
-                        stops["inside a group"] += last is not None and last.first is not None
+                        stops["inside a group"] += last is not None and len(last) > 0
         assert outcomes[_Run] == outcomes[ReferenceRun], order
     assert all(counts["lone"] > 0 and counts["group"] > 0 for counts in sources.values())
     assert stale["after an own pair"] > 0 and stale["decided by a new element"] > 0
@@ -607,31 +613,21 @@ def test_divisor_list_is_the_killer_first_search_over_its_size(monkeypatch):
     # divisor_hits on the overlap over the reducer's first size elements,
     # in the killer-first order of the query that started the search; the
     # search yields one index's hits at a time, and the list ends between
-    # two indices.  A group's list is its search slot, whose remainder is
+    # two indices.  The list is the run's search slot, whose remainder is
     # read out for the check and put back as an iterator over the same
-    # runs; a lone pair's query keeps its list in locals, so its search is
-    # recorded as divisor_runs makes it, and the runs the query reads are
-    # its list.  Every chain decision matches ReferenceRun, which makes a
+    # runs.  A query starts a search, trying the killers of its halves
+    # first, exactly when the query before had another overlap or a smaller
+    # reducer.  Every chain decision matches ReferenceRun, which makes a
     # fresh search per query, and the seeded runs meet lone queries that
-    # stop early and that read to the end, group lists read by a later
-    # query, searches resumed after such a list and searches read to the end.
+    # stop early and that read to the end, lists read by a later query,
+    # searches resumed after such a list and searches read to the end.
     skippable = _Run._chain_skippable
     divisor_runs = ReducerBasis.divisor_runs
-    starts = {}  # id(group) -> (killer-first indices, size) of its current search
-    counts = {"queries": 0, "lone": 0, "lone stopped early": 0, "read a list": 0,
-              "resumed": 0, "read to the end": 0}
-
-    class ReadLog:  # a search that keeps the runs it has yielded
-        def __init__(self, runs):
-            self.runs, self.read = runs, []
-
-        def __iter__(self):
-            return self
-
-        def __next__(self):
-            hits = next(self.runs)
-            self.read.append(hits)
-            return hits
+    # each run keeps, for the check, started: (killer-first indices, size)
+    # of its current search, and previous: (overlap factors, size) of its
+    # previous query
+    counts = {"queries": 0, "started": 0, "lone": 0, "lone stopped early": 0,
+              "read a list": 0, "resumed": 0, "read to the end": 0}
 
     def killers_first(run, a, b):
         return tuple(dict.fromkeys(run.killer[n] for n in (a[0], b[0]) if n in run.killer))
@@ -643,52 +639,47 @@ def test_divisor_list_is_the_killer_first_search_over_its_size(monkeypatch):
         assert all(hits and {k for k, _ in hits} == {hits[0][0]} for hits in runs)
         assert not (read and runs) or runs[0][0][0] != read[-1][0]
 
-    def check_group(run, factors, group):
-        size, listed, rest = group.search
+    def check_search(run, factors):
+        size, overlap, listed, rest = run.search
+        assert overlap == factors
         runs = list(rest)
-        group.search = size, listed, iter(runs)
-        first, started = starts[id(group)]
+        run.search = size, overlap, listed, iter(runs)
+        first, started = run.started
         assert size == started
         check(run, factors, first, size, listed, runs)
         return len(listed), len(runs)
 
-    def checked_lone(run, a, b, factors):
-        first, size = killers_first(run, a, b), len(run.reducer)
+    def checked(run, a, b, factors, group):
+        counts["queries"] += 1
+        size = len(run.reducer)
+        previous = getattr(run, "previous", None)
+        run.previous = factors, size
+        fresh = previous is None or previous[0] != factors or previous[1] < size
+        assert fresh or group is not None  # a lone pair's query is its overlap's only one
+        before = 0
+        if fresh:
+            run.started = killers_first(run, a, b), size
+        else:
+            before, _ = check_search(run, factors)
+            counts["read a list"] += before > 0
         searches = []
 
         def recorded(basis, factors, first=()):
-            search = ReadLog(divisor_runs(basis, factors, first))
-            searches.append((first, search))
-            return search
+            searches.append(first)
+            return divisor_runs(basis, factors, first)
 
         with monkeypatch.context() as patch:
             patch.setattr(ReducerBasis, "divisor_runs", recorded)
-            got = skippable(run, a, b, factors, None)
-        [(tried, search)] = searches  # one search per lone query
-        assert tried == first
-        runs = list(search.runs)
-        check(run, factors, first, size, [], search.read + runs)
-        assert got or not runs  # no certifying divisor: the whole search was read
-        counts["lone stopped early"] += bool(runs)
-        counts["read to the end"] += not runs
-        return got
-
-    def checked(run, a, b, factors, group):
-        counts["queries"] += 1
-        if group is None:  # a lone pair's search stays in the query
-            counts["lone"] += 1
-            return checked_lone(run, a, b, factors)
-        before = 0
-        if group.search is not None and group.search[0] == len(run.reducer):
-            before, _ = check_group(run, factors, group)
-            counts["read a list"] += before > 0
-        else:
-            starts[id(group)] = killers_first(run, a, b), len(run.reducer)
-        got = skippable(run, a, b, factors, group)
-        after, unread = check_group(run, factors, group)
+            got = skippable(run, a, b, factors, group)
+        # a search starts exactly at a fresh query, killers first
+        assert searches == ([run.started[0]] if fresh else [])
+        counts["started"] += fresh
+        after, unread = check_search(run, factors)
         assert got or unread == 0  # no certifying divisor: the whole search was read
         counts["resumed"] += before > 0 and after > before
         counts["read to the end"] += unread == 0
+        counts["lone"] += group is None
+        counts["lone stopped early"] += group is None and unread > 0
         return got
 
     stale = {"lists": 0, "after an own pair": 0, "decided by a new element": 0}
@@ -708,7 +699,7 @@ def test_divisor_list_is_the_killer_first_search_over_its_size(monkeypatch):
     assert counts["queries"] == decisions.count(True) + decisions.count(False)
     assert counts["read a list"] > 0 and counts["resumed"] > 0
     assert counts["read to the end"] > 0 and 0 < counts["lone"] < counts["queries"]
-    assert counts["lone stopped early"] > 0
+    assert counts["lone stopped early"] > 0 and counts["started"] < counts["queries"]
 
 
 def _pinned_outcome(seed):
@@ -1007,6 +998,31 @@ def test_limits_are_passed_as_keywords_only():
         CompletionOptions().max_pair_budget = 1
 
 
+def test_chain_queries_of_one_group_share_a_search(monkeypatch):
+    # Probe traffic of cycle5's groebner_gamma_basis: consecutive chain
+    # queries of one group at one basis size read one divisor list (see
+    # _Run), so the run makes 728 divisor_runs searches and 1,520
+    # _shifts_into probes.  A fresh search per query makes 880 and 1,723.
+    problem = parse_problem((Path(__file__).parent / "data/cli/cycle5.dgb").read_text())
+    action = PermutationAction(problem.permutation, problem.ring)
+    counts = {"divisor_runs": 0, "_shifts_into": 0}
+
+    def counted(name):
+        method = getattr(ReducerBasis, name)
+
+        def call(*args):
+            counts[name] += 1
+            return method(*args)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(ReducerBasis, name, counted(name))
+    basis = groebner_gamma_basis(action, problem.polynomials)
+    assert basis.stats == PairStats(generated=611, killed_sigma=106, killed_chain=499,
+                                    reduced_to_zero=92, new_elements=20)
+    assert counts == {"divisor_runs": 728, "_shifts_into": 1520}
+
+
 @pytest.mark.parametrize("killer, first", [
     ({}, ()), ({0: 1}, (1,)), ({1: 0}, (0,)), ({0: 1, 1: 0}, (1, 0)),
     ({0: 1, 1: 1}, (1,)), ({0: 0, 1: 0}, (0,))])
@@ -1029,8 +1045,7 @@ def test_chain_query_tries_the_killers_of_both_halves_first(monkeypatch, killer,
     if isinstance(group, int):  # take it, as run does
         pair, group = group, None
     else:
-        pair = group.first
-        group.first = group.more.pop(0) if group.more else None
+        pair = group.pop(0)
     i, sigma, j, tau = _decoded(run, pair)
     a, b = (i, sigma), (j, tau)
     assert (i, j) == (0, 1)

@@ -9,15 +9,19 @@ float.  Each test drives parsing, certified reduction and its replay,
 normal forms, monic, shifted S-polynomials, the completion modes,
 interreduce, minimalize and the verifier over Q, Q(H) and Q(H, K); the
 symmetric path is read off the cycle8 run that `helpers.gamma_basis`
-shares with the acceptance suite.
+shares with the acceptance suite.  The routes that take a coefficient
+from the caller refuse a float, or any other inexact value, and a value
+of another field.
 """
 
 import importlib.util
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from dgb import OrderingSpec
+from dgb import CoefficientTypeError, DGBError, OrderingSpec, RingMismatchError
 from dgb.cli import parse_polynomial, parse_problem
 from dgb.completion import (interreduce, minimalize, sigma_gbasis, sigma_gbasis_adaptive,
                             sigma_gbasis_truncated, verify_sigma_gbasis)
@@ -155,3 +159,56 @@ def test_symmetric_path_has_exact_coefficients():
         problem.ring, [LinearRelation.from_polynomial(f) for f in problem.polynomials])
     for shift in ((4, 5), (7, 3), (9, 0)):
         _assert_exact(presentation.normal_form_variable((0, shift)))
+
+
+def _coefficient_routes(ring, c):
+    """Each library route that takes a coefficient c from the caller, as a
+    call: a constant, a polynomial from pairs, a scaled polynomial and the
+    polynomial of a linear relation."""
+    x1 = ring.var("x", (1,))
+    return [lambda: ring.constant(c),
+            lambda: ring.polynomial([(c, x1.lm)]),
+            lambda: x1.scale(c),
+            lambda: LinearRelation(0, 0, (c, 1)).polynomial(ring)]
+
+
+@pytest.mark.parametrize("parameters", [(), ("H",)], ids=["Q", "Q(H)"])
+@pytest.mark.parametrize("value", [0.5, 2.0, 0.0, Decimal("0.5"), "3", None],
+                         ids=["0.5", "2.0", "0.0", "Decimal", "str", "None"])
+def test_inexact_coefficients_are_refused(parameters, value):
+    # a float is refused whatever its value, integral or zero included
+    ring = make_ring(1, ("x",), parameters)
+    for route in _coefficient_routes(ring, value):
+        with pytest.raises(CoefficientTypeError, match="is not exact"):
+            route()
+    assert issubclass(CoefficientTypeError, DGBError)
+    assert issubclass(CoefficientTypeError, TypeError)
+
+
+def test_coefficients_of_another_field_are_refused():
+    over_h = make_ring(1, ("x",), ("H",))
+    h = over_h.field.parameter("H") + 1
+    for ring in (make_ring(1, ("x",)), make_ring(1, ("x",), ("K",)),
+                 make_ring(1, ("x",), ("H", "K"))):
+        for route in _coefficient_routes(ring, h):
+            with pytest.raises(RingMismatchError):
+                route()
+    # an equal field of another ring is the same field
+    for route in _coefficient_routes(make_ring(1, ("x",), ("H",)), h):
+        _assert_exact(route())
+
+
+@pytest.mark.parametrize("parameters", [(), ("H",)], ids=["Q", "Q(H)"])
+def test_exact_coefficients_are_accepted_on_every_route(parameters):
+    ring = make_ring(1, ("x",), parameters)
+    values = [3, -1, Fraction(1, 2), Fraction(4, 2)]
+    if parameters:
+        values.append(ring.field.parameter("H") / 2)
+    for value in values:
+        polys = [route() for route in _coefficient_routes(ring, value)]
+        _assert_exact(*polys)
+        assert [f.terms[-1][1] for f in polys] == [value] * 4
+    # Fraction(4, 2) comes back as the int 2 on every route, scale included
+    polys = [route() for route in _coefficient_routes(ring, Fraction(4, 2))]
+    assert [type(f.terms[-1][1]) for f in polys] == [int] * 4
+    assert not ring.constant(0) and not ring.var("x", (1,)).scale(Fraction(0))
