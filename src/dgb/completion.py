@@ -21,6 +21,7 @@ completeness criterion.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from heapq import heappop, heappush
 from math import isqrt
 from operator import sub
@@ -80,27 +81,36 @@ class SigmaBasis(Record):
 
 
 def shift_pair_candidates(left, right, same: bool, derived):
-    """Surviving (s, t) shift pairs for two decoded leading monomials.
+    """Surviving (s, t) shift pairs for two leading monomials.
 
     Returns (pairs, raw_count): the deduplicated list, sorted for
     determinism, plus the number of raw factor matches before collapsing
-    duplicates and identity self-pairs.  derived maps each pair (alpha,
-    beta) of factor shifts met so far to its shift pair, with the common
-    shift divided out; the call fills it, so callers that share it derive
-    each pair once.
+    duplicates and identity self-pairs.  Two packed variables share a
+    symbol iff they differ by a multiple of the symbol count n, and var // n
+    is the key of the variable's shift.  derived maps each pair of factor
+    shift keys met so far to its shift pair, with the common shift divided
+    out; the call fills it, decoding the two shifts on a miss, so callers
+    that share it derive each pair once.  A constant has no factor to
+    match: ([], 0).
     """
+    if left.is_one or right.is_one:
+        return [], 0
+    ordering = left.ordering
+    n = ordering.n_symbols
     raw = 0
     out = set()
-    for (sym_a, alpha), _ in left:
-        for (sym_b, beta), _ in right:
-            if sym_a != sym_b:
+    for va, _ in left.factors:
+        for vb, _ in right.factors:
+            if (va - vb) % n:
                 continue
             raw += 1
-            pair = derived.get((alpha, beta))
+            keys = va // n, vb // n
+            pair = derived.get(keys)
             if pair is None:
+                alpha, beta = ordering.decode(va).shift, ordering.decode(vb).shift
                 common = tuple(map(min, alpha, beta))
-                pair = derived[alpha, beta] = (tuple(map(sub, beta, common)),
-                                               tuple(map(sub, alpha, common)))
+                pair = derived[keys] = (tuple(map(sub, beta, common)),
+                                        tuple(map(sub, alpha, common)))
             if same:
                 sigma, tau = pair
                 if sigma == tau:
@@ -152,6 +162,8 @@ class _Run:
     code, the next free int, kept for the run: codes[i][sigma] is the code,
     elements[code] is (i, sigma) and shifted[code] is the factor tuple of
     sigma*lm(G[i]), so a push looks a shifted lead up by its shift alone.
+    codes[i] is made on first use, so no per-element list follows the
+    reducer as it grows.
     No pair joins an element to itself, as shift_pair_candidates drops the
     trivial self-overlap, so its two codes differ.  The id of the pair of
     elements with codes h > l is the int h*h + l, one int in place of a
@@ -161,8 +173,8 @@ class _Run:
     names an unordered pair of shifted elements, with no shift divided
     out, so a chain query makes the id of a pair from the codes of its two
     halves; an element with no code is in no queued pair.  The shift pairs
-    of two elements come from their decoded leads, leads[i] for G[i], and
-    per-run derivations of their factor shifts (shift_pair_candidates).
+    of two elements come from their packed leading monomials and per-run
+    derivations of their factor shifts (shift_pair_candidates).
 
     *Pop order.*  Pairs pop exactly as from a heap of (order, key, seq) per
     pair, seq counting pushes.  An overlap's key is in the heap iff the
@@ -256,9 +268,8 @@ class _Run:
         self.waiting = {}
         self.killer = {}
         self.search = None  # the last chain query's divisor list, see _Run
-        self.derived = {}  # (alpha, beta) -> shift pair, see shift_pair_candidates
-        self.codes = [{} for _ in G]  # codes[i][sigma]: the code of (i, sigma)
-        self.leads = [g.lm.decoded() for g in G]  # leads[i]: lm(G[i]) decoded
+        self.derived = {}  # pair of shift keys -> shift pair, see shift_pair_candidates
+        self.codes = defaultdict(dict)  # codes[i][sigma]: the code of (i, sigma)
         self.elements = []  # elements[code]: the shifted element (i, sigma)
         self.shifted = []  # shifted[code]: the factor tuple of sigma*lm(G[i])
 
@@ -273,8 +284,8 @@ class _Run:
     def _push_pairs(self, i, j):
         reducer, stats, waiting = self.reducer, self.stats, self.waiting
         ordering = reducer.ring.ordering
-        leads = self.leads
-        pairs, raw = shift_pair_candidates(leads[i], leads[j], i == j, self.derived)
+        polys = reducer.polys
+        pairs, raw = shift_pair_candidates(polys[i].lm, polys[j].lm, i == j, self.derived)
         if raw == 0:
             stats.killed_product += 1
         stats.killed_sigma += raw - len(pairs)
@@ -380,8 +391,6 @@ class _Run:
             if h.lm.is_one:
                 return [self.reducer.ring.one], False
             self.reducer.append(h)
-            self.codes.append({})
-            self.leads.append(h.lm.decoded())
             stats.new_elements += 1
             new = len(G) - 1
             for t in range(new + 1):
@@ -495,13 +504,12 @@ def verify_sigma_gbasis(basis_or_elements):
     if not ring.ordering.is_order_compatible:
         raise ValueError("verification requires an order-compatible ordering")
     reducer = ReducerBasis(elements)
-    leads = [g.lm.decoded() for g in elements]
     failures = []
     checked = 0
     derived = {}
     for j in range(len(elements)):
         for i in range(j + 1):
-            pairs, _ = shift_pair_candidates(leads[i], leads[j], i == j, derived)
+            pairs, _ = shift_pair_candidates(elements[i].lm, elements[j].lm, i == j, derived)
             for sigma, tau in pairs:
                 checked += 1
                 s = shifted_spoly(elements[i], sigma, elements[j], tau)

@@ -264,10 +264,10 @@ class RationalFunction:
     that is constant comes back as a plain number.
     """
 
-    __slots__ = ("field", "num", "den", "_hash")
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field, num, den):
-        self.field, self.num, self.den, self._hash = field, num, den, None
+        self.field, self.num, self.den = field, num, den
 
     def __add__(self, other, sign=1):
         z = self.field._const
@@ -383,9 +383,7 @@ class RationalFunction:
         return False if isinstance(other, (int, Fraction)) else NotImplemented
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((frozenset(self.num.items()), frozenset(self.den.items())))
-        return self._hash
+        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
 
     def __repr__(self):
         text = self.field.format(self)

@@ -82,18 +82,16 @@ class ReducerBasis:
     cycle8 `dgb symmetric --classical` run the 173-element completion
     reducer ends with 499 entries, none of them None, after 102,125 probes
     that found 47,837 hits (545 entries over the run's three bases).  The
-    shift of w is decoded once per basis (_shift_of, shared by the
-    tables): many elements meet the same images, and append reads the
-    anchor's shift from it too.  Both live as long as the basis: a caller
+    shift of w is decoded when its entry is made, so a table decodes each
+    of its variables once.  The tables live as long as the basis: a caller
     that keeps the basis keeps them, and nothing else holds them.
     """
 
-    __slots__ = ("ring", "polys", "_shapes", "_shift_of")
+    __slots__ = ("ring", "polys", "_shapes")
 
     def __init__(self, polys):
         self.ring = None
         self.polys, self._shapes = [], []
-        self._shift_of = {}  # packed variable -> its shift, decoded once
         for p in polys:
             self.append(p)
 
@@ -118,23 +116,17 @@ class ReducerBasis:
         anchor = factors[0][0]
         offsets = tuple([(var - anchor, e) for var, e in factors[1:]])
         self._shapes.append((m.total_degree, anchor - factors[-1][0], anchor, factors[0][1],
-                             offsets, {}, self._shift(anchor), m.order))
-
-    def _shift(self, var):
-        """The shift of a packed variable, decoded once per basis."""
-        shift = self._shift_of.get(var)
-        if shift is None:
-            shift = self._shift_of[var] = self.ring.ordering.decode(var).shift
-        return shift
+                             offsets, {}, self.ring.ordering.decode(anchor).shift, m.order))
 
     def _image_hit(self, index, shape, w):
         """The table entry of the anchor image w for the element index, of
         the given shape: (index, s) for the shift s with s(anchor) = w, or
         None when there is no such shift of the element."""
         _, _, anchor, _, _, _, beta, order = shape
-        if (w - anchor) % self.ring.ordering.n_symbols:
+        ordering = self.ring.ordering
+        if (w - anchor) % ordering.n_symbols:
             return None
-        s = tuple(map(sub, self._shift(w), beta))
+        s = tuple(map(sub, ordering.decode(w).shift, beta))
         if min(s) < 0 or order + sum(s) > MAX_SHIFT_DEGREE:
             return None
         return index, s

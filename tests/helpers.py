@@ -10,7 +10,6 @@ from operator import sub
 
 from dgb import DifferenceRing, Monomial, ParseError, Polynomial, ShiftWidthError, Signature
 from dgb.cli import tokenize
-from dgb.completion import shift_pair_candidates
 from dgb.field import RationalFunction
 from dgb.orderings import DEGLEX, LEX
 from dgb.quotient import groebner_gamma_basis
@@ -201,6 +200,39 @@ def divisor_hits(basis, target, first=()):
         yield from hits
 
 
+def reference_shift_pair_candidates(left, right, same: bool, derived):
+    """Surviving (s, t) shift pairs for two decoded leading monomials.
+
+    Returns (pairs, raw_count): the deduplicated list, sorted for
+    determinism, plus the number of raw factor matches before collapsing
+    duplicates and identity self-pairs.  derived maps each pair (alpha,
+    beta) of factor shifts met so far to its shift pair, with the common
+    shift divided out; the call fills it, so callers that share it derive
+    each pair once.  The reference for completion.shift_pair_candidates,
+    which reads the same pairs off the packed factors.
+    """
+    raw = 0
+    out = set()
+    for (sym_a, alpha), _ in left:
+        for (sym_b, beta), _ in right:
+            if sym_a != sym_b:
+                continue
+            raw += 1
+            pair = derived.get((alpha, beta))
+            if pair is None:
+                common = tuple(map(min, alpha, beta))
+                pair = derived[alpha, beta] = (tuple(map(sub, beta, common)),
+                                               tuple(map(sub, alpha, common)))
+            if same:
+                sigma, tau = pair
+                if sigma == tau:
+                    continue  # the trivial self-overlap
+                if sigma > tau:
+                    pair = tau, sigma  # symmetric duplicate
+            out.add(pair)
+    return sorted(out), raw
+
+
 def instance_id(i, si, j, sj):
     """Canonical identity of a pair of shifted basis elements, with the
     common shift divided out so that equivalent pairs coincide, as the
@@ -234,7 +266,8 @@ class ReferenceRun:
         reducer, stats = self.reducer, self.stats
         lm_i, lm_j = reducer.polys[i].lm, reducer.polys[j].lm
         ordering = reducer.ring.ordering
-        pairs, raw = shift_pair_candidates(lm_i.decoded(), lm_j.decoded(), i == j, {})
+        pairs, raw = reference_shift_pair_candidates(lm_i.decoded(), lm_j.decoded(), i == j,
+                                                     {})
         if raw == 0:
             stats.killed_product += 1
         stats.killed_sigma += raw - len(pairs)

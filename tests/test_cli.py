@@ -461,7 +461,7 @@ def test_cli_verifies_the_pinned_cycle8_basis(capsys):
     assert run(["verify", "--json", "--input", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["status"], out["checked_pairs"], out["exit_code"]) == ("verified", 1980, 0)
-    leads = [g.lm.decoded() for g in parse_problem(path.read_text()).polynomials]
+    leads = [g.lm for g in parse_problem(path.read_text()).polynomials]
     assert sum(len(completion.shift_pair_candidates(leads[i], leads[j], i == j, {})[0])
                for j in range(len(leads)) for i in range(j + 1)) == 1980
 

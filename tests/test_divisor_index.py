@@ -30,14 +30,14 @@ from operator import add, sub
 import pytest
 
 from dgb import OrderingSpec
-from dgb.completion import (shift_pair_candidates, sigma_gbasis_truncated,
-                            verify_sigma_gbasis)
+from dgb.completion import sigma_gbasis_truncated, verify_sigma_gbasis
 from dgb.orderings import DEGLEX, DEGREVLEX, LEX, MAX_SHIFT_DEGREE
 from dgb.reduction import ReducerBasis
 from dgb.ring import Monomial
 
 from helpers import (divisor_hits, make_ring, mul_term, random_monomial, random_polynomial,
-                     random_shift, reference_shift_key, reference_spoly)
+                     random_shift, reference_shift_key, reference_shift_pair_candidates,
+                     reference_spoly)
 
 
 def _shifted(ring, lm, s):
@@ -382,8 +382,8 @@ def reference_verify(generators):
     checked, failures = 0, []
     for j in range(len(elements)):
         for i in range(j + 1):
-            pairs, _ = shift_pair_candidates(elements[i].lm.decoded(),
-                                             elements[j].lm.decoded(), i == j, {})
+            pairs, _ = reference_shift_pair_candidates(elements[i].lm.decoded(),
+                                                       elements[j].lm.decoded(), i == j, {})
             for sigma, tau in pairs:
                 checked += 1
                 h = reference_spoly(elements[i].shift(sigma), elements[j].shift(tau))

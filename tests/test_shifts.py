@@ -12,13 +12,14 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from dgb import (MAX_SHIFT_DEGREE, ExactDivisionError, OrderingSpec, RankMismatchError,
-                 ReducerBasis, ShiftWidthError)
-from dgb.completion import CompletionOptions, PairStats, _Run, shift_pair_candidates
+from dgb import (MAX_SHIFT_DEGREE, ExactDivisionError, Monomial, OrderingSpec,
+                 RankMismatchError, ReducerBasis, ShiftWidthError)
+from dgb.completion import shift_pair_candidates
 from dgb.orderings import DEGLEX, DEGREVLEX, LEX
-from helpers import enumerate_up_to_degree, make_ring, shifted_lcm
+from helpers import (enumerate_up_to_degree, make_ring, reference_shift_pair_candidates,
+                     shifted_lcm)
 
 R3 = make_ring(3, ("x",))
 
@@ -36,7 +37,7 @@ def divides(s, t):
 
 def gcd(s, t):
     """The common shift the pair enumerator divides out of x(s), x(t)."""
-    (sigma, tau), = shift_pair_candidates(x(s).lm.decoded(), x(t).lm.decoded(), False, {})[0]
+    (sigma, tau), = shift_pair_candidates(x(s).lm, x(t).lm, False, {})[0]
     assert x(s).lm.shift(sigma) == x(t).lm.shift(tau)
     return tuple(a - b for a, b in zip(s, tau))
 
@@ -97,7 +98,7 @@ shift3 = st.tuples(*[st.integers(0, 6)] * 3)
 def test_gcd_reconstruction(s, t):
     g = gcd(s, t)
     assert divides(g, s) and divides(g, t)
-    (sigma, tau), = shift_pair_candidates(x(s).lm.decoded(), x(t).lm.decoded(), False, {})[0]
+    (sigma, tau), = shift_pair_candidates(x(s).lm, x(t).lm, False, {})[0]
     assert not any(map(min, sigma, tau))  # the whole common shift is out
     assert x(g).shift(tau) == x(s) and x(g).shift(sigma) == x(t)
 
@@ -127,22 +128,27 @@ _property = settings(derandomize=True, max_examples=12, deadline=None)
 _each_order_pair = pytest.mark.parametrize("orders", _ORDER_PAIRS, ids="-".join)
 
 
-@st.composite
-def _polynomials(draw, orders, count=1):
-    """count nonzero polynomials over one ring of rank 1-3 in x, y, under
-    the given shift and symbol orders with any priorities, and two shifts."""
+def _ring(draw, orders):
+    """A ring of rank 1-3 in x, y, under the given shift and symbol orders
+    with any priorities, and the strategy of its shifts with entries 0-3."""
     rank = draw(st.integers(1, 3))
     shift_order, symbol_order = orders
     spec = OrderingSpec(shift_order, tuple(draw(st.permutations(range(rank)))),
                         symbol_order, tuple(draw(st.permutations(range(2)))))
-    ring = make_ring(rank, ("x", "y"), spec=spec)
-    shifts = st.tuples(*[st.integers(0, 3)] * rank)
+    return make_ring(rank, ("x", "y"), spec=spec), st.tuples(*[st.integers(0, 3)] * rank)
 
-    def monomial():
-        return ring.monomial([(draw(st.sampled_from("xy")), draw(shifts), draw(st.integers(1, 2)))
-                              for _ in range(draw(st.integers(0, 3)))])
 
-    polys = [ring.polynomial([(draw(st.integers(1, 5)), monomial())
+def _monomial(draw, ring, shifts):
+    """A monomial of ring with 0-3 factors, exponents 1-2."""
+    return ring.monomial([(draw(st.sampled_from("xy")), draw(shifts), draw(st.integers(1, 2)))
+                          for _ in range(draw(st.integers(0, 3)))])
+
+
+@st.composite
+def _polynomials(draw, orders, count=1):
+    """count nonzero polynomials over one ring of _ring, and two shifts."""
+    ring, shifts = _ring(draw, orders)
+    polys = [ring.polynomial([(draw(st.integers(1, 5)), _monomial(draw, ring, shifts))
                               for _ in range(draw(st.integers(1, 4)))])
              for _ in range(count)]
     return polys, draw(shifts), draw(shifts)
@@ -201,15 +207,30 @@ def test_shift_past_the_packed_width_raises(orders, data):
 @_each_order_pair
 @_property
 @given(data=st.data())
-def test_reducer_keeps_decoded_leads(orders, data):
-    """The decoded leads that a run keeps beside its reducer follow the
-    reducer's elements, those it appends included."""
-    polys, _, _ = data.draw(_polynomials(orders, count=3))
-    G = [g.monic() for g in polys if not g.lm.is_one]
-    assume(G)
-    run = _Run(G, CompletionOptions(max_pair_budget=10), None, PairStats())
-    run.run()  # 105 of the 108 examples append elements to the reducer
-    assert run.leads == [g.lm.decoded() for g in run.reducer.polys]
+def test_packed_pair_enumeration_matches_the_decoded_reference(orders, data):
+    """shift_pair_candidates reads off the packed leading monomials the
+    pairs and raw count that the decoded reference gives, over a sequence
+    of calls sharing one derived cache, as a run shares it; Monomial.ONE
+    (with no ordering) gives none."""
+    ring, shifts = _ring(data.draw, orders)
+    ordering, n = ring.ordering, ring.ordering.n_symbols
+
+    def monomial():
+        if data.draw(st.integers(0, 5)) == 0:
+            return Monomial.ONE
+        return _monomial(data.draw, ring, shifts)
+
+    derived, reference = {}, {}
+    for _ in range(data.draw(st.integers(1, 6))):
+        left = monomial()
+        right = left if data.draw(st.booleans()) else monomial()
+        same = data.draw(st.booleans())
+        assert (shift_pair_candidates(left, right, same, derived)
+                == reference_shift_pair_candidates(left.decoded(), right.decoded(), same,
+                                                   reference))
+    # the two caches hold the same derivations, keyed by shift key or shift
+    assert {(ordering.decode(ka * n).shift, ordering.decode(kb * n).shift): pair
+            for (ka, kb), pair in derived.items()} == reference
 
 
 @_each_order_pair
