@@ -384,11 +384,12 @@ class _Parser:
                     i += 1
                     if kinds[i] != "int":
                         self.fail("expected an integer exponent", self.peek(i))
-                    e, t = int(values[i]), len(value)
-                    one_term = t == 1
-                    if one_term:  # c*m: the power expands the numerator and denominator of c
+                    # each coefficient counts its longer part's terms, as
+                    # the power expands the numerators and denominators
+                    e, t = int(values[i]), sum(map(ring.field.term_count, value.values()))
+                    one_term = len(value) == 1
+                    if one_term:
                         (c,) = value.values()
-                        t = ring.field.term_count(c)
                     if t > 1 and (e * t > MAX_POWER_WORK  # e * t is at most the bound
                                   or e * math.comb(e + t - 1, t - 1) > MAX_POWER_WORK):
                         self.fail(f"power ^{e} of a {t}-term base is too large to expand",

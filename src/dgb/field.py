@@ -24,9 +24,10 @@ When both denominators are constant arithmetic cancels with integer gcds
 only, and a plain-number operand takes a direct path of integer gcds.
 Otherwise products and sums cancel Henrici's way, through gcds of the
 smaller pieces.  A polynomial gcd comes from the heuristic GCDHEU (Char,
-Geddes & Gonnet, JSC 1989), whose candidate is accepted only when it
-divides both inputs exactly, with the primitive polynomial remainder
-sequence (Brown, JACM 1971) as the fallback when the heuristic gives up.
+Geddes & Gonnet, JSC 1989) at points 2^k, where evaluation is a shift per
+term and interpolation reads base-2^k digits; a candidate counts only when
+it divides both inputs exactly, and the primitive polynomial remainder
+sequence (Brown, JACM 1971) is the fallback when the heuristic gives up.
 Plain numbers and ``RationalFunction``s mix under ``+ - * **``, equality
 and truthiness, so polynomial code treats them uniformly.  Printing folds
 a constant denominator into rational coefficients of the numerator, so
@@ -498,52 +499,53 @@ def _divide(f, g):
 
 def _gcd(f, g, v=0):
     """(h, f/h, g/h) for h a gcd of the nonzero f and g, which do not involve
-    the parameters before v; an integer gcd when either is constant."""
+    the parameters before v.  Each input's monomial factor comes off first,
+    as a parameter power in one input only puts a power of two into every
+    GCDHEU image; a one-term input is then a constant: an integer gcd."""
+    a, b = tuple(map(min, zip(*f))), tuple(map(min, zip(*g)))
+    f, g = _times_monomial(f, a, sub), _times_monomial(g, b, sub)
     if len(f) == 1 or len(g) == 1:
-        z = (0,) * len(next(iter(f)))
-        if z in f and len(f) == 1 or z in g and len(g) == 1:
-            h = gcd(_content(f), _content(g))
-            return {z: h}, (_quo(f, h) if h != 1 else f), (_quo(g, h) if h != 1 else g)
-    found = _heugcd(f, g, v)
-    if found is None:
+        h = gcd(_content(f), _content(g))
+        h, f, g = {(0,) * len(a): h}, (_quo(f, h) if h != 1 else f), (_quo(g, h) if h != 1 else g)
+    elif found := _heugcd(f, g, v):
+        h, f, g = found
+    else:
         h = _prs_gcd(f, g, v)
-        found = h, _divide(f, h), _divide(g, h)
-    return found
+        f, g = _divide(f, h), _divide(g, h)
+    m = tuple(map(min, a, b))
+    return (_times_monomial(h, m), _times_monomial(f, tuple(map(sub, a, m))),
+            _times_monomial(g, tuple(map(sub, b, m))))
 
 
-def _evaluate(f, v, x):
-    """f with parameter v set to the integer x.  The distinct exponents of
-    v are walked in ascending order with one running power of x, so memory
-    follows the result, not the square of the degree; the result keeps the
-    order in which f first meets each of its monomials."""
-    h, by_exponent = {}, {}
+def _times_monomial(f, m, op=add):
+    """f times (op add) or divided by (op sub) the monomial with exponents m."""
+    return {tuple(map(op, e, m)): c for e, c in f.items()} if any(m) else f
+
+
+def _evaluate(f, v, k):
+    """f with parameter v set to 2^k, one shift per term (Kronecker packing),
+    its monomials in the order in which f first meets them."""
+    h = {}
     for e, c in f.items():
         m = e[:v] + (0,) + e[v + 1:]
-        h[m] = 0
-        by_exponent.setdefault(e[v], []).append((m, c))
-    power, last = 1, 0
-    for k in sorted(by_exponent):
-        power *= x ** (k - last)
-        last = k
-        for m, c in by_exponent[k]:
-            h[m] += c * power
+        h[m] = h.get(m, 0) + (c << k * e[v])
     return {m: c for m, c in h.items() if c}
 
 
-def _interpolate(h, v, x):
-    """The polynomial with coefficients in the symmetric range mod x whose
-    value at parameter v = x is h (the x-adic expansion of GCDHEU)."""
-    f, i, half = {}, 0, x // 2
+def _interpolate(h, v, k):
+    """The polynomial whose value at parameter v = 2^k is h, for k >= 1, with
+    balanced base-2^k digits, in (-2^(k-1), 2^(k-1)], as coefficients."""
+    f, i, mask, half = {}, 0, (1 << k) - 1, 1 << k - 1
     while h:
         rest = {}
         for e, c in h.items():
-            r = c % x
+            r = c & mask
             if r > half:
-                r -= x
+                r -= 1 << k
             if r:
                 f[e[:v] + (i,) + e[v + 1:]] = r
             if c != r:
-                rest[e] = (c - r) // x
+                rest[e] = (c - r) >> k
         h, i = rest, i + 1
     return f
 
@@ -552,7 +554,7 @@ def _heugcd(f, g, v):
     """GCDHEU: (h, f/h, g/h) for h = gcd(f, g), where the nonzero f and g
     do not involve the parameters before v; None if the heuristic gives up.
 
-    Each evaluation point x gives the gcd of the images recursively; a
+    Each evaluation point 2^k gives the gcd of the images recursively; a
     candidate rebuilt from it (or from a cofactor image) counts only when
     it divides both inputs exactly.
     """
@@ -562,25 +564,25 @@ def _heugcd(f, g, v):
         return {next(iter(f)): c}, f, g
     nf, ng = max(map(abs, f.values())), max(map(abs, g.values()))
     bound = 2 * min(nf, ng) + 29
-    x = max(min(bound, 99 * isqrt(bound)),
-            2 * min(nf // abs(f[max(f)]), ng // abs(g[max(g)])) + 4)
+    k = max(min(bound, 99 * isqrt(bound)),
+            2 * min(nf // abs(f[max(f)]), ng // abs(g[max(g)])) + 4).bit_length()
     for _ in range(6):
-        ff, gg = _evaluate(f, v, x), _evaluate(g, v, x)
+        ff, gg = _evaluate(f, v, k), _evaluate(g, v, k)
         images = ff and gg and _heugcd(ff, gg, v + 1)
         if images:
-            h = _interpolate(images[0], v, x)
+            h = _interpolate(images[0], v, k)
             h = _quo(h, _content(h))
             cf, cg = _divide(f, h), _divide(g, h)
             if cf is not None and cg is not None:
                 return _scale(h, c), cf, cg
             for first, second, image in ((f, g, images[1]), (g, f, images[2])):
-                cofactor = _interpolate(image, v, x)
+                cofactor = _interpolate(image, v, k)
                 h = _divide(first, cofactor)
                 other = h and _divide(second, h)
                 if other:
                     cf, cg = (cofactor, other) if first is f else (other, cofactor)
                     return _scale(h, c), cf, cg
-        x = 73794 * x * isqrt(isqrt(x)) // 27011
+        k += k // 4 + 2
     return None
 
 
@@ -602,9 +604,6 @@ def _prs_gcd(f, g, v):
     """A gcd of the nonzero f and g, which do not involve the parameters
     before v, by the primitive remainder sequence in parameter v; the
     contents in the later parameters go through ``_gcd``."""
-    z = next(iter(f))
-    if v == len(z):
-        return {z: gcd(f[z], g[z])}
     cf, f = _content_in(f, v)
     cg, g = _content_in(g, v)
     content = _gcd(cf, cg, v + 1)[0]

@@ -179,8 +179,9 @@ def shifted_lcm(m, s, n, t):
 
 
 def dense_evaluate(f, v, x):
-    """field._evaluate by a list of every power of x up to the degree in
-    parameter v: the reference for the running-power walk."""
+    """f with parameter v set to the integer x, by a list of every power of
+    x up to the degree in v: the reference for field._evaluate's shifts at
+    x = 2^k."""
     powers = [1]
     for _ in range(max(e[v] for e in f)):
         powers.append(powers[-1] * x)

@@ -10,9 +10,10 @@ from dgb import (InternalCheckError, LinearRelation, ParseError,
 from dgb import completion, reduction
 from dgb.cli import (format_ordering, parse_polynomial, parse_problem, run,
                      Token, serialize_basis, tokenize)
-from dgb.completion import VerificationReport, sigma_gbasis
+from dgb.completion import (VerificationReport, interreduce, sigma_gbasis,
+                            sigma_gbasis_adaptive, sigma_gbasis_truncated)
 
-from helpers import make_ring, random_polynomial
+from helpers import make_ring, num_den, random_polynomial
 
 DATA = Path(__file__).parent / "data"
 
@@ -315,6 +316,32 @@ def test_serialize_basis_roundtrip():
     assert reparsed.ring == ring
     assert tuple(reparsed.polynomials) == tuple(basis.elements)
     assert serialize_basis(reparsed.ring, reparsed.polynomials) == text
+
+
+def _flow_basis():
+    problem = parse_problem((DATA / "navier_stokes.dgb").read_text())
+    return problem.ring, interreduce(sigma_gbasis_adaptive(problem.polynomials)).elements
+
+
+def _swell_basis():
+    problem = parse_problem((DATA / "qh_swell.dgb").read_text())
+    return problem.ring, sigma_gbasis_truncated(problem.polynomials, 2,
+                                                max_pair_budget=54).elements
+
+
+@pytest.mark.parametrize("build", [_flow_basis, _swell_basis], ids=["flow", "swell"])
+def test_serialize_basis_roundtrip_over_parameters(build):
+    # the ring's parameters line is read back, and so are coefficients in
+    # Q(H); the swell basis divides by long parameter polynomials, so
+    # reading it back runs GCDHEU on large coefficients
+    ring, elements = build()
+    assert ring.signature.parameters == ("H",)
+    long_denominators = any(len(num_den(ring.field, c)[1]) > 1
+                            for g in elements for _, c in g.terms)
+    assert long_denominators == (build is _swell_basis)
+    reparsed = parse_problem(serialize_basis(ring, elements))
+    assert reparsed.ring == ring
+    assert tuple(reparsed.polynomials) == tuple(elements)
 
 
 def test_format_ordering_text():

@@ -833,21 +833,31 @@ def test_ordering_holds_no_growing_state():
     assert {name: getattr(ordering, name) for name in slots} == slots
 
 
-def test_parameter_coefficient_swell_case_is_pinned():
+@pytest.mark.parametrize("budget, stats, elements, digest", [
+    (54, PairStats(generated=310, killed_sigma=101, killed_chain=31, killed_truncation=132,
+                   reduced_to_zero=6, new_elements=17), 19,
+     "7e7236b5ed1769049f90ce6afe95cd675c07e5187991ffdf157687377e169337"),
+    (58, PairStats(generated=444, killed_sigma=105, killed_chain=31, killed_truncation=132,
+                   reduced_to_zero=6, new_elements=21), 23,
+     "e8bfcd8d28ba65ccb8151e1e3bdcd5007216ec201ea5efea15705a4e51b58407"),
+], ids=["54", "58"])
+def test_parameter_coefficient_swell_case_is_pinned(budget, stats, elements, digest):
     # Q(H) coefficients with non-constant denominators: each further pair
     # of budget multiplies the cost (the swell case of ROADMAP item 3).
-    # Recorded with the sympy-based field of earlier versions.
-    ring = make_ring(1, ("x",), ("H",), spec=OrderingSpec(DEGREVLEX, None, DEGREVLEX, None))
-    gens = [parse_polynomial(ring, "x(1)^2*x(0)^3 - x(1)^2 + H*x(0)^3"),
-            parse_polynomial(ring, "-x(2)*x(0)^4 + 3*x(1)^2")]
-    basis = sigma_gbasis_truncated(gens, 2, max_pair_budget=54)
+    # Budget 54 was recorded with the sympy-based field of earlier versions,
+    # 58 with the GCDHEU field.
+    problem = parse_problem((Path(__file__).parent / "data" / "qh_swell.dgb").read_text())
+    ring = problem.ring
+    assert ring == make_ring(1, ("x",), ("H",),
+                             spec=OrderingSpec(DEGREVLEX, None, DEGREVLEX, None))
+    assert problem.polynomials == [
+        parse_polynomial(ring, "x(1)^2*x(0)^3 - x(1)^2 + H*x(0)^3"),
+        parse_polynomial(ring, "-x(2)*x(0)^4 + 3*x(1)^2")]
+    basis = sigma_gbasis_truncated(problem.polynomials, 2, max_pair_budget=budget)
     assert str(basis.status) == "budget_exhausted"
-    assert basis.stats == PairStats(generated=310, killed_sigma=101, killed_chain=31,
-                                    killed_truncation=132, reduced_to_zero=6,
-                                    new_elements=17)
+    assert basis.stats == stats and len(basis.elements) == elements
     text = "\n".join(str(g) for g in basis)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "7e7236b5ed1769049f90ce6afe95cd675c07e5187991ffdf157687377e169337")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert any(len(num_den(ring.field, c)[1]) > 1 for g in basis for _, c in g.terms)
 
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import QQ, ZZ
 from sympy.polys.fields import field as sympy_field
 from sympy.polys.rings import ring as sympy_ring
@@ -317,6 +319,33 @@ def test_gcd_finds_a_planted_common_factor(nvars):
     assert heuristic > 50
 
 
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_gcd_splits_off_monomials_before_the_heuristic(nvars, monkeypatch):
+    # At points 2^k a parameter power that divides one cofactor only puts a
+    # power of two into every image of the later parameters: given these
+    # planted pairs whole, the heuristic gave up on 2 (nvars 2) and 5
+    # (nvars 3) of 150.  With each input's monomial split off it gives up
+    # on none, and the common monomial comes back in the gcd.
+    rng, monomials = random.Random(nvars), random.Random(-nvars)
+    ring = sympy_ring(",".join("HKL"[:nvars]), ZZ)[0]
+    mul = field_module._mul
+
+    def gave_up(*args):
+        raise AssertionError("the heuristic gave up")
+
+    monkeypatch.setattr(field_module, "_prs_gcd", gave_up)
+    for _ in range(150):
+        p, q, r = (_random_integer_polynomial(rng, nvars) for _ in range(3))
+        f, g = mul(p, r), mul(q, r)
+        for _ in range(2):
+            expected = ring(f).gcd(ring(g))
+            h, f_h, g_h = field_module._gcd(f, g)
+            assert ring(h) in (expected, -expected)
+            assert mul(h, f_h) == f and mul(h, g_h) == g
+            f, g = (mul(x, {tuple(monomials.randint(0, 3) for _ in range(nvars)): 1})
+                    for x in (f, g))
+
+
 def _dense_integer_polynomial(rng, terms, degree):
     out = {}
     while len(out) < terms:
@@ -386,8 +415,9 @@ def test_unit_denominator_products_match_the_reference(parameters, monkeypatch):
 
 
 def test_evaluate_matches_the_dense_reference():
-    # the running power over the distinct exponents gives the dense
-    # evaluation's values, in the same monomial order
+    # one shift per term gives the dense evaluation's values at 2^k, in the
+    # same monomial order; GCDHEU evaluates only at powers of two, so the
+    # points 0 and -1 are out of the domain
     rng = random.Random(41)
     for _ in range(600):
         nvars = rng.randint(1, 3)
@@ -395,9 +425,25 @@ def test_evaluate_matches_the_dense_reference():
         if rng.random() < 0.3:  # a sparse high power
             f[tuple(rng.choice((0, rng.randint(20, 200))) for _ in range(nvars))] = rng.randint(1, 9)
         v = rng.randrange(nvars)
-        x = rng.choice((0, 1, -1, rng.randint(2, 10**6)))
-        got, expected = field_module._evaluate(f, v, x), dense_evaluate(f, v, x)
+        k = rng.choice((0, 1, rng.randint(1, 60)))
+        got, expected = field_module._evaluate(f, v, k), dense_evaluate(f, v, 1 << k)
         assert got == expected and list(got) == list(expected)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_interpolate_inverts_evaluate(data):
+    # a polynomial whose coefficients are balanced base-2^k digits, in
+    # (-2^(k-1), 2^(k-1)], comes back from its value at parameter v = 2^k:
+    # both ends of the range and negative digits among them
+    k = data.draw(st.integers(1, 70), label="k")
+    nvars = data.draw(st.integers(1, 3), label="nvars")
+    half = 1 << k - 1
+    digit = st.one_of(st.sampled_from((half, 1 - half)), st.integers(1 - half, half))
+    f = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 5)] * nvars), digit, max_size=8))
+    f = {e: c for e, c in f.items() if c}
+    v = data.draw(st.integers(0, nvars - 1), label="v")
+    assert field_module._interpolate(field_module._evaluate(f, v, k), v, k) == f
 
 
 def test_evaluating_a_sparse_high_power_keeps_memory_small():

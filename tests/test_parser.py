@@ -15,9 +15,9 @@ from four intended changes, each asserted as such:
   where the recursive reference ran out of stack;
 * a power of a base of two or more terms whose expansion bound is above
   `MAX_POWER_WORK` is a positioned parse error at its `^`, where the
-  reference expanded it without a bound; so is a power of one term whose
-  coefficient has a numerator or denominator of two or more terms in
-  Q(parameters), with t the longer one's term count;
+  reference expanded it without a bound; over Q(parameters) a term counts
+  as many terms as the longer of its coefficient's numerator and
+  denominator has;
 * a power that gives a coefficient with an integer of more digits than
   `sys.get_int_max_str_digits()` is a positioned parse error at its `^`,
   where the reference computed it, however large.
@@ -592,11 +592,16 @@ def test_powers_past_the_digit_limit_are_positioned_errors():
     assert [c for _, c in f.terms] == [10 ** (2 * d), 2 * 10 ** d, 1]
     assert _outcome(parse_polynomial, RING_X, f"(10^{d + 1}*x(1) + 1)^2") == refused(
         2, len(str(d + 1)) + 15)
+    f = parse_polynomial(RING_X, "(10^2100*x(0) + 1)^2")
+    assert [c for _, c in f.terms] == [10 ** 4200, 2 * 10 ** 2100, 1]
+    assert _outcome(parse_polynomial, RING_X, "(10^2100*x(0) + 1)^3") == refused(3, 19)
 
 
 def test_powers_of_parameter_polynomials_are_bounded_like_polynomial_powers():
-    # A one-term base whose coefficient has a numerator or denominator of t
-    # terms expands like a t-term base, under the same bound.
+    # A base counts, for each of its terms, the terms of the longer of its
+    # coefficient's numerator and denominator, and expands under the bound
+    # of a base of that many terms: a one-term base whose coefficient has
+    # t terms, as here, and a sum with such coefficients, as below.
     for t, e in {2: 172, 3: 38}.items():
         base = " + ".join(["H", "K", "1"][:t])
         f = parse_polynomial(RING_XY, f"({base})^{e}*x(0,0)")
@@ -605,6 +610,13 @@ def test_powers_of_parameter_polynomials_are_bounded_like_polynomial_powers():
             f"power ^{e + 1} of a {t}-term base is too large to expand", 1, len(base) + 3)
         assert _outcome(parse_polynomial, RING_XY, f"x(0,0)/({base})^{e + 1}") == (
             f"power ^{e + 1} of a {t}-term base is too large to expand", 1, len(base) + 10)
+    # H*x(0) + 1/(H+1) counts 1 + 2 terms, so ^172 is refused before it expands
+    ring = make_ring(1, ("x",), ("H",))
+    f = parse_polynomial(ring, "(H*x(0) + 1/(H+1))^38")
+    assert len(f.terms) == 39 and f.terms[-1][1] == parse_polynomial(ring, "1/(H+1)^38").lc
+    for e in (39, 172):
+        assert _outcome(parse_polynomial, ring, f"(H*x(0) + 1/(H+1))^{e}") == (
+            f"power ^{e} of a 3-term base is too large to expand", 1, 19)
 
 
 def test_format_refuses_an_integer_past_the_digit_limit():
