@@ -126,8 +126,8 @@ class Ordering:
     """An OrderingSpec bound to a concrete signature (rank and symbol
     count): the packing of variables and the keys of the block order."""
 
-    __slots__ = ("spec", "rank", "n_symbols", "_symbol_value", "_symbol_of", "_origin",
-                 "_weights", "_offsets", "_degree_bits")
+    __slots__ = ("spec", "rank", "n_symbols", "weights", "_symbol_value", "_symbol_of",
+                 "_origin", "_offsets", "_degree_bits")
 
     def __init__(self, shift_rank, n_symbols, spec=None):
         spec = spec or OrderingSpec()
@@ -150,8 +150,9 @@ class Ordering:
         # field M - s_j back into s_j
         self._origin = (1 << width) - 1 if revlex else 0
         degree = 0 if spec.shift_order == LEX else 1 << width
-        self._weights = tuple(degree + (-1 if revlex else 1) * (1 << offset)
-                              for offset in self._offsets)
+        # what a unit step of each shift coordinate adds to a shift key
+        self.weights = tuple(degree + (-1 if revlex else 1) * (1 << offset)
+                             for offset in self._offsets)
 
     def __eq__(self, other):
         return (isinstance(other, Ordering)
@@ -186,7 +187,7 @@ class Ordering:
     def offset(self, s, order=0):
         """What shifting by s, after check_shift(s, order), adds to every
         packed variable; 0 exactly for the zero shift."""
-        return sum(map(mul, self.check_shift(s, order), self._weights)) * self.n_symbols
+        return sum(map(mul, self.check_shift(s, order), self.weights)) * self.n_symbols
 
     def shift_key(self, s):
         """Monotone key: shift_key(s) < shift_key(t) iff s < t."""

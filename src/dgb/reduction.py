@@ -17,37 +17,48 @@ no shift of the element maps the anchor onto w.  A probe that passes at w
 fills the entry once, and every later probe there reads it; a probe that
 fails depends on the target, so it stores nothing (ReducerBasis).
 
-*One merge per step.*  A head step replaces the remainder h by
+*One insertion per step.*  A head step replaces the remainder h by
 h - c*m*s(g), where s(g) is a shifted basis element whose leading
 monomial divides lm(h), m = lm(h) / s(lm g) and c = lc(h) / lc(g) (just
-lc(h) when g is monic).  The step is one pass over the terms of h
-(ring._add_multiple): each later term of g is shifted by one checked
-offset, multiplied by c*m and merged into h, so no shifted copy of g, no
-term product and no negated copy is built, and a product term that meets
-a term of h keeps that term's Monomial.  The leading pair is skipped, and
-that is exact: c*m*s(lm g) has coefficient lc(h)/lc(g) * lc(g) = lc(h) and
-monomial lm(h), so the difference has coefficient exactly 0 there in the
-exact field, while every other product term lies below lm(h), as the
-ordering is multiplicative and respects shifts.  The same merge serves
-replay_certificate, ring.shifted_spoly and spoly, and Polynomial + and -;
-products of whole polynomials (the parser, Polynomial *) take ring._product.
+lc(h) when g is monic).  The step is exact: c*m*s(lm g) has coefficient
+lc(h)/lc(g) * lc(g) = lc(h) and monomial lm(h), so the leading pair
+cancels to exactly 0 in the exact field and is dropped, while every other
+product term lies below lm(h), as the ordering is multiplicative and
+respects shifts.  So a step touches the remainder only where a product
+term lands.  The remainder is kept ascending, with a parallel list of
+monomial keys, so its head is the last entry and leaves in O(1); the
+product terms, which descend, are placed by bisection over the keys below
+the previous one's place, and each adds into the term there, cancels it or
+is inserted (_insert_multiple).  A step thus costs its reducer's terms,
+each a C bisection and a C list edit, and no Python loop runs over the
+remainder.  Each later term of g is shifted by one offset and multiplied
+by c*m in one factor merge (ring._merge), so no shifted copy of g, no term
+product and no negated copy is built, and a product term that meets a
+term of h keeps that term's Monomial.  The offset comes from the shift the
+anchor table validated against lm(g); the element's own order, kept once,
+covers its other terms, which under a lex shift order may exceed it.
+replay_certificate adds its steps by the same insertion; S-polynomials and
+Polynomial + and -, one-shot merges of two whole polynomials, take
+ring._add_multiple, and products of whole polynomials (the parser,
+Polynomial *) take ring._product.
 
 *One loop.*  reduce, tail_reduce and reduce_full all run _reduce, which
-walks the terms of the remainder, probes each examined term once with
-find_divisor and makes the step above at the first hit.  Head reduction
-stops at the first miss; tail reduction moves on to the next term, and at
-a hit the terms above it, which the step leaves alone, move to the output
-once.  The loop checks the ring once per call and counts every step
-against HEAD_STEP_LIMIT.
+takes the head of the remainder, probes it once with find_divisor and
+makes the step above at a hit.  At a miss head reduction stops, and tail
+reduction moves the head to the output, which then holds terms in
+descending order, above everything still pending.  The result is the
+output followed by the remainder, descending.  The loop checks the ring
+once per call and counts every step against HEAD_STEP_LIMIT.
 """
 
 from __future__ import annotations
 
-from operator import sub
+from bisect import bisect_left
+from operator import itemgetter, mul, sub
 
 from .errors import InternalCheckError, RingMismatchError
-from .orderings import MAX_SHIFT_DEGREE
-from .ring import Monomial, Polynomial, _add_multiple, _cofactor, _same_ring
+from .orderings import LEX, MAX_SHIFT_DEGREE
+from .ring import NEG_INF, Monomial, Polynomial, _cofactor, _known_monomial, _merge, _same_ring
 
 HEAD_STEP_LIMIT = 10_000_000  # safety net; the well-ordering guarantees termination
 
@@ -63,7 +74,10 @@ class ReducerBasis:
     its exponent, every other factor as an offset from the anchor, the
     table of anchor images, the anchor's shift and the order.  Shifting
     changes neither degree nor spread, so an element whose degree or spread
-    exceeds the target's is skipped before any shift is tried.
+    exceeds the target's is skipped before any shift is tried.  Beside its
+    shape each element keeps its own order, the largest over all its
+    terms: under a lex shift order a later term can exceed the leading
+    one, and a reduction step checks its shift against it.
 
     *The table.*  It maps a target variable w on which the anchor has
     landed to the hit (index, s), s the shift with s(anchor) = w, or to
@@ -87,11 +101,11 @@ class ReducerBasis:
     that keeps the basis keeps them, and nothing else holds them.
     """
 
-    __slots__ = ("ring", "polys", "_shapes")
+    __slots__ = ("ring", "polys", "_shapes", "_orders")
 
     def __init__(self, polys):
         self.ring = None
-        self.polys, self._shapes = [], []
+        self.polys, self._shapes, self._orders = [], [], []
         for p in polys:
             self.append(p)
 
@@ -106,17 +120,21 @@ class ReducerBasis:
             self.ring = poly.ring
         if poly.ring is not self.ring and poly.ring != self.ring:
             raise RingMismatchError("basis mixes different rings")
-        m = poly.lm
         self.polys.append(poly)
-        if m.is_one:
+        factors = poly.terms[0][0].factors
+        if not factors:
             self._shapes.append(None)
+            self._orders.append(NEG_INF)
             return
+        ordering = self.ring.ordering
+        order = ordering.order(factors)
         # the largest variable anchors: few target variables lie above it
-        factors = m.factors
         anchor = factors[0][0]
         offsets = tuple([(var - anchor, e) for var, e in factors[1:]])
-        self._shapes.append((m.total_degree, anchor - factors[-1][0], anchor, factors[0][1],
-                             offsets, {}, self.ring.ordering.decode(anchor).shift, m.order))
+        self._shapes.append((sum(map(itemgetter(1), factors)), anchor - factors[-1][0], anchor,
+                             factors[0][1], offsets, {}, ordering.decode(anchor).shift, order))
+        # the order of the whole element, which bounds the shifts of a step
+        self._orders.append(order if ordering.is_order_compatible else poly.order)
 
     def _image_hit(self, index, shape, w):
         """The table entry of the anchor image w for the element index, of
@@ -189,8 +207,22 @@ class ReducerBasis:
     def find_divisor(self, target: Monomial):
         """The first hit (index, s) of divisor_runs on the factors of
         target, or None when no shifted leading monomial divides target."""
-        for hits in self.divisor_runs(target.factors):
-            return hits[0]
+        factors = target.factors
+        if not factors:
+            top, spread, degree = -1, 0, 0
+        else:
+            top = factors[0][0]
+            spread, degree = top - factors[-1][0], sum(map(itemgetter(1), factors))
+        exps = None
+        for index, shape in enumerate(self._shapes):
+            if shape is None:  # a constant element divides everything
+                return index, (0,) * self.ring.signature.shift_rank
+            if shape[0] <= degree and shape[1] <= spread and shape[2] <= top:
+                if exps is None:
+                    exps = dict(factors)
+                hits = self._shifts_into(index, shape, factors, exps)
+                if hits:
+                    return hits[0]
         return None
 
 
@@ -200,6 +232,52 @@ def _as_basis(G):
     return ReducerBasis([g for g in G if g])
 
 
+def _insert_multiple(rem, keys, g, start, offset, coeff, cofactor):
+    """rem + coeff*m*g', in place: rem an ascending list of terms and keys
+    the list of their monomial keys, m the monomial with the factor tuple
+    cofactor, g' the terms of g from index start on, with offset added to
+    every packed variable (g shifted).
+
+    The ordering is multiplicative and respects shifts, so the product
+    terms descend, and each is placed by bisection below the place of the
+    one before.  Each product term's key is computed once; its Monomial is
+    built only when no term of rem has that key, and a term that meets one
+    keeps the existing Monomial.
+    """
+    ordering = g.ring.ordering
+    key_of = None if ordering.spec.symbol_order == LEX else ordering.monomial_key
+    # coeff is one or minus one for a monic g: then a term's coefficient is
+    # c or -c, no product
+    unit = 1 if coeff == 1 else -1 if coeff == -1 else 0
+    moved = offset or cofactor
+    hi = len(keys)
+    for mono, c in g.terms[start:]:
+        if not unit:
+            c = c * coeff
+        elif unit < 0:
+            c = -c
+        if moved:
+            # under a lex symbol order the key is the factor tuple itself
+            key = factors = _merge(mono.factors, cofactor, offset)
+            if key_of is not None:
+                key = key_of(factors)
+            mono = None
+        else:
+            key = mono.key
+        i = bisect_left(keys, key, 0, hi)
+        if i < hi and keys[i] == key:
+            mt, ct = rem[i]
+            c = ct + c
+            if c:
+                rem[i] = (mt, c)
+            else:
+                del rem[i], keys[i]
+        else:
+            rem.insert(i, (mono or _known_monomial(factors, ordering, key), c))
+            keys.insert(i, key)
+        hi = i
+
+
 def _reduce(f, G, tail, steps=None):
     """f reduced against all shifts of G: its head only, or with tail=True
     every term.  Each step appends (coefficient, cofactor, shift, basis
@@ -207,38 +285,49 @@ def _reduce(f, G, tail, steps=None):
     basis = _as_basis(G)
     if basis.ring is not None:  # an empty basis has no ring
         _same_ring(f, basis)
-    # a step at term i leaves the terms before it alone, as every product
-    # term lies below term i: the run before i moves to the output at once
+    ordering = f.ring.ordering
+    weights, n_symbols = ordering.weights, ordering.n_symbols
+    quotient = f.ring.field.quotient
+    polys, orders = basis.polys, basis._orders
+    # the pending remainder ascends, so its head is the last term; out
+    # takes the heads that tail reduction keeps, each above all of rem
+    rem = list(reversed(f.terms))
+    keys = [m.key for m, _ in rem]
     out = []
-    terms, i = f.terms, 0
     guard = 0
-    while i < len(terms):
-        m, c = terms[i]
-        hit = basis.find_divisor(m)
+    while rem:
+        term = rem[-1]
+        hit = basis.find_divisor(term[0])
+        if hit is None and not tail:
+            break
+        rem.pop()
+        keys.pop()
         if hit is None:
-            if not tail:
-                break
-            i += 1
+            out.append(term)
             continue
-        # the step for the hit (index, shift): term i cancels exactly and
-        # is skipped, the later terms take -coeff*cofactor*shift(G[index])
+        # the step for the hit (index, shift): the head cancels exactly and
+        # is dropped, the later terms take -coeff*cofactor*shift(G[index])
         index, shift = hit
-        g = basis.polys[index]
-        offset = g.offset(shift)
-        cofactor = _cofactor(m.factors, g.lm.factors, offset)
-        lc = g.lc
-        coeff = c if lc == 1 else g.ring.field.quotient(c, lc)
-        out.extend(terms[:i])
-        terms, i = _add_multiple(terms, i + 1, g, offset, -coeff, cofactor, 1), 0
+        g = polys[index]
+        # the table checked the shift against the order of lm(g) only
+        if orders[index] + sum(shift) > MAX_SHIFT_DEGREE:
+            ordering.check_shift(shift, orders[index])
+        offset = sum(map(mul, shift, weights)) * n_symbols
+        m, c = term
+        lm, lc = g.terms[0]
+        cofactor = _cofactor(m.factors, lm.factors, offset)
+        coeff = c if lc == 1 else quotient(c, lc)
+        _insert_multiple(rem, keys, g, 1, offset, -coeff, cofactor)
         if steps is not None:
-            steps.append((coeff, Monomial(cofactor, f.ring.ordering), shift, index))
+            steps.append((coeff, Monomial(cofactor, ordering), shift, index))
         guard += 1
         if guard > HEAD_STEP_LIMIT:
             raise InternalCheckError(f"reduction of {f} exceeded the step safety limit "
                                      f"of {HEAD_STEP_LIMIT} steps")
-    if terms is f.terms:
+    if not guard:
         return f
-    out.extend(terms)
+    rem.reverse()
+    out.extend(rem)
     return Polynomial(f.ring, tuple(out))
 
 
@@ -274,8 +363,10 @@ def replay_certificate(h: Polynomial, steps, G):
     polys = G.polys if isinstance(G, ReducerBasis) else [g for g in G if g]
     for g in polys:
         _same_ring(h, g)
-    terms = h.terms
+    rem = list(reversed(h.terms))
+    keys = [m.key for m, _ in rem]
     for coeff, cofactor, shift, index in steps:
         g = polys[index]
-        terms = _add_multiple(terms, 0, g, g.offset(shift), coeff, cofactor.factors, 0)
-    return Polynomial(h.ring, tuple(terms))
+        _insert_multiple(rem, keys, g, 0, g.offset(shift), coeff, cofactor.factors)
+    rem.reverse()
+    return Polynomial(h.ring, tuple(rem))

@@ -9,15 +9,20 @@ strictly descending under the ring's block ordering.  The shift monoid
 acts on everything by translating every variable's shift and fixing
 coefficients; on packed variables that is one addition each.
 
-Sums merge in _add_multiple (reduce, tail_reduce, replay_certificate,
-shifted_spoly, spoly, Polynomial + and -), products of term dicts in
-_product (the parser, through _power, and Polynomial *), and exact monomial
-quotients in _cofactor (reduction steps, S-polynomials, Monomial /).
+Sums of two whole polynomials merge in _add_multiple (shifted_spoly,
+spoly, Polynomial + and -); a reduction step and a certificate replay
+instead insert one multiple into a pending remainder
+(reduction._insert_multiple).  Products of term dicts go through _product
+(the parser, through _power, and Polynomial *), factor tuples of products
+and shifted products through _merge (all of the above and Monomial *), and
+exact monomial quotients through _cofactor (reduction steps,
+S-polynomials, Monomial /).
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain
 from operator import itemgetter
 
 from .errors import ExactDivisionError, RingMismatchError
@@ -162,27 +167,24 @@ def _known_monomial(factors, ordering, key):
     return m
 
 
-def _merge(fa, fb):
+def _merge(fa, fb, offset=0):
     """The factor tuple of the product of two monomials with descending
-    factor tuples fa and fb: the exponents of a shared variable add."""
-    out = []
-    i = j = 0
-    la, lb = len(fa), len(fb)
-    while i < la and j < lb:
-        va, ea = fa[i]
-        vb, eb = fb[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va > vb:
-            out.append((va, ea))
-            i += 1
+    factor tuples fa and fb, fa shifted by offset, which is added to each
+    of its packed variables: the exponents of a shared variable add.  The
+    pairs of fb go into a copy of fa, each at or past the place of the one
+    before."""
+    out = [(var + offset, e) for var, e in fa] if offset else list(fa)
+    k, n = 0, len(out)
+    for pair in fb:
+        var = pair[0]
+        while k < n and out[k][0] > var:
+            k += 1
+        if k < n and out[k][0] == var:
+            out[k] = (var, out[k][1] + pair[1])
         else:
-            out.append((vb, eb))
-            j += 1
-    out.extend(fa[i:])
-    out.extend(fb[j:])
+            out.insert(k, pair)
+            n += 1
+        k += 1
     return tuple(out)
 
 
@@ -341,7 +343,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         _same_ring(self, other)
-        return Polynomial(self.ring, tuple(_add_multiple(self.terms, 0, other, 0, sign, (), 0)))
+        return Polynomial(self.ring, tuple(_add_multiple(self.terms, other, 0, sign, (), 0)))
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -387,13 +389,16 @@ class Polynomial:
 
     @property
     def order(self):
-        """Max order of the monomials; -inf for the zero polynomial.  An
-        order-compatible ordering puts it on the leading monomial."""
+        """Max order of the monomials; -inf for the zero polynomial and
+        the constants.  An order-compatible ordering puts it on the leading
+        monomial; otherwise each distinct factor is decoded once."""
         if not self.terms:
             return NEG_INF
-        if self.ring.ordering.is_order_compatible:
+        ordering = self.ring.ordering
+        if ordering.is_order_compatible:
             return self.terms[0][0].order
-        return max(m.order for m, _ in self.terms)
+        factors = tuple(set(chain.from_iterable(m.factors for m, _ in self.terms)))
+        return ordering.order(factors) if factors else NEG_INF
 
     # --- printing ------------------------------------------------------------
 
@@ -421,32 +426,37 @@ def shifted_spoly(f: Polynomial, s, g: Polynomial, t) -> Polynomial:
     a, b = f.offset(s), g.offset(t)
     fa, fb = f.lm.factors, g.lm.factors
     lcm = _lcm([(var + a, e) for var, e in fa], [(var + b, e) for var, e in fb])
-    terms = _add_multiple((), 0, f, a, quotient(1, f.lc), _cofactor(lcm, fa, a), 1)
-    return Polynomial(f.ring, tuple(_add_multiple(terms, 0, g, b, quotient(-1, g.lc),
+    terms = _add_multiple((), f, a, quotient(1, f.lc), _cofactor(lcm, fa, a), 1)
+    return Polynomial(f.ring, tuple(_add_multiple(terms, g, b, quotient(-1, g.lc),
                                                  _cofactor(lcm, fb, b), 1)))
 
 
 def _cofactor(factors, lead, offset):
     """The factor tuple of m / l, for m with the given factors and l the
-    monomial with factors lead shifted by offset; l must divide m."""
-    need = {var + offset: e for var, e in lead}
+    monomial with factors lead shifted by offset; l must divide m.  Both
+    tuples descend and every variable of l is one of m, so one walk pairs
+    each variable of l with its place in m."""
     out = []
+    j, n = 0, len(lead)
     for var, e in factors:
-        d = e - need.get(var, 0)
-        if d:
-            out.append((var, d))
+        if j < n and lead[j][0] + offset == var:
+            e -= lead[j][1]
+            j += 1
+            if not e:
+                continue
+        out.append((var, e))
     return tuple(out)
 
 
-def _add_multiple(terms, i, g, offset, coeff, cofactor, start):
-    """The terms of terms[i:] + coeff*m*g', in one merge, as a list: m the
+def _add_multiple(terms, g, offset, coeff, cofactor, start):
+    """The terms of terms + coeff*m*g', in one merge, as a list: m the
     monomial with the factor tuple cofactor, g' the terms of g from index
     start on, with offset added to every packed variable (g shifted).
 
     The ordering is multiplicative and respects shifts, so the product
     terms come out descending.  Each product term's key is computed once;
-    its Monomial is built only when no term of terms[i:] has that key, and
-    a term that meets one keeps the existing Monomial.
+    its Monomial is built only when no term of terms has that key, and a
+    term that meets one keeps the existing Monomial.
     """
     ordering = g.ring.ordering
     key_of = ordering.monomial_key
@@ -456,7 +466,7 @@ def _add_multiple(terms, i, g, offset, coeff, cofactor, start):
     moved = offset or cofactor
     out = []
     append = out.append
-    n = len(terms)
+    i, n = 0, len(terms)
     gterms = g.terms
     for k in range(start, len(gterms)):
         mono, c = gterms[k]
@@ -465,10 +475,7 @@ def _add_multiple(terms, i, g, offset, coeff, cofactor, start):
         elif unit < 0:
             c = -c
         if moved:
-            factors = mono.factors
-            if offset:
-                factors = [(var + offset, e) for var, e in factors]
-            factors = _merge(factors, cofactor)
+            factors = _merge(mono.factors, cofactor, offset)
             key, mono = key_of(factors), None
         else:
             key = mono.key

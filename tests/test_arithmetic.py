@@ -1,6 +1,6 @@
 """Polynomial and Monomial operators against independent arithmetic.
 
-`+` and `-` run on `ring._add_multiple`, the merge of a reduction step,
+`+` and `-` run on `ring._add_multiple`, the merge of S-polynomials,
 `*` on `ring._product`, the parser's term-dict product, and `Monomial /` on
 `ring._cofactor`.  Over Q every operator is checked against the dict
 arithmetic of `tests/classical.py`, which shares no code with the package;

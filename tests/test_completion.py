@@ -861,6 +861,27 @@ def test_parameter_coefficient_swell_case_is_pinned(budget, stats, elements, dig
     assert any(len(num_den(ring.field, c)[1]) > 1 for g in basis for _, c in g.terms)
 
 
+def test_no_chain_case_with_long_remainders_is_pinned():
+    # Without the chain test the completion meets one reduction whose
+    # remainder grows to thousands of terms against reducers of about seven
+    # terms, so it measures what a reduction step costs against a long
+    # remainder.  The budget-116 run took about 50 s of CPU when each step
+    # copied the remainder, and takes a few seconds with steps that cost
+    # their reducer; the digest was recorded with the copying steps.
+    ring = make_ring(1, ("x", "y", "z"), spec=OrderingSpec(DEGREVLEX, None, DEGLEX, None))
+    G = [parse_polynomial(ring, text) for text in (
+        "-x(1)^2 - 3*y(0)^2 + z(0)^2", "-1/3*y(1)^2*x(0) + 1/3*y(0)^4",
+        "3*x(1)^3 + y(1)^3*x(0)^2 - 2*y(0)^2")]
+    basis = sigma_gbasis(G, max_pair_budget=116, use_chain_criterion=False)
+    assert str(basis.status) == "budget_exhausted"
+    assert basis.stats == PairStats(generated=327, killed_product=14, killed_sigma=171,
+                                    reduced_to_zero=100, new_elements=16)
+    assert len(basis.elements) == 19
+    text = "\n".join(str(g) for g in basis)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "3b1d7e90b023f53c49fa2578dbaab3ca420eb8970bc0422a98a5320e5825cf7d"
+
+
 # --- truncation ---------------------------------------------------------------
 
 
@@ -1011,11 +1032,13 @@ def test_limits_are_passed_as_keywords_only():
 def test_chain_queries_of_one_group_share_a_search(monkeypatch):
     # Probe traffic of cycle5's groebner_gamma_basis: consecutive chain
     # queries of one group at one basis size read one divisor list (see
-    # _Run), so the run makes 728 divisor_runs searches and 1,520
-    # _shifts_into probes.  A fresh search per query makes 880 and 1,723.
+    # _Run), so the run makes 459 divisor_runs chain searches beside 269
+    # find_divisor probes of reduction, and 1,520 _shifts_into probes over
+    # both.  A fresh search per query makes 611 chain searches and 1,723
+    # _shifts_into probes.
     problem = parse_problem((Path(__file__).parent / "data/cli/cycle5.dgb").read_text())
     action = PermutationAction(problem.permutation, problem.ring)
-    counts = {"divisor_runs": 0, "_shifts_into": 0}
+    counts = {"divisor_runs": 0, "find_divisor": 0, "_shifts_into": 0}
 
     def counted(name):
         method = getattr(ReducerBasis, name)
@@ -1030,7 +1053,7 @@ def test_chain_queries_of_one_group_share_a_search(monkeypatch):
     basis = groebner_gamma_basis(action, problem.polynomials)
     assert basis.stats == PairStats(generated=611, killed_sigma=106, killed_chain=499,
                                     reduced_to_zero=92, new_elements=20)
-    assert counts == {"divisor_runs": 728, "_shifts_into": 1520}
+    assert counts == {"divisor_runs": 459, "find_divisor": 269, "_shifts_into": 1520}
 
 
 @pytest.mark.parametrize("killer, first", [

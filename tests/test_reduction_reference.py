@@ -1,14 +1,17 @@
 """Reduction against its reference route.
 
-A reduction step subtracts coeff*cofactor*shift(g) from the remainder in
-one merge, skipping the leading pair, which cancels exactly; S-polynomials
-and certificate replay take the same merge.  `helpers` keeps the route it
-replaced: shift g, multiply it by the term (`mul_term`), add the product to
-the whole remainder.  Both routes must give equal heads, certificate steps,
-normal forms, replays and S-polynomials, and make the same divisor queries.
-The inputs are seeded: every shift and symbol order pair, ranks 1 to 3,
-coefficients in Q, Q(H) and Q(H, K) with non-constant denominators, basis
-elements that are not monic, and constant elements.
+A reduction step subtracts coeff*cofactor*shift(g) from the pending
+remainder, skipping the leading pair, which cancels exactly, and placing
+each other product term by bisection; certificate replay adds its steps the
+same way, and S-polynomials take one merge.  `helpers` keeps the route
+these replaced: shift g, multiply it by the term (`mul_term`), add the
+product to the whole remainder.  Both routes must give equal heads,
+certificate steps, normal forms, replays and S-polynomials, and make the
+same divisor queries.  The inputs are seeded: every shift and symbol order
+pair, ranks 1 to 3, coefficients in Q, Q(H) and Q(H, K) with non-constant
+denominators, basis elements that are not monic, and constant elements;
+then long remainders, thousands of steps, and a shift that only a later
+term of the element cannot take.
 """
 
 import random
@@ -84,27 +87,34 @@ def _case(index):
     return ring, G, inputs
 
 
+def _assert_routes_agree(f, G):
+    """Both routes give f the same head, certificate steps, replay, normal
+    form and divisor queries; returns the number of head steps."""
+    head, steps = reduce(f, G, certificate=True)
+    ref_head, ref_steps = reference_reduce(f, G, certificate=True)
+    assert head == ref_head
+    assert steps == ref_steps
+    assert reduce(f, G) == head
+    assert replay_certificate(head, steps, G) == reference_replay(head, steps, G) == f
+
+    normal = tail_reduce(f, G)
+    assert normal == reference_tail_reduce(f, G)
+    assert reduce_full(f, G) == (normal.monic() if normal else normal)
+
+    # the same divisor queries, one per step and one per kept term
+    for library, reference in ((reduce, reference_reduce),
+                               (tail_reduce, reference_tail_reduce)):
+        ours, theirs = CountingBasis(G), CountingBasis(G)
+        assert library(f, ours) == reference(f, theirs)
+        assert ours.calls == theirs.calls
+    return len(steps)
+
+
 @pytest.mark.parametrize("index", CASES)
 def test_reduction_matches_the_reference_route(index):
     ring, G, inputs = _case(index)
     for f in inputs:
-        head, steps = reduce(f, G, certificate=True)
-        ref_head, ref_steps = reference_reduce(f, G, certificate=True)
-        assert head == ref_head
-        assert steps == ref_steps
-        assert reduce(f, G) == head
-        assert replay_certificate(head, steps, G) == reference_replay(head, steps, G) == f
-
-        normal = tail_reduce(f, G)
-        assert normal == reference_tail_reduce(f, G)
-        assert reduce_full(f, G) == (normal.monic() if normal else normal)
-
-        # the same divisor queries, one per step and one per kept term
-        for library, reference in ((reduce, reference_reduce),
-                                   (tail_reduce, reference_tail_reduce)):
-            ours, theirs = CountingBasis(G), CountingBasis(G)
-            assert library(f, ours) == reference(f, theirs)
-            assert ours.calls == theirs.calls
+        _assert_routes_agree(f, G)
 
     rng = random.Random(f"spoly:{index}")
     zero = (0,) * ring.signature.shift_rank
@@ -119,12 +129,12 @@ def test_reduction_matches_the_reference_route(index):
 @pytest.mark.parametrize("index", CASES)
 def test_one_divisor_probe_per_examined_term(index, monkeypatch):
     """Reduction probes each term it examines once: a step is one probe and
-    one merge (_add_multiple); head reduction then probes the irreducible
+    one insertion of a multiple (_insert_multiple); head reduction then probes the irreducible
     head of a nonzero remainder and stops, tail reduction probes each term
     it keeps.  So it neither probes past the first irreducible head nor
     probes an output term twice."""
     counts = {"probes": 0, "steps": 0}
-    find, merge = ReducerBasis.find_divisor, reduction._add_multiple
+    find, merge = ReducerBasis.find_divisor, reduction._insert_multiple
 
     def counted_find(basis, target):
         counts["probes"] += 1
@@ -135,7 +145,7 @@ def test_one_divisor_probe_per_examined_term(index, monkeypatch):
         return merge(*args)
 
     monkeypatch.setattr(ReducerBasis, "find_divisor", counted_find)
-    monkeypatch.setattr(reduction, "_add_multiple", counted_merge)
+    monkeypatch.setattr(reduction, "_insert_multiple", counted_merge)
     ring, G, inputs = _case(index)
     total = 0
     for f in inputs:
@@ -150,7 +160,7 @@ def test_one_divisor_probe_per_examined_term(index, monkeypatch):
     assert total > 0
 
 def test_reference_cases_cover_every_path():
-    """The seeded cases reach the paths the merge has to get right."""
+    """The seeded cases reach the paths a step has to get right."""
     seen = set()
     for index in CASES:
         ring, G, inputs = _case(index)
@@ -211,3 +221,81 @@ def test_a_step_keeps_the_monomials_of_the_remainder():
     h = reduce(f, [x[2] - x[0]])
     assert h == (x[1] * x[0]).scale(ring.field.rational(2)) + x[0] * x[0]
     assert h.terms[0][0] is f.terms[1][0] and h.terms[1] is f.terms[2]
+
+
+# --- long remainders and many steps -----------------------------------------
+#
+# A step places each product term in the pending remainder by bisection;
+# these cases make that remainder long (hundreds to thousands of terms) or
+# make thousands of steps, where a misplaced term, a missed cancellation or
+# a stale key would show.
+
+
+def _dense(rng, ring, size):
+    """A polynomial with exactly size terms: random monomials of up to
+    three factors at shift degree up to 3, seeded coefficients."""
+    acc = {}
+    while len(acc) < size:
+        acc[random_monomial(rng, ring, max_factors=3, max_shift_deg=3, max_exp=3)] = \
+            _coefficient(rng, ring.field)
+    return ring.polynomial((c, m) for m, c in acc.items())
+
+
+@pytest.mark.parametrize("shift_order, symbol_order, parameters, size", [
+    (DEGREVLEX, LEX, (), 400), (LEX, DEGLEX, (), 1500), (DEGLEX, DEGREVLEX, (), 800),
+    (DEGREVLEX, DEGLEX, ("H",), 300)], ids=["degrevlex-lex-Q-400", "lex-deglex-Q-1500",
+                                           "deglex-degrevlex-Q-800", "degrevlex-deglex-QH-300"])
+def test_long_remainders_match_the_reference_route(shift_order, symbol_order, parameters,
+                                                   size):
+    """A dense f against two-term bases: the remainder keeps about size
+    terms while the product terms land among them."""
+    ring = make_ring(2, ("x", "y"), parameters, OrderingSpec(shift_order, None, symbol_order))
+    rng = random.Random(f"long:{shift_order}:{symbol_order}:{size}")
+    two = ring.constant(2)
+    G = [ring.var("x", (1, 0)) - ring.var("y", (0, 0), 2),
+         two * ring.var("y", (0, 1)) - ring.var("x", (0, 0))]
+    f = _dense(rng, ring, size)
+    assert _assert_routes_agree(f, G) > 0
+    assert len(tail_reduce(f, G)) > size // 3
+
+
+@pytest.mark.parametrize("parameters", [(), ("H",)], ids=["Q", "QH"])
+@pytest.mark.parametrize("shift_order, symbol_order", ORDER_PAIRS)
+def test_many_step_reductions_match_the_reference_route(shift_order, symbol_order,
+                                                        parameters):
+    """A power of one variable against x(1) - x(0)^2 (one term throughout,
+    450 steps), and two inputs against a non-monic three-term element:
+    x(3)^5, whose head reduction takes about 600 steps while the remainder
+    grows to about 90 terms, and a product of two binomials, whose head
+    reduction takes 241 steps."""
+    ring = make_ring(1, ("x",), parameters, OrderingSpec(shift_order, None, symbol_order))
+    field = ring.field
+    c = field.parameter("H") if parameters else field.rational(-1, 2)
+    x = [ring.var("x", (k,)) for k in range(5)]
+    square = x[0] * x[0]
+    assert _assert_routes_agree(ring.var("x", (4,), 30), [x[1] - square]) == 450
+    G = [ring.constant(3) * x[1] - square - x[0].scale(c)]
+    for f in (ring.var("x", (3,), 5), (x[4] + x[2] + ring.one) * (x[3] - x[0])):
+        assert _assert_routes_agree(f, G) > 200
+
+
+@pytest.mark.parametrize("symbol_order", (LEX, DEGLEX, DEGREVLEX))
+def test_a_step_past_the_width_of_a_later_term_raises(symbol_order):
+    """Under a lex shift order the element x(1,0)*y(0,0) + y(0,200) has
+    order 200 but a leading monomial of order 1, which is all the divisor
+    search checks.  Tail reduction keeps the irreducible head x(65400,0)
+    and then meets a term whose shift passes MAX_SHIFT_DEGREE on y(0,200)
+    only: it raises ShiftWidthError, as the reference's g.shift does, while
+    head reduction stops at the head.  Below the limit the routes agree."""
+    ring = make_ring(2, ("x", "y"), spec=OrderingSpec(LEX, None, symbol_order))
+    g = ring.var("x", (1, 0)) * ring.var("y", (0, 0)) + ring.var("y", (0, 200))
+    assert g.lm.order == 1 and g.order == 200
+    far = ring.var("x", (65340, 0)) * ring.var("y", (65339, 0))
+    assert ReducerBasis([g]).find_divisor(far.lm) == (0, (65339, 0))
+    f = ring.var("x", (65400, 0)) + far + ring.var("x", (3, 0)) * ring.var("y", (2, 0))
+    assert reduce(f, [g]) == reference_reduce(f, [g]) == f
+    for route in (reference_tail_reduce, tail_reduce, reduce_full):
+        with pytest.raises(ShiftWidthError):
+            route(f, [g])
+    near = ring.var("x", (3, 0)) * ring.var("y", (2, 0)) + ring.var("y", (0, 1))
+    assert _assert_routes_agree(near, [g]) == 1
