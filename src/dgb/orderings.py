@@ -30,15 +30,15 @@ is absent from n (earlier variables are shared and larger, later ones of
 n lie below w), so v is the largest differing variable, positive in m: m
 is larger, as its tuple is.  A proper prefix lacks the largest differing
 variable and is smaller, as a tuple too.  Under graded symbol orders the
-key has one (shift key, degree, run) per run of factors of equal shift,
-built in one pass: deglex breaks degree ties by lex, which the run's
-descending pairs compare as above; degrevlex by the smaller exponent from
-the lowest-priority symbol up, which the ascending (variable, -exponent)
-pairs compare, as of two runs of equal degree neither is a proper prefix.
-Either way a key is a tuple of tuples of one length (pairs or triples), so
-its entries concatenated into one tuple compare as the key does: the first
-difference of the flat tuples lies in the first differing inner tuple, and
-a proper prefix stays a proper prefix.
+key is one flat tuple of ints: per run of factors of equal shift, its
+shift key, its degree, then its pairs laid flat, (v, e) descending for
+deglex and (v, -e) ascending for degrevlex.  Deglex breaks degree ties by
+lex, which the descending pairs compare as above; degrevlex by the smaller
+exponent from the lowest-priority symbol up, which the ascending (v, -e)
+pairs compare.  Two runs with equal shift key and degree cannot be proper
+prefixes of each other, so laying the pairs flat keeps the order: two keys
+first differ inside their first differing runs, or one is a proper prefix,
+smaller as its monomial is.
 
 *Queue keys.*  The pair queue orders overlaps by (order, monomial key);
 queue_key gives one immutable key per monomial that sorts the same way.
@@ -53,11 +53,10 @@ unrelated to the largest variable and stays in front.  So the queue key
 is the factor tuple itself under lex symbols and a graded shift order, and
 (order, factor tuple) under lex symbols and a lex shift order.  Under
 graded symbols it is (order, monomial key, factor tuple) under either
-shift order: the order stays in front because the heap compares an int
-faster than the nested run a graded key starts with, and the factor tuple
-rides along so that queue_factors reads it back instead of rebuilding it
-from the runs.  It never decides a comparison, as the items before it are
-equal only for equal monomials.
+shift order: the factor tuple rides along so that queue_factors reads it
+back instead of rebuilding it from the key, and as that makes a tuple
+anyway, one form serves both shift orders.  It never decides a
+comparison, as the items before it are equal only for equal monomials.
 """
 
 from __future__ import annotations
@@ -126,8 +125,8 @@ class Ordering:
     """An OrderingSpec bound to a concrete signature (rank and symbol
     count): the packing of variables and the keys of the block order."""
 
-    __slots__ = ("spec", "rank", "n_symbols", "weights", "_symbol_value", "_symbol_of",
-                 "_origin", "_offsets", "_degree_bits")
+    __slots__ = ("spec", "rank", "n_symbols", "weights", "key_is_factors", "_symbol_value",
+                 "_symbol_of", "_origin", "_offsets", "_degree_bits")
 
     def __init__(self, shift_rank, n_symbols, spec=None):
         spec = spec or OrderingSpec()
@@ -137,6 +136,7 @@ class Ordering:
             spec.symbol_order, _check_priority(spec.symbol_priority, n_symbols, "symbol"))
         self.rank = shift_rank
         self.n_symbols = n_symbols
+        self.key_is_factors = spec.symbol_order == LEX
         # the low digit v of a variable, and back from v to the symbol
         self._symbol_of = spec.symbol_priority[::-1]
         self._symbol_value = _inverse(self._symbol_of)
@@ -215,32 +215,32 @@ class Ordering:
         """Monotone key realizing the block ordering on the descending factor
         tuples of monomials (see the module docstring); a Monomial keeps it
         as ``key``."""
-        symbol_order = self.spec.symbol_order
-        if symbol_order == LEX:
+        if self.key_is_factors:
             return factors
-        n, parts, i = self.n_symbols, [], 0
-        while i < len(factors):
-            shift, j, degree = factors[i][0] // n, i, 0
-            while j < len(factors) and factors[j][0] // n == shift:
-                degree += factors[j][1]
-                j += 1
-            run = factors[i:j]
-            if symbol_order == DEGREVLEX:
-                run = tuple([(v, -e) for v, e in reversed(run)])
-            parts.append((shift, degree, run))
-            i = j
-        return tuple(parts)
+        n, revlex, key, shift = self.n_symbols, self.spec.symbol_order == DEGREVLEX, [], None
+        for v, e in factors:
+            if v // n != shift:
+                shift = v // n
+                at = len(key) + 1  # the run's degree, its pairs after it
+                key += (shift, e, v, -e) if revlex else (shift, e, v, e)
+            else:
+                key[at] += e
+                if revlex:
+                    key[at + 1:at + 1] = (v, -e)  # ahead of the run's pairs: ascending
+                else:
+                    key += (v, e)
+        return tuple(key)
 
     def queue_key(self, factors, order):
         """The pair queue's key of a monomial of the given order, which
         sorts as (order, monomial key) does (see the module docstring)."""
-        if self.spec.symbol_order != LEX:
+        if not self.key_is_factors:
             return order, self.monomial_key(factors), factors
         return factors if self._degree_bits is not None else (order, factors)
 
     def queue_factors(self, key):
         """The factor tuple of the monomial whose queue_key is key: the key
         itself or its last item."""
-        if self._degree_bits is not None and self.spec.symbol_order == LEX:
+        if self._degree_bits is not None and self.key_is_factors:
             return key
         return key[-1]

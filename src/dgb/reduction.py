@@ -57,7 +57,7 @@ from bisect import bisect_left
 from operator import itemgetter, mul, sub
 
 from .errors import InternalCheckError, RingMismatchError
-from .orderings import LEX, MAX_SHIFT_DEGREE
+from .orderings import MAX_SHIFT_DEGREE
 from .ring import NEG_INF, Monomial, Polynomial, _cofactor, _known_monomial, _merge, _same_ring
 
 HEAD_STEP_LIMIT = 10_000_000  # safety net; the well-ordering guarantees termination
@@ -240,12 +240,12 @@ def _insert_multiple(rem, keys, g, start, offset, coeff, cofactor):
 
     The ordering is multiplicative and respects shifts, so the product
     terms descend, and each is placed by bisection below the place of the
-    one before.  Each product term's key is computed once; its Monomial is
-    built only when no term of rem has that key, and a term that meets one
-    keeps the existing Monomial.
+    one before.  Each product term's key is computed once, and not at all
+    when it is the factor tuple; its Monomial is built only when no term of
+    rem has that key, and a term that meets one keeps the existing Monomial.
     """
     ordering = g.ring.ordering
-    key_of = None if ordering.spec.symbol_order == LEX else ordering.monomial_key
+    key_of = None if ordering.key_is_factors else ordering.monomial_key
     # coeff is one or minus one for a monic g: then a term's coefficient is
     # c or -c, no product
     unit = 1 if coeff == 1 else -1 if coeff == -1 else 0
@@ -257,10 +257,8 @@ def _insert_multiple(rem, keys, g, start, offset, coeff, cofactor):
         elif unit < 0:
             c = -c
         if moved:
-            # under a lex symbol order the key is the factor tuple itself
-            key = factors = _merge(mono.factors, cofactor, offset)
-            if key_of is not None:
-                key = key_of(factors)
+            factors = _merge(mono.factors, cofactor, offset)
+            key = factors if key_of is None else key_of(factors)
             mono = None
         else:
             key = mono.key

@@ -80,9 +80,9 @@ class Monomial:
 
     Factors are stored as a tuple of (packed variable, exponent) int pairs
     in descending variable order, together with the ordering that packed
-    them and the block-order key, built once (under a lex symbol order the
-    key is the factor tuple itself); the empty tuple is the monomial 1,
-    whose ordering may be None.  Equality and hashing read the factors.
+    them and the block-order key, built once (the factor tuple itself when
+    ordering.key_is_factors); the empty tuple is the monomial 1, whose
+    ordering may be None.  Equality and hashing read the factors.
     """
 
     __slots__ = ("factors", "ordering", "key")
@@ -454,12 +454,13 @@ def _add_multiple(terms, g, offset, coeff, cofactor, start):
     start on, with offset added to every packed variable (g shifted).
 
     The ordering is multiplicative and respects shifts, so the product
-    terms come out descending.  Each product term's key is computed once;
-    its Monomial is built only when no term of terms has that key, and a
-    term that meets one keeps the existing Monomial.
+    terms come out descending.  Each product term's key is computed once,
+    or not at all when it is the factor tuple; its Monomial is built only
+    when no term of terms has that key, and a term that meets one keeps
+    the existing Monomial.
     """
     ordering = g.ring.ordering
-    key_of = ordering.monomial_key
+    key_of = None if ordering.key_is_factors else ordering.monomial_key
     # coeff is one or minus one for + and -, and for a monic g in
     # shifted_spoly: then a term's coefficient is c or -c, no product
     unit = 1 if coeff == 1 else -1 if coeff == -1 else 0
@@ -476,7 +477,8 @@ def _add_multiple(terms, g, offset, coeff, cofactor, start):
             c = -c
         if moved:
             factors = _merge(mono.factors, cofactor, offset)
-            key, mono = key_of(factors), None
+            key = factors if key_of is None else key_of(factors)
+            mono = None
         else:
             key = mono.key
         while i < n and terms[i][0].key > key:

@@ -4,7 +4,7 @@ and converters into the oracle's plain-dict polynomial format."""
 from fractions import Fraction
 from functools import cmp_to_key
 from heapq import heappop, heappush
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import comb
 from operator import sub
 
@@ -281,7 +281,7 @@ class ReferenceRun:
             stats.generated += 1
             pair_id = (i, sigma, j, tau)
             self.open.add(pair_id)
-            key = tuple(chain.from_iterable(ordering.monomial_key(overlap)))
+            key = reference_monomial_key(ordering, Monomial(overlap, ordering))
             heappush(self.queue, (bound, key, self.seq, pair_id, overlap))
             self.seq += 1
 

@@ -146,8 +146,18 @@ def test_packed_keys_match_the_block_order_reference(rank):
         ordering = ring.ordering
         monos = [Monomial.ONE] + [random_monomial(rng, ring, max_factors=4, max_shift_deg=3,
                                                   max_exp=3) for _ in range(50)]
+        # a run that is a proper prefix of another (x(1) against x(1)*x(0),
+        # x(1)*y(1) against x(1)*y(1)*z(1)) and runs of equal shift and degree
+        one = (1,) + (0,) * (rank - 1)
+        monos += [ring.monomial(factors) for factors in (
+            [("x", one, 1)], [("x", one, 1), ("x", (0,) * rank, 1)],
+            [("x", one, 1), ("y", one, 1)], [("x", one, 2)], [("y", one, 2)],
+            [("x", one, 1), ("y", one, 1), ("z", one, 1)], [("x", one, 1), ("z", one, 2)],
+            [("x", one, 1), ("y", one, 1), ("x", (0,) * rank, 1)])]
         packed = [ordering.monomial_key(m.factors) for m in monos]
         reference = [reference_monomial_key(ordering, m) for m in monos]
+        if spec.symbol_order != LEX:
+            assert all(type(k) is tuple and all(type(x) is int for x in k) for k in packed)
         for i in range(len(monos)):
             for j in range(len(monos)):
                 assert _sign(packed[i], packed[j]) == _sign(reference[i], reference[j]), \
@@ -163,7 +173,7 @@ def test_packed_keys_match_the_block_order_reference(rank):
         # the decoded view gives back the variables the monomial was built from
         for m in monos:
             assert ring.monomial([(sym, shift, e) for (sym, shift), e in m.decoded()]) == m
-    assert checked == 18 * 51 * 51
+    assert checked == 18 * 59 * 59
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
