@@ -19,7 +19,11 @@ symmetric block::
 
 Polynomials use explicit `*`, `^` for exponents, rationals like 3/4, and
 parameter polynomials in parentheses.  Shift tuples are positional; rank-1
-rings accept a bare integer.  `#` starts a line comment.
+rings accept a bare integer.  `#` starts a line comment.  A shift tuple may
+hold blanks, newlines and comments; one written without them, `u(1,0,0)`,
+is scanned as one token, a compact variable, which an expression resolves
+once per parse.  Token positions are recomputed only when an error needs a
+line and column.
 
 The ring block needs `shifts` and `symbols`; `parameters` and `order` are
 optional.  The symmetric block holds `perm: CYCLES;`, with CYCLES in the
@@ -57,8 +61,15 @@ from .reduction import replay_certificate
 from .ring import (DifferenceRing, Signature, _add, _polynomial, _power, _product,
                    format_monomial, format_polynomial)
 
-_TOKEN = re.compile(r"[ \t\r\n]+|#[^\n]*|(?P<int>\d+)|(?P<ident>[^\W\d]\w*)"
-                    r"|(?P<punct>[{}()\[\]=,;:^*/+\->])")
+# One token per match; blanks match nothing and findall skips them.  A shift
+# tuple written with no blanks, `name(d,...,d)`, is one token: a compact
+# variable.  The last alternative takes a stray character, which no token
+# starts with, so that every other character is part of a match.
+_TOKEN = re.compile(r"#[^\n]*|[^\W\d]\w*\(\d+(?:,\d+)*\)|\d+|[^\W\d]\w*"
+                    r"|[{}()\[\]=,;:^*/+\->]|[^ \t\r\n]")
+_STRAY = re.compile(r"[^\w \t\r\n#{}()\[\]=,;:^*/+\->]")  # starts no token
+_PUNCT = frozenset("{}()[]=,;:^*/+->")
+_DIGITS = re.compile(r"\d+")
 
 MAX_NESTING = 240  # how deep parentheses may nest in one expression
 # The largest work bound e * C(e + t - 1, t - 1) of a power of a t-term base,
@@ -70,66 +81,89 @@ MAX_POWER_WORK = 30_000
 # --- tokenizer -----------------------------------------------------------
 
 
-class Token(NamedTuple):
-    kind: str  # ident | int | punct | eof
-    value: str
-    line: int
-    column: int
-
-
 # 0 (no limit) where Python has no limit on converting a digit string to int
 _int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _scan(text):
-    """The tokens of text in one pass, as parallel lists of kinds, values
-    and offsets, closed by an eof token at the end of the text; blanks and
-    comments are skipped.  A character no token matches is an error, and so
-    is an integer literal longer than Python converts (see
-    sys.get_int_max_str_digits), so that every int() of a token succeeds."""
-    kinds, values, offsets = [], [], []
-    end = 0
-    digits = _int_max_str_digits() or len(text)
-    for match in _TOKEN.finditer(text):
-        start = match.start()
-        if start != end:
-            break
-        end = match.end()
-        kind = match.lastgroup
-        if kind:
-            if kind == "int" and end - start > digits:
-                raise _error(text, f"integer literal of {end - start} digits exceeds "
-                                   f"the limit of {digits} digits", start)
-            kinds.append(kind)
-            values.append(match.group())
-            offsets.append(start)
-    if end < len(text):
-        raise _error(text, f"unexpected character {text[end]!r}", end)
-    kinds.append("eof")
+    """The token values of text, closed by "" for eof; blanks and comments
+    are skipped.  One findall reads them, and a compact variable is one
+    value.  No kinds and no offsets are kept: `_kind` reads a kind from a
+    value, and `_offsets` recomputes positions when an error needs them.
+
+    A stray character is an error, and so is an integer literal (a shift
+    entry included) longer than Python converts (see
+    sys.get_int_max_str_digits), so that every int() of a token succeeds.
+    `_scan_errors` looks for them only when one C-level search finds a
+    stray character, which may be in a comment, or when the text is long
+    enough to hold such a literal."""
+    values = _TOKEN.findall(text)
+    if "#" in text:
+        values = [value for value in values if value[0] != "#"]
+    digits = _int_max_str_digits()
+    if _STRAY.search(text) or digits and len(text) > digits and max(
+            map(len, values), default=0) > digits:
+        _scan_errors(text, values, digits)
     values.append("")
-    offsets.append(end)
-    return kinds, values, offsets
+    return values
+
+
+def _scan_errors(text, values, digits):
+    """Raise the first error among the token values of text, in text order,
+    if there is one; digits is the longest integer literal allowed, 0 for no
+    limit."""
+    for value, at in zip(values, _offsets(text, values)):
+        if _STRAY.match(value):
+            raise _error(text, f"unexpected character {value!r}", at)
+        if digits and len(value) > digits and (value[0].isdecimal() or value[-1] == ")"):
+            for entry in _DIGITS.finditer(value, value.find("(") + 1):
+                n = len(entry.group())
+                if n > digits:
+                    raise _error(text, f"integer literal of {n} digits exceeds "
+                                       f"the limit of {digits} digits", at + entry.start())
+
+
+def _kind(value):
+    """The kind of a token value: eof, punct, int or ident."""
+    if not value:
+        return "eof"
+    if value in _PUNCT:
+        return "punct"
+    return "int" if value[0].isdecimal() else "ident"
+
+
+def _split(value):
+    """The tokens a compact variable is written with: its name, '(', the
+    entries with ',' between them, and ')'."""
+    name, _, entries = value[:-1].partition("(")
+    parts = [name]
+    for entry in entries.split(","):
+        parts += (",", entry)
+    parts[1] = "("
+    parts.append(")")
+    return parts
+
+
+def _offsets(text, values):
+    """The offset in text of each of values, the tokens `_scan` gave for
+    text with any compact variables replaced by their `_split` parts,
+    recomputed from the same pattern; eof is at the end of the text."""
+    offsets = []
+    tokens = iter(values)
+    for match in _TOKEN.finditer(text):
+        at, end = match.span()
+        if text[at] != "#":
+            while at < end:  # the token, or the parts it was split into
+                offsets.append(at)
+                at += len(next(tokens))
+    offsets.append(len(text))
+    return offsets
 
 
 def _error(text, message, offset):
     """A ParseError at an offset of text; line and column count from 1."""
     column = offset - text.rfind("\n", 0, offset)
     return ParseError(message, text.count("\n", 0, offset) + 1, column)
-
-
-def tokenize(text):
-    """The tokens of text with their lines and columns, ending with eof."""
-    kinds, values, offsets = _scan(text)
-    tokens = []
-    line, line_start, last = 1, 0, 0
-    for kind, value, offset in zip(kinds, values, offsets):
-        newlines = text.count("\n", last, offset)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", last, offset) + 1
-        last = offset
-        tokens.append(Token(kind, value, line, offset - line_start + 1))
-    return tokens
 
 
 # --- parser --------------------------------------------------------------
@@ -144,23 +178,31 @@ class ProblemFile(Record):
 class _Tok(NamedTuple):
     kind: str
     value: str
-    offset: int
+    index: int  # in the parser's values
 
 
 class _Parser:
-    """A parser over the tokens of one text, kept as parallel lists of kinds,
-    values and offsets.  The block layer reads them as `_Tok`s through
-    peek/next; the expression layer walks the lists itself."""
+    """A parser over the token values of one text (see `_scan`), over one
+    ring.  The expression layer walks the values itself, and reads a
+    compact variable as one atom.  The block layer reads `_Tok`s through
+    peek/next, which first splits a compact variable into the tokens it is
+    written with, so the block layer and every error see the tokens of one
+    character class each.  Offsets are recomputed only for an error."""
 
     def __init__(self, text):
         self.text = text
-        self.kinds, self.values, self.offsets = _scan(text)
+        self.values = _scan(text)
         self.pos = 0
+        self.atoms = {}  # token -> term dict of an int or a compact variable
 
     def peek(self, i=None):
         """The token at index i, by default the next one."""
         i = self.pos if i is None else i
-        return _Tok(self.kinds[i], self.values[i], self.offsets[i])
+        value = self.values[i]
+        if len(value) > 1 and value[-1] == ")":  # a compact variable
+            self.values[i:i + 1] = _split(value)
+            value = self.values[i]
+        return _Tok(_kind(value), value, i)
 
     def next(self):
         tok = self.peek()
@@ -168,8 +210,11 @@ class _Parser:
             self.pos += 1
         return tok
 
+    def offset(self, tok):
+        return _offsets(self.text, self.values)[tok.index]
+
     def fail(self, message, tok=None):
-        raise _error(self.text, message, (tok or self.peek()).offset)
+        raise _error(self.text, message, self.offset(tok or self.peek()))
 
     def expect(self, value):
         tok = self.next()
@@ -235,7 +280,7 @@ class _Parser:
             except ParseError as exc:
                 if exc.line is not None:
                     raise
-                raise _error(self.text, exc.message, tok.offset) from None
+                raise _error(self.text, exc.message, self.offset(tok)) from None
             self.expect(";")
         return items, self.expect("}")
 
@@ -340,17 +385,21 @@ class _Parser:
     #
     # An expression evaluates to a term dict: packed factor tuple (the form
     # of Monomial.factors) -> nonzero coefficient, added, multiplied and
-    # raised by ring.py's term-dict kernel.  Each value is a fresh dict that
-    # its reader owns, so a sum adds into it in place.
+    # raised by ring.py's term-dict kernel, none of which changes its
+    # operands.  Only a sum's total, a fresh dict, is added into in place,
+    # so an atom's dict is read once per parse from the token and shared.
 
     def parse_terms(self, ring):
         """The expression at the current token, as a term dict.  One loop
         reads it left to right; an open parenthesis saves the state of the
         enclosing expression on a stack of at most MAX_NESTING entries."""
-        kinds, values = self.kinds, self.values
+        values, atoms = self.values, self.atoms
         stack = []
         i = self.pos
-        # no exponent reaches tokens * (product of ^ literals): check once those pass `room` digits
+        # No exponent reaches (atoms) * (product of the ^ literals), atoms
+        # the variables and parameters read.  An atom is one token at least
+        # (a compact variable is exactly one), so len(values) bounds the
+        # atoms: the exponents are checked once the literals pass `room` digits.
         digits = _int_max_str_digits()
         room, spent = digits - len(str(len(values))) if digits else math.inf, 0
         # op is '*' or '/' before the factor that starts at token rhs
@@ -359,8 +408,11 @@ class _Parser:
         if minus or values[i] == "+":
             i += 1
         while True:
-            value, kind = values[i], kinds[i]
-            if value == "(":
+            value = values[i]
+            atom = atoms.get(value)
+            if atom is not None:
+                i += 1
+            elif value == "(":
                 if len(stack) == MAX_NESTING:
                     self.fail(f"parentheses nested more than {MAX_NESTING} deep", self.peek(i))
                 stack.append((total, term, op, rhs, minus))
@@ -370,19 +422,23 @@ class _Parser:
                 if minus or values[i] == "+":
                     i += 1
                 continue
-            if kind == "int":
+            elif value[:1].isdecimal():
                 c = int(value)
-                value = {(): c} if c else {}
+                atom = atoms[value] = {(): c} if c else {}
                 i += 1
-            elif kind == "ident":
-                value, i = self._name(ring, i)
+            elif value and value not in _PUNCT:
+                atom, end = self._name(ring, i)
+                if value[-1] == ")":  # a compact variable; a parameter is not
+                    atoms[value] = atom  # kept, as a '(' after it is an error
+                i = end
             else:
                 self.fail(f"unexpected {value!r}" if value else "unexpected end of input",
                           self.peek(i))
+            value = atom
             while True:  # value is an atom, or a parenthesized expression
                 if values[i] == "^":
                     i += 1
-                    if kinds[i] != "int":
+                    if not values[i][:1].isdecimal():
                         self.fail("expected an integer exponent", self.peek(i))
                     # each coefficient counts its longer part's terms, as
                     # the power expands the numerators and denominators
@@ -431,8 +487,9 @@ class _Parser:
                     self.pos = i
                     return total
                 if sep != ")":
-                    found = repr(sep) if sep else "end of input"
-                    self.fail(f"expected ')', found {found}", self.peek(i))
+                    tok = self.peek(i)
+                    found = repr(tok.value) if tok.value else "end of input"
+                    self.fail(f"expected ')', found {found}", tok)
                 i += 1
                 value = total
                 total, term, op, rhs, minus = stack.pop()
@@ -448,8 +505,9 @@ class _Parser:
             self.fail(f"{what} gives an exponent of more than {digits} digits", self.peek(at))
 
     def _name(self, ring, i):
-        """(term dict, next index) of the symbol or parameter at token i."""
-        name = self.values[i]
+        """(term dict, next index) of the symbol or parameter at token i,
+        which may be a compact variable."""
+        name, compact, entries = self.values[i].partition("(")
         try:
             symbol = ring.symbol_index(name)
         except KeyError:
@@ -457,40 +515,43 @@ class _Parser:
                 value = ring.field.parameter(name)
             except KeyError:
                 self.fail(f"unknown symbol {name!r}", self.peek(i))
-            if self.values[i + 1] == "(":
+            if compact or self.values[i + 1] == "(":
                 self.fail(f"parameter {name!r} takes no shift tuple", self.peek(i))
             return {(): value}, i + 1
-        if self.values[i + 1] != "(":
+        if compact:
+            entries, end = entries[:-1].split(","), i + 1
+        elif self.values[i + 1] == "(":
+            entries, end = self._shift_tuple(i)
+        else:
             self.fail(f"symbol {name!r} needs a shift tuple", self.peek(i))
-        shift, end = self._shift_tuple(ring, i)
+        rank = ring.signature.shift_rank
+        if len(entries) != rank:
+            self.fail(f"shift tuple of arity {len(entries)} in a ring of rank {rank}",
+                      self.peek(i))
         try:
-            var = ring.ordering.variable(symbol, shift)
+            var = ring.ordering.variable(symbol, tuple(map(int, entries)))
         except ShiftWidthError as exc:
             self.fail(str(exc), self.peek(i))
         return {((var, 1),): ring.field.one}, end
 
-    def _shift_tuple(self, ring, head):
-        """(shift, next index) of the tuple after the symbol at token head."""
-        kinds, values = self.kinds, self.values
+    def _shift_tuple(self, head):
+        """(entries, next index) of the tuple after the symbol at token
+        head, written token by token."""
+        values = self.values
         entries = []
         i = head + 2
         while True:
             if values[i] == "-":
-                self.fail(f"negative shift entry -{values[i + 1]}", self.peek(i))
-            if kinds[i] != "int":
+                self.fail(f"negative shift entry -{self.peek(i + 1).value}", self.peek(i))
+            if not values[i][:1].isdecimal():
                 self.fail("expected a shift exponent", self.peek(i))
-            entries.append(int(values[i]))
+            entries.append(values[i])
             sep = values[i + 1]
             i += 2
             if sep == ")":
-                break
+                return entries, i
             if sep != ",":
                 self.fail("expected ',' or ')' in shift tuple", self.peek(i - 1))
-        rank = ring.signature.shift_rank
-        if len(entries) != rank:
-            self.fail(f"shift tuple of arity {len(entries)} in a ring of rank {rank}",
-                      self.peek(head))
-        return tuple(entries), i
 
     def _quotient(self, ring, term, divisor, at):
         """term / divisor, which must be a nonzero constant; a divisor that

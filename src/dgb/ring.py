@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 from itertools import chain
-from operator import itemgetter
 
 from .errors import ExactDivisionError, RingMismatchError
 from .field import ConstantField, _int_text
@@ -139,10 +138,6 @@ class Monomial:
         if not self.factors:
             return NEG_INF
         return self.ordering.order(self.factors)
-
-    @property
-    def total_degree(self):
-        return sum(map(itemgetter(1), self.factors))
 
     def decoded(self):
         """The factors as (VarRef, exponent) pairs, in descending order."""

@@ -7,9 +7,10 @@ from heapq import heappop, heappush
 from itertools import combinations_with_replacement
 from math import comb
 from operator import sub
+from typing import NamedTuple
 
 from dgb import DifferenceRing, Monomial, ParseError, Polynomial, ShiftWidthError, Signature
-from dgb.cli import tokenize
+from dgb.cli import _kind, _offsets, _scan, _split
 from dgb.field import RationalFunction
 from dgb.orderings import DEGLEX, LEX
 from dgb.quotient import groebner_gamma_basis
@@ -534,9 +535,36 @@ def oracle_key(ring):
     return cmp_to_key(mono_cmp)
 
 
+class Token(NamedTuple):
+    kind: str  # ident | int | punct | eof
+    value: str
+    line: int
+    column: int
+
+
+def tokenize(text):
+    """The tokens of text as `cli._scan` reads them, with their lines and
+    columns, ending with eof.  Each compact variable is expanded back into
+    its ident, '(', int, ',' and ')' tokens, at the offsets `cli._offsets`
+    gives them."""
+    values = []
+    for value in _scan(text):
+        values.extend(_split(value) if len(value) > 1 and value[-1] == ")" else [value])
+    tokens = []
+    line, line_start, last = 1, 0, 0
+    for value, offset in zip(values, _offsets(text, values)):
+        newlines = text.count("\n", last, offset)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", last, offset) + 1
+        last = offset
+        tokens.append(Token(_kind(value), value, line, offset - line_start + 1))
+    return tokens
+
+
 class _ReferenceParser:
     """The expression layer that `cli._Parser` replaced, kept as the
-    reference: it reads `cli.tokenize`'s tokens through peek/next, and each
+    reference: it reads `tokenize`'s tokens through peek/next, and each
     operator builds a Polynomial, by reference_add and reference_mul."""
 
     def __init__(self, tokens, pos=0):

@@ -8,12 +8,11 @@ import pytest
 from dgb import (InternalCheckError, LinearRelation, ParseError,
                  QuotientPresentation, VarRef, format_polynomial)
 from dgb import completion, reduction
-from dgb.cli import (format_ordering, parse_polynomial, parse_problem, run,
-                     Token, serialize_basis, tokenize)
+from dgb.cli import format_ordering, parse_polynomial, parse_problem, run, serialize_basis
 from dgb.completion import (VerificationReport, interreduce, sigma_gbasis,
                             sigma_gbasis_adaptive, sigma_gbasis_truncated)
 
-from helpers import make_ring, num_den, random_polynomial
+from helpers import Token, make_ring, num_den, random_polynomial, tokenize
 
 DATA = Path(__file__).parent / "data"
 

@@ -40,8 +40,9 @@ from hypothesis import strategies as st
 import golden_cycle8
 import golden_navier
 from dgb import CoefficientSizeError, DGBError, ParseError, format_monomial, format_polynomial
-from dgb.cli import MAX_NESTING, MAX_POWER_WORK, parse_polynomial, parse_problem, run, tokenize
-from helpers import make_ring, reference_ideal_polynomials, reference_parse_polynomial
+from dgb.cli import MAX_NESTING, MAX_POWER_WORK, parse_polynomial, parse_problem, run
+from helpers import (make_ring, reference_ideal_polynomials, reference_parse_polynomial,
+                     tokenize)
 from test_cli_snapshots import CASES
 
 TESTS = Path(__file__).parent
@@ -372,6 +373,12 @@ MESSAGES = [
     (None, R1 + "ideal { x(1) # c", ("expected ';', found end of input", 2, 17)),
     (None, R2 + "ideal {\n  x(1,0) + (K*H(0,1)); }", ("parameter 'H' takes no shift tuple", 3, 15)),
     (None, R1 + "ideal { x(1) € 2; }", ("unexpected character '€'", 2, 14)),
+    # a compact variable where the block layer reads tokens
+    (None, "ring { shifts: 1; symbols: x(1); }", ("expected ';', found '('", 1, 29)),
+    (None, "ring { shifts: 1; symbols: x; order: x(1); }", ("expected 'block', found 'x'", 1, 38)),
+    (None, "x(1) { }", ("unknown section 'x'", 1, 1)),
+    (None, R1 + "symmetric { perm: a(1); }", ("bad permutation syntax near 'a'", 2, 13)),
+    (None, R1 + "ideal { x(1)(2); }", ("expected ';', found '('", 2, 13)),
 ]
 
 
@@ -422,6 +429,36 @@ def test_message_table_covers_every_message():
     messages = [outcome[0] for _, _, outcome in MESSAGES]
     missing = [t for t in templates if not any(re.match(t, m) for m in messages)]
     assert missing == []
+
+
+# --- compact variables ----------------------------------------------------------
+#
+# The scanner reads a shift tuple written with no blanks as one token, which
+# the expression layer resolves once per parse; any other tuple is read token
+# by token.  Both spellings, and every error inside either, must match the
+# reference.  MESSAGES holds the cases where the block layer meets one.
+
+
+@pytest.mark.parametrize("text", [
+    "u(1, 0,0) - u(1,0,0)*v(0,1,0)",
+    "u(1,\n  0,0)^2 + u(1,0,0)",
+    "u( 1,0 # a comment\n ,0 ) * p(0,0,1)",
+    "u(1,0,0)*u(1,0,0)*u (1,0,0) - 2*u(1,0,0)^3",
+    "u(70000,0,0)",
+    "u(0,0,0) + u(0,0,70000)",
+    "u(" + LONG + ",0,0)",
+    "2*u(0,0," + LONG + ")",
+    "H(1)",
+    "2*H(1,0,0)",
+    "H (1)",
+    "H*u(1,0,0) - H (1,0,0)",
+    "w(1,0,0)",
+    "u(1,0)",
+    "u(1,0,0,0) + u(1,0)",
+    "u(1,0,0)(1)",
+], ids=lambda text: text[:40])
+def test_compact_and_spelled_out_tuples_match_the_reference(text):
+    _assert_matches_reference(FLOW, text)
 
 
 # --- the intended changes -------------------------------------------------------
